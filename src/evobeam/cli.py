@@ -10,9 +10,11 @@ statuses are a stable contract: 0 pass, 2 failed check or probe, 3 I/O,
 from __future__ import annotations
 
 import argparse
+import ast
 import math
+import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,19 +43,12 @@ from .integrate import (
     run,
 )
 from .scenarios import (
+    SCENARIOS,
     AssembledModel,
-    FullDynamicParams,
-    SturmLiouvilleParams,
-    TimoshenkoParams,
     consistent_initial_state,
     embed_block,
     exact_state,
-    make_dynamic_inertia,
-    make_full_dynamic,
-    make_sturm_liouville,
-    make_timoshenko_damped,
     manufactured_source,
-    timoshenko_mms_fields,
 )
 from .wellposed import (
     NevanlinnaSpec,
@@ -75,27 +70,11 @@ __all__ = [
     "main",
 ]
 
-SCENARIOS = ("timoshenko_damped", "dynamic_inertia", "full_dynamic", "sturm_liouville")
-
-_SCENARIO_DEFAULTS: dict[str, dict[str, str]] = {
-    "timoshenko_damped": {
-        "kappa1": "1.0", "nu1": "1.0", "nu2": "1.0", "kappa2": "1.0",
-        "d": "0.0", "c": "0.5", "I_tilde": "0.0", "sigma0": "1.0",
-    },
-    "dynamic_inertia": {
-        "kappa1": "1.0", "nu1": "1.0", "nu2": "1.0", "kappa2": "1.0",
-        "d": "0.0", "c": "0.0", "I_tilde": "1.0", "sigma0": "1.0",
-    },
-    "full_dynamic": {
-        "m_V1": "1.0", "m_eta": "1.0", "m_s": "1.0", "m_V2": "1.0",
-        "g_V1": "0.0", "g_eta": "0.0", "g_s": "0.0", "g_V2": "0.0",
-        "mu_minus": "1.0, 0.0", "mu_plus": "1.0, 0.0",
-        "nu_minus": "1.0, 0.0", "nu_plus": "1.0, 0.0",
-    },
-    "sturm_liouville": {
-        "r": "1.0", "q": "0.0", "s0": "1.0", "s1": "0.0",
-        "mu_minus": "1.0, 0.0", "mu_plus": "1.0, 0.0",
-    },
+# [scenario] defaults come from the params classes, except where their
+# defaults c = I_tilde = 0 would make the beam's boundary law degenerate.
+_PARAM_OVERRIDES = {
+    "timoshenko_damped": {"c": "0.5"},
+    "dynamic_inertia": {"I_tilde": "1.0"},
 }
 
 _SCHEME_DEFAULTS = {
@@ -130,6 +109,11 @@ class RunConfig:
     source: dict[str, str] = field(default_factory=dict)
     initial: dict[str, str] = field(default_factory=dict)
     output: dict[str, str] = field(default_factory=dict)
+    # build_model's result, kept by parse_config so commands need not build
+    # the model again; dataclasses.replace drops it
+    built: tuple[AssembledModel, list[NevanlinnaSpec]] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +126,35 @@ _EXPR_NAMES = {
 }
 
 
+_EXPR_OPS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.Pow: operator.pow,
+    ast.UAdd: operator.pos, ast.USub: operator.neg,
+}
+
+
+def _eval_node(node: ast.AST, names: dict):
+    """Arithmetic on numbers, x and _EXPR_NAMES; nothing else is reachable."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    if isinstance(node, ast.Name):
+        if node.id not in names:
+            raise NameError(f"name {node.id!r} is not defined")
+        return names[node.id]
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPS:
+        return _EXPR_OPS[type(node.op)](_eval_node(node.left, names), _eval_node(node.right, names))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_OPS:
+        return _EXPR_OPS[type(node.op)](_eval_node(node.operand, names))
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords:
+        fn = _eval_node(node.func, names)
+        if callable(fn):
+            return fn(*(_eval_node(arg, names) for arg in node.args))
+    raise ValueError(f"unsupported syntax {ast.unparse(node)!r}")
+
+
 def _eval_expr(expr: str, x: np.ndarray, where: str) -> np.ndarray:
     try:
-        val = eval(  # noqa: S307 - restricted namespace, config-supplied math
-            compile(expr, "<config>", "eval"), {"__builtins__": {}}, {**_EXPR_NAMES, "x": x}
-        )
+        val = _eval_node(ast.parse(expr, "<config>", mode="eval").body, {**_EXPR_NAMES, "x": x})
     except Exception as exc:
         raise ConfigError(f"{where}: cannot evaluate {expr!r}: {exc}") from exc
     return np.asarray(val, dtype=float) * np.ones_like(x)
@@ -182,9 +190,9 @@ def _pair(raw: str, where: str) -> tuple[float, float]:
     return _float(parts[0], where), _float(parts[1], where)
 
 
-def _coeff(cfg_val: str, grid, tag: SpaceTag, where: str) -> CoefficientField:
-    x = grid.points(tag)
-    return CoefficientField(tag, _eval_expr(cfg_val, x, where))
+def _default_text(f) -> str:
+    d = f.default
+    return f"{d.mu0!r}, {d.mu1!r}" if isinstance(d, NevanlinnaSpec) else repr(float(d))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -219,7 +227,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("[scenario]: name is required")
     if name not in SCENARIOS:
         raise ConfigError(f"[scenario] name: unknown scenario {name!r}")
-    params = dict(_SCENARIO_DEFAULTS[name])
+    params = {f.name: _default_text(f) for f in fields(SCENARIOS[name].params)}
+    params.update(_PARAM_OVERRIDES.get(name, {}))
     for k, v in scen_items.items():
         if k not in params:
             raise ConfigError(f"[scenario]: unknown key {k!r} for {name}")
@@ -248,15 +257,14 @@ def parse_config(text: str) -> RunConfig:
     )
     # full validation: if any of these raise, surface it as a parse error
     try:
-        model, _ = build_model(cfg)
-        scheme = build_scheme(cfg)
-        build_source(cfg, model)
-        build_initial(cfg, model)
+        cfg.built = build_model(cfg)
+        build_scheme(cfg)
+        build_source(cfg, cfg.built[0])
+        build_initial(cfg, cfg.built[0])
     except ConfigError:
         raise
     except EvobeamError as exc:
         raise ConfigError(str(exc)) from exc
-    _ = scheme
     return cfg
 
 
@@ -280,63 +288,44 @@ def emit_config(cfg: RunConfig) -> str:
 # builders
 
 def build_model(cfg: RunConfig) -> tuple[AssembledModel, list[NevanlinnaSpec]]:
-    """Assemble the configured model plus its trace laws (for validation)."""
+    """Assemble the configured model plus its trace laws (for validation).
+
+    Each params field is read by its kind: a tagged coefficient is an
+    expression in x sampled on its tag, a trace law a 'mu0, mu1' pair, and
+    anything else a number.
+    """
+    spec = SCENARIOS[cfg.scenario]
     grid = build_grid(cfg.n_cells)
-    p = cfg.params
-    if cfg.scenario in ("timoshenko_damped", "dynamic_inertia"):
-        params = TimoshenkoParams(
-            kappa1=_coeff(p["kappa1"], grid, SpaceTag.NODE_FREE_LEFT, "[scenario] kappa1"),
-            nu1=_coeff(p["nu1"], grid, SpaceTag.CENTER, "[scenario] nu1"),
-            nu2=_coeff(p["nu2"], grid, SpaceTag.NODE_INTERIOR, "[scenario] nu2"),
-            kappa2=_coeff(p["kappa2"], grid, SpaceTag.CENTER, "[scenario] kappa2"),
-            d=_coeff(p["d"], grid, SpaceTag.NODE_INTERIOR, "[scenario] d"),
-            c=_float(p["c"], "[scenario] c"),
-            I_tilde=_float(p["I_tilde"], "[scenario] I_tilde"),
-            sigma0=_float(p["sigma0"], "[scenario] sigma0"),
-        )
-        maker = make_timoshenko_damped if cfg.scenario == "timoshenko_damped" else make_dynamic_inertia
-        model = maker(grid, params)
-        laws = [NevanlinnaSpec(params.I_tilde, params.c)]
-    elif cfg.scenario == "sturm_liouville":
-        params = SturmLiouvilleParams(
-            r=_coeff(p["r"], grid, SpaceTag.CENTER, "[scenario] r"),
-            q=_coeff(p["q"], grid, SpaceTag.CENTER, "[scenario] q"),
-            s0=_float(p["s0"], "[scenario] s0"),
-            s1=_float(p["s1"], "[scenario] s1"),
-            mu_minus=NevanlinnaSpec(*_pair(p["mu_minus"], "[scenario] mu_minus")),
-            mu_plus=NevanlinnaSpec(*_pair(p["mu_plus"], "[scenario] mu_plus")),
-        )
-        model = make_sturm_liouville(grid, params)
-        laws = [params.mu_minus, params.mu_plus, NevanlinnaSpec(params.s0, params.s1)]
-    else:
-        params = FullDynamicParams(
-            m_V1=_coeff(p["m_V1"], grid, SpaceTag.NODE_ALL, "[scenario] m_V1"),
-            m_eta=_coeff(p["m_eta"], grid, SpaceTag.CENTER, "[scenario] m_eta"),
-            m_s=_coeff(p["m_s"], grid, SpaceTag.NODE_ALL, "[scenario] m_s"),
-            m_V2=_coeff(p["m_V2"], grid, SpaceTag.CENTER, "[scenario] m_V2"),
-            g_V1=_coeff(p["g_V1"], grid, SpaceTag.NODE_ALL, "[scenario] g_V1"),
-            g_eta=_coeff(p["g_eta"], grid, SpaceTag.CENTER, "[scenario] g_eta"),
-            g_s=_coeff(p["g_s"], grid, SpaceTag.NODE_ALL, "[scenario] g_s"),
-            g_V2=_coeff(p["g_V2"], grid, SpaceTag.CENTER, "[scenario] g_V2"),
-            mu_minus=NevanlinnaSpec(*_pair(p["mu_minus"], "[scenario] mu_minus")),
-            mu_plus=NevanlinnaSpec(*_pair(p["mu_plus"], "[scenario] mu_plus")),
-            nu_minus=NevanlinnaSpec(*_pair(p["nu_minus"], "[scenario] nu_minus")),
-            nu_plus=NevanlinnaSpec(*_pair(p["nu_plus"], "[scenario] nu_plus")),
-        )
-        model = make_full_dynamic(grid, params)
-        laws = [params.mu_minus, params.mu_plus, params.nu_minus, params.nu_plus]
-    return model, laws
+    values = {}
+    for f in fields(spec.params):
+        raw, where = cfg.params[f.name], f"[scenario] {f.name}"
+        if "tag" in f.metadata:
+            tag = f.metadata["tag"]
+            values[f.name] = CoefficientField(tag, _eval_expr(raw, grid.points(tag), where))
+        elif isinstance(f.default, NevanlinnaSpec):
+            values[f.name] = NevanlinnaSpec(*_pair(raw, where))
+        else:
+            values[f.name] = _float(raw, where)
+    params = spec.params(**values)
+    return spec.make(grid, params), params.trace_laws()
+
+
+def _built(cfg: RunConfig) -> tuple[AssembledModel, list[NevanlinnaSpec]]:
+    return cfg.built or build_model(cfg)
 
 
 def build_scheme(cfg: RunConfig) -> SchemeParams:
     s = cfg.scheme
-    return SchemeParams(
+    scheme = SchemeParams(
         dt=_float(s["dt"], "[scheme] dt"),
         t_end=_float(s["t_end"], "[scheme] t_end"),
         theta=_float(s["theta"], "[scheme] theta"),
         record_every=_int(s["record_every"], "[scheme] record_every"),
         rho=_float(s["rho"], "[scheme] rho"),
     )
+    if abs(scheme.n_steps * scheme.dt - scheme.t_end) > 1e-9 * scheme.t_end:
+        raise ConfigError(f"[scheme] t_end: {s['t_end']} is not a whole number of steps of dt = {s['dt']}")
+    return scheme
 
 
 def build_source(cfg: RunConfig, model: AssembledModel) -> Signal:
@@ -427,7 +416,7 @@ def _nevanlinna_samples() -> np.ndarray:
 
 def cmd_check(cfg: RunConfig) -> tuple[list[str], int]:
     """Well-posedness report: c0, rho0, bound, skew defect, trace laws."""
-    model, laws = build_model(cfg)
+    model, laws = _built(cfg)
     scheme = build_scheme(cfg)
     report = coercivity(model.M0, model.M1, scheme.rho, model.W)
     if not report.satisfied:
@@ -454,7 +443,7 @@ def cmd_check(cfg: RunConfig) -> tuple[list[str], int]:
 
 def cmd_run(cfg: RunConfig) -> int:
     """Simulate and write the CSV (and optional snapshot file)."""
-    model, _ = build_model(cfg)
+    model, _ = _built(cfg)
     scheme = build_scheme(cfg)
     source = build_source(cfg, model)
     u0 = consistent_initial_state(model, build_initial(cfg, model), source(0.0))
@@ -523,65 +512,57 @@ def _restrict(fine_model: AssembledModel, coarse_model: AssembledModel, u: np.nd
     return out
 
 
-def _converge_timoshenko(cfg: RunConfig, levels: list[int]) -> tuple[list[str], int]:
-    fields, dfields = timoshenko_mms_fields()
-    t_end = _float(cfg.scheme["t_end"], "[scheme] t_end")
-    errs, hs, lines = [], [], []
-    for n in levels:
-        level_cfg = RunConfig(
-            cfg.scenario, n, dict(cfg.params), dict(cfg.scheme),
-            dict(cfg.source), dict(cfg.initial), dict(cfg.output),
-        )
-        model, _ = build_model(level_cfg)
-        h = model.grid.h
-        steps = max(1, round(t_end / h))
-        scheme = SchemeParams(dt=t_end / steps, t_end=t_end, record_every=max(1, steps))
-        src = manufactured_source(model, fields, dfields)
-        sys_ = factor(model.layout, model.W, model.M0, model.M1, model.A, scheme)
-        ts = run(sys_, exact_state(model, fields, 0.0), src)
-        diff = ts.snapshots[-1] - exact_state(model, fields, ts.times[-1]).values
-        err = math.sqrt(weighted_inner(diff, diff, model.W))
-        errs.append(err)
-        hs.append(h)
-        lines.append(f"level={n} error={fmt17(err)}")
-    slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
-    lines.append(f"slope={fmt17(slope)}")
-    return lines, 0 if slope >= 1.9 else 2
+def cmd_converge(cfg: RunConfig, levels: list[int]) -> tuple[list[str], int]:
+    """Grid refinement study: the W-norm error at t_end on each level and
+    the fitted slope of log(error) against log(h).
 
-
-def _converge_self(cfg: RunConfig, levels: list[int]) -> tuple[list[str], int]:
-    """Self-convergence against a fine reference (for scenarios without a
-    closed-form family).
-
-    The error is the W-norm over the differential slots (nonzero M0
-    diagonal).  Algebraic slots are pointwise functionals of the rest of
-    the state with an h-dependent stencil, so comparing them across grids
-    mixes first-order boundary terms into an otherwise second-order
-    solution; the differential part is the quantity the time integrator
-    actually propagates.
+    A scenario with an MMS family is driven by its manufactured source and
+    compared with the exact fields.  A self-reference scenario runs the
+    configured source and initial state and is compared with a run four
+    times finer than the largest level, over the differential slots
+    (nonzero M0 diagonal) only: algebraic slots are pointwise functionals
+    of the rest of the state with an h-dependent stencil, so comparing
+    them across grids mixes first-order boundary terms into an otherwise
+    second-order solution.
     """
+    if len(levels) < 3:
+        raise ConfigError("converge needs at least 3 levels")
+    if len(set(levels)) != len(levels):
+        raise ConfigError("converge levels must be distinct")
+    if any(n < 2 for n in levels):
+        raise ConfigError("levels must be >= 2")
+    spec = SCENARIOS[cfg.scenario]
+    if spec.mms is None and not spec.self_reference:
+        raise ConfigError(f"converge does not support scenario {cfg.scenario!r}")
     t_end = _float(cfg.scheme["t_end"], "[scheme] t_end")
-    n_ref = 4 * max(levels)
+    if spec.mms is not None:
+        exact, rates = spec.mms()
 
     def solve(n: int):
-        level_cfg = RunConfig(
-            cfg.scenario, n, dict(cfg.params), dict(cfg.scheme),
-            dict(cfg.source), dict(cfg.initial), dict(cfg.output),
-        )
+        level_cfg = replace(cfg, n_cells=n)
         model, _ = build_model(level_cfg)
-        steps = max(1, round(t_end * n))
+        if spec.mms is not None:
+            steps = max(1, round(t_end / model.grid.h))
+            source = manufactured_source(model, exact, rates)
+            u0 = exact_state(model, exact, 0.0)
+        else:
+            steps = max(1, round(t_end * n))
+            source = build_source(level_cfg, model)
+            u0 = consistent_initial_state(model, build_initial(level_cfg, model), source(0.0))
         scheme = SchemeParams(dt=t_end / steps, t_end=t_end, record_every=steps)
-        source = build_source(level_cfg, model)
-        u0 = consistent_initial_state(model, build_initial(level_cfg, model), source(0.0))
         sys_ = factor(model.layout, model.W, model.M0, model.M1, model.A, scheme)
         return model, run(sys_, u0, source)
 
-    ref_model, ref_ts = solve(n_ref)
+    if spec.self_reference:
+        ref_model, ref_ts = solve(4 * max(levels))
     errs, hs, lines = [], [], []
-    for n in levels:
+    for n in sorted(levels):
         model, ts = solve(n)
-        ref = _restrict(ref_model, model, ref_ts.snapshots[-1])
-        diff = (ts.snapshots[-1] - ref) * (model.M0.diagonal() != 0.0)
+        if spec.mms is not None:
+            diff = ts.snapshots[-1] - exact_state(model, exact, ts.times[-1]).values
+        else:
+            ref = _restrict(ref_model, model, ref_ts.snapshots[-1])
+            diff = (ts.snapshots[-1] - ref) * (model.M0.diagonal() != 0.0)
         err = math.sqrt(weighted_inner(diff, diff, model.W))
         errs.append(err)
         hs.append(model.grid.h)
@@ -591,23 +572,8 @@ def _converge_self(cfg: RunConfig, levels: list[int]) -> tuple[list[str], int]:
     return lines, 0 if slope >= 1.9 else 2
 
 
-def cmd_converge(cfg: RunConfig, levels: list[int]) -> tuple[list[str], int]:
-    if len(levels) < 3:
-        raise ConfigError("converge needs at least 3 levels")
-    if len(set(levels)) != len(levels):
-        raise ConfigError("converge levels must be distinct")
-    if any(n < 2 for n in levels):
-        raise ConfigError("levels must be >= 2")
-    levels = sorted(levels)
-    if cfg.scenario in ("timoshenko_damped", "dynamic_inertia"):
-        return _converge_timoshenko(cfg, levels)
-    if cfg.scenario == "sturm_liouville":
-        return _converge_self(cfg, levels)
-    raise ConfigError(f"converge does not support scenario {cfg.scenario!r}")
-
-
 def cmd_probe(cfg: RunConfig, kind: str, a: float | None = None) -> tuple[list[str], int]:
-    model, _ = build_model(cfg)
+    model, _ = _built(cfg)
     scheme = build_scheme(cfg)
     sys_ = factor(model.layout, model.W, model.M0, model.M1, model.A, scheme)
     if kind == "causality":

@@ -220,6 +220,10 @@ class StateLayout:
         off = self._offsets[name]
         return slice(off, off + self.length_of(name))
 
+    def indices_of(self, names) -> np.ndarray:
+        """Flat state indices of the named blocks, in the order given."""
+        return np.concatenate([np.arange(s.start, s.stop) for s in map(self.slice_of, names)])
+
     def block(self, values: np.ndarray, name: str) -> np.ndarray:
         """View of one named block inside a flat state array."""
         return values[self.slice_of(name)]

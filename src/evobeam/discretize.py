@@ -182,49 +182,6 @@ def full_dynamic_layout(grid: Grid) -> StateLayout:
     )
 
 
-def _block_weights(layout: StateLayout, names: tuple[str, ...]) -> WeightMatrix:
-    return WeightMatrix(
-        np.concatenate([layout.grid.weights(layout.tag_of(n)) for n in names])
-    )
-
-
-def _pair_blocks(
-    op: sp.spmatrix, layout: StateLayout, dom: tuple[str, ...], ran: tuple[str, ...]
-) -> dict[tuple[str, str], sp.csr_matrix]:
-    """Blocks of [[0, adj(op)], [-op, 0]] keyed by (row_block, col_block).
-
-    This two-sided placement is the only way couplings enter an assembled
-    operator, which is what makes skewness structural.
-    """
-    W_dom = _block_weights(layout, dom)
-    W_ran = _block_weights(layout, ran)
-    adj = adjoint_wrt(op, W_dom, W_ran)
-    op = sp.csr_matrix(op)
-    blocks: dict[tuple[str, str], sp.csr_matrix] = {}
-    row_off = 0
-    for rn in ran:
-        rl = layout.length_of(rn)
-        col_off = 0
-        for dn in dom:
-            dl = layout.length_of(dn)
-            blocks[(rn, dn)] = op[row_off : row_off + rl, col_off : col_off + dl]
-            col_off += dl
-        row_off += rl
-    col_off = 0
-    for rn in ran:
-        rl = layout.length_of(rn)
-        row_off = 0
-        for dn in dom:
-            dl = layout.length_of(dn)
-            blocks[(dn, rn)] = adj[row_off : row_off + dl, col_off : col_off + rl]
-            row_off += dl
-        col_off += rl
-    for (rn, dn), b in list(blocks.items()):
-        if rn in ran and dn in dom:
-            blocks[(rn, dn)] = sp.csr_matrix(-b)
-    return blocks
-
-
 def assemble_skew(
     layout: StateLayout,
     pairs: list[tuple[sp.spmatrix, tuple[str, ...], tuple[str, ...]]],
@@ -233,30 +190,26 @@ def assemble_skew(
 
     Each pair contributes -op in the range rows and the weighted adjoint in
     the domain rows; blocks not mentioned stay zero.  Domain and range block
-    names of one pair must be disjoint.
+    names of one pair must be disjoint.  This two-sided placement is the only
+    way couplings enter an assembled operator, which is what makes skewness
+    structural.
     """
-    blocks: dict[tuple[str, str], sp.spmatrix] = {}
+    W = build_weights(layout)
+    rows, cols, vals = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0)]
     for op, dom, ran in pairs:
         if set(dom) & set(ran):
             raise InvalidDomainError("domain and range blocks of a pair must differ")
-        blocks.update(_pair_blocks(sp.csr_matrix(op), layout, dom=dom, ran=ran))
-    return _assemble(layout, blocks)
-
-
-def _assemble(layout: StateLayout, blocks: dict[tuple[str, str], sp.spmatrix]) -> SkewOperator:
-    names = layout.names
-    grid_blocks = [
-        [blocks.get((rn, cn)) for cn in names]
-        for rn in names
-    ]
-    # bmat cannot infer shapes for an all-None row, so pin one explicit zero
-    for i, rn in enumerate(names):
-        if all(b is None for b in grid_blocks[i]):
-            grid_blocks[i][i] = sp.csr_matrix(
-                (layout.length_of(rn), layout.length_of(rn))
-            )
-    mat = sp.bmat(grid_blocks, format="csr")
-    return SkewOperator(matrix=mat, layout=layout, W=build_weights(layout))
+        dom_idx, ran_idx = layout.indices_of(dom), layout.indices_of(ran)
+        op = sp.coo_matrix(op)
+        adj = adjoint_wrt(op, WeightMatrix(W.diag[dom_idx]), WeightMatrix(W.diag[ran_idx])).tocoo()
+        rows += [ran_idx[op.row], dom_idx[adj.row]]
+        cols += [dom_idx[op.col], ran_idx[adj.col]]
+        vals += [-op.data, adj.data]
+    mat = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(layout.dim, layout.dim),
+    )
+    return SkewOperator(matrix=mat, layout=layout, W=W)
 
 
 def assemble_A_timoshenko(grid: Grid) -> SkewOperator:

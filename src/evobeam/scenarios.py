@@ -10,8 +10,8 @@ its structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,6 +44,8 @@ from .wellposed import NevanlinnaSpec
 
 __all__ = [
     "TraceBinding",
+    "ScenarioSpec",
+    "SCENARIOS",
     "TimoshenkoParams",
     "SturmLiouvilleParams",
     "FullDynamicParams",
@@ -75,20 +77,28 @@ class TraceBinding:
     sign: float
 
 
+def _on(tag: SpaceTag, default: float):
+    """A coefficient field sampled on the points of ``tag``."""
+    return field(default=default, metadata={"tag": tag})
+
+
 @dataclass(frozen=True)
 class TimoshenkoParams:
     """Beam coefficients: kappa's are compliances of the two stress fields,
     nu's the two inertias, d a distributed damping on the shear velocity,
     c the boundary dashpot at +1/2, I_tilde the boundary inertia there."""
 
-    kappa1: CoefficientField | float = 1.0
-    nu1: CoefficientField | float = 1.0
-    nu2: CoefficientField | float = 1.0
-    kappa2: CoefficientField | float = 1.0
-    d: CoefficientField | float = 0.0
+    kappa1: CoefficientField | float = _on(SpaceTag.NODE_FREE_LEFT, 1.0)
+    nu1: CoefficientField | float = _on(SpaceTag.CENTER, 1.0)
+    nu2: CoefficientField | float = _on(SpaceTag.NODE_INTERIOR, 1.0)
+    kappa2: CoefficientField | float = _on(SpaceTag.CENTER, 1.0)
+    d: CoefficientField | float = _on(SpaceTag.NODE_INTERIOR, 0.0)
     c: float = 0.0
     I_tilde: float = 0.0
     sigma0: float = 1.0
+
+    def trace_laws(self) -> list[NevanlinnaSpec]:
+        return [NevanlinnaSpec(self.I_tilde, self.c)]
 
 
 @dataclass(frozen=True)
@@ -97,12 +107,15 @@ class SturmLiouvilleParams:
     s0 + integral*s1 (s0 = 1/p hyperbolic, s1 = 1/p parabolic), and a trace
     law at each endpoint."""
 
-    r: CoefficientField | float = 1.0
-    q: CoefficientField | float = 0.0
+    r: CoefficientField | float = _on(SpaceTag.CENTER, 1.0)
+    q: CoefficientField | float = _on(SpaceTag.CENTER, 0.0)
     s0: float = 1.0
     s1: float = 0.0
     mu_minus: NevanlinnaSpec = NevanlinnaSpec(1.0, 0.0)
     mu_plus: NevanlinnaSpec = NevanlinnaSpec(1.0, 0.0)
+
+    def trace_laws(self) -> list[NevanlinnaSpec]:
+        return [self.mu_minus, self.mu_plus, NevanlinnaSpec(self.s0, self.s1)]
 
 
 @dataclass(frozen=True)
@@ -111,18 +124,21 @@ class FullDynamicParams:
     one positive inertia per field block, optional nonnegative field
     damping, and a trace law per endpoint of each group."""
 
-    m_V1: CoefficientField | float = 1.0
-    m_eta: CoefficientField | float = 1.0
-    m_s: CoefficientField | float = 1.0
-    m_V2: CoefficientField | float = 1.0
-    g_V1: CoefficientField | float = 0.0
-    g_eta: CoefficientField | float = 0.0
-    g_s: CoefficientField | float = 0.0
-    g_V2: CoefficientField | float = 0.0
+    m_V1: CoefficientField | float = _on(SpaceTag.NODE_ALL, 1.0)
+    m_eta: CoefficientField | float = _on(SpaceTag.CENTER, 1.0)
+    m_s: CoefficientField | float = _on(SpaceTag.NODE_ALL, 1.0)
+    m_V2: CoefficientField | float = _on(SpaceTag.CENTER, 1.0)
+    g_V1: CoefficientField | float = _on(SpaceTag.NODE_ALL, 0.0)
+    g_eta: CoefficientField | float = _on(SpaceTag.CENTER, 0.0)
+    g_s: CoefficientField | float = _on(SpaceTag.NODE_ALL, 0.0)
+    g_V2: CoefficientField | float = _on(SpaceTag.CENTER, 0.0)
     mu_minus: NevanlinnaSpec = NevanlinnaSpec(1.0, 0.0)
     mu_plus: NevanlinnaSpec = NevanlinnaSpec(1.0, 0.0)
     nu_minus: NevanlinnaSpec = NevanlinnaSpec(1.0, 0.0)
     nu_plus: NevanlinnaSpec = NevanlinnaSpec(1.0, 0.0)
+
+    def trace_laws(self) -> list[NevanlinnaSpec]:
+        return [self.mu_minus, self.mu_plus, self.nu_minus, self.nu_plus]
 
 
 @dataclass(frozen=True)
@@ -140,18 +156,18 @@ class AssembledModel:
         return self.layout.grid
 
 
-def _samples(value, grid: Grid, tag: SpaceTag, what: str, positive: bool) -> np.ndarray:
-    if isinstance(value, CoefficientField):
-        field = value
-        if field.values.shape[0] != tag.block_length(grid.n_cells):
-            raise ParameterError(f"{what} sampled on the wrong block length")
-    else:
-        field = CoefficientField.constant(float(value), grid, tag)
+def _samples(params, name: str, grid: Grid, positive: bool) -> np.ndarray:
+    """Values of the coefficient ``params.<name>`` on the points of its tag."""
+    value, tag = getattr(params, name), params.__dataclass_fields__[name].metadata["tag"]
+    if not isinstance(value, CoefficientField):
+        value = CoefficientField.constant(float(value), grid, tag)
+    elif value.values.shape[0] != tag.block_length(grid.n_cells):
+        raise ParameterError(f"{name} sampled on the wrong block length")
     if positive:
-        field.require_positive(what)
+        value.require_positive(name)
     else:
-        field.require_nonnegative(what)
-    return field.values
+        value.require_nonnegative(name)
+    return value.values
 
 
 def _check_trace_law(spec: NevanlinnaSpec, what: str) -> NevanlinnaSpec:
@@ -178,11 +194,11 @@ def make_timoshenko_damped(grid: Grid, params: TimoshenkoParams) -> AssembledMod
     if params.sigma0 == 0:
         raise ParameterError("sigma0 must be nonzero")
     layout = timoshenko_layout(grid)
-    kappa1 = _samples(params.kappa1, grid, SpaceTag.NODE_FREE_LEFT, "kappa1", True)
-    nu1 = _samples(params.nu1, grid, SpaceTag.CENTER, "nu1", True)
-    nu2 = _samples(params.nu2, grid, SpaceTag.NODE_INTERIOR, "nu2", True)
-    kappa2 = _samples(params.kappa2, grid, SpaceTag.CENTER, "kappa2", True)
-    d = _samples(params.d, grid, SpaceTag.NODE_INTERIOR, "d", False)
+    kappa1 = _samples(params, "kappa1", grid, True)
+    nu1 = _samples(params, "nu1", grid, True)
+    nu2 = _samples(params, "nu2", grid, True)
+    kappa2 = _samples(params, "kappa2", grid, True)
+    d = _samples(params, "d", grid, False)
     M0 = _diag_csr(
         np.concatenate([kappa1, nu1, [params.I_tilde], nu2, kappa2])
     )
@@ -250,14 +266,14 @@ def apply_sign_flip(model: AssembledModel) -> AssembledModel:
 def make_full_dynamic(grid: Grid, params: FullDynamicParams) -> AssembledModel:
     """Two decoupled wave pairs with dynamic conditions at all four traces."""
     layout = full_dynamic_layout(grid)
-    m_v1 = _samples(params.m_V1, grid, SpaceTag.NODE_ALL, "m_V1", True)
-    m_eta = _samples(params.m_eta, grid, SpaceTag.CENTER, "m_eta", True)
-    m_s = _samples(params.m_s, grid, SpaceTag.NODE_ALL, "m_s", True)
-    m_v2 = _samples(params.m_V2, grid, SpaceTag.CENTER, "m_V2", True)
-    g_v1 = _samples(params.g_V1, grid, SpaceTag.NODE_ALL, "g_V1", False)
-    g_eta = _samples(params.g_eta, grid, SpaceTag.CENTER, "g_eta", False)
-    g_s = _samples(params.g_s, grid, SpaceTag.NODE_ALL, "g_s", False)
-    g_v2 = _samples(params.g_V2, grid, SpaceTag.CENTER, "g_V2", False)
+    m_v1 = _samples(params, "m_V1", grid, True)
+    m_eta = _samples(params, "m_eta", grid, True)
+    m_s = _samples(params, "m_s", grid, True)
+    m_v2 = _samples(params, "m_V2", grid, True)
+    g_v1 = _samples(params, "g_V1", grid, False)
+    g_eta = _samples(params, "g_eta", grid, False)
+    g_s = _samples(params, "g_s", grid, False)
+    g_v2 = _samples(params, "g_V2", grid, False)
     laws = {
         "tau0_minus": _check_trace_law(params.mu_minus, "mu_minus"),
         "tau0_plus": _check_trace_law(params.mu_plus, "mu_plus"),
@@ -322,8 +338,8 @@ def make_sturm_liouville(grid: Grid, params: SturmLiouvilleParams) -> AssembledM
             ("tau_plus", SpaceTag.TRACE),
         ),
     )
-    r = _samples(params.r, grid, SpaceTag.CENTER, "r", True)
-    q = _samples(params.q, grid, SpaceTag.CENTER, "q", False)
+    r = _samples(params, "r", grid, True)
+    q = _samples(params, "q", grid, False)
     mu_m = _check_trace_law(params.mu_minus, "mu_minus")
     mu_p = _check_trace_law(params.mu_plus, "mu_plus")
     n_nodes = grid.n_cells + 1
@@ -357,9 +373,7 @@ def split_model(model: AssembledModel, names: tuple[str, ...]) -> AssembledModel
     for n in names:
         if n not in model.layout.names:
             raise ParameterError(f"unknown block {n!r}")
-    keep = np.concatenate(
-        [np.arange(model.layout.dim)[model.layout.slice_of(n)] for n in names]
-    )
+    keep = model.layout.indices_of(names)
     drop = np.setdiff1d(np.arange(model.layout.dim), keep)
     for M in (model.M0, model.M1, model.A.matrix):
         if drop.size and keep.size:
@@ -480,6 +494,27 @@ def timoshenko_mms_fields(omega: float = 2.0) -> tuple[dict, dict]:
         - w * np.sin(p(x)) * np.sin(w * t + 0.3),
     }
     return fields, dfields
+
+
+@dataclass(frozen=True)
+class ScenarioSpec:
+    """One scenario: its params class (tagged fields are coefficient
+    fields), its maker, and how a refinement study measures its error:
+    against a closed-form MMS family, against a run four times finer
+    (self_reference), or not at all."""
+
+    params: type
+    make: Callable[[Grid, Any], AssembledModel]
+    mms: Callable[[], tuple[dict, dict]] | None = None
+    self_reference: bool = False
+
+
+SCENARIOS: dict[str, ScenarioSpec] = {
+    "timoshenko_damped": ScenarioSpec(TimoshenkoParams, make_timoshenko_damped, mms=timoshenko_mms_fields),
+    "dynamic_inertia": ScenarioSpec(TimoshenkoParams, make_dynamic_inertia, mms=timoshenko_mms_fields),
+    "full_dynamic": ScenarioSpec(FullDynamicParams, make_full_dynamic),
+    "sturm_liouville": ScenarioSpec(SturmLiouvilleParams, make_sturm_liouville, self_reference=True),
+}
 
 
 def embed_block(layout: StateLayout, name: str, values) -> np.ndarray:

@@ -8,9 +8,12 @@ the same code path.
 import subprocess
 import sys
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from evobeam import scenarios
 from evobeam.cli import (
     ConfigError,
     cmd_check,
@@ -313,3 +316,91 @@ def test_console_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "c0=5.0000000000000000e-1"
+
+
+ESCAPE = "1 + 0*x + ().__class__.__base__.__subclasses__().__len__()"
+
+
+def test_expression_cannot_reach_python_internals(tmp_path):
+    text = MINIMAL + f"kappa1 = {ESCAPE}\n"
+    with pytest.raises(ConfigError, match="unsupported syntax"):
+        parse_config(text)
+    path = tmp_path / "escape.ini"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 4
+
+
+@pytest.mark.parametrize(
+    "expr,native",
+    [
+        ("exp(-((x - 0.1) / 0.1)**2)", lambda x: np.exp(-((x - 0.1) / 0.1) ** 2)),
+        ("sin(pi*(x+0.5))", lambda x: np.sin(np.pi * (x + 0.5))),
+        ("cos(pi*x)", lambda x: np.cos(np.pi * x)),
+        ("-x**2 + 2/e - +sqrt(abs(x))", lambda x: -x**2 + 2 / np.e - +np.sqrt(np.abs(x))),
+        ("1.0", lambda x: np.ones_like(x)),
+    ],
+)
+def test_expression_values_match_python_arithmetic(expr, native):
+    from evobeam.cli import _eval_expr
+
+    x = np.linspace(-0.5, 0.5, 9)
+    assert _eval_expr(expr, x, "test").tobytes() == native(x).tobytes()
+
+
+def test_main_rejects_t_end_not_a_multiple_of_dt(tmp_path):
+    path = tmp_path / "short.ini"
+    path.write_text(MINIMAL + "[scheme]\ndt = 0.3\nt_end = 1.0\n")
+    with pytest.raises(ConfigError, match="t_end"):
+        parse_config(path.read_text())
+    assert main(["run", str(path)]) == 4
+
+
+SCENARIO_DEFAULTS = {
+    "timoshenko_damped": {
+        "kappa1": "1.0", "nu1": "1.0", "nu2": "1.0", "kappa2": "1.0",
+        "d": "0.0", "c": "0.5", "I_tilde": "0.0", "sigma0": "1.0",
+    },
+    "dynamic_inertia": {
+        "kappa1": "1.0", "nu1": "1.0", "nu2": "1.0", "kappa2": "1.0",
+        "d": "0.0", "c": "0.0", "I_tilde": "1.0", "sigma0": "1.0",
+    },
+    "full_dynamic": {
+        "m_V1": "1.0", "m_eta": "1.0", "m_s": "1.0", "m_V2": "1.0",
+        "g_V1": "0.0", "g_eta": "0.0", "g_s": "0.0", "g_V2": "0.0",
+        "mu_minus": "1.0, 0.0", "mu_plus": "1.0, 0.0",
+        "nu_minus": "1.0, 0.0", "nu_plus": "1.0, 0.0",
+    },
+    "sturm_liouville": {
+        "r": "1.0", "q": "0.0", "s0": "1.0", "s1": "0.0",
+        "mu_minus": "1.0, 0.0", "mu_plus": "1.0, 0.0",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_DEFAULTS))
+def test_scenario_defaults(name):
+    cfg = parse_config(MINIMAL.replace("timoshenko_damped", name))
+    assert cfg.params == SCENARIO_DEFAULTS[name]
+    assert emit_config(parse_config(emit_config(cfg))) == emit_config(cfg)
+    lines, code = cmd_check(cfg)
+    assert code == 0, lines
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_DEFAULTS))
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_parse_then_command_builds_once(name, command, tmp_path, monkeypatch):
+    spec = scenarios.SCENARIOS[name]
+    calls = []
+
+    def counting(grid, params):
+        calls.append(grid.n_cells)
+        return spec.make(grid, params)
+
+    monkeypatch.setitem(scenarios.SCENARIOS, name, replace(spec, make=counting))
+    text = MINIMAL.replace("timoshenko_damped", name)
+    cfg = parse_config(text + f"[scheme]\ndt = 0.25\n[output]\ncsv = {tmp_path / 'out.csv'}\n")
+    if command == "check":
+        cmd_check(cfg)
+    else:
+        cmd_run(cfg)
+    assert calls == [8]

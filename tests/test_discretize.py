@@ -31,6 +31,7 @@ from evobeam.discretize import (
     skew_defect,
     timoshenko_layout,
 )
+from evobeam.scenarios import SturmLiouvilleParams, make_sturm_liouville
 
 
 def test_derivative_node_all_two_cells():
@@ -232,6 +233,43 @@ def test_assemble_skew_rejects_overlapping_pair():
     op = sp.identity(4, format="csr")
     with pytest.raises(InvalidDomainError):
         assemble_skew(layout, [(op, ("V1",), ("V1",))])
+
+
+def _block_index(layout, names):
+    return np.concatenate([np.arange(*layout.slice_of(n).indices(layout.dim)) for n in names])
+
+
+def _dense_skew(layout, pairs):
+    """-op in the range rows and adjoint_wrt(op) in the domain rows, placed
+    entry by entry into a dense matrix."""
+    W = build_weights(layout).diag
+    ref = np.zeros((layout.dim, layout.dim))
+    for op, dom, ran in pairs:
+        d, r = _block_index(layout, dom), _block_index(layout, ran)
+        ref[np.ix_(r, d)] = (-op).toarray()
+        ref[np.ix_(d, r)] = adjoint_wrt(op, WeightMatrix(W[d]), WeightMatrix(W[r])).toarray()
+    return ref
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 33])
+def test_skew_placement_matches_dense_reference(n):
+    grid = build_grid(n)
+    # sturm_liouville's range blocks (V1, tau_minus, tau_plus) are not
+    # contiguous: eta sits between V1 and the traces
+    sl = make_sturm_liouville(grid, SturmLiouvilleParams())
+    ref = _dense_skew(
+        sl.layout, [(build_B_tilde(grid).matrix, ("eta",), ("V1", "tau_minus", "tau_plus"))]
+    )
+    assert sl.A.matrix.toarray().tobytes() == ref.tobytes()
+    A = assemble_A_timoshenko(grid)
+    ref = _dense_skew(
+        A.layout,
+        [
+            (build_B(grid).matrix, ("V1",), ("eta", "tau_plus")),
+            (build_derivative(grid, SpaceTag.NODE_INTERIOR).matrix, ("s",), ("V2",)),
+        ],
+    )
+    assert A.matrix.toarray().tobytes() == ref.tobytes()
 
 
 def test_layout_shapes():
