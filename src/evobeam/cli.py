@@ -448,8 +448,8 @@ def cmd_run(cfg: RunConfig) -> int:
     source = build_source(cfg, model)
     u0 = consistent_initial_state(model, build_initial(cfg, model), source(0.0))
     sys_ = factor(model.layout, model.W, model.M0, model.M1, model.A, scheme)
-    ts = run(sys_, u0, source)
     out = cfg.output
+    ts = run(sys_, u0, source, snapshots=bool(out["snapshots"]))
     with_energy = _bool(out["energy"], "[output] energy")
     traces_sel = out["traces"]
     if traces_sel == "all":

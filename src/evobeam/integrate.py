@@ -10,7 +10,7 @@ measurable numbers: causal truncation and the 1/c0 solution bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,7 +30,7 @@ from .core import (
     weighted_inner,
     zero_state,
 )
-from .wellposed import symmetric_part
+from .wellposed import sparse_symmetric_part
 
 __all__ = [
     "IllPosedError",
@@ -112,8 +112,10 @@ def _matrix(op) -> sp.csr_matrix:
 def factor(layout: StateLayout, W: WeightMatrix, M0, M1, A, scheme: SchemeParams) -> SteppingSystem:
     """Build and LU-factor L = M0 + theta*dt*(M1 + A).
 
-    The natural column ordering is forced so that block-decoupled systems
-    factor blockwise and runs are bitwise reproducible.
+    splu's default fill-reducing column ordering (COLAMD) follows the grid
+    coupling, so the factors of this banded matrix stay banded.  The
+    ordering depends only on the sparsity pattern: a sign flip of whole
+    blocks keeps it, so flipped runs are the flipped runs bit for bit.
     """
     M0m, M1m, Am = _matrix(M0), _matrix(M1), _matrix(A)
     n = layout.dim
@@ -125,10 +127,10 @@ def factor(layout: StateLayout, W: WeightMatrix, M0, M1, A, scheme: SchemeParams
     sys_.L = (M0m + scheme.theta * scheme.dt * stiff).tocsr()
     sys_.R = (M0m - (1.0 - scheme.theta) * scheme.dt * stiff).tocsr()
     try:
-        sys_._lu = spla.splu(sys_.L.tocsc(), permc_spec="NATURAL")
+        sys_._lu = spla.splu(sys_.L.tocsc())
     except RuntimeError as exc:
         raise IllPosedError(f"stepping matrix is singular: {exc}") from exc
-    sys_._sym_M1 = sp.csr_matrix(symmetric_part(M1m, W))
+    sys_._sym_M1 = sparse_symmetric_part(M1m, W)
     return sys_
 
 
@@ -147,8 +149,13 @@ def run(
     u0: StateVector,
     source: Signal,
     scheme: SchemeParams | None = None,
+    snapshots: bool = True,
 ) -> TimeSeries:
-    """March from t = 0 to t_end, recording every record_every-th state."""
+    """March from t = 0 to t_end, recording every record_every-th state.
+
+    Energies and traces are always recorded; full-state snapshots only when
+    ``snapshots`` is true (otherwise the series carries ``snapshots=None``).
+    """
     if scheme is None:
         scheme = sys_.scheme
     elif scheme.dt != sys_.scheme.dt or scheme.theta != sys_.scheme.theta:
@@ -156,15 +163,15 @@ def run(
     if u0.layout != sys_.layout:
         raise ParameterError("initial state lives on a different layout")
     trace_names = sys_.layout.trace_names()
-    times, energies, snaps = [], [], []
-    traces: dict[str, list[float]] = {name: [] for name in trace_names}
+    trace_at = np.array([sys_.layout.offset_of(name) for name in trace_names], dtype=int)
+    times, energies, trace_rows, snaps = [], [], [], []
 
     def record(k: int, u: StateVector):
         times.append(k * scheme.dt)
         energies.append(energy(u, sys_.M0, sys_.W))
-        for name in trace_names:
-            traces[name].append(float(u.block(name)[0]))
-        snaps.append(u.values.copy())
+        trace_rows.append(u.values[trace_at])
+        if snapshots:
+            snaps.append(u.values.copy())
 
     u = u0.copy()
     record(0, u)
@@ -173,11 +180,12 @@ def run(
         u = step(sys_, u, source(t_mid))
         if (k + 1) % scheme.record_every == 0:
             record(k + 1, u)
+    trace_cols = np.array(trace_rows).T.copy()
     return TimeSeries(
         times=np.asarray(times),
         energy=np.asarray(energies),
-        traces={n: np.asarray(v) for n, v in traces.items()},
-        snapshots=np.vstack(snaps),
+        traces=dict(zip(trace_names, trace_cols)),
+        snapshots=np.vstack(snaps) if snapshots else None,
         layout=sys_.layout,
     )
 
@@ -212,7 +220,7 @@ def causality_probe(
 
     The sources must agree at every stepping sample point up to a; the
     recorded states up to a then coincide and the return value measures
-    exactly that.
+    exactly that.  Both runs stop at the last step at or before a.
     """
     if scheme is None:
         scheme = sys_.scheme
@@ -224,15 +232,17 @@ def causality_probe(
             break
         if not np.array_equal(source_f(t_mid), source_g(t_mid)):
             raise InvalidProbeError(f"sources differ at sampled t={t_mid} <= a={a}")
+    # run records the state of step k at time k*dt
+    steps_to_a = int(np.searchsorted(np.arange(scheme.n_steps + 1) * scheme.dt, a, side="right")) - 1
+    if steps_to_a == 0:
+        return 0.0  # only the common initial state lies at or before a
     if u0 is None:
         u0 = zero_state(sys_.layout)
-    ts_f = run(sys_, u0, source_f, scheme)
-    ts_g = run(sys_, u0, source_g, scheme)
+    scheme_to_a = replace(scheme, t_end=steps_to_a * scheme.dt)
+    ts_f = run(sys_, u0, source_f, scheme_to_a)
+    ts_g = run(sys_, u0, source_g, scheme_to_a)
     dev = 0.0
-    for i, t in enumerate(ts_f.times):
-        if t > a:
-            break
-        diff = ts_f.snapshots[i] - ts_g.snapshots[i]
+    for diff in ts_f.snapshots - ts_g.snapshots:
         dev = max(dev, math.sqrt(weighted_inner(diff, diff, sys_.W)))
     return dev
 

@@ -21,6 +21,7 @@ __all__ = [
     "InvalidSampleError",
     "CoercivityReport",
     "NevanlinnaSpec",
+    "sparse_symmetric_part",
     "symmetric_part",
     "coercivity",
     "find_rho0",
@@ -78,12 +79,24 @@ def _dense(M) -> np.ndarray:
     return np.asarray(M, dtype=float)
 
 
+def sparse_symmetric_part(M, W: WeightMatrix) -> sp.csr_matrix:
+    """W-symmetrization (M + W^{-1} M^T W)/2; selfadjoint in the W product.
+
+    Works on the nonzeros only: entry (i, j) of the transpose is scaled as
+    M[j, i] * w[j] / w[i], the same operations as on the dense array.
+    """
+    Ms = sp.csr_matrix(M, dtype=float, copy=True)
+    if Ms.shape[0] != Ms.shape[1] or Ms.shape[0] != W.dim:
+        raise NumericError(f"square operator of size {W.dim} required, got {Ms.shape}")
+    Ms.sum_duplicates()
+    Mt = Ms.T.tocoo()
+    Mt.data = Mt.data * W.diag[Mt.col] / W.diag[Mt.row]
+    return 0.5 * (Ms + Mt.tocsr())
+
+
 def symmetric_part(M, W: WeightMatrix) -> np.ndarray:
-    """W-symmetrization (M + W^{-1} M^T W)/2; selfadjoint in the W product."""
-    Md = _dense(M)
-    if Md.shape[0] != Md.shape[1] or Md.shape[0] != W.dim:
-        raise NumericError(f"square operator of size {W.dim} required, got {Md.shape}")
-    return 0.5 * (Md + (Md.T * W.diag[None, :]) / W.diag[:, None])
+    """Dense form of sparse_symmetric_part."""
+    return sparse_symmetric_part(M, W).toarray()
 
 
 def _w_min_eig(S: np.ndarray, W: WeightMatrix) -> float:

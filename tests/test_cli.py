@@ -192,6 +192,25 @@ def test_cmd_run_snapshot_file(tmp_path):
     assert lines[1].startswith("0.0,V1,0,")
 
 
+def test_run_cli_writes_snapshots_only_when_asked(tmp_path):
+    # the snapshot file is built from recorded states; asking for it must
+    # leave the CSV byte for byte as it is without it
+    body = CONSERVATIVE + "\n[output]\nsnapshot_stride = 3\ncsv = {csv}\nsnapshots = {snaps}\n"
+    plain, with_snaps = tmp_path / "plain.ini", tmp_path / "snaps.ini"
+    plain.write_text(body.format(csv=tmp_path / "plain.csv", snaps=""))
+    with_snaps.write_text(body.format(csv=tmp_path / "snaps.csv", snaps=tmp_path / "snaps.txt"))
+    assert main(["run", str(plain)]) == 0
+    assert main(["run", str(with_snaps)]) == 0
+    assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "snaps.csv").read_bytes()
+    lines = (tmp_path / "snaps.txt").read_text().splitlines()
+    assert lines[0] == "t,block,index,value"
+    # 20 steps from t = 0 give 21 records; stride 3 keeps records 0, 3, ..., 18
+    model, _ = parse_config(CONSERVATIVE).built
+    dim = model.layout.dim
+    assert len(lines) == 1 + 7 * dim
+    assert lines[-1].startswith(f"{repr(18 * 0.05)},")
+
+
 def test_cmd_converge_validation():
     cfg = parse_config(MINIMAL)
     with pytest.raises(ConfigError):

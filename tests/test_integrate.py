@@ -152,6 +152,15 @@ def test_factor_rejects_singular_trace_slot():
         factor(model.layout, model.W, M0.tocsr(), M1.tocsr(), A.tocsr(), scheme)
 
 
+@pytest.mark.parametrize("n", [64, 1024])
+def test_factor_is_fill_free(n):
+    # L is banded along the grid, so its LU factors must stay banded: a
+    # block-by-block elimination order fills them almost completely
+    scheme = SchemeParams(dt=1e-3, t_end=1.0)
+    model, sys_ = _beam_system(n, TimoshenkoParams(c=0.5, I_tilde=0.1, d=0.2), scheme)
+    assert sys_._lu.L.nnz + sys_._lu.U.nnz <= 10 * model.layout.dim
+
+
 def test_factor_shape_validation():
     layout = StateLayout(build_grid(2), (("tau", SpaceTag.TRACE),))
     scheme = SchemeParams(dt=0.1, t_end=1.0)
@@ -169,6 +178,25 @@ def test_run_record_counts_and_times():
     assert set(ts.traces) == {"tau_plus"}
     assert ts.traces["tau_plus"].shape == (5,)
     assert ts.snapshots.shape == (5, model.layout.dim)
+
+
+def test_run_without_snapshots_records_the_same_bytes(rng):
+    scheme = SchemeParams(dt=0.05, t_end=1.0, record_every=3)
+    model, sys_ = _beam_system(8, TimoshenkoParams(c=0.5, I_tilde=0.1, d=0.2), scheme)
+    lay = model.layout
+    u0 = StateVector(lay, rng.standard_normal(lay.dim))
+    profile = np.zeros(lay.dim)
+    profile[lay.slice_of("eta")] = np.sin(np.pi * lay.points_of("eta"))
+    f = SeparableSignal(profile, gaussian_envelope(0.4, 0.1))
+    full = run(sys_, u0, f)
+    lean = run(sys_, u0, f, snapshots=False)
+    assert lean.snapshots is None
+    assert lean.times.tobytes() == full.times.tobytes()
+    assert lean.energy.tobytes() == full.energy.tobytes()
+    assert set(lean.traces) == set(full.traces) == {"tau_plus"}
+    for name, values in lean.traces.items():
+        assert values.tobytes() == full.traces[name].tobytes()
+        assert values.tobytes() == full.snapshots[:, lay.offset_of(name)].tobytes()
 
 
 def test_run_validates_layout_and_scheme():
@@ -226,6 +254,28 @@ def test_causality_probe_zero_before_split():
     late = SeparableSignal(profile, bump_envelope(1.2, 2.0))
     dev = causality_probe(sys_, late, ZeroSignal(model.layout.dim), a)
     assert dev == 0.0
+
+
+def test_causality_probe_stops_at_split():
+    scheme = SchemeParams(dt=0.05, t_end=2.0)
+    model, sys_ = _beam_system(8, TimoshenkoParams(c=0.5), scheme)
+    dim = model.layout.dim
+    profile = np.zeros(dim)
+    profile[model.layout.offset_of("eta")] = 1.0
+    late = SeparableSignal(profile, bump_envelope(1.2, 2.0))
+    seen = []
+
+    def spy(t):
+        seen.append(t)
+        return late(t)
+
+    assert causality_probe(sys_, CallableSignal(spy, dim), ZeroSignal(dim), 1.0) == 0.0
+    # the premise check and both runs sample sources only up to a
+    assert seen and max(seen) <= 1.0
+    seen.clear()
+    # with a < dt only the common initial state lies before a
+    assert causality_probe(sys_, CallableSignal(spy, dim), ZeroSignal(dim), 0.01) == 0.0
+    assert seen == []
 
 
 def test_causality_probe_rejects_bad_inputs():

@@ -10,8 +10,11 @@ import pytest
 
 from evobeam.core import NumericError, ParameterError, WeightMatrix, build_grid
 from evobeam.scenarios import (
+    FullDynamicParams,
     SturmLiouvilleParams,
     TimoshenkoParams,
+    make_dynamic_inertia,
+    make_full_dynamic,
     make_sturm_liouville,
     make_timoshenko_damped,
 )
@@ -23,6 +26,7 @@ from evobeam.wellposed import (
     coercivity,
     find_rho0,
     nevanlinna_check,
+    sparse_symmetric_part,
     symbol_range_check,
     symmetric_part,
 )
@@ -74,6 +78,43 @@ def test_symmetric_part_is_w_selfadjoint(rng):
     S = symmetric_part(M, WeightMatrix(w))
     WS = w[:, None] * S
     assert np.max(np.abs(WS - WS.T)) < 1e-13
+
+
+def _dense_symmetric_part(M, w):
+    Md = M.toarray() if hasattr(M, "toarray") else np.asarray(M, dtype=float)
+    return 0.5 * (Md + (Md.T * w[None, :]) / w[:, None])
+
+
+_DAMPED_MODELS = {
+    "timoshenko_damped": lambda g: make_timoshenko_damped(
+        g, TimoshenkoParams(c=0.5, I_tilde=0.1, d=0.25, sigma0=1.0)
+    ),
+    "dynamic_inertia": lambda g: make_dynamic_inertia(g, TimoshenkoParams(I_tilde=1.0, d=0.25)),
+    "full_dynamic": lambda g: make_full_dynamic(
+        g, FullDynamicParams(mu_plus=NevanlinnaSpec(1.0, 0.5), nu_minus=NevanlinnaSpec(0.5, 0.25))
+    ),
+    "sturm_liouville": lambda g: make_sturm_liouville(
+        g, SturmLiouvilleParams(q=0.5, s1=0.5, mu_minus=NevanlinnaSpec(1.0, 0.5))
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [8, 256])
+@pytest.mark.parametrize("name", sorted(_DAMPED_MODELS))
+def test_sparse_symmetric_part_matches_dense_formula_bitwise(name, n):
+    model = _DAMPED_MODELS[name](build_grid(n))
+    S = sparse_symmetric_part(model.M1, model.W)
+    ref = _dense_symmetric_part(model.M1, model.W.diag)
+    assert np.array_equal(S.toarray(), ref)
+    assert np.array_equal(symmetric_part(model.M1, model.W), ref)
+
+
+def test_sparse_symmetric_part_random_weights_bitwise(rng):
+    n = 9
+    w = rng.uniform(0.5, 2.0, size=n)
+    M = rng.standard_normal((n, n)) * (rng.uniform(size=(n, n)) < 0.4)
+    S = sparse_symmetric_part(M, WeightMatrix(w))
+    assert np.array_equal(S.toarray(), _dense_symmetric_part(M, w))
 
 
 def test_symmetric_part_shape_check():
