@@ -261,6 +261,7 @@ def parse_config(text: str) -> RunConfig:
         build_scheme(cfg)
         build_source(cfg, cfg.built[0])
         build_initial(cfg, cfg.built[0])
+        build_output(cfg, cfg.built[0])
     except ConfigError:
         raise
     except EvobeamError as exc:
@@ -392,6 +393,29 @@ def build_initial(cfg: RunConfig, model: AssembledModel) -> StateVector:
     raise ConfigError(f"[initial] kind: unknown kind {kind!r}")
 
 
+def build_output(cfg: RunConfig, model: AssembledModel) -> tuple[bool, list[str], int | None]:
+    """The energy flag, the trace names and the snapshot stride (None
+    without snapshots) that [output] asks for."""
+    out = cfg.output
+    with_energy = _bool(out["energy"], "[output] energy")
+    traces_sel = out["traces"]
+    if traces_sel == "all":
+        trace_names = list(model.layout.trace_names())
+    elif traces_sel == "none":
+        trace_names = []
+    else:
+        trace_names = [t.strip() for t in traces_sel.split(",") if t.strip()]
+        for t in trace_names:
+            if t not in model.layout.trace_names():
+                raise ConfigError(f"[output] traces: unknown trace {t!r}")
+    stride = None
+    if out["snapshots"]:
+        stride = _int(out["snapshot_stride"], "[output] snapshot_stride")
+        if stride < 1:
+            raise ConfigError("[output] snapshot_stride: must be >= 1")
+    return with_energy, trace_names, stride
+
+
 # ---------------------------------------------------------------------------
 # report formatting
 
@@ -449,18 +473,8 @@ def cmd_run(cfg: RunConfig) -> int:
     u0 = consistent_initial_state(model, build_initial(cfg, model), source(0.0))
     sys_ = factor(model.layout, model.W, model.M0, model.M1, model.A, scheme)
     out = cfg.output
+    with_energy, trace_names, stride = build_output(cfg, model)
     ts = run(sys_, u0, source, snapshots=bool(out["snapshots"]))
-    with_energy = _bool(out["energy"], "[output] energy")
-    traces_sel = out["traces"]
-    if traces_sel == "all":
-        trace_names = list(model.layout.trace_names())
-    elif traces_sel == "none":
-        trace_names = []
-    else:
-        trace_names = [t.strip() for t in traces_sel.split(",") if t.strip()]
-        for t in trace_names:
-            if t not in model.layout.trace_names():
-                raise ConfigError(f"[output] traces: unknown trace {t!r}")
     header = ["t"] + (["energy"] if with_energy else []) + [f"trace:{t}" for t in trace_names]
     rows = [",".join(header)]
     for i, t in enumerate(ts.times):
@@ -472,9 +486,6 @@ def cmd_run(cfg: RunConfig) -> int:
     Path(out["csv"]).write_text("\n".join(rows) + "\n")
     snap_path = out["snapshots"]
     if snap_path:
-        stride = _int(out["snapshot_stride"], "[output] snapshot_stride")
-        if stride < 1:
-            raise ConfigError("[output] snapshot_stride: must be >= 1")
         lines = ["t,block,index,value"]
         for i in range(0, len(ts), stride):
             t = repr(float(ts.times[i]))
@@ -503,12 +514,11 @@ def _restrict(fine_model: AssembledModel, coarse_model: AssembledModel, u: np.nd
             idx = m * np.arange(lc.grid.n_cells) + m // 2
             out[lc.slice_of(name)] = 0.5 * (fine[idx - 1] + fine[idx])
         else:
-            first = {SpaceTag.NODE_ALL: 0, SpaceTag.NODE_FREE_LEFT: 1, SpaceTag.NODE_INTERIOR: 1}[tag]
-            count = tag.block_length(lc.grid.n_cells)
-            nodes_c = first + np.arange(count)
-            out[lc.slice_of(name)] = fine[m * nodes_c - first]
-        # node indexing: fine block starts at node `first`, so fine node m*j
-        # sits at offset m*j - first within the block
+            keep = tag.node_slice(lc.grid.n_cells)
+            nodes_c = np.arange(lc.grid.n_cells + 1)[keep]
+            out[lc.slice_of(name)] = fine[m * nodes_c - keep.start]
+        # node indexing: fine block starts at node `keep.start`, so fine node
+        # m*j sits at offset m*j - keep.start within the block
     return out
 
 
@@ -564,6 +574,8 @@ def cmd_converge(cfg: RunConfig, levels: list[int]) -> tuple[list[str], int]:
             ref = _restrict(ref_model, model, ref_ts.snapshots[-1])
             diff = (ts.snapshots[-1] - ref) * (model.M0.diagonal() != 0.0)
         err = math.sqrt(weighted_inner(diff, diff, model.W))
+        if err == 0.0:
+            raise ConfigError(f"level {n}: the error is 0, so the convergence slope is undefined")
         errs.append(err)
         hs.append(model.grid.h)
         lines.append(f"level={n} error={fmt17(err)}")

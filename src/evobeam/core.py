@@ -86,21 +86,23 @@ class SpaceTag(enum.Enum):
     CENTER = "center"  # N cell midpoints
     TRACE = "trace"  # single boundary scalar
 
-    def block_length(self, n_cells: int) -> int:
+    def node_slice(self, n_cells: int) -> slice:
+        """The nodes a node tag keeps, as a slice of all N+1 nodes."""
         if self is SpaceTag.NODE_ALL:
-            return n_cells + 1
+            return slice(0, n_cells + 1)
         if self is SpaceTag.NODE_FREE_LEFT:
-            return n_cells
+            return slice(1, n_cells + 1)
         if self is SpaceTag.NODE_INTERIOR:
-            return n_cells - 1
+            return slice(1, n_cells)
+        raise InvalidDomainError(f"{self} is not a node tag")
+
+    def block_length(self, n_cells: int) -> int:
         if self is SpaceTag.CENTER:
             return n_cells
-        return 1
-
-
-NODE_TAGS = frozenset(
-    {SpaceTag.NODE_ALL, SpaceTag.NODE_FREE_LEFT, SpaceTag.NODE_INTERIOR}
-)
+        if self is SpaceTag.TRACE:
+            return 1
+        keep = self.node_slice(n_cells)
+        return keep.stop - keep.start
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,15 +127,11 @@ class Grid:
 
     def points(self, tag: SpaceTag) -> np.ndarray:
         """Sample points carried by a block with the given tag."""
-        if tag is SpaceTag.NODE_ALL:
-            return self.nodes
-        if tag is SpaceTag.NODE_FREE_LEFT:
-            return self.nodes[1:]
-        if tag is SpaceTag.NODE_INTERIOR:
-            return self.nodes[1:-1]
         if tag is SpaceTag.CENTER:
             return self.centers
-        raise InvalidDomainError("trace slots carry no sample points")
+        if tag is SpaceTag.TRACE:
+            raise InvalidDomainError("trace slots carry no sample points")
+        return self.nodes[tag.node_slice(self.n_cells)]
 
     def weights(self, tag: SpaceTag) -> np.ndarray:
         """Quadrature weights for one block: midpoint rule on centers,
@@ -142,17 +140,11 @@ class Grid:
         h = self.h
         if tag is SpaceTag.CENTER:
             return np.full(self.n_cells, h)
-        if tag is SpaceTag.NODE_ALL:
-            w = np.full(self.n_cells + 1, h)
-            w[0] = w[-1] = h / 2
-            return w
-        if tag is SpaceTag.NODE_FREE_LEFT:
-            w = np.full(self.n_cells, h)
-            w[-1] = h / 2
-            return w
-        if tag is SpaceTag.NODE_INTERIOR:
-            return np.full(self.n_cells - 1, h)
-        return np.ones(1)
+        if tag is SpaceTag.TRACE:
+            return np.ones(1)
+        w = np.full(self.n_cells + 1, h)
+        w[0] = w[-1] = h / 2
+        return w[tag.node_slice(self.n_cells)]
 
 
 def build_grid(n_cells: int) -> Grid:

@@ -16,7 +16,6 @@ import scipy.sparse as sp
 from .core import (
     Grid,
     InvalidDomainError,
-    NODE_TAGS,
     SpaceTag,
     StateLayout,
     WeightMatrix,
@@ -85,25 +84,13 @@ def build_derivative(grid: Grid, tag: SpaceTag) -> DiscreteDerivative:
     """Difference quotient mapping node values to cell centers.
 
     Cell k spans nodes k-1 and k; columns of removed nodes are absent, so a
-    pinned node enters the quotient as zero.
+    pinned node enters the quotient as zero.  A tag that is not a node tag
+    raises InvalidDomainError.
     """
-    if tag not in NODE_TAGS:
-        raise InvalidDomainError(f"derivative domain must be a node tag, got {tag}")
     n = grid.n_cells
+    keep = tag.node_slice(n)
     inv_h = 1.0 / grid.h
-    rows, cols, vals = [], [], []
-    # retained node j occupies column j - first_node
-    first_node = {SpaceTag.NODE_ALL: 0, SpaceTag.NODE_FREE_LEFT: 1, SpaceTag.NODE_INTERIOR: 1}[tag]
-    last_node = {SpaceTag.NODE_ALL: n, SpaceTag.NODE_FREE_LEFT: n, SpaceTag.NODE_INTERIOR: n - 1}[tag]
-    for cell in range(1, n + 1):
-        for node, sign in ((cell - 1, -1.0), (cell, 1.0)):
-            if first_node <= node <= last_node:
-                rows.append(cell - 1)
-                cols.append(node - first_node)
-                vals.append(sign * inv_h)
-    mat = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(n, tag.block_length(n))
-    )
+    mat = sp.diags([-inv_h, inv_h], [0, 1], shape=(n, n + 1), format="csr")[:, keep]
     return DiscreteDerivative(matrix=mat, dom_tag=tag, grid=grid)
 
 

@@ -19,7 +19,9 @@ def jacobi_eigvals(S, tol=1e-14, max_sweeps=100):
     A = 0.5 * (A + A.T)
     scale = max(1.0, abs(A).max())
     for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(A**2) - np.sum(np.diag(A) ** 2))
+        # the off-diagonal norm itself: sum(A**2) - sum(diag**2) cancels to
+        # roundoff of the whole norm and never falls below the tolerance
+        off = np.linalg.norm(A - np.diag(np.diag(A)))
         if off <= tol * scale * n:
             break
         for p in range(n - 1):
@@ -28,7 +30,7 @@ def jacobi_eigvals(S, tol=1e-14, max_sweeps=100):
                 if abs(apq) <= 1e-300:
                     continue
                 theta = 0.5 * (A[q, q] - A[p, p]) / apq
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
                 if theta == 0.0:
                     t = 1.0
                 c = 1.0 / np.sqrt(t * t + 1.0)

@@ -5,14 +5,17 @@ subprocess test at the end confirms the installed entry point wires up
 the same code path.
 """
 
+import os
 import subprocess
 import sys
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import evobeam
 from evobeam import scenarios
 from evobeam.cli import (
     ConfigError,
@@ -257,6 +260,40 @@ V1 = cos(pi*x)
     assert lines[-1].startswith("slope=")
 
 
+def test_main_converge_zero_error_exits_four(tmp_path, capsys):
+    # zero source and zero initial state: every level's error is exactly 0,
+    # so log(error) has no slope to fit
+    path = tmp_path / "zero.ini"
+    path.write_text("[grid]\nn_cells = 8\n\n[scenario]\nname = sturm_liouville\n")
+    assert main(["converge", str(path), "--levels", "8,16,32"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "config error: level 8: the error is 0, so the convergence slope is undefined"
+    ]
+
+
+@pytest.mark.parametrize(
+    "output",
+    [
+        "snapshots = {snaps}\nsnapshot_stride = 0",
+        "snapshots = {snaps}\nsnapshot_stride = two",
+        "energy = maybe",
+        "traces = tau0_plus, nope",
+    ],
+)
+def test_main_run_rejects_bad_output_before_stepping(output, tmp_path, capsys):
+    csv, snaps = tmp_path / "out.csv", tmp_path / "snaps.txt"
+    path = tmp_path / "cfg.ini"
+    path.write_text(CONSERVATIVE + f"\n[output]\ncsv = {csv}\n" + output.format(snaps=snaps) + "\n")
+    assert main(["run", str(path)]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: [output] ")
+    assert not csv.exists() and not snaps.exists()
+    with pytest.raises(ConfigError, match=r"^\[output\] "):
+        parse_config(path.read_text())
+
+
 def test_cmd_probe_causality_zero_deviation():
     cfg = parse_config(MINIMAL + "[scheme]\ndt = 0.05\nt_end = 2.0\n")
     lines, code = cmd_probe(cfg, "causality", a=1.0)
@@ -328,10 +365,14 @@ def test_main_run_writes_relative_to_cwd(tmp_path, capsys, monkeypatch):
 def test_console_entry_point_subprocess(tmp_path):
     path = tmp_path / "cfg.ini"
     path.write_text(MINIMAL)
+    # the child imports the same package as this process, installed or not
+    src = str(Path(evobeam.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "evobeam", "check", str(path)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "c0=5.0000000000000000e-1"

@@ -63,6 +63,24 @@ def test_block_lengths(tag, length):
     assert tag.block_length(4) == length
 
 
+@pytest.mark.parametrize(
+    "tag,kept",
+    [
+        (SpaceTag.NODE_ALL, [0, 1, 2, 3, 4]),
+        (SpaceTag.NODE_FREE_LEFT, [1, 2, 3, 4]),
+        (SpaceTag.NODE_INTERIOR, [1, 2, 3]),
+    ],
+)
+def test_node_slice_keeps_the_tagged_nodes(tag, kept):
+    assert list(range(5)[tag.node_slice(4)]) == kept
+
+
+@pytest.mark.parametrize("tag", [SpaceTag.CENTER, SpaceTag.TRACE])
+def test_node_slice_rejects_non_node_tags(tag):
+    with pytest.raises(InvalidDomainError):
+        tag.node_slice(4)
+
+
 def test_points_exclude_pinned_nodes():
     g = build_grid(4)
     np.testing.assert_allclose(g.points(SpaceTag.NODE_FREE_LEFT), g.nodes[1:])

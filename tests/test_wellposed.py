@@ -7,7 +7,11 @@ the package itself uses.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
+from evobeam.cli import cmd_check, parse_config
 from evobeam.core import NumericError, ParameterError, WeightMatrix, build_grid
 from evobeam.scenarios import (
     FullDynamicParams,
@@ -184,6 +188,72 @@ def test_coercivity_sturm_liouville_parabolic_closed_form():
     assert abs(rep.c0 - oracle) < 1e-12
 
 
+def _dense_c0(M0, M1, rho, w):
+    S = rho * M0.toarray() + _dense_symmetric_part(M1, w)
+    sq = np.sqrt(w)
+    sym = (S * sq[:, None]) / sq[None, :]
+    return float(np.linalg.eigvalsh(0.5 * (sym + sym.T))[0])
+
+
+@pytest.mark.parametrize("n", [8, 256])
+@pytest.mark.parametrize("name", sorted(_DAMPED_MODELS))
+def test_coercivity_matches_dense_eigvalsh_bitwise(name, n):
+    model = _DAMPED_MODELS[name](build_grid(n))
+    for rho in (1.0, 2.0**-10):
+        rep = coercivity(model.M0, model.M1, rho, model.W)
+        assert rep.c0 == _dense_c0(model.M0, model.M1, rho, model.W.diag)
+
+
+def _w_selfadjoint(rng, w):
+    # w_i M_ij = (B B^T)_ij is symmetric, so M is W-selfadjoint
+    B = rng.standard_normal((w.size, w.size))
+    return (B @ B.T) / w[:, None]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+    rho=st.floats(0.0, 2.0),
+)
+def test_coercivity_matches_jacobi_on_interleaved_blocks(sizes, seed, rho):
+    # blocks of coupled entries on randomly permuted rows, so that each
+    # component of the sparse pattern is spread over the whole matrix
+    rng = np.random.default_rng(seed)
+    dim = sum(sizes)
+    perm = rng.permutation(dim)
+    w = rng.uniform(0.5, 2.0, dim)
+    M0, M1 = np.zeros((dim, dim)), np.zeros((dim, dim))
+    for rows in np.split(perm, np.cumsum(sizes)[:-1]):
+        M0[np.ix_(rows, rows)] = _w_selfadjoint(rng, w[rows])
+        M1[np.ix_(rows, rows)] = rng.standard_normal((rows.size, rows.size))
+    rep = coercivity(sp.csr_matrix(M0), sp.csr_matrix(M1), rho, WeightMatrix(w))
+    assert abs(rep.c0 - min_coercivity_eig(M0, M1, rho, w)) <= 1e-12
+
+
+def test_check_eigensolves_no_matrix_larger_than_a_block(monkeypatch):
+    cfg = parse_config(
+        "[grid]\nn_cells = 256\n\n[scenario]\nname = timoshenko_damped\n"
+        "c = 0.5\nI_tilde = 0.1\nd = 0.2\n"
+    )
+    model = cfg.built[0]
+    pattern = abs(model.M0) + abs(sparse_symmetric_part(model.M1, model.W))
+    pattern.eliminate_zeros()
+    _, labels = connected_components(pattern, directed=False)
+    largest = np.bincount(labels).max()
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        sizes.append(np.shape(a)[0])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    lines, code = cmd_check(cfg)
+    assert code == 0 and lines[1].startswith("rho0=")
+    assert all(size <= largest for size in sizes)
+
+
 def test_coercivity_report_rejects_inconsistency():
     with pytest.raises(NumericError):
         CoercivityReport(rho=1.0, c0=-0.5, satisfied=True, bound=None)
@@ -243,6 +313,27 @@ def test_symbol_range_check_flags_nonselfadjoint_inertia():
     M1 = np.zeros((2, 2))
     with pytest.raises(NumericError):
         symbol_range_check(M0, M1, 1.0, [0.0, 5.0], _ones_weight(2))
+
+
+def test_symbol_range_check_coupled_selfadjoint_inertia(rng):
+    # a W-selfadjoint but non-diagonal M0 with non-uniform weights leaves
+    # only roundoff in the W-skew part, which must not raise
+    w = rng.uniform(0.5, 2.0, 6)
+    M0, M1 = _w_selfadjoint(rng, w), rng.standard_normal((6, 6))
+    W = WeightMatrix(w)
+    val = symbol_range_check(M0, M1, 1.0, np.linspace(-100.0, 100.0, 21), W)
+    assert val == coercivity(M0, M1, 1.0, W).c0
+    assert abs(val - min_coercivity_eig(M0, M1, 1.0, w)) < 1e-12
+
+
+def test_symbol_range_check_flags_small_w_skew_part(rng):
+    w = rng.uniform(0.5, 2.0, 6)
+    K = rng.standard_normal((6, 6))
+    # w_i K_ij is antisymmetric, so K is W-skew
+    skew = (K - K.T) / w[:, None]
+    M0 = _w_selfadjoint(rng, w) + 1e-8 * skew
+    with pytest.raises(NumericError):
+        symbol_range_check(M0, np.zeros((6, 6)), 1.0, [100.0], WeightMatrix(w))
 
 
 def test_nevanlinna_spec_validation_and_evaluate():
