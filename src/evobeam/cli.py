@@ -476,23 +476,17 @@ def cmd_run(cfg: RunConfig) -> int:
     with_energy, trace_names, stride = build_output(cfg, model)
     ts = run(sys_, u0, source, snapshots=bool(out["snapshots"]))
     header = ["t"] + (["energy"] if with_energy else []) + [f"trace:{t}" for t in trace_names]
-    rows = [",".join(header)]
-    for i, t in enumerate(ts.times):
-        row = [repr(float(t))]
-        if with_energy:
-            row.append(repr(float(ts.energy[i])))
-        row += [repr(float(ts.traces[name][i])) for name in trace_names]
-        rows.append(",".join(row))
+    cols = [ts.times] + ([ts.energy] if with_energy else []) + [ts.traces[t] for t in trace_names]
+    rows = [",".join(header)] + [",".join(map(repr, row)) for row in np.column_stack(cols).tolist()]
     Path(out["csv"]).write_text("\n".join(rows) + "\n")
     snap_path = out["snapshots"]
     if snap_path:
+        lay = model.layout
+        keys = [f"{name},{j}," for name in lay.names for j in range(lay.length_of(name))]
         lines = ["t,block,index,value"]
-        for i in range(0, len(ts), stride):
-            t = repr(float(ts.times[i]))
-            for name in model.layout.names:
-                block = ts.snapshots[i][model.layout.slice_of(name)]
-                for j, v in enumerate(block):
-                    lines.append(f"{t},{name},{j},{repr(float(v))}")
+        for t, state in zip(ts.times[::stride].tolist(), ts.snapshots[::stride].tolist()):
+            t_key = repr(t) + ","
+            lines += [t_key + key + repr(v) for key, v in zip(keys, state)]
         Path(snap_path).write_text("\n".join(lines) + "\n")
     return 0
 

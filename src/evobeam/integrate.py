@@ -134,14 +134,28 @@ def factor(layout: StateLayout, W: WeightMatrix, M0, M1, A, scheme: SchemeParams
     return sys_
 
 
+def _source_values(f_mid) -> np.ndarray:
+    return f_mid.values if isinstance(f_mid, StateVector) else np.asarray(f_mid, dtype=float)
+
+
+def _advance(sys_: SteppingSystem, u: np.ndarray, fv: np.ndarray) -> np.ndarray:
+    """One theta step on plain arrays: solve L u_next = R u + dt*fv."""
+    u_next = sys_._lu.solve(sys_.R @ u + sys_.scheme.dt * fv)
+    if not np.isfinite(u_next).all():
+        raise NumericError("time step produced non-finite state")
+    return u_next
+
+
 def step(sys_: SteppingSystem, u_n: StateVector, f_mid: np.ndarray | StateVector) -> StateVector:
     """One theta step; f_mid is the raw source at t_n + theta*dt."""
-    fv = f_mid.values if isinstance(f_mid, StateVector) else np.asarray(f_mid, dtype=float)
-    rhs = sys_.R @ u_n.values + sys_.scheme.dt * fv
-    u_next = sys_._lu.solve(rhs)
-    if not np.all(np.isfinite(u_next)):
-        raise NumericError("time step produced non-finite state")
-    return StateVector(sys_.layout, u_next)
+    return StateVector(sys_.layout, _advance(sys_, u_n.values, _source_values(f_mid)))
+
+
+# Recorded states wait in a buffer of at most this many floats (512 kB),
+# and each full buffer gets its energies from one sparse product.  The
+# buffer is kept small so that it does not show in the peak memory of a
+# run on a large grid.
+_CHUNK_FLOATS = 1 << 16
 
 
 def run(
@@ -155,6 +169,7 @@ def run(
 
     Energies and traces are always recorded; full-state snapshots only when
     ``snapshots`` is true (otherwise the series carries ``snapshots=None``).
+    Each recorded energy is bitwise ``core.energy`` of the recorded state.
     """
     if scheme is None:
         scheme = sys_.scheme
@@ -162,31 +177,49 @@ def run(
         raise ParameterError("scheme dt/theta differ from the factored system")
     if u0.layout != sys_.layout:
         raise ParameterError("initial state lives on a different layout")
-    trace_names = sys_.layout.trace_names()
-    trace_at = np.array([sys_.layout.offset_of(name) for name in trace_names], dtype=int)
-    times, energies, trace_rows, snaps = [], [], [], []
+    layout, M0, w = sys_.layout, sys_.M0, sys_.W.diag
+    trace_names = layout.trace_names()
+    trace_at = np.array([layout.offset_of(name) for name in trace_names], dtype=int)
+    n_steps, every, dt, theta = scheme.n_steps, scheme.record_every, scheme.dt, scheme.theta
+    n_rec = n_steps // every + 1
+    energies = np.empty(n_rec)
+    traces = np.empty((len(trace_at), n_rec))
+    snaps = np.empty((n_rec, layout.dim)) if snapshots else None
+    buf = np.empty((min(max(_CHUNK_FLOATS // layout.dim, 1), n_rec), layout.dim))
+    done = 0
 
-    def record(k: int, u: StateVector):
-        times.append(k * scheme.dt)
-        energies.append(energy(u, sys_.M0, sys_.W))
-        trace_rows.append(u.values[trace_at])
-        if snapshots:
-            snaps.append(u.values.copy())
+    def flush(count: int):
+        nonlocal done
+        U = buf[:count]
+        # unit-stride rows, as core.energy's dot reads them: same bits
+        V = np.multiply((M0 @ U.T).T, w, order="C")
+        for i in range(count):
+            energies[done + i] = 0.5 * float(np.dot(U[i], V[i]))
+        traces[:, done : done + count] = U[:, trace_at].T
+        if snaps is not None:
+            snaps[done : done + count] = U
+        done += count
 
-    u = u0.copy()
-    record(0, u)
-    for k in range(scheme.n_steps):
-        t_mid = (k + scheme.theta) * scheme.dt
-        u = step(sys_, u, source(t_mid))
-        if (k + 1) % scheme.record_every == 0:
-            record(k + 1, u)
-    trace_cols = np.array(trace_rows).T.copy()
+    def recorded_states():
+        u = u0.values.copy()
+        yield u
+        for k in range(n_steps):
+            u = _advance(sys_, u, _source_values(source((k + theta) * dt)))
+            if (k + 1) % every == 0:
+                yield u
+
+    for i, u in enumerate(recorded_states()):
+        buf[i - done] = u
+        if i + 1 - done == len(buf):
+            flush(len(buf))
+    if done < n_rec:
+        flush(n_rec - done)
     return TimeSeries(
-        times=np.asarray(times),
-        energy=np.asarray(energies),
-        traces=dict(zip(trace_names, trace_cols)),
-        snapshots=np.vstack(snaps) if snapshots else None,
-        layout=sys_.layout,
+        times=np.arange(n_rec) * every * dt,
+        energy=energies,
+        traces=dict(zip(trace_names, traces)),
+        snapshots=snaps,
+        layout=layout,
     )
 
 
@@ -199,7 +232,7 @@ def energy_balance_residual(
     """Defect of the exact midpoint energy identity for one step."""
     if sys_.scheme.theta != 0.5:
         raise UnsupportedSchemeError("energy balance identity requires theta = 1/2")
-    fv = f_mid.values if isinstance(f_mid, StateVector) else np.asarray(f_mid, dtype=float)
+    fv = _source_values(f_mid)
     u_mid = 0.5 * (u_n.values + u_np1.values)
     e0 = energy(u_n, sys_.M0, sys_.W)
     e1 = energy(u_np1, sys_.M0, sys_.W)

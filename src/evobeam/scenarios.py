@@ -203,21 +203,20 @@ def make_timoshenko_damped(grid: Grid, params: TimoshenkoParams) -> AssembledMod
         np.concatenate([kappa1, nu1, [params.I_tilde], nu2, kappa2])
     )
     n = grid.n_cells
-    M1 = sp.lil_matrix((layout.dim, layout.dim))
     tau = layout.offset_of("tau_plus")
-    M1[tau, tau] = params.c
-    s_sl = layout.slice_of("s")
-    M1[s_sl, s_sl] = sp.diags(d)
-    eta_off = layout.offset_of("eta")
-    v2_off = layout.offset_of("V2")
-    for k in range(n):
-        M1[eta_off + k, v2_off + k] = params.sigma0
-        M1[v2_off + k, eta_off + k] = -params.sigma0
+    s_at = layout.offset_of("s") + np.arange(d.shape[0])
+    eta_at = layout.offset_of("eta") + np.arange(n)
+    v2_at = layout.offset_of("V2") + np.arange(n)
+    rows = np.concatenate([[tau], s_at, eta_at, v2_at])
+    cols = np.concatenate([[tau], s_at, v2_at, eta_at])
+    vals = np.concatenate([[params.c], d, np.full(n, params.sigma0), np.full(n, -params.sigma0)])
+    stored = vals != 0  # zero dashpot or damping entries are not stored
+    M1 = sp.csr_matrix((vals[stored], (rows[stored], cols[stored])), shape=(layout.dim, layout.dim))
     return AssembledModel(
         layout=layout,
         W=build_weights(layout),
         M0=M0,
-        M1=sp.csr_matrix(M1),
+        M1=M1,
         A=assemble_A_timoshenko(grid),
         traces={"tau_plus": TraceBinding("eta", +0.5, -1.0)},
         tag="timoshenko_damped",

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import evobeam
-from evobeam import scenarios
+from evobeam import cli, scenarios
 from evobeam.cli import (
     ConfigError,
     cmd_check,
@@ -212,6 +212,44 @@ def test_run_cli_writes_snapshots_only_when_asked(tmp_path):
     dim = model.layout.dim
     assert len(lines) == 1 + 7 * dim
     assert lines[-1].startswith(f"{repr(18 * 0.05)},")
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_run_files_match_value_by_value_formatting(tmp_path, monkeypatch, stride):
+    # the CSV and snapshot files, written row by row and value by value
+    # from the series that run returned
+    series, real_run = [], cli.run
+
+    def spy(*args, **kwargs):
+        series.append(real_run(*args, **kwargs))
+        return series[-1]
+
+    monkeypatch.setattr(cli, "run", spy)
+    config = tmp_path / "run.ini"
+    csv, snaps = tmp_path / "run.csv", tmp_path / "snaps.txt"
+    config.write_text(
+        CONSERVATIVE.replace("t_end = 1.0", "t_end = 1.0\nrecord_every = 2")
+        + "\n[source]\nkind = sinusoid\nblock = V1\nprofile = sin(3*x)\n"
+        + f"\n[output]\ncsv = {csv}\nsnapshots = {snaps}\nsnapshot_stride = {stride}\n"
+    )
+    assert main(["run", str(config)]) == 0
+    (ts,) = series
+    model, _ = parse_config(config.read_text()).built
+    names = model.layout.trace_names()
+    rows = [",".join(["t", "energy"] + [f"trace:{t}" for t in names])]
+    for i, t in enumerate(ts.times):
+        row = [repr(float(t)), repr(float(ts.energy[i]))]
+        row += [repr(float(ts.traces[name][i])) for name in names]
+        rows.append(",".join(row))
+    assert csv.read_text() == "\n".join(rows) + "\n"
+    lines = ["t,block,index,value"]
+    for i in range(0, len(ts), stride):
+        t = repr(float(ts.times[i]))
+        for name in model.layout.names:
+            for j, v in enumerate(ts.snapshots[i][model.layout.slice_of(name)]):
+                lines.append(f"{t},{name},{j},{repr(float(v))}")
+    assert snaps.read_text() == "\n".join(lines) + "\n"
+    assert len(lines) == 1 + len(range(0, 11, stride)) * model.layout.dim
 
 
 def test_cmd_converge_validation():

@@ -8,9 +8,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from evobeam import integrate
 from evobeam.core import (
     CallableSignal,
+    CoefficientField,
     NumericError,
     ParameterError,
     SeparableSignal,
@@ -21,6 +24,7 @@ from evobeam.core import (
     ZeroSignal,
     bump_envelope,
     build_grid,
+    energy,
     gaussian_envelope,
     zero_state,
 )
@@ -37,7 +41,14 @@ from evobeam.integrate import (
     run,
     step,
 )
-from evobeam.scenarios import TimoshenkoParams, make_timoshenko_damped
+from evobeam.scenarios import (
+    FullDynamicParams,
+    SturmLiouvilleParams,
+    TimoshenkoParams,
+    make_full_dynamic,
+    make_sturm_liouville,
+    make_timoshenko_damped,
+)
 
 
 def _scalar_system(gamma, dt, t_end, theta=0.5):
@@ -317,3 +328,111 @@ def test_step_guards_against_nonfinite_source():
     u = StateVector(layout, np.array([1.0]))
     with pytest.raises(NumericError):
         step(sys_, u, np.array([np.inf]))
+
+
+def _stepwise_reference(sys_, u0, source, scheme):
+    """Times, energies, traces and snapshots of run, recomputed one step
+    at a time with step and core.energy."""
+    u, k_rec = u0, [0]
+    snaps = [u0.values.copy()]
+    for k in range(scheme.n_steps):
+        u = step(sys_, u, source((k + scheme.theta) * scheme.dt))
+        if (k + 1) % scheme.record_every == 0:
+            k_rec.append(k + 1)
+            snaps.append(u.values.copy())
+    snaps = np.array(snaps)
+    lay = sys_.layout
+    return (
+        np.array([k * scheme.dt for k in k_rec]),
+        np.array([energy(v, sys_.M0, sys_.W) for v in snaps]),
+        {name: snaps[:, lay.offset_of(name)] for name in lay.trace_names()},
+        snaps,
+    )
+
+
+_RUN_MODELS = {
+    # dims 32, 138 and 69: even and odd row lengths in the record buffer
+    "timoshenko_damped": lambda: make_timoshenko_damped(
+        build_grid(8), TimoshenkoParams(c=0.5, I_tilde=0.1, d=0.2)
+    ),
+    "full_dynamic": lambda: make_full_dynamic(build_grid(33), FullDynamicParams(g_s=0.3)),
+    "sturm_liouville": lambda: make_sturm_liouville(build_grid(33), SturmLiouvilleParams(q=0.3)),
+}
+
+
+@pytest.mark.parametrize("snapshots", [True, False])
+@pytest.mark.parametrize("chunk_rows", [None, 1, 2])
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("name", sorted(_RUN_MODELS))
+def test_run_matches_stepwise_reference_bitwise(monkeypatch, rng, name, record_every, chunk_rows, snapshots):
+    # 25 steps: with record_every = 3 the last record is step 24 and one
+    # unrecorded step follows; chunk_rows forces records across buffer ends
+    model = _RUN_MODELS[name]()
+    lay = model.layout
+    if chunk_rows is not None:
+        monkeypatch.setattr(integrate, "_CHUNK_FLOATS", chunk_rows * lay.dim + 1)
+    scheme = SchemeParams(dt=0.04, t_end=1.0, record_every=record_every)
+    sys_ = factor(lay, model.W, model.M0, model.M1, model.A, scheme)
+    u0 = StateVector(lay, rng.standard_normal(lay.dim))
+    f = SeparableSignal(rng.standard_normal(lay.dim), gaussian_envelope(0.4, 0.2))
+    ts = run(sys_, u0, f, snapshots=snapshots)
+    times, energies, traces, snaps = _stepwise_reference(sys_, u0, f, scheme)
+    assert np.array_equal(ts.times, times)
+    assert np.array_equal(ts.energy, energies)
+    assert set(ts.traces) == set(traces) and traces
+    for trace, values in traces.items():
+        assert np.array_equal(ts.traces[trace], values)
+    if snapshots:
+        assert np.array_equal(ts.snapshots, snaps)
+    else:
+        assert ts.snapshots is None
+
+
+@pytest.mark.parametrize("t_bad", [0.5, 0.97])
+def test_run_raises_when_the_source_turns_nonfinite(t_bad):
+    # 25 steps recording every 3rd: t_bad = 0.97 hits only the last,
+    # unrecorded step, which run must still take
+    scheme = SchemeParams(dt=0.04, t_end=1.0, record_every=3)
+    model, sys_ = _beam_system(8, TimoshenkoParams(c=0.5, d=0.2), scheme)
+    dim = model.layout.dim
+
+    def source(t):
+        return np.full(dim, np.inf) if t >= t_bad else np.ones(dim)
+
+    with pytest.raises(NumericError):
+        run(sys_, zero_state(model.layout), CallableSignal(source, dim))
+
+
+def _random_field(rng, tag, n, lo, hi):
+    return CoefficientField(tag, rng.uniform(lo, hi, tag.block_length(n)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(2, 24),
+    seed=st.integers(0, 2**32 - 1),
+    c=st.floats(0.05, 2.0),
+    I_tilde=st.floats(0.0, 1.0),
+)
+def test_run_keeps_energy_balance_on_random_coefficients(n, seed, c, I_tilde):
+    rng = np.random.default_rng(seed)
+    params = TimoshenkoParams(
+        kappa1=_random_field(rng, SpaceTag.NODE_FREE_LEFT, n, 0.2, 3.0),
+        nu1=_random_field(rng, SpaceTag.CENTER, n, 0.2, 3.0),
+        nu2=_random_field(rng, SpaceTag.NODE_INTERIOR, n, 0.2, 3.0),
+        kappa2=_random_field(rng, SpaceTag.CENTER, n, 0.2, 3.0),
+        d=_random_field(rng, SpaceTag.NODE_INTERIOR, n, 0.0, 2.0),
+        c=c,
+        I_tilde=I_tilde,
+        sigma0=rng.uniform(0.5, 2.0),
+    )
+    scheme = SchemeParams(dt=0.05, t_end=1.0)
+    model, sys_ = _beam_system(n, params, scheme)
+    lay = model.layout
+    f = SeparableSignal(rng.standard_normal(lay.dim), gaussian_envelope(0.3, 0.2))
+    ts = run(sys_, StateVector(lay, rng.standard_normal(lay.dim)), f)
+    scale = max(1.0, float(np.max(ts.energy)))
+    for k in range(len(ts) - 1):
+        u_n, u_np1 = StateVector(lay, ts.snapshots[k]), StateVector(lay, ts.snapshots[k + 1])
+        res = energy_balance_residual(sys_, u_n, u_np1, f((k + 0.5) * scheme.dt))
+        assert abs(res) <= 1e-12 * scale

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from evobeam.core import (
     CoefficientField,
@@ -109,6 +111,44 @@ def test_rotation_coupling_lives_in_damping_operator():
     assert np.array_equal(M1[v2, eta], -2.5 * np.eye(4))
     assert np.array_equal(A[eta, v2], np.zeros((4, 4)))
     assert np.array_equal(A[v2, eta], np.zeros((4, 4)))
+
+
+def _lil_damping_reference(model, params):
+    """M1 built entry by entry in a lil_matrix, which stores no zeros."""
+    lay = model.layout
+    M1 = sp.lil_matrix((lay.dim, lay.dim))
+    tau = lay.offset_of("tau_plus")
+    M1[tau, tau] = params.c
+    d = params.d.values if isinstance(params.d, CoefficientField) else np.full(lay.length_of("s"), params.d)
+    s_sl = lay.slice_of("s")
+    M1[s_sl, s_sl] = sp.diags(d)
+    eta, v2 = lay.offset_of("eta"), lay.offset_of("V2")
+    for k in range(lay.length_of("eta")):
+        M1[eta + k, v2 + k] = params.sigma0
+        M1[v2 + k, eta + k] = -params.sigma0
+    return sp.csr_matrix(M1)
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5])
+@pytest.mark.parametrize("d", ["zero", "constant", "field"])
+@pytest.mark.parametrize("n", [2, 8, 33, 256])
+def test_timoshenko_damping_matrix_matches_lil_build_bitwise(n, d, c):
+    tag = SpaceTag.NODE_INTERIOR
+    x = build_grid(n).points(tag)
+    d_value = {
+        "zero": 0.0,
+        "constant": 0.2,
+        # zero on part of the beam, so some entries are dropped
+        "field": CoefficientField(tag, np.maximum(np.sin(7.0 * x), 0.0)),
+    }[d]
+    params = TimoshenkoParams(c=c, I_tilde=0.1, d=d_value, sigma0=-1.5)
+    model = make_timoshenko_damped(build_grid(n), params)
+    got, ref = model.M1, _lil_damping_reference(model, params)
+    assert got.format == ref.format == "csr" and got.shape == ref.shape
+    for attr in ("data", "indices", "indptr"):
+        a, b = getattr(got, attr), getattr(ref, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got.has_canonical_format and ref.has_canonical_format
 
 
 def test_dynamic_inertia_variant():
@@ -276,6 +316,45 @@ def test_split_model_evolution_matches_full(rng, n):
     assert np.array_equal(ts_full.snapshots[:, idx], ts_sub.snapshots)
     rest = np.setdiff1d(np.arange(fd.layout.dim), idx)
     assert np.array_equal(ts_full.snapshots[:, rest], np.zeros_like(ts_full.snapshots[:, rest]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+def test_split_identity_bitwise_on_random_coefficients(n, seed):
+    rng = np.random.default_rng(seed)
+    fields = {f"m_{b}": (0.2, 3.0) for b in ("V1", "eta", "s", "V2")}
+    fields.update({f"g_{b}": (0.0, 2.0) for b in ("V1", "eta", "s", "V2")})
+    tags = {f.name: f.metadata.get("tag") for f in FullDynamicParams.__dataclass_fields__.values()}
+    samples = {
+        name: CoefficientField(tags[name], rng.uniform(lo, hi, tags[name].block_length(n)))
+        for name, (lo, hi) in fields.items()
+    }
+    laws = {
+        name: NevanlinnaSpec(rng.uniform(0.1, 2.0), rng.uniform(0.0, 1.0))
+        for name in ("mu_minus", "mu_plus", "nu_minus", "nu_plus")
+    }
+    params = FullDynamicParams(**samples, **laws)
+    fd = make_full_dynamic(build_grid(n), params)
+    group = ("V1", "eta", "tau0_minus", "tau0_plus")
+    sub = split_model(fd, group)
+    idx = fd.layout.indices_of(group)
+    scheme = SchemeParams(dt=0.05, t_end=0.5, record_every=2)
+    sys_full = factor(fd.layout, fd.W, fd.M0, fd.M1, fd.A, scheme)
+    sys_sub = factor(sub.layout, sub.W, sub.M0, sub.M1, sub.A, scheme)
+    u0_sub = rng.standard_normal(sub.layout.dim)
+    u0_full = np.zeros(fd.layout.dim)
+    u0_full[idx] = u0_sub
+    profile_sub = rng.standard_normal(sub.layout.dim)
+    profile_full = np.zeros(fd.layout.dim)
+    profile_full[idx] = profile_sub
+    env = gaussian_envelope(0.2, 0.1)
+    ts_full = run(sys_full, StateVector(fd.layout, u0_full), SeparableSignal(profile_full, env))
+    ts_sub = run(sys_sub, StateVector(sub.layout, u0_sub), SeparableSignal(profile_sub, env))
+    assert np.array_equal(ts_full.snapshots[:, idx], ts_sub.snapshots)
+    rest = np.setdiff1d(np.arange(fd.layout.dim), idx)
+    assert not ts_full.snapshots[:, rest].any()
+    for name in ("tau0_minus", "tau0_plus"):
+        assert np.array_equal(ts_full.traces[name], ts_sub.traces[name])
 
 
 def test_consistent_initial_state_solves_algebraic_slot():
