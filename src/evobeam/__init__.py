@@ -28,8 +28,6 @@ from .core import (
 )
 from .discretize import (
     adjoint_wrt,
-    assemble_A_tilde,
-    assemble_A_timoshenko,
     assemble_skew,
     build_B,
     build_B_tilde,
@@ -56,7 +54,6 @@ from .scenarios import (
     apply_sign_flip,
     consistent_initial_state,
     exact_state,
-    make_dynamic_inertia,
     make_full_dynamic,
     make_sturm_liouville,
     make_timoshenko_damped,
@@ -72,7 +69,6 @@ from .wellposed import (
     find_rho0,
     nevanlinna_check,
     symbol_range_check,
-    symmetric_part,
 )
 
 __version__ = "0.1.0"

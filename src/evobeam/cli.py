@@ -37,6 +37,7 @@ from .core import (
 from .discretize import skew_defect
 from .integrate import (
     SchemeParams,
+    UndefinedRatioError,
     bound_probe,
     causality_probe,
     factor,
@@ -456,7 +457,7 @@ def cmd_check(cfg: RunConfig) -> tuple[list[str], int]:
         lines.append("rho0=unreachable")
         code = 2
     lines.append(f"bound={fmt17(report.bound)}")
-    lines.append(f"skew_defect={fmt17(skew_defect(model.A))}")
+    lines.append(f"skew_defect={fmt17(skew_defect(model.A, model.W))}")
     samples = _nevanlinna_samples()
     ok = all(nevanlinna_check(law, samples) for law in laws)
     lines.append(f"nevanlinna={'pass' if ok else 'fail'}")
@@ -601,8 +602,6 @@ def cmd_probe(cfg: RunConfig, kind: str, a: float | None = None) -> tuple[list[s
         if not report.satisfied:
             return ["c0<=0"], 2
         source = build_source(cfg, model)
-        from .integrate import UndefinedRatioError
-
         try:
             ratio = bound_probe(sys_, source, scheme, scheme.rho)
         except UndefinedRatioError as exc:

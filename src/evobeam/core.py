@@ -41,7 +41,6 @@ __all__ = [
     "Signal",
     "ZeroSignal",
     "SeparableSignal",
-    "TabulatedSignal",
     "CallableSignal",
     "gaussian_envelope",
     "sinusoid_envelope",
@@ -334,8 +333,8 @@ class TimeSeries:
         return self.times.shape[0]
 
 
-def exp_weighted_norm(ts: TimeSeries, rho: float, W: WeightMatrix) -> float:
-    """Exponentially weighted trajectory norm.
+def exp_weighted_norm(times, states, rho: float, W: WeightMatrix) -> float:
+    """Exponentially weighted trajectory norm of states (one row per time).
 
     Returns sqrt of the trapezoidal quadrature of ||u(t)||_W^2 exp(-2 rho t)
     over the recorded window.  The infinite-line integral is truncated to the
@@ -343,11 +342,9 @@ def exp_weighted_norm(ts: TimeSeries, rho: float, W: WeightMatrix) -> float:
     """
     if rho <= 0:
         raise ParameterError("rho must be positive")
-    if ts.snapshots is None:
-        raise InsufficientDataError("exp_weighted_norm needs full-state snapshots")
-    sq = np.einsum("ij,j,ij->i", ts.snapshots, W.diag, ts.snapshots)
-    integrand = sq * np.exp(-2.0 * rho * ts.times)
-    dt = np.diff(ts.times)
+    sq = np.einsum("ij,j,ij->i", states, W.diag, states)
+    integrand = sq * np.exp(-2.0 * rho * times)
+    dt = np.diff(times)
     integral = float(np.sum(0.5 * dt * (integrand[:-1] + integrand[1:])))
     return math.sqrt(max(integral, 0.0))
 
@@ -368,11 +365,6 @@ class CoefficientField:
     def constant(cls, value: float, grid: Grid, tag: SpaceTag) -> "CoefficientField":
         n = tag.block_length(grid.n_cells)
         return cls(tag, np.full(n, float(value)))
-
-    @classmethod
-    def from_callable(cls, fn: Callable, grid: Grid, tag: SpaceTag) -> "CoefficientField":
-        x = grid.points(tag)
-        return cls(tag, np.asarray(fn(x), dtype=float) * np.ones_like(x))
 
     def require_positive(self, what: str) -> "CoefficientField":
         if not np.all(self.values > 0):
@@ -435,29 +427,6 @@ class SeparableSignal(Signal):
 
     def __call__(self, t: float) -> np.ndarray:
         return self.profile * self.envelope(t)
-
-
-@dataclass
-class TabulatedSignal(Signal):
-    """Linear interpolation of tabulated samples (clamped at the ends)."""
-
-    sample_times: np.ndarray
-    sample_values: np.ndarray
-
-    def __post_init__(self):
-        self.sample_times = np.asarray(self.sample_times, dtype=float)
-        self.sample_values = np.asarray(self.sample_values, dtype=float)
-        if self.sample_values.shape[0] != self.sample_times.shape[0]:
-            raise DimensionError("tabulated signal: times and values disagree")
-        if np.any(np.diff(self.sample_times) <= 0):
-            raise NumericError("tabulated signal times must be increasing")
-        self.dim = self.sample_values.shape[1]
-
-    def __call__(self, t: float) -> np.ndarray:
-        out = np.empty(self.dim)
-        for j in range(self.dim):
-            out[j] = np.interp(t, self.sample_times, self.sample_values[:, j])
-        return out
 
 
 @dataclass

@@ -8,8 +8,6 @@ the discrete inner product by construction, up to roundoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -23,9 +21,6 @@ from .core import (
 )
 
 __all__ = [
-    "DiscreteDerivative",
-    "TraceAugmentedOp",
-    "SkewOperator",
     "build_derivative",
     "build_B",
     "build_B_tilde",
@@ -33,82 +28,36 @@ __all__ = [
     "timoshenko_layout",
     "full_dynamic_layout",
     "assemble_skew",
-    "assemble_A_timoshenko",
-    "assemble_A_tilde",
     "skew_defect",
 ]
 
 
-@dataclass(frozen=True)
-class DiscreteDerivative:
+def build_derivative(grid: Grid, tag: SpaceTag) -> sp.csr_matrix:
     """Forward-difference matrix from a node-tagged block to the Center block.
 
-    Row i is (u_{i+1} - u_i)/h over the retained node columns; nodes removed
-    by the tag (pinned to zero) simply contribute nothing to their rows.
-    """
-
-    matrix: sp.csr_matrix
-    dom_tag: SpaceTag
-    grid: Grid
-
-
-@dataclass(frozen=True)
-class TraceAugmentedOp:
-    """Derivative rows stacked with boundary-selector trace rows.
-
-    Each trace row is a coordinate selector: a single 1 in the column of the
-    node adjacent to the named endpoint.  trace_rows maps row index (within
-    the stacked matrix) to the endpoint name it reads.
-    """
-
-    matrix: sp.csr_matrix
-    dom_tag: SpaceTag
-    grid: Grid
-    trace_rows: tuple[tuple[int, str], ...]
-
-    @property
-    def n_traces(self) -> int:
-        return len(self.trace_rows)
-
-
-@dataclass(frozen=True)
-class SkewOperator:
-    """Spatial operator on a full layout, skew-adjoint against weights W."""
-
-    matrix: sp.csr_matrix
-    layout: StateLayout
-    W: WeightMatrix
-
-
-def build_derivative(grid: Grid, tag: SpaceTag) -> DiscreteDerivative:
-    """Difference quotient mapping node values to cell centers.
-
-    Cell k spans nodes k-1 and k; columns of removed nodes are absent, so a
-    pinned node enters the quotient as zero.  A tag that is not a node tag
-    raises InvalidDomainError.
+    Row i is (u_{i+1} - u_i)/h over all N+1 nodes; columns of nodes removed
+    by the tag are absent, so a pinned node enters the quotient as zero.  A
+    tag that is not a node tag raises InvalidDomainError.
     """
     n = grid.n_cells
     keep = tag.node_slice(n)
     inv_h = 1.0 / grid.h
-    mat = sp.diags([-inv_h, inv_h], [0, 1], shape=(n, n + 1), format="csr")[:, keep]
-    return DiscreteDerivative(matrix=mat, dom_tag=tag, grid=grid)
+    return sp.diags([-inv_h, inv_h], [0, 1], shape=(n, n + 1), format="csr")[:, keep]
 
 
-def _stack_with_traces(
-    deriv: DiscreteDerivative, selectors: list[tuple[int, str]]
-) -> TraceAugmentedOp:
-    n = deriv.grid.n_cells
-    width = deriv.matrix.shape[1]
+def _stack_with_traces(deriv: sp.csr_matrix, cols: list[int]) -> sp.csr_matrix:
+    """Derivative rows stacked with one trace row per entry of ``cols``.
+
+    Each trace row is a coordinate selector: a single 1 in the column of the
+    node adjacent to its endpoint.
+    """
     trace_block = sp.csr_matrix(
-        (np.ones(len(selectors)), (range(len(selectors)), [c for c, _ in selectors])),
-        shape=(len(selectors), width),
+        (np.ones(len(cols)), (range(len(cols)), cols)), shape=(len(cols), deriv.shape[1])
     )
-    mat = sp.vstack([deriv.matrix, trace_block], format="csr")
-    names = tuple((n + i, name) for i, (_, name) in enumerate(selectors))
-    return TraceAugmentedOp(matrix=mat, dom_tag=deriv.dom_tag, grid=deriv.grid, trace_rows=names)
+    return sp.vstack([deriv, trace_block], format="csr")
 
 
-def build_B(grid: Grid) -> TraceAugmentedOp:
+def build_B(grid: Grid) -> sp.csr_matrix:
     """Derivative with a left zero condition, augmented by the right trace.
 
     Acts on a NodeFreeLeft block; the output stacks the N difference rows
@@ -116,13 +65,13 @@ def build_B(grid: Grid) -> TraceAugmentedOp:
     """
     deriv = build_derivative(grid, SpaceTag.NODE_FREE_LEFT)
     # column of node N within the NodeFreeLeft block is N-1
-    return _stack_with_traces(deriv, [(grid.n_cells - 1, "right")])
+    return _stack_with_traces(deriv, [grid.n_cells - 1])
 
 
-def build_B_tilde(grid: Grid) -> TraceAugmentedOp:
-    """Unrestricted derivative augmented by traces at both endpoints."""
+def build_B_tilde(grid: Grid) -> sp.csr_matrix:
+    """Unrestricted derivative augmented by the left, then the right trace."""
     deriv = build_derivative(grid, SpaceTag.NODE_ALL)
-    return _stack_with_traces(deriv, [(0, "left"), (grid.n_cells, "right")])
+    return _stack_with_traces(deriv, [0, grid.n_cells])
 
 
 def adjoint_wrt(op: sp.spmatrix, W_dom: WeightMatrix, W_ran: WeightMatrix) -> sp.csr_matrix:
@@ -172,7 +121,7 @@ def full_dynamic_layout(grid: Grid) -> StateLayout:
 def assemble_skew(
     layout: StateLayout,
     pairs: list[tuple[sp.spmatrix, tuple[str, ...], tuple[str, ...]]],
-) -> SkewOperator:
+) -> sp.csr_matrix:
     """Assemble a skew operator from (op, domain blocks, range blocks) pairs.
 
     Each pair contributes -op in the range rows and the weighted adjoint in
@@ -192,57 +141,16 @@ def assemble_skew(
         rows += [ran_idx[op.row], dom_idx[adj.row]]
         cols += [dom_idx[op.col], ran_idx[adj.col]]
         vals += [-op.data, adj.data]
-    mat = sp.csr_matrix(
+    return sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(layout.dim, layout.dim),
     )
-    return SkewOperator(matrix=mat, layout=layout, W=W)
 
 
-def assemble_A_timoshenko(grid: Grid) -> SkewOperator:
-    """Spatial operator on (V1, eta, tau_plus, s, V2).
-
-    The V1 row carries the weighted adjoint of the trace-augmented
-    derivative; the (eta, tau_plus) rows carry its negative.  The s row
-    carries the adjoint of the interior derivative (the discrete stand-in
-    for the unrestricted derivative, sign included) and the V2 row its
-    negative.  The adjoint's boundary rows act as penalties that enforce
-    tau_plus + eta(1/2-0) = 0 weakly.
-    """
-    layout = timoshenko_layout(grid)
-    B = build_B(grid)
-    D_int = build_derivative(grid, SpaceTag.NODE_INTERIOR)
-    return assemble_skew(
-        layout,
-        [
-            (B.matrix, ("V1",), ("eta", "tau_plus")),
-            (D_int.matrix, ("s",), ("V2",)),
-        ],
-    )
-
-
-def assemble_A_tilde(grid: Grid) -> SkewOperator:
-    """Spatial operator on the fully trace-augmented eight-block layout.
-
-    Two independent copies of the [[0, adj], [-op, 0]] pattern built from
-    the two-trace derivative; the (V1, eta, tau0) group never touches the
-    (s, V2, tau1) group.
-    """
-    layout = full_dynamic_layout(grid)
-    Bt = build_B_tilde(grid)
-    return assemble_skew(
-        layout,
-        [
-            (Bt.matrix, ("V1",), ("eta", "tau0_minus", "tau0_plus")),
-            (Bt.matrix, ("s",), ("V2", "tau1_minus", "tau1_plus")),
-        ],
-    )
-
-
-def skew_defect(A: SkewOperator) -> float:
+def skew_defect(A: sp.spmatrix, W: WeightMatrix) -> float:
     """max |(W A + A^T W)_ij|; zero for an exactly skew-adjoint operator."""
-    Wd = sp.diags(A.W.diag)
-    defect = Wd @ A.matrix + A.matrix.T @ Wd
+    Wd = sp.diags(W.diag)
+    defect = Wd @ A + A.T @ Wd
     if defect.nnz == 0:
         return 0.0
     return float(np.max(np.abs(defect.tocoo().data)))

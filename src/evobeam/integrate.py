@@ -103,12 +103,6 @@ class SteppingSystem:
     _sym_M1: sp.csr_matrix = field(init=False, repr=False)
 
 
-def _matrix(op) -> sp.csr_matrix:
-    if hasattr(op, "matrix"):
-        op = op.matrix
-    return sp.csr_matrix(op)
-
-
 def factor(layout: StateLayout, W: WeightMatrix, M0, M1, A, scheme: SchemeParams) -> SteppingSystem:
     """Build and LU-factor L = M0 + theta*dt*(M1 + A).
 
@@ -117,7 +111,7 @@ def factor(layout: StateLayout, W: WeightMatrix, M0, M1, A, scheme: SchemeParams
     ordering depends only on the sparsity pattern: a sign flip of whole
     blocks keeps it, so flipped runs are the flipped runs bit for bit.
     """
-    M0m, M1m, Am = _matrix(M0), _matrix(M1), _matrix(A)
+    M0m, M1m, Am = sp.csr_matrix(M0), sp.csr_matrix(M1), sp.csr_matrix(A)
     n = layout.dim
     for name, m in (("M0", M0m), ("M1", M1m), ("A", Am)):
         if m.shape != (n, n):
@@ -169,7 +163,8 @@ def run(
 
     Energies and traces are always recorded; full-state snapshots only when
     ``snapshots`` is true (otherwise the series carries ``snapshots=None``).
-    Each recorded energy is bitwise ``core.energy`` of the recorded state.
+    Each recorded energy is bitwise ``core.energy`` of the recorded state;
+    a state or recorded energy that is not finite raises NumericError.
     """
     if scheme is None:
         scheme = sys_.scheme
@@ -191,10 +186,13 @@ def run(
     def flush(count: int):
         nonlocal done
         U = buf[:count]
-        # unit-stride rows, as core.energy's dot reads them: same bits
-        V = np.multiply((M0 @ U.T).T, w, order="C")
-        for i in range(count):
-            energies[done + i] = 0.5 * float(np.dot(U[i], V[i]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # unit-stride rows, as core.energy's dot reads them: same bits
+            V = np.multiply((M0 @ U.T).T, w, order="C")
+            for i in range(count):
+                energies[done + i] = 0.5 * float(np.dot(U[i], V[i]))
+        if not np.isfinite(energies[done : done + count]).all():
+            raise NumericError("recorded energy is not finite")
         traces[:, done : done + count] = U[:, trace_at].T
         if snaps is not None:
             snaps[done : done + count] = U
@@ -298,14 +296,7 @@ def bound_probe(
         rho = scheme.rho
     ts_u = run(sys_, zero_state(sys_.layout), source, scheme)
     f_snaps = np.vstack([source(t) for t in ts_u.times])
-    ts_f = TimeSeries(
-        times=ts_u.times,
-        energy=np.zeros_like(ts_u.energy),
-        traces={},
-        snapshots=f_snaps,
-        layout=sys_.layout,
-    )
-    den = exp_weighted_norm(ts_f, rho, sys_.W)
+    den = exp_weighted_norm(ts_u.times, f_snaps, rho, sys_.W)
     if den == 0.0:
         raise UndefinedRatioError("bound probe needs a nonzero source on the window")
-    return exp_weighted_norm(ts_u, rho, sys_.W) / den
+    return exp_weighted_norm(ts_u.times, ts_u.snapshots, rho, sys_.W) / den

@@ -32,11 +32,10 @@ from .core import (
     build_weights,
 )
 from .discretize import (
-    SkewOperator,
-    assemble_A_tilde,
-    assemble_A_timoshenko,
     assemble_skew,
+    build_B,
     build_B_tilde,
+    build_derivative,
     full_dynamic_layout,
     timoshenko_layout,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "FullDynamicParams",
     "AssembledModel",
     "make_timoshenko_damped",
-    "make_dynamic_inertia",
     "apply_sign_flip",
     "sign_flip_vector",
     "make_full_dynamic",
@@ -147,9 +145,8 @@ class AssembledModel:
     W: WeightMatrix
     M0: sp.csr_matrix
     M1: sp.csr_matrix
-    A: SkewOperator
+    A: sp.csr_matrix
     traces: dict[str, TraceBinding]
-    tag: str
 
     @property
     def grid(self) -> Grid:
@@ -186,6 +183,12 @@ def make_timoshenko_damped(grid: Grid, params: TimoshenkoParams) -> AssembledMod
     Encodes: stress V1 pinned at -1/2, shear velocity s pinned at both
     ends, and at +1/2 the weak pair tau_plus = -eta(1/2-0) together with
     the trace row  d/dt(I_tilde tau) + c tau = V1(1/2-0) + source.
+
+    In A, the V1 rows carry the weighted adjoint of the trace-augmented
+    derivative, (eta, tau_plus) its negative, s the adjoint of the interior
+    derivative (the stand-in for the unrestricted one, sign included) and V2
+    its negative; the adjoint's boundary rows are penalties that enforce
+    tau_plus + eta(1/2-0) = 0 weakly.
     """
     if params.c < 0 or params.I_tilde < 0:
         raise ParameterError("boundary coefficients c and I_tilde must be nonnegative")
@@ -217,18 +220,15 @@ def make_timoshenko_damped(grid: Grid, params: TimoshenkoParams) -> AssembledMod
         W=build_weights(layout),
         M0=M0,
         M1=M1,
-        A=assemble_A_timoshenko(grid),
+        A=assemble_skew(
+            layout,
+            [
+                (build_B(grid), ("V1",), ("eta", "tau_plus")),
+                (build_derivative(grid, SpaceTag.NODE_INTERIOR), ("s",), ("V2",)),
+            ],
+        ),
         traces={"tau_plus": TraceBinding("eta", +0.5, -1.0)},
-        tag="timoshenko_damped",
     )
-
-
-def make_dynamic_inertia(grid: Grid, params: TimoshenkoParams) -> AssembledModel:
-    """Same assembly with the boundary inertia I_tilde active in M0."""
-    if params.I_tilde <= 0 and params.c <= 0:
-        raise ParameterError("dynamic boundary needs I_tilde > 0 or c > 0")
-    model = make_timoshenko_damped(grid, params)
-    return replace(model, tag="dynamic_inertia")
 
 
 def sign_flip_vector(layout: StateLayout) -> np.ndarray:
@@ -250,21 +250,21 @@ def apply_sign_flip(model: AssembledModel) -> AssembledModel:
         name: replace(b, sign=-b.sign) if b.field == "eta" else b
         for name, b in model.traces.items()
     }
-    tag = model.tag[: -len("_flipped")] if model.tag.endswith("_flipped") else model.tag + "_flipped"
     return AssembledModel(
         layout=model.layout,
         W=model.W,
         M0=flip(model.M0),
         M1=flip(model.M1),
-        A=SkewOperator(matrix=flip(model.A.matrix), layout=model.layout, W=model.A.W),
+        A=flip(model.A),
         traces=traces,
-        tag=tag,
     )
 
 
 def make_full_dynamic(grid: Grid, params: FullDynamicParams) -> AssembledModel:
-    """Two decoupled wave pairs with dynamic conditions at all four traces."""
-    layout = full_dynamic_layout(grid)
+    """Two decoupled wave pairs with dynamic conditions at all four traces:
+    A holds two copies of the [[0, adj], [-op, 0]] pattern of the two-trace
+    derivative, and the (V1, eta, tau0) group never touches (s, V2, tau1)."""
+    layout, Bt = full_dynamic_layout(grid), build_B_tilde(grid)
     m_v1 = _samples(params, "m_V1", grid, True)
     m_eta = _samples(params, "m_eta", grid, True)
     m_s = _samples(params, "m_s", grid, True)
@@ -308,14 +308,19 @@ def make_full_dynamic(grid: Grid, params: FullDynamicParams) -> AssembledModel:
         W=build_weights(layout),
         M0=M0,
         M1=M1,
-        A=assemble_A_tilde(grid),
+        A=assemble_skew(
+            layout,
+            [
+                (Bt, ("V1",), ("eta", "tau0_minus", "tau0_plus")),
+                (Bt, ("s",), ("V2", "tau1_minus", "tau1_plus")),
+            ],
+        ),
         traces={
             "tau0_minus": TraceBinding("eta", -0.5, +1.0),
             "tau0_plus": TraceBinding("eta", +0.5, -1.0),
             "tau1_minus": TraceBinding("V2", -0.5, +1.0),
             "tau1_plus": TraceBinding("V2", +0.5, -1.0),
         },
-        tag="full_dynamic",
     )
 
 
@@ -350,7 +355,7 @@ def make_sturm_liouville(grid: Grid, params: SturmLiouvilleParams) -> AssembledM
     )
     A = assemble_skew(
         layout,
-        [(build_B_tilde(grid).matrix, ("eta",), ("V1", "tau_minus", "tau_plus"))],
+        [(build_B_tilde(grid), ("eta",), ("V1", "tau_minus", "tau_plus"))],
     )
     return AssembledModel(
         layout=layout,
@@ -362,7 +367,6 @@ def make_sturm_liouville(grid: Grid, params: SturmLiouvilleParams) -> AssembledM
             "tau_minus": TraceBinding("V1", -0.5, +1.0),
             "tau_plus": TraceBinding("V1", +0.5, -1.0),
         },
-        tag="sturm_liouville",
     )
 
 
@@ -374,7 +378,7 @@ def split_model(model: AssembledModel, names: tuple[str, ...]) -> AssembledModel
             raise ParameterError(f"unknown block {n!r}")
     keep = model.layout.indices_of(names)
     drop = np.setdiff1d(np.arange(model.layout.dim), keep)
-    for M in (model.M0, model.M1, model.A.matrix):
+    for M in (model.M0, model.M1, model.A):
         if drop.size and keep.size:
             cross = abs(M[np.ix_(keep, drop)]).max() if M[np.ix_(keep, drop)].nnz else 0.0
             cross = max(cross, abs(M[np.ix_(drop, keep)]).max() if M[np.ix_(drop, keep)].nnz else 0.0)
@@ -385,15 +389,13 @@ def split_model(model: AssembledModel, names: tuple[str, ...]) -> AssembledModel
         tuple((n, model.layout.tag_of(n)) for n in names),
     )
     sub = lambda M: sp.csr_matrix(M[np.ix_(keep, keep)])
-    W = build_weights(layout)
     return AssembledModel(
         layout=layout,
-        W=W,
+        W=build_weights(layout),
         M0=sub(model.M0),
         M1=sub(model.M1),
-        A=SkewOperator(matrix=sub(model.A.matrix), layout=layout, W=W),
+        A=sub(model.A),
         traces={k: v for k, v in model.traces.items() if k in names},
-        tag=model.tag + "_split",
     )
 
 
@@ -410,7 +412,7 @@ def consistent_initial_state(
     if f0 is None:
         f0 = np.zeros(model.layout.dim)
     dif = np.setdiff1d(np.arange(model.layout.dim), alg)
-    K = (model.M1 + model.A.matrix).tocsr()
+    K = (model.M1 + model.A).tocsr()
     rhs = f0[alg] - K[np.ix_(alg, dif)] @ u.values[dif]
     Kaa = sp.csc_matrix(K[np.ix_(alg, alg)])
     try:
@@ -453,7 +455,7 @@ def manufactured_source(
     exact semi-discrete solution, so the measured error isolates the time
     discretization; trace rows of F carry the inhomogeneous boundary data.
     """
-    K = (model.M1 + model.A.matrix).tocsr()
+    K = (model.M1 + model.A).tocsr()
 
     def F(t: float) -> np.ndarray:
         u = exact_state(model, fields, t)
@@ -510,7 +512,7 @@ class ScenarioSpec:
 
 SCENARIOS: dict[str, ScenarioSpec] = {
     "timoshenko_damped": ScenarioSpec(TimoshenkoParams, make_timoshenko_damped, mms=timoshenko_mms_fields),
-    "dynamic_inertia": ScenarioSpec(TimoshenkoParams, make_dynamic_inertia, mms=timoshenko_mms_fields),
+    "dynamic_inertia": ScenarioSpec(TimoshenkoParams, make_timoshenko_damped, mms=timoshenko_mms_fields),
     "full_dynamic": ScenarioSpec(FullDynamicParams, make_full_dynamic),
     "sturm_liouville": ScenarioSpec(SturmLiouvilleParams, make_sturm_liouville, self_reference=True),
 }

@@ -22,7 +22,6 @@ __all__ = [
     "CoercivityReport",
     "NevanlinnaSpec",
     "sparse_symmetric_part",
-    "symmetric_part",
     "coercivity",
     "find_rho0",
     "symbol_range_check",
@@ -86,11 +85,6 @@ def sparse_symmetric_part(M, W: WeightMatrix) -> sp.csr_matrix:
     Mt = Ms.T.tocoo()
     Mt.data = Mt.data * W.diag[Mt.col] / W.diag[Mt.row]
     return 0.5 * (Ms + Mt.tocsr())
-
-
-def symmetric_part(M, W: WeightMatrix) -> np.ndarray:
-    """Dense form of sparse_symmetric_part."""
-    return sparse_symmetric_part(M, W).toarray()
 
 
 def _w_min_eig(S, W: WeightMatrix) -> float:

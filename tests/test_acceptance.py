@@ -43,7 +43,6 @@ from evobeam.scenarios import (
     consistent_initial_state,
     embed_block,
     exact_state,
-    make_dynamic_inertia,
     make_full_dynamic,
     make_sturm_liouville,
     make_timoshenko_damped,
@@ -60,7 +59,7 @@ SCENARIO_BUILDERS = {
     "timoshenko_damped": lambda n: make_timoshenko_damped(
         build_grid(n), TimoshenkoParams(c=0.5, I_tilde=0.1, d=0.2)
     ),
-    "dynamic_inertia": lambda n: make_dynamic_inertia(
+    "dynamic_inertia": lambda n: make_timoshenko_damped(
         build_grid(n), TimoshenkoParams(c=0.0, I_tilde=1.0)
     ),
     "full_dynamic": lambda n: make_full_dynamic(
@@ -127,7 +126,7 @@ def _mms_results(levels):
 @pytest.mark.parametrize("n", [8, 32, 128])
 def test_skew_defect_within_tolerance(tag, n):
     model = SCENARIO_BUILDERS[tag](n)
-    assert skew_defect(model.A) <= 1e-13 / model.grid.h
+    assert skew_defect(model.A, model.W) <= 1e-13 / model.grid.h
 
 
 @pytest.mark.acceptance(2, "midpoint stepping balances energy exactly")
@@ -147,7 +146,7 @@ def test_energy_balance_every_step(tag, rng):
 
 @pytest.mark.acceptance(3, "conservative run holds energy over 10^4 steps")
 def test_long_run_conservation(rng):
-    model = make_dynamic_inertia(
+    model = make_timoshenko_damped(
         build_grid(64), TimoshenkoParams(c=0.0, I_tilde=1.0, d=0.0)
     )
     dt = 1.0 / 64

@@ -8,6 +8,7 @@ the same code path.
 import os
 import subprocess
 import sys
+import warnings
 
 from dataclasses import replace
 from pathlib import Path
@@ -330,6 +331,22 @@ def test_main_run_rejects_bad_output_before_stepping(output, tmp_path, capsys):
     assert not csv.exists() and not snaps.exists()
     with pytest.raises(ConfigError, match=r"^\[output\] "):
         parse_config(path.read_text())
+
+
+def test_main_run_rejects_overflowing_energy(tmp_path, capsys):
+    # a finite state whose energy overflows: exit 2, one stderr line, no CSV
+    csv = tmp_path / "out.csv"
+    path = tmp_path / "cfg.ini"
+    path.write_text(
+        MINIMAL + f"\n[source]\nkind = sinusoid\namplitude = 1e308\n\n[output]\ncsv = {csv}\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: recorded energy is not finite"]
+    assert not csv.exists()
 
 
 def test_cmd_probe_causality_zero_deviation():

@@ -7,7 +7,6 @@ from evobeam.core import (
     CoefficientField,
     DimensionError,
     Grid,
-    InsufficientDataError,
     InvalidDomainError,
     InvalidGridError,
     NumericError,
@@ -17,7 +16,6 @@ from evobeam.core import (
     SpaceTag,
     StateLayout,
     StateVector,
-    TabulatedSignal,
     TimeSeries,
     WeightMatrix,
     ZeroSignal,
@@ -179,32 +177,16 @@ def test_exp_weighted_norm_constant_state():
     lay = StateLayout(g, (("tau", SpaceTag.TRACE),))
     W = build_weights(lay)
     times = np.linspace(0.0, 1.0, 4001)
-    ts = TimeSeries(
-        times=times,
-        energy=np.zeros_like(times),
-        traces={},
-        snapshots=np.ones((times.size, 1)),
-        layout=lay,
-    )
+    states = np.ones((times.size, 1))
     for rho in (0.5, 1.0, 2.0):
         exact = math.sqrt((1.0 - math.exp(-2.0 * rho)) / (2.0 * rho))
-        assert math.isclose(exp_weighted_norm(ts, rho, W), exact, rel_tol=1e-6)
-
-
-def test_exp_weighted_norm_needs_snapshots():
-    ts = TimeSeries(times=np.array([0.0, 1.0]), energy=np.zeros(2), traces={})
-    g = build_grid(2)
-    lay = StateLayout(g, (("tau", SpaceTag.TRACE),))
-    with pytest.raises(InsufficientDataError):
-        exp_weighted_norm(ts, 1.0, build_weights(lay))
+        assert math.isclose(exp_weighted_norm(times, states, rho, W), exact, rel_tol=1e-6)
 
 
 def test_coefficient_field_constructors_and_checks():
     g = build_grid(4)
     f = CoefficientField.constant(2.0, g, SpaceTag.CENTER)
     np.testing.assert_array_equal(f.values, [2.0, 2.0, 2.0, 2.0])
-    f2 = CoefficientField.from_callable(lambda x: 1.0 + x**2, g, SpaceTag.CENTER)
-    np.testing.assert_allclose(f2.values, 1.0 + g.centers**2)
     with pytest.raises(ParameterError):
         CoefficientField.constant(-1.0, g, SpaceTag.CENTER).require_nonnegative("d")
     with pytest.raises(ParameterError):
@@ -235,14 +217,6 @@ def test_gaussian_envelope_peak():
     env = gaussian_envelope(1.0, 0.2, amplitude=2.0)
     assert math.isclose(env(1.0), 2.0)
     assert env(0.0) < 1e-4
-
-
-def test_tabulated_signal_interpolates():
-    times = np.array([0.0, 1.0, 2.0])
-    values = np.array([[0.0, 0.0], [2.0, 4.0], [0.0, 0.0]])
-    sig = TabulatedSignal(times, values)
-    np.testing.assert_allclose(sig(0.5), [1.0, 2.0])
-    np.testing.assert_allclose(sig(1.5), [1.0, 2.0])
 
 
 def test_grid_equality_is_by_size():

@@ -9,7 +9,9 @@ contract of the module.
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
+from evobeam.cli import parse_config
 from evobeam.core import (
     InvalidDomainError,
     SpaceTag,
@@ -19,10 +21,7 @@ from evobeam.core import (
     weighted_inner,
 )
 from evobeam.discretize import (
-    SkewOperator,
     adjoint_wrt,
-    assemble_A_tilde,
-    assemble_A_timoshenko,
     assemble_skew,
     build_B,
     build_B_tilde,
@@ -31,21 +30,37 @@ from evobeam.discretize import (
     skew_defect,
     timoshenko_layout,
 )
-from evobeam.scenarios import SturmLiouvilleParams, make_sturm_liouville
+from evobeam.scenarios import (
+    SCENARIOS,
+    FullDynamicParams,
+    SturmLiouvilleParams,
+    TimoshenkoParams,
+    make_full_dynamic,
+    make_sturm_liouville,
+    make_timoshenko_damped,
+)
+
+
+def _beam(grid):
+    return make_timoshenko_damped(grid, TimoshenkoParams(c=0.5))
+
+
+def _full(grid):
+    return make_full_dynamic(grid, FullDynamicParams())
 
 
 def test_derivative_node_all_two_cells():
     # h = 1/2: (a, b, c) -> (2(b-a), 2(c-b))
     D = build_derivative(build_grid(2), SpaceTag.NODE_ALL)
     expected = np.array([[-2.0, 2.0, 0.0], [0.0, -2.0, 2.0]])
-    assert np.array_equal(D.matrix.toarray(), expected)
+    assert np.array_equal(D.toarray(), expected)
 
 
 def test_derivative_exact_on_nodal_coordinates():
     grid = build_grid(8)
     D = build_derivative(grid, SpaceTag.NODE_ALL)
     x = grid.points(SpaceTag.NODE_ALL)
-    assert np.array_equal(D.matrix @ x, np.ones(8))
+    assert np.array_equal(D @ x, np.ones(8))
 
 
 def test_derivative_rejects_non_node_domain():
@@ -60,10 +75,10 @@ def test_pinned_nodes_enter_as_zero():
     # free-left block at N = 2 holds nodes 1..2; node 0 is pinned so the
     # first cell sees only +u_1/h
     B = build_derivative(build_grid(2), SpaceTag.NODE_FREE_LEFT)
-    assert np.array_equal(B.matrix.toarray(), np.array([[2.0, 0.0], [-2.0, 2.0]]))
+    assert np.array_equal(B.toarray(), np.array([[2.0, 0.0], [-2.0, 2.0]]))
     Di = build_derivative(build_grid(3), SpaceTag.NODE_INTERIOR)
     assert np.array_equal(
-        Di.matrix.toarray(), np.array([[3.0, 0.0], [-3.0, 3.0], [0.0, -3.0]])
+        Di.toarray(), np.array([[3.0, 0.0], [-3.0, 3.0], [0.0, -3.0]])
     )
 
 
@@ -71,10 +86,8 @@ def test_trace_augmented_b_two_cells():
     # (a, b) -> (2a, 2(b-a), b): two difference rows plus the right trace
     B = build_B(build_grid(2))
     expected = np.array([[2.0, 0.0], [-2.0, 2.0], [0.0, 1.0]])
-    assert np.array_equal(B.matrix.toarray(), expected)
-    assert B.trace_rows == ((2, "right"),)
-    assert B.n_traces == 1
-    assert np.array_equal(B.matrix @ np.array([1.0, 3.0]), np.array([2.0, 4.0, 3.0]))
+    assert np.array_equal(B.toarray(), expected)
+    assert np.array_equal(B @ np.array([1.0, 3.0]), np.array([2.0, 4.0, 3.0]))
 
 
 def test_trace_augmented_b_tilde_two_cells():
@@ -83,8 +96,7 @@ def test_trace_augmented_b_tilde_two_cells():
     expected = np.array(
         [[-2.0, 2.0, 0.0], [0.0, -2.0, 2.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
     )
-    assert np.array_equal(Bt.matrix.toarray(), expected)
-    assert Bt.trace_rows == ((2, "left"), (3, "right"))
+    assert np.array_equal(Bt.toarray(), expected)
 
 
 def test_adjoint_pairing_identity(rng):
@@ -107,8 +119,8 @@ def test_adjoint_of_interior_derivative_is_transpose():
     D = build_derivative(grid, SpaceTag.NODE_INTERIOR)
     W_dom = WeightMatrix(grid.weights(SpaceTag.NODE_INTERIOR))
     W_ran = WeightMatrix(grid.weights(SpaceTag.CENTER))
-    adj = adjoint_wrt(D.matrix, W_dom, W_ran)
-    assert np.array_equal(adj.toarray(), D.matrix.toarray().T)
+    adj = adjoint_wrt(D, W_dom, W_ran)
+    assert np.array_equal(adj.toarray(), D.toarray().T)
 
 
 def test_adjoint_shape_validation():
@@ -127,7 +139,7 @@ def test_summation_by_parts_identity_exact(rng):
     u = rng.standard_normal(17)
     v = rng.standard_normal(16)
     h = grid.h
-    lhs = h * np.sum((D.matrix @ u) * v) + np.sum(u[1:-1] * (v[1:] - v[:-1]))
+    lhs = h * np.sum((D @ u) * v) + np.sum(u[1:-1] * (v[1:] - v[:-1]))
     rhs = u[-1] * v[-1] - u[0] * v[0]
     assert abs(lhs - rhs) < 1e-13
 
@@ -137,7 +149,7 @@ def _sbp_flux_error(n, u, v):
     D = build_derivative(grid, SpaceTag.NODE_ALL)
     un = u(grid.points(SpaceTag.NODE_ALL))
     vc = v(grid.points(SpaceTag.CENTER))
-    lhs = grid.h * np.sum((D.matrix @ un) * vc) + np.sum(
+    lhs = grid.h * np.sum((D @ un) * vc) + np.sum(
         un[1:-1] * (vc[1:] - vc[:-1])
     )
     return abs(lhs - (u(0.5) * v(0.5) - u(-0.5) * v(-0.5)))
@@ -162,30 +174,41 @@ def test_assembled_operator_skew_defect_zero_dyadic():
     # dyadic h makes every weight ratio exact in binary arithmetic, so the
     # assembled operator is skew to the last bit
     for n in (4, 8, 32):
-        assert skew_defect(assemble_A_timoshenko(build_grid(n))) == 0.0
-        assert skew_defect(assemble_A_tilde(build_grid(n))) == 0.0
+        for model in (_beam(build_grid(n)), _full(build_grid(n))):
+            assert skew_defect(model.A, model.W) == 0.0
 
 
 def test_assembled_operator_skew_defect_generic():
-    assert skew_defect(assemble_A_timoshenko(build_grid(12))) < 1e-13
-    assert skew_defect(assemble_A_tilde(build_grid(10))) < 1e-13
+    for model in (_beam(build_grid(12)), _full(build_grid(10))):
+        assert skew_defect(model.A, model.W) < 1e-13
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.one_of(st.integers(2, 512), st.sampled_from([2**k for k in range(1, 10)])),
+    name=st.sampled_from(sorted(SCENARIOS)),
+)
+def test_skew_defect_bound_on_any_grid(n, name):
+    model = parse_config(f"[grid]\nn_cells = {n}\n[scenario]\nname = {name}\n").built[0]
+    defect = skew_defect(model.A, model.W)
+    assert defect <= 1e-13 / model.grid.h
+    if n & (n - 1) == 0:
+        assert defect == 0.0
 
 
 def test_skew_defect_flags_non_skew_operator():
     layout = timoshenko_layout(build_grid(4))
     W = build_weights(layout)
-    ident = SkewOperator(
-        matrix=sp.identity(layout.dim, format="csr"), layout=layout, W=W
-    )
+    ident = sp.identity(layout.dim, format="csr")
     # W*I + I*W = 2W, and the largest weight is the unit trace weight
-    assert skew_defect(ident) == 2.0 * np.max(W.diag)
+    assert skew_defect(ident, W) == 2.0 * np.max(W.diag)
 
 
 def test_quadratic_form_of_assembled_operator_vanishes(rng):
-    A = assemble_A_timoshenko(build_grid(8))
+    model = _beam(build_grid(8))
     for _ in range(3):
-        u = rng.standard_normal(A.layout.dim)
-        q = weighted_inner(u, A.matrix @ u, A.W)
+        u = rng.standard_normal(model.layout.dim)
+        q = weighted_inner(u, model.A @ u, model.W)
         assert abs(q) <= 1e-13 * np.dot(u, u)
 
 
@@ -193,11 +216,11 @@ def test_trace_column_is_pure_penalty():
     # a unit impulse on tau_plus is felt only by the last velocity node,
     # through the 2/h adjoint penalty entry
     grid = build_grid(4)
-    A = assemble_A_timoshenko(grid)
-    layout = A.layout
+    model = _beam(grid)
+    layout = model.layout
     e = np.zeros(layout.dim)
     e[layout.offset_of("tau_plus")] = 1.0
-    y = A.matrix @ e
+    y = model.A @ e
     expected = np.zeros(layout.dim)
     expected[layout.offset_of("V1") + layout.length_of("V1") - 1] = 2.0 / grid.h
     assert np.array_equal(y, expected)
@@ -207,7 +230,7 @@ def test_penalty_row_reads_trace_and_adjacent_value():
     # last V1 row: difference stencil plus (2/h) * (eta_N + tau_plus),
     # realizing the weak identity tau_plus = -eta(1/2 - 0)
     grid = build_grid(4)
-    M = assemble_A_timoshenko(grid).matrix.toarray()
+    M = _beam(grid).A.toarray()
     layout = timoshenko_layout(grid)
     row = M[layout.offset_of("V1") + layout.length_of("V1") - 1]
     eta_last = layout.offset_of("eta") + layout.length_of("eta") - 1
@@ -217,9 +240,9 @@ def test_penalty_row_reads_trace_and_adjacent_value():
 
 def test_full_dynamic_groups_never_couple():
     grid = build_grid(4)
-    A = assemble_A_tilde(grid)
-    layout = A.layout
-    M = A.matrix.toarray()
+    model = _full(grid)
+    layout = model.layout
+    M = model.A.toarray()
     group1 = ("V1", "eta", "tau0_minus", "tau0_plus")
     group2 = ("s", "V2", "tau1_minus", "tau1_plus")
     idx1 = np.concatenate([np.arange(*layout.slice_of(n).indices(layout.dim)) for n in group1])
@@ -258,18 +281,18 @@ def test_skew_placement_matches_dense_reference(n):
     # contiguous: eta sits between V1 and the traces
     sl = make_sturm_liouville(grid, SturmLiouvilleParams())
     ref = _dense_skew(
-        sl.layout, [(build_B_tilde(grid).matrix, ("eta",), ("V1", "tau_minus", "tau_plus"))]
+        sl.layout, [(build_B_tilde(grid), ("eta",), ("V1", "tau_minus", "tau_plus"))]
     )
-    assert sl.A.matrix.toarray().tobytes() == ref.tobytes()
-    A = assemble_A_timoshenko(grid)
+    assert sl.A.toarray().tobytes() == ref.tobytes()
+    beam = _beam(grid)
     ref = _dense_skew(
-        A.layout,
+        beam.layout,
         [
-            (build_B(grid).matrix, ("V1",), ("eta", "tau_plus")),
-            (build_derivative(grid, SpaceTag.NODE_INTERIOR).matrix, ("s",), ("V2",)),
+            (build_B(grid), ("V1",), ("eta", "tau_plus")),
+            (build_derivative(grid, SpaceTag.NODE_INTERIOR), ("s",), ("V2",)),
         ],
     )
-    assert A.matrix.toarray().tobytes() == ref.tobytes()
+    assert beam.A.toarray().tobytes() == ref.tobytes()
 
 
 def test_layout_shapes():

@@ -5,6 +5,7 @@ the stepper is checked against it directly before anything model-sized.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from evobeam.core import (
     build_grid,
     energy,
     gaussian_envelope,
+    sinusoid_envelope,
     zero_state,
 )
 from evobeam.integrate import (
@@ -153,7 +155,7 @@ def test_factor_rejects_singular_trace_slot():
     k = model.layout.offset_of("tau_plus")
     M0 = model.M0.tolil()
     M1 = model.M1.tolil()
-    A = model.A.matrix.tolil()
+    A = model.A.tolil()
     M0[k, k] = 0.0
     M1[k, k] = 0.0
     A[k, :] = 0.0
@@ -401,6 +403,22 @@ def test_run_raises_when_the_source_turns_nonfinite(t_bad):
 
     with pytest.raises(NumericError):
         run(sys_, zero_state(model.layout), CallableSignal(source, dim))
+
+
+def test_run_raises_when_a_recorded_energy_overflows():
+    # the state stays finite (up to about 1e305) while 1/2 <u, M0 u>_W
+    # overflows; run must say so instead of recording inf, and numpy must
+    # not warn on the way
+    scheme = SchemeParams(dt=0.01, t_end=1.0)
+    model, sys_ = _beam_system(8, TimoshenkoParams(c=0.5), scheme)
+    lay = model.layout
+    profile = np.zeros(lay.dim)
+    profile[lay.slice_of("V1")] = 1.0
+    source = SeparableSignal(profile, sinusoid_envelope(1.0, 0.0, 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="recorded energy is not finite"):
+            run(sys_, zero_state(lay), source)
 
 
 def _random_field(rng, tag, n, lo, hi):

@@ -31,7 +31,6 @@ from evobeam.scenarios import (
     embed_block,
     exact_state,
     extrapolate_to_boundary,
-    make_dynamic_inertia,
     make_full_dynamic,
     make_sturm_liouville,
     make_timoshenko_damped,
@@ -77,7 +76,7 @@ def test_timoshenko_trace_row():
     tau = model.layout.offset_of("tau_plus")
     assert model.M0[tau, tau] == 0.25
     assert model.M1[tau, tau] == 0.5
-    arow = model.A.matrix[tau].toarray().ravel()
+    arow = model.A[tau].toarray().ravel()
     expected = np.zeros(model.layout.dim)
     expected[_last_v1(model.layout)] = -1.0
     assert np.array_equal(arow, expected)
@@ -105,7 +104,7 @@ def test_rotation_coupling_lives_in_damping_operator():
     model = make_timoshenko_damped(grid, TimoshenkoParams(c=0.5, sigma0=2.5))
     lay = model.layout
     M1 = model.M1.toarray()
-    A = model.A.matrix.toarray()
+    A = model.A.toarray()
     eta, v2 = lay.slice_of("eta"), lay.slice_of("V2")
     assert np.array_equal(M1[eta, v2], 2.5 * np.eye(4))
     assert np.array_equal(M1[v2, eta], -2.5 * np.eye(4))
@@ -153,13 +152,12 @@ def test_timoshenko_damping_matrix_matches_lil_build_bitwise(n, d, c):
 
 def test_dynamic_inertia_variant():
     grid = build_grid(4)
-    model = make_dynamic_inertia(grid, TimoshenkoParams(c=0.0, I_tilde=1.0))
-    assert model.tag == "dynamic_inertia"
+    model = make_timoshenko_damped(grid, TimoshenkoParams(c=0.0, I_tilde=1.0))
     tau = model.layout.offset_of("tau_plus")
     assert model.M0[tau, tau] == 1.0
     assert model.M1[tau, tau] == 0.0
     with pytest.raises(ParameterError):
-        make_dynamic_inertia(grid, TimoshenkoParams(c=0.0, I_tilde=0.0))
+        make_timoshenko_damped(grid, TimoshenkoParams(c=0.0, I_tilde=0.0))
 
 
 def test_sign_flip_vector_targets_eta():
@@ -176,15 +174,13 @@ def test_sign_flip_is_involution():
         build_grid(4), TimoshenkoParams(c=0.5, I_tilde=0.1, d=0.2, sigma0=1.5)
     )
     flipped = apply_sign_flip(model)
-    assert flipped.tag == "timoshenko_damped_flipped"
     eta, v2 = model.layout.slice_of("eta"), model.layout.slice_of("V2")
     assert np.array_equal(flipped.M1.toarray()[eta, v2], -1.5 * np.eye(4))
     assert flipped.traces["tau_plus"].sign == +1.0
     back = apply_sign_flip(flipped)
-    assert back.tag == "timoshenko_damped"
     assert (back.M0 - model.M0).nnz == 0
     assert (back.M1 - model.M1).nnz == 0
-    assert (back.A.matrix - model.A.matrix).nnz == 0
+    assert (back.A - model.A).nnz == 0
     assert back.traces == model.traces
 
 
@@ -283,7 +279,6 @@ def test_split_model_decoupled_group():
     sub = split_model(fd, ("V1", "eta", "tau0_minus", "tau0_plus"))
     assert sub.layout.names == ("V1", "eta", "tau0_minus", "tau0_plus")
     assert sub.layout.dim == 9 + 8 + 1 + 1
-    assert sub.tag == "full_dynamic_split"
     assert set(sub.traces) == {"tau0_minus", "tau0_plus"}
 
 
@@ -386,7 +381,7 @@ def test_consistent_initial_state_parabolic_residual(rng):
     )
     u = StateVector(model.layout, rng.standard_normal(model.layout.dim))
     out = consistent_initial_state(model, u)
-    K = (model.M1 + model.A.matrix).tocsr()
+    K = (model.M1 + model.A).tocsr()
     alg = np.where(model.M0.diagonal() == 0.0)[0]
     res = (K @ out.values)[alg]
     assert np.max(np.abs(res)) < 1e-12

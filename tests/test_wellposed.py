@@ -17,7 +17,6 @@ from evobeam.scenarios import (
     FullDynamicParams,
     SturmLiouvilleParams,
     TimoshenkoParams,
-    make_dynamic_inertia,
     make_full_dynamic,
     make_sturm_liouville,
     make_timoshenko_damped,
@@ -32,7 +31,6 @@ from evobeam.wellposed import (
     nevanlinna_check,
     sparse_symmetric_part,
     symbol_range_check,
-    symmetric_part,
 )
 from oracles import jacobi_eigvals, min_coercivity_eig
 
@@ -59,7 +57,7 @@ def test_symmetric_part_cancels_antisymmetric_coupling():
     model = make_timoshenko_damped(
         grid, TimoshenkoParams(c=0.5, d=0.25, sigma0=1.0)
     )
-    S = symmetric_part(model.M1, model.W)
+    S = sparse_symmetric_part(model.M1, model.W).toarray()
     off = S.copy()
     np.fill_diagonal(off, 0.0)
     # the eta <-> V2 coupling is exactly antisymmetric in the weighted
@@ -79,7 +77,7 @@ def test_symmetric_part_is_w_selfadjoint(rng):
     n = 7
     w = rng.uniform(0.5, 2.0, size=n)
     M = rng.standard_normal((n, n))
-    S = symmetric_part(M, WeightMatrix(w))
+    S = sparse_symmetric_part(M, WeightMatrix(w)).toarray()
     WS = w[:, None] * S
     assert np.max(np.abs(WS - WS.T)) < 1e-13
 
@@ -93,7 +91,7 @@ _DAMPED_MODELS = {
     "timoshenko_damped": lambda g: make_timoshenko_damped(
         g, TimoshenkoParams(c=0.5, I_tilde=0.1, d=0.25, sigma0=1.0)
     ),
-    "dynamic_inertia": lambda g: make_dynamic_inertia(g, TimoshenkoParams(I_tilde=1.0, d=0.25)),
+    "dynamic_inertia": lambda g: make_timoshenko_damped(g, TimoshenkoParams(I_tilde=1.0, d=0.25)),
     "full_dynamic": lambda g: make_full_dynamic(
         g, FullDynamicParams(mu_plus=NevanlinnaSpec(1.0, 0.5), nu_minus=NevanlinnaSpec(0.5, 0.25))
     ),
@@ -110,7 +108,7 @@ def test_sparse_symmetric_part_matches_dense_formula_bitwise(name, n):
     S = sparse_symmetric_part(model.M1, model.W)
     ref = _dense_symmetric_part(model.M1, model.W.diag)
     assert np.array_equal(S.toarray(), ref)
-    assert np.array_equal(symmetric_part(model.M1, model.W), ref)
+    assert np.array_equal(sparse_symmetric_part(model.M1, model.W).toarray(), ref)
 
 
 def test_sparse_symmetric_part_random_weights_bitwise(rng):
@@ -123,9 +121,9 @@ def test_sparse_symmetric_part_random_weights_bitwise(rng):
 
 def test_symmetric_part_shape_check():
     with pytest.raises(NumericError):
-        symmetric_part(np.zeros((3, 2)), _ones_weight(3))
+        sparse_symmetric_part(np.zeros((3, 2)), _ones_weight(3)).toarray()
     with pytest.raises(NumericError):
-        symmetric_part(np.zeros((4, 4)), _ones_weight(3))
+        sparse_symmetric_part(np.zeros((4, 4)), _ones_weight(3)).toarray()
 
 
 def test_coercivity_diagonal_known_values():
