@@ -15,7 +15,6 @@ from .core import (
     Signal,
     SpaceTag,
     StateLayout,
-    StateVector,
     TimeSeries,
     WeightMatrix,
     build_grid,
@@ -24,7 +23,6 @@ from .core import (
     exp_weighted_norm,
     weighted_inner,
     weighted_norm,
-    zero_state,
 )
 from .discretize import (
     adjoint_wrt,

@@ -22,9 +22,9 @@ import numpy as np
 from .core import (
     CoefficientField,
     EvobeamError,
+    NumericError,
     Signal,
     SpaceTag,
-    StateVector,
     ZeroSignal,
     SeparableSignal,
     bump_envelope,
@@ -32,7 +32,6 @@ from .core import (
     gaussian_envelope,
     sinusoid_envelope,
     weighted_inner,
-    zero_state,
 )
 from .discretize import skew_defect
 from .integrate import (
@@ -155,17 +154,24 @@ def _eval_node(node: ast.AST, names: dict):
 
 def _eval_expr(expr: str, x: np.ndarray, where: str) -> np.ndarray:
     try:
-        val = _eval_node(ast.parse(expr, "<config>", mode="eval").body, {**_EXPR_NAMES, "x": x})
+        with np.errstate(all="ignore"):
+            val = _eval_node(ast.parse(expr, "<config>", mode="eval").body, {**_EXPR_NAMES, "x": x})
     except Exception as exc:
         raise ConfigError(f"{where}: cannot evaluate {expr!r}: {exc}") from exc
-    return np.asarray(val, dtype=float) * np.ones_like(x)
+    val = np.asarray(val, dtype=float) * np.ones_like(x)
+    if not np.isfinite(val).all():
+        raise ConfigError(f"{where}: {expr!r} is not finite at every sample point")
+    return val
 
 
 def _float(raw: str, where: str) -> float:
     try:
-        return float(raw)
+        val = float(raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: expected a number, got {raw!r}") from exc
+    if not math.isfinite(val):
+        raise ConfigError(f"{where}: expected a finite number, got {raw!r}")
+    return val
 
 
 def _int(raw: str, where: str) -> int:
@@ -368,18 +374,16 @@ def build_source(cfg: RunConfig, model: AssembledModel) -> Signal:
     return SeparableSignal(profile, env)
 
 
-def build_initial(cfg: RunConfig, model: AssembledModel) -> StateVector:
+def build_initial(cfg: RunConfig, model: AssembledModel) -> np.ndarray:
     ini = cfg.initial
     kind = ini["kind"]
     amplitude = _float(ini["amplitude"], "[initial] amplitude")
     if kind == "zero":
-        return zero_state(model.layout)
-    if kind == "random":
+        vals = np.zeros(model.layout.dim)
+    elif kind == "random":
         rng = np.random.default_rng(_int(ini["seed"], "[initial] seed"))
-        return StateVector(
-            model.layout, amplitude * rng.standard_normal(model.layout.dim)
-        )
-    if kind == "expr":
+        vals = amplitude * rng.standard_normal(model.layout.dim)
+    elif kind == "expr":
         vals = np.zeros(model.layout.dim)
         for key, raw in ini.items():
             if key in _INITIAL_DEFAULTS:
@@ -390,8 +394,11 @@ def build_initial(cfg: RunConfig, model: AssembledModel) -> StateVector:
             vals[model.layout.slice_of(key)] = amplitude * _eval_expr(
                 raw, x, f"[initial] {key}"
             )
-        return StateVector(model.layout, vals)
-    raise ConfigError(f"[initial] kind: unknown kind {kind!r}")
+    else:
+        raise ConfigError(f"[initial] kind: unknown kind {kind!r}")
+    if not np.isfinite(vals).all():
+        raise NumericError("state contains non-finite entries")
+    return vals
 
 
 def build_output(cfg: RunConfig, model: AssembledModel) -> tuple[bool, list[str], int | None]:
@@ -472,7 +479,7 @@ def cmd_run(cfg: RunConfig) -> int:
     scheme = build_scheme(cfg)
     source = build_source(cfg, model)
     u0 = consistent_initial_state(model, build_initial(cfg, model), source(0.0))
-    sys_ = factor(model.layout, model.W, model.M0, model.M1, model.A, scheme)
+    sys_ = factor(model, scheme)
     out = cfg.output
     with_energy, trace_names, stride = build_output(cfg, model)
     ts = run(sys_, u0, source, snapshots=bool(out["snapshots"]))
@@ -555,7 +562,7 @@ def cmd_converge(cfg: RunConfig, levels: list[int]) -> tuple[list[str], int]:
             source = build_source(level_cfg, model)
             u0 = consistent_initial_state(model, build_initial(level_cfg, model), source(0.0))
         scheme = SchemeParams(dt=t_end / steps, t_end=t_end, record_every=steps)
-        sys_ = factor(model.layout, model.W, model.M0, model.M1, model.A, scheme)
+        sys_ = factor(model, scheme)
         return model, run(sys_, u0, source)
 
     if spec.self_reference:
@@ -564,7 +571,7 @@ def cmd_converge(cfg: RunConfig, levels: list[int]) -> tuple[list[str], int]:
     for n in sorted(levels):
         model, ts = solve(n)
         if spec.mms is not None:
-            diff = ts.snapshots[-1] - exact_state(model, exact, ts.times[-1]).values
+            diff = ts.snapshots[-1] - exact_state(model, exact, ts.times[-1])
         else:
             ref = _restrict(ref_model, model, ref_ts.snapshots[-1])
             diff = (ts.snapshots[-1] - ref) * (model.M0.diagonal() != 0.0)
@@ -582,7 +589,7 @@ def cmd_converge(cfg: RunConfig, levels: list[int]) -> tuple[list[str], int]:
 def cmd_probe(cfg: RunConfig, kind: str, a: float | None = None) -> tuple[list[str], int]:
     model, _ = _built(cfg)
     scheme = build_scheme(cfg)
-    sys_ = factor(model.layout, model.W, model.M0, model.M1, model.A, scheme)
+    sys_ = factor(model, scheme)
     if kind == "causality":
         if a is None:
             raise ConfigError("causality probe needs --a")
@@ -636,8 +643,8 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 4
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 3
     try:

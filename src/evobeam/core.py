@@ -4,6 +4,7 @@ Everything downstream speaks this vocabulary: a uniform staggered grid on
 (-1/2, 1/2), named state blocks living on nodes, cell centers, or scalar
 boundary-trace slots, and diagonal quadrature weights that make coefficient
 vectors behave like elements of a weighted L2-type space with trace summands.
+A state is a plain float array of length ``layout.dim`` on that space.
 All values are immutable after construction and all operations are pure.
 """
 
@@ -28,8 +29,6 @@ __all__ = [
     "Grid",
     "build_grid",
     "StateLayout",
-    "StateVector",
-    "zero_state",
     "WeightMatrix",
     "build_weights",
     "weighted_inner",
@@ -215,10 +214,6 @@ class StateLayout:
         """Flat state indices of the named blocks, in the order given."""
         return np.concatenate([np.arange(s.start, s.stop) for s in map(self.slice_of, names)])
 
-    def block(self, values: np.ndarray, name: str) -> np.ndarray:
-        """View of one named block inside a flat state array."""
-        return values[self.slice_of(name)]
-
     def points_of(self, name: str) -> np.ndarray:
         return self.grid.points(self._tags[name])
 
@@ -227,33 +222,6 @@ class StateLayout:
 
     def field_names(self) -> tuple[str, ...]:
         return tuple(n for n, t in self.blocks if t is not SpaceTag.TRACE)
-
-
-@dataclass
-class StateVector:
-    """A flat real state on a layout; all entries must be finite."""
-
-    layout: StateLayout
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.layout.dim,):
-            raise DimensionError(
-                f"state has shape {self.values.shape}, layout needs ({self.layout.dim},)"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise NumericError("state contains non-finite entries")
-
-    def block(self, name: str) -> np.ndarray:
-        return self.layout.block(self.values, name)
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.layout, self.values.copy())
-
-
-def zero_state(layout: StateLayout) -> StateVector:
-    return StateVector(layout, np.zeros(layout.dim))
 
 
 @dataclass(frozen=True)
@@ -278,16 +246,9 @@ def build_weights(layout: StateLayout) -> WeightMatrix:
     return WeightMatrix(np.concatenate(parts))
 
 
-def _values(u) -> np.ndarray:
-    return u.values if isinstance(u, StateVector) else np.asarray(u, dtype=float)
-
-
 def weighted_inner(u, v, W: WeightMatrix) -> float:
     """Discrete inner product sum_i W_i u_i v_i (symmetric, positive definite)."""
-    if isinstance(u, StateVector) and isinstance(v, StateVector):
-        if u.layout != v.layout:
-            raise DimensionError("states live on different layouts")
-    uv, vv = _values(u), _values(v)
+    uv, vv = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     if uv.shape != vv.shape or uv.shape != (W.dim,):
         raise DimensionError(
             f"shapes {uv.shape}, {vv.shape} incompatible with weights ({W.dim},)"
@@ -301,7 +262,7 @@ def weighted_norm(u, W: WeightMatrix) -> float:
 
 def energy(u, M0, W: WeightMatrix) -> float:
     """Quadratic energy 1/2 <u, M0 u>_W of a state under the inertia operator."""
-    uv = _values(u)
+    uv = np.asarray(u, dtype=float)
     return 0.5 * weighted_inner(uv, M0 @ uv, W)
 
 

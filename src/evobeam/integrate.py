@@ -21,15 +21,12 @@ from .core import (
     NumericError,
     ParameterError,
     Signal,
-    StateLayout,
-    StateVector,
     TimeSeries,
-    WeightMatrix,
     energy,
     exp_weighted_norm,
     weighted_inner,
-    zero_state,
 )
+from .scenarios import AssembledModel
 from .wellposed import sparse_symmetric_part
 
 __all__ = [
@@ -89,21 +86,16 @@ class SchemeParams:
         return int(math.floor(self.t_end / self.dt + 1e-9))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SteppingSystem:
-    layout: StateLayout
-    W: WeightMatrix
-    M0: sp.csr_matrix
-    M1: sp.csr_matrix
-    A: sp.csr_matrix
+    model: AssembledModel
     scheme: SchemeParams
-    L: sp.csr_matrix = field(init=False)
-    R: sp.csr_matrix = field(init=False)
-    _lu: spla.SuperLU = field(init=False, repr=False)
-    _sym_M1: sp.csr_matrix = field(init=False, repr=False)
+    R: sp.csr_matrix
+    _lu: spla.SuperLU = field(repr=False)
+    _sym_M1: sp.csr_matrix = field(repr=False)
 
 
-def factor(layout: StateLayout, W: WeightMatrix, M0, M1, A, scheme: SchemeParams) -> SteppingSystem:
+def factor(model: AssembledModel, scheme: SchemeParams) -> SteppingSystem:
     """Build and LU-factor L = M0 + theta*dt*(M1 + A).
 
     splu's default fill-reducing column ordering (COLAMD) follows the grid
@@ -111,38 +103,28 @@ def factor(layout: StateLayout, W: WeightMatrix, M0, M1, A, scheme: SchemeParams
     ordering depends only on the sparsity pattern: a sign flip of whole
     blocks keeps it, so flipped runs are the flipped runs bit for bit.
     """
-    M0m, M1m, Am = sp.csr_matrix(M0), sp.csr_matrix(M1), sp.csr_matrix(A)
-    n = layout.dim
+    M0m, M1m, Am = sp.csr_matrix(model.M0), sp.csr_matrix(model.M1), sp.csr_matrix(model.A)
+    n = model.layout.dim
     for name, m in (("M0", M0m), ("M1", M1m), ("A", Am)):
         if m.shape != (n, n):
             raise ParameterError(f"{name} has shape {m.shape}, layout needs ({n}, {n})")
     stiff = (M1m + Am).tocsr()
-    sys_ = SteppingSystem(layout=layout, W=W, M0=M0m, M1=M1m, A=Am, scheme=scheme)
-    sys_.L = (M0m + scheme.theta * scheme.dt * stiff).tocsr()
-    sys_.R = (M0m - (1.0 - scheme.theta) * scheme.dt * stiff).tocsr()
+    L = (M0m + scheme.theta * scheme.dt * stiff).tocsr()
+    R = (M0m - (1.0 - scheme.theta) * scheme.dt * stiff).tocsr()
     try:
-        sys_._lu = spla.splu(sys_.L.tocsc())
+        lu = spla.splu(L.tocsc())
     except RuntimeError as exc:
         raise IllPosedError(f"stepping matrix is singular: {exc}") from exc
-    sys_._sym_M1 = sparse_symmetric_part(M1m, W)
-    return sys_
+    return SteppingSystem(model, scheme, R, lu, sparse_symmetric_part(M1m, model.W))
 
 
-def _source_values(f_mid) -> np.ndarray:
-    return f_mid.values if isinstance(f_mid, StateVector) else np.asarray(f_mid, dtype=float)
-
-
-def _advance(sys_: SteppingSystem, u: np.ndarray, fv: np.ndarray) -> np.ndarray:
-    """One theta step on plain arrays: solve L u_next = R u + dt*fv."""
-    u_next = sys_._lu.solve(sys_.R @ u + sys_.scheme.dt * fv)
+def step(sys_: SteppingSystem, u_n: np.ndarray, f_mid: np.ndarray) -> np.ndarray:
+    """One theta step: solve L u_next = R u_n + dt*f_mid, where f_mid is the
+    raw source at t_n + theta*dt."""
+    u_next = sys_._lu.solve(sys_.R @ u_n + sys_.scheme.dt * f_mid)
     if not np.isfinite(u_next).all():
         raise NumericError("time step produced non-finite state")
     return u_next
-
-
-def step(sys_: SteppingSystem, u_n: StateVector, f_mid: np.ndarray | StateVector) -> StateVector:
-    """One theta step; f_mid is the raw source at t_n + theta*dt."""
-    return StateVector(sys_.layout, _advance(sys_, u_n.values, _source_values(f_mid)))
 
 
 # Recorded states wait in a buffer of at most this many floats (512 kB),
@@ -154,7 +136,7 @@ _CHUNK_FLOATS = 1 << 16
 
 def run(
     sys_: SteppingSystem,
-    u0: StateVector,
+    u0: np.ndarray,
     source: Signal,
     scheme: SchemeParams | None = None,
     snapshots: bool = True,
@@ -170,9 +152,9 @@ def run(
         scheme = sys_.scheme
     elif scheme.dt != sys_.scheme.dt or scheme.theta != sys_.scheme.theta:
         raise ParameterError("scheme dt/theta differ from the factored system")
-    if u0.layout != sys_.layout:
-        raise ParameterError("initial state lives on a different layout")
-    layout, M0, w = sys_.layout, sys_.M0, sys_.W.diag
+    layout, M0, w = sys_.model.layout, sys_.model.M0, sys_.model.W.diag
+    if np.shape(u0) != (layout.dim,):
+        raise ParameterError(f"initial state has shape {np.shape(u0)}, layout needs ({layout.dim},)")
     trace_names = layout.trace_names()
     trace_at = np.array([layout.offset_of(name) for name in trace_names], dtype=int)
     n_steps, every, dt, theta = scheme.n_steps, scheme.record_every, scheme.dt, scheme.theta
@@ -199,10 +181,10 @@ def run(
         done += count
 
     def recorded_states():
-        u = u0.values.copy()
+        u = np.asarray(u0, dtype=float)
         yield u
         for k in range(n_steps):
-            u = _advance(sys_, u, _source_values(source((k + theta) * dt)))
+            u = step(sys_, u, source((k + theta) * dt))
             if (k + 1) % every == 0:
                 yield u
 
@@ -223,19 +205,19 @@ def run(
 
 def energy_balance_residual(
     sys_: SteppingSystem,
-    u_n: StateVector,
-    u_np1: StateVector,
-    f_mid: np.ndarray | StateVector,
+    u_n: np.ndarray,
+    u_np1: np.ndarray,
+    f_mid: np.ndarray,
 ) -> float:
     """Defect of the exact midpoint energy identity for one step."""
     if sys_.scheme.theta != 0.5:
         raise UnsupportedSchemeError("energy balance identity requires theta = 1/2")
-    fv = _source_values(f_mid)
-    u_mid = 0.5 * (u_n.values + u_np1.values)
-    e0 = energy(u_n, sys_.M0, sys_.W)
-    e1 = energy(u_np1, sys_.M0, sys_.W)
-    dissipated = weighted_inner(u_mid, sys_._sym_M1 @ u_mid, sys_.W)
-    injected = weighted_inner(u_mid, fv, sys_.W)
+    M0, W = sys_.model.M0, sys_.model.W
+    u_mid = 0.5 * (u_n + u_np1)
+    e0 = energy(u_n, M0, W)
+    e1 = energy(u_np1, M0, W)
+    dissipated = weighted_inner(u_mid, sys_._sym_M1 @ u_mid, W)
+    injected = weighted_inner(u_mid, f_mid, W)
     return e1 - e0 + sys_.scheme.dt * (dissipated - injected)
 
 
@@ -245,7 +227,7 @@ def causality_probe(
     source_g: Signal,
     a: float,
     scheme: SchemeParams | None = None,
-    u0: StateVector | None = None,
+    u0: np.ndarray | None = None,
 ) -> float:
     """Max W-norm deviation of the two runs over recorded times t <= a.
 
@@ -268,13 +250,13 @@ def causality_probe(
     if steps_to_a == 0:
         return 0.0  # only the common initial state lies at or before a
     if u0 is None:
-        u0 = zero_state(sys_.layout)
+        u0 = np.zeros(sys_.model.layout.dim)
     scheme_to_a = replace(scheme, t_end=steps_to_a * scheme.dt)
     ts_f = run(sys_, u0, source_f, scheme_to_a)
     ts_g = run(sys_, u0, source_g, scheme_to_a)
     dev = 0.0
     for diff in ts_f.snapshots - ts_g.snapshots:
-        dev = max(dev, math.sqrt(weighted_inner(diff, diff, sys_.W)))
+        dev = max(dev, math.sqrt(weighted_inner(diff, diff, sys_.model.W)))
     return dev
 
 
@@ -294,9 +276,10 @@ def bound_probe(
         scheme = sys_.scheme
     if rho is None:
         rho = scheme.rho
-    ts_u = run(sys_, zero_state(sys_.layout), source, scheme)
+    W = sys_.model.W
+    ts_u = run(sys_, np.zeros(W.dim), source, scheme)
     f_snaps = np.vstack([source(t) for t in ts_u.times])
-    den = exp_weighted_norm(ts_u.times, f_snaps, rho, sys_.W)
+    den = exp_weighted_norm(ts_u.times, f_snaps, rho, W)
     if den == 0.0:
         raise UndefinedRatioError("bound probe needs a nonzero source on the window")
-    return exp_weighted_norm(ts_u.times, ts_u.snapshots, rho, sys_.W) / den
+    return exp_weighted_norm(ts_u.times, ts_u.snapshots, rho, W) / den

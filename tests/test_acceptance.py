@@ -15,7 +15,6 @@ import pytest
 from evobeam.cli import cmd_check, parse_config
 from evobeam.core import (
     SeparableSignal,
-    StateVector,
     ZeroSignal,
     build_grid,
     bump_envelope,
@@ -23,7 +22,6 @@ from evobeam.core import (
     gaussian_envelope,
     sinusoid_envelope,
     weighted_inner,
-    zero_state,
 )
 from evobeam.discretize import skew_defect
 from evobeam.integrate import (
@@ -73,7 +71,7 @@ SCENARIO_BUILDERS = {
 
 def _system(model, **scheme_kw):
     scheme = SchemeParams(**scheme_kw)
-    return scheme, factor(model.layout, model.W, model.M0, model.M1, model.A, scheme)
+    return scheme, factor(model, scheme)
 
 
 @functools.lru_cache(maxsize=None)
@@ -97,7 +95,7 @@ def _mms_results(levels):
             trace_peak, max(abs(src(k * h)[tau]) for k in range(n + 1))
         )
         ts = run(sys_, exact_state(model, fields, 0.0), src)
-        diff = ts.snapshots[-1] - exact_state(model, fields, ts.times[-1]).values
+        diff = ts.snapshots[-1] - exact_state(model, fields, ts.times[-1])
         errs.append(math.sqrt(weighted_inner(diff, diff, model.W)))
         hs.append(h)
 
@@ -134,7 +132,7 @@ def test_skew_defect_within_tolerance(tag, n):
 def test_energy_balance_every_step(tag, rng):
     model = SCENARIO_BUILDERS[tag](16)
     _, sys_ = _system(model, dt=0.02, t_end=1.0)
-    u = StateVector(model.layout, rng.standard_normal(model.layout.dim))
+    u = rng.standard_normal(model.layout.dim)
     for _ in range(50):
         f = rng.standard_normal(model.layout.dim)
         u_next = step(sys_, u, f)
@@ -154,7 +152,7 @@ def test_long_run_conservation(rng):
         model, dt=dt, t_end=10_000 * dt, record_every=10
     )
     assert scheme.n_steps == 10_000
-    u0 = StateVector(model.layout, rng.standard_normal(model.layout.dim))
+    u0 = rng.standard_normal(model.layout.dim)
     ts = run(sys_, u0, ZeroSignal(model.layout.dim))
     drift = np.max(np.abs(ts.energy - ts.energy[0])) / ts.energy[0]
     assert drift <= 1e-10
@@ -166,9 +164,9 @@ def test_boundary_damping_decays():
         build_grid(32), TimoshenkoParams(c=0.5, I_tilde=0.0, d=0.0)
     )
     lay = model.layout
-    u0 = zero_state(lay)
+    u0 = np.zeros(lay.dim)
     xc = lay.points_of("eta")
-    u0.values[lay.slice_of("eta")] = np.sin(np.pi * (xc + 0.5) / 2)
+    u0[lay.slice_of("eta")] = np.sin(np.pi * (xc + 0.5) / 2)
     u0 = consistent_initial_state(model, u0)
     _, sys_ = _system(model, dt=1.0 / 32, t_end=4.0)
     ts = run(sys_, u0, ZeroSignal(lay.dim))
@@ -268,8 +266,8 @@ def test_full_vs_split_runs(rng):
     )
     u0_full = np.zeros(fd.layout.dim)
     u0_full[idx] = u0_sub
-    ts_full = run(sys_full, StateVector(fd.layout, u0_full), ZeroSignal(fd.layout.dim))
-    ts_sub = run(sys_sub, StateVector(sub.layout, u0_sub), ZeroSignal(sub.layout.dim))
+    ts_full = run(sys_full, u0_full, ZeroSignal(fd.layout.dim))
+    ts_sub = run(sys_sub, u0_sub, ZeroSignal(sub.layout.dim))
     assert np.max(np.abs(ts_full.snapshots[:, idx] - ts_sub.snapshots)) <= 1e-12
     rest = np.setdiff1d(np.arange(fd.layout.dim), idx)
     assert np.max(np.abs(ts_full.snapshots[:, rest])) <= 1e-12
@@ -290,8 +288,8 @@ def test_unitary_congruence(rng):
     f = SeparableSignal(profile, gaussian_envelope(0.3, 0.1))
     f_flipped = SeparableSignal(s * profile, gaussian_envelope(0.3, 0.1))
     u0 = rng.standard_normal(model.layout.dim)
-    ts_a = run(sys_a, StateVector(model.layout, u0), f)
-    ts_b = run(sys_b, StateVector(model.layout, s * u0), f_flipped)
+    ts_a = run(sys_a, u0, f)
+    ts_b = run(sys_b, s * u0, f_flipped)
     assert np.max(np.abs(ts_b.snapshots - ts_a.snapshots * s[None, :])) <= 1e-12
     assert np.max(np.abs(ts_b.energy - ts_a.energy)) <= 1e-12
 
@@ -306,10 +304,10 @@ def test_inhomogeneous_boundary_data():
         embed_block(model.layout, "tau_plus", np.ones(1)),
         sinusoid_envelope(1.0),
     )
-    ts1 = run(sys_, zero_state(model.layout), g)
+    ts1 = run(sys_, np.zeros(model.layout.dim), g)
     assert np.max(np.abs(ts1.snapshots)) > 1e-8
     assert ts1.energy[-1] > 0.0
-    ts3 = run(sys_, zero_state(model.layout), 3.0 * g)
+    ts3 = run(sys_, np.zeros(model.layout.dim), 3.0 * g)
     scale = np.max(np.abs(ts1.snapshots))
     assert np.max(np.abs(ts3.snapshots - 3.0 * ts1.snapshots)) <= 1e-11 * max(1.0, scale)
     # the convergence family itself carries nonzero boundary data in the

@@ -1,9 +1,11 @@
-"""The public surface: every name a module exports exists, and the package
-re-exports only names that its modules export."""
+"""The public surface: every name a module exports exists, the package
+re-exports only names that its modules export, and the README's Python
+example runs as written."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -26,3 +28,13 @@ def test_package_imports_only_exported_names():
     for node in imports:
         module = importlib.import_module(f"evobeam.{node.module}")
         assert [a.name for a in node.names if a.name not in module.__all__] == [], node.module
+
+
+def test_readme_python_example(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    code = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == [
+        "0.6 1.6666666666666667",
+        "0.25 0.14329199163303613",
+    ]

@@ -386,6 +386,66 @@ def test_cmd_probe_bound_rejects_zero_source():
         cmd_probe(cfg, "bound")
 
 
+def _main_fails_once(command, text, tmp_path, capsys):
+    """Run main on a config with numpy warnings as errors; return its exit
+    code and its stderr lines, after checking that no CSV was written."""
+    csv = tmp_path / "out.csv"
+    path = tmp_path / "cfg.ini"
+    path.write_text(text + f"\n[output]\ncsv = {csv}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert not csv.exists()
+    return code, captured.err.splitlines()
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize(
+    "extra,where,raw",
+    [
+        ("\n[scheme]\ndt = nan\n", "[scheme] dt", "nan"),
+        ("\n[scheme]\nt_end = inf\n", "[scheme] t_end", "inf"),
+        ("\n[scheme]\nt_end = nan\n", "[scheme] t_end", "nan"),
+        ("\n[source]\nkind = sinusoid\nfrequency = inf\n", "[source] frequency", "inf"),
+        ("c = inf\n", "[scenario] c", "inf"),
+        ("c = -Infinity\n", "[scenario] c", "-Infinity"),
+    ],
+    ids=["dt-nan", "t_end-inf", "t_end-nan", "frequency-inf", "c-inf", "c-minus-inf"],
+)
+def test_main_rejects_nonfinite_numbers(command, extra, where, raw, tmp_path, capsys):
+    code, err = _main_fails_once(command, MINIMAL + extra, tmp_path, capsys)
+    assert code == 4
+    assert err == [f"config error: {where}: expected a finite number, got {raw!r}"]
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize(
+    "extra,where,expr",
+    [
+        ("kappa1 = 1/(x-x)\n", "[scenario] kappa1", "1/(x-x)"),
+        ("\n[initial]\nkind = expr\neta = log(x)\n", "[initial] eta", "log(x)"),
+        ("\n[source]\nkind = gaussian\nblock = eta\nprofile = log(x)\n", "[source] profile", "log(x)"),
+    ],
+    ids=["kappa1", "initial-eta", "source-profile"],
+)
+def test_main_rejects_nonfinite_expression_values(command, extra, where, expr, tmp_path, capsys):
+    code, err = _main_fails_once(command, MINIMAL + extra, tmp_path, capsys)
+    assert code == 4
+    assert err == [f"config error: {where}: {expr!r} is not finite at every sample point"]
+
+
+def test_main_config_not_utf8_exits_three(tmp_path, capsys):
+    path = tmp_path / "cfg.ini"
+    path.write_bytes(b"\xff\xfe" + MINIMAL.encode())
+    assert main(["check", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("cannot read config: ")
+
+
 def test_main_exit_codes(tmp_path):
     good = tmp_path / "good.ini"
     good.write_text(MINIMAL)

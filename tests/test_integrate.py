@@ -6,9 +6,11 @@ the stepper is checked against it directly before anything model-sized.
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from evobeam import integrate
@@ -20,7 +22,6 @@ from evobeam.core import (
     SeparableSignal,
     SpaceTag,
     StateLayout,
-    StateVector,
     WeightMatrix,
     ZeroSignal,
     bump_envelope,
@@ -28,7 +29,6 @@ from evobeam.core import (
     energy,
     gaussian_envelope,
     sinusoid_envelope,
-    zero_state,
 )
 from evobeam.integrate import (
     IllPosedError,
@@ -44,6 +44,7 @@ from evobeam.integrate import (
     step,
 )
 from evobeam.scenarios import (
+    AssembledModel,
     FullDynamicParams,
     SturmLiouvilleParams,
     TimoshenkoParams,
@@ -53,23 +54,22 @@ from evobeam.scenarios import (
 )
 
 
-def _scalar_system(gamma, dt, t_end, theta=0.5):
+def _one_slot_model(M0, M1, A):
+    """A model on one trace slot with unit weight; M0, M1, A may be dense."""
     layout = StateLayout(build_grid(2), (("tau", SpaceTag.TRACE),))
+    csr = sp.csr_matrix
+    return AssembledModel(layout, WeightMatrix(np.ones(1)), csr(M0), csr(M1), csr(A), traces={})
+
+
+def _scalar_system(gamma, dt, t_end, theta=0.5):
+    model = _one_slot_model([[1.0]], [[gamma]], [[0.0]])
     scheme = SchemeParams(dt=dt, t_end=t_end, theta=theta)
-    sys_ = factor(
-        layout,
-        WeightMatrix(np.ones(1)),
-        np.array([[1.0]]),
-        np.array([[gamma]]),
-        np.array([[0.0]]),
-        scheme,
-    )
-    return layout, scheme, sys_
+    return model.layout, scheme, factor(model, scheme)
 
 
 def _beam_system(n, params, scheme):
     model = make_timoshenko_damped(build_grid(n), params)
-    sys_ = factor(model.layout, model.W, model.M0, model.M1, model.A, scheme)
+    sys_ = factor(model, scheme)
     return model, sys_
 
 
@@ -99,12 +99,12 @@ def test_scalar_midpoint_recurrence():
     # homogeneous decay: u_{n+1} = (1 - g dt/2)/(1 + g dt/2) u_n
     gamma, dt, n = 0.8, 0.05, 100
     layout, _, sys_ = _scalar_system(gamma, dt, t_end=n * dt)
-    u = StateVector(layout, np.array([1.0]))
+    u = np.array([1.0])
     f0 = np.zeros(1)
     for _ in range(n):
         u = step(sys_, u, f0)
     factor_exact = (1 - gamma * dt / 2) / (1 + gamma * dt / 2)
-    assert abs(u.values[0] - factor_exact**n) < 1e-13
+    assert abs(u[0] - factor_exact**n) < 1e-13
 
 
 def test_scalar_global_second_order():
@@ -118,7 +118,7 @@ def test_scalar_global_second_order():
         dt = 1.0 / m
         layout, scheme, sys_ = _scalar_system(1.0, dt, t_end=1.0)
         src = CallableSignal(lambda t: np.array([math.cos(t)]), 1)
-        ts = run(sys_, StateVector(layout, np.array([0.5])), src)
+        ts = run(sys_, np.array([0.5]), src)
         errs.append(abs(ts.snapshots[-1][0] - exact(1.0)))
     rates = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(1.9 < r < 2.1 for r in rates)
@@ -126,10 +126,10 @@ def test_scalar_global_second_order():
 
 def test_backward_euler_runs_but_has_no_balance_identity():
     layout, _, sys_ = _scalar_system(0.5, 0.1, t_end=1.0, theta=1.0)
-    u0 = StateVector(layout, np.array([1.0]))
+    u0 = np.array([1.0])
     ts = run(sys_, u0, ZeroSignal(1))
     assert ts.energy[-1] < ts.energy[0]
-    u1 = StateVector(layout, ts.snapshots[1])
+    u1 = ts.snapshots[1]
     with pytest.raises(UnsupportedSchemeError):
         energy_balance_residual(sys_, u0, u1, np.zeros(1))
 
@@ -139,7 +139,7 @@ def test_energy_balance_exact_per_step(rng):
     model, sys_ = _beam_system(
         8, TimoshenkoParams(c=0.5, I_tilde=0.1, d=0.3), scheme
     )
-    u = StateVector(model.layout, rng.standard_normal(model.layout.dim))
+    u = rng.standard_normal(model.layout.dim)
     f = rng.standard_normal(model.layout.dim)
     for _ in range(5):
         u_next = step(sys_, u, f)
@@ -162,7 +162,7 @@ def test_factor_rejects_singular_trace_slot():
     A[:, k] = 0.0
     scheme = SchemeParams(dt=0.1, t_end=1.0)
     with pytest.raises(IllPosedError):
-        factor(model.layout, model.W, M0.tocsr(), M1.tocsr(), A.tocsr(), scheme)
+        factor(replace(model, M0=M0.tocsr(), M1=M1.tocsr(), A=A.tocsr()), scheme)
 
 
 @pytest.mark.parametrize("n", [64, 1024])
@@ -175,16 +175,15 @@ def test_factor_is_fill_free(n):
 
 
 def test_factor_shape_validation():
-    layout = StateLayout(build_grid(2), (("tau", SpaceTag.TRACE),))
     scheme = SchemeParams(dt=0.1, t_end=1.0)
     with pytest.raises(ParameterError):
-        factor(layout, WeightMatrix(np.ones(1)), np.eye(2), np.zeros((1, 1)), np.zeros((1, 1)), scheme)
+        factor(_one_slot_model(np.eye(2), np.zeros((1, 1)), np.zeros((1, 1))), scheme)
 
 
 def test_run_record_counts_and_times():
     scheme = SchemeParams(dt=0.0625, t_end=1.0, record_every=4)
     model, sys_ = _beam_system(4, TimoshenkoParams(c=0.5), scheme)
-    ts = run(sys_, zero_state(model.layout), ZeroSignal(model.layout.dim))
+    ts = run(sys_, np.zeros(model.layout.dim), ZeroSignal(model.layout.dim))
     # 16 steps, recording step 0 and every 4th: 0, 4, 8, 12, 16
     assert len(ts) == 5
     assert np.array_equal(ts.times, np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
@@ -197,7 +196,7 @@ def test_run_without_snapshots_records_the_same_bytes(rng):
     scheme = SchemeParams(dt=0.05, t_end=1.0, record_every=3)
     model, sys_ = _beam_system(8, TimoshenkoParams(c=0.5, I_tilde=0.1, d=0.2), scheme)
     lay = model.layout
-    u0 = StateVector(lay, rng.standard_normal(lay.dim))
+    u0 = rng.standard_normal(lay.dim)
     profile = np.zeros(lay.dim)
     profile[lay.slice_of("eta")] = np.sin(np.pi * lay.points_of("eta"))
     f = SeparableSignal(profile, gaussian_envelope(0.4, 0.1))
@@ -212,16 +211,30 @@ def test_run_without_snapshots_records_the_same_bytes(rng):
         assert values.tobytes() == full.snapshots[:, lay.offset_of(name)].tobytes()
 
 
+def test_run_rejects_a_wrong_length_or_nonfinite_initial_state():
+    scheme = SchemeParams(dt=0.1, t_end=1.0)
+    model, sys_ = _beam_system(4, TimoshenkoParams(c=0.5), scheme)
+    dim = model.layout.dim
+    with pytest.raises(ParameterError):
+        run(sys_, np.zeros(dim - 1), ZeroSignal(dim))
+    with pytest.raises(ParameterError):
+        run(sys_, np.zeros((1, dim)), ZeroSignal(dim))
+    u0 = np.zeros(dim)
+    u0[model.layout.offset_of("tau_plus")] = np.nan
+    with pytest.raises(NumericError):
+        run(sys_, u0, ZeroSignal(dim))
+
+
 def test_run_validates_layout_and_scheme():
     scheme = SchemeParams(dt=0.1, t_end=1.0)
     model, sys_ = _beam_system(4, TimoshenkoParams(c=0.5), scheme)
     other = StateLayout(build_grid(2), (("tau", SpaceTag.TRACE),))
     with pytest.raises(ParameterError):
-        run(sys_, zero_state(other), ZeroSignal(model.layout.dim))
+        run(sys_, np.zeros(other.dim), ZeroSignal(model.layout.dim))
     with pytest.raises(ParameterError):
         run(
             sys_,
-            zero_state(model.layout),
+            np.zeros(model.layout.dim),
             ZeroSignal(model.layout.dim),
             SchemeParams(dt=0.05, t_end=1.0),
         )
@@ -229,18 +242,16 @@ def test_run_validates_layout_and_scheme():
 
 @pytest.mark.parametrize("theta,expected", [(0.5, 0.5), (1.0, 1.0)])
 def test_source_sampled_at_theta_offset(theta, expected):
-    layout = StateLayout(build_grid(2), (("tau", SpaceTag.TRACE),))
+    model = _one_slot_model(np.eye(1), np.zeros((1, 1)), np.zeros((1, 1)))
     scheme = SchemeParams(dt=0.25, t_end=1.0, theta=theta)
-    sys_ = factor(
-        layout, WeightMatrix(np.ones(1)), np.eye(1), np.zeros((1, 1)), np.zeros((1, 1)), scheme
-    )
+    sys_ = factor(model, scheme)
     seen = []
 
     def probe_fn(t):
         seen.append(t)
         return np.zeros(1)
 
-    run(sys_, zero_state(layout), CallableSignal(probe_fn, 1))
+    run(sys_, np.zeros(model.layout.dim), CallableSignal(probe_fn, 1))
     assert seen == [(k + expected) * 0.25 for k in range(4)]
 
 
@@ -251,8 +262,8 @@ def test_response_is_linear_in_source_bitwise():
     sl = model.layout.slice_of("eta")
     profile[sl] = np.sin(np.pi * model.layout.points_of("eta"))
     f = SeparableSignal(profile, gaussian_envelope(0.4, 0.1))
-    ts1 = run(sys_, zero_state(model.layout), f)
-    ts2 = run(sys_, zero_state(model.layout), 2.0 * f)
+    ts1 = run(sys_, np.zeros(model.layout.dim), f)
+    ts2 = run(sys_, np.zeros(model.layout.dim), 2.0 * f)
     # doubling is exact in binary floating point, so the trajectories
     # must double without any drift at all
     assert np.array_equal(ts2.snapshots, 2.0 * ts1.snapshots)
@@ -327,7 +338,7 @@ def test_bound_probe_rejects_zero_source():
 
 def test_step_guards_against_nonfinite_source():
     layout, _, sys_ = _scalar_system(0.5, 0.1, t_end=1.0)
-    u = StateVector(layout, np.array([1.0]))
+    u = np.array([1.0])
     with pytest.raises(NumericError):
         step(sys_, u, np.array([np.inf]))
 
@@ -336,17 +347,17 @@ def _stepwise_reference(sys_, u0, source, scheme):
     """Times, energies, traces and snapshots of run, recomputed one step
     at a time with step and core.energy."""
     u, k_rec = u0, [0]
-    snaps = [u0.values.copy()]
+    snaps = [u0.copy()]
     for k in range(scheme.n_steps):
         u = step(sys_, u, source((k + scheme.theta) * scheme.dt))
         if (k + 1) % scheme.record_every == 0:
             k_rec.append(k + 1)
-            snaps.append(u.values.copy())
+            snaps.append(u.copy())
     snaps = np.array(snaps)
-    lay = sys_.layout
+    lay = sys_.model.layout
     return (
         np.array([k * scheme.dt for k in k_rec]),
-        np.array([energy(v, sys_.M0, sys_.W) for v in snaps]),
+        np.array([energy(v, sys_.model.M0, sys_.model.W) for v in snaps]),
         {name: snaps[:, lay.offset_of(name)] for name in lay.trace_names()},
         snaps,
     )
@@ -374,8 +385,8 @@ def test_run_matches_stepwise_reference_bitwise(monkeypatch, rng, name, record_e
     if chunk_rows is not None:
         monkeypatch.setattr(integrate, "_CHUNK_FLOATS", chunk_rows * lay.dim + 1)
     scheme = SchemeParams(dt=0.04, t_end=1.0, record_every=record_every)
-    sys_ = factor(lay, model.W, model.M0, model.M1, model.A, scheme)
-    u0 = StateVector(lay, rng.standard_normal(lay.dim))
+    sys_ = factor(model, scheme)
+    u0 = rng.standard_normal(lay.dim)
     f = SeparableSignal(rng.standard_normal(lay.dim), gaussian_envelope(0.4, 0.2))
     ts = run(sys_, u0, f, snapshots=snapshots)
     times, energies, traces, snaps = _stepwise_reference(sys_, u0, f, scheme)
@@ -402,7 +413,7 @@ def test_run_raises_when_the_source_turns_nonfinite(t_bad):
         return np.full(dim, np.inf) if t >= t_bad else np.ones(dim)
 
     with pytest.raises(NumericError):
-        run(sys_, zero_state(model.layout), CallableSignal(source, dim))
+        run(sys_, np.zeros(model.layout.dim), CallableSignal(source, dim))
 
 
 def test_run_raises_when_a_recorded_energy_overflows():
@@ -418,7 +429,7 @@ def test_run_raises_when_a_recorded_energy_overflows():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="recorded energy is not finite"):
-            run(sys_, zero_state(lay), source)
+            run(sys_, np.zeros(lay.dim), source)
 
 
 def _random_field(rng, tag, n, lo, hi):
@@ -448,9 +459,9 @@ def test_run_keeps_energy_balance_on_random_coefficients(n, seed, c, I_tilde):
     model, sys_ = _beam_system(n, params, scheme)
     lay = model.layout
     f = SeparableSignal(rng.standard_normal(lay.dim), gaussian_envelope(0.3, 0.2))
-    ts = run(sys_, StateVector(lay, rng.standard_normal(lay.dim)), f)
+    ts = run(sys_, rng.standard_normal(lay.dim), f)
     scale = max(1.0, float(np.max(ts.energy)))
     for k in range(len(ts) - 1):
-        u_n, u_np1 = StateVector(lay, ts.snapshots[k]), StateVector(lay, ts.snapshots[k + 1])
+        u_n, u_np1 = ts.snapshots[k], ts.snapshots[k + 1]
         res = energy_balance_residual(sys_, u_n, u_np1, f((k + 0.5) * scheme.dt))
         assert abs(res) <= 1e-12 * scale

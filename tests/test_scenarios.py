@@ -12,13 +12,11 @@ from evobeam.core import (
     SeparableSignal,
     SpaceTag,
     StateLayout,
-    StateVector,
     TimeSeries,
     ZeroSignal,
     build_grid,
     energy,
     gaussian_envelope,
-    zero_state,
 )
 from evobeam.integrate import SchemeParams, factor, run
 from evobeam.scenarios import (
@@ -197,12 +195,12 @@ def test_sign_flip_conjugates_solutions(rng):
     model = make_timoshenko_damped(build_grid(8), TimoshenkoParams(c=0.5, d=0.3))
     flipped = apply_sign_flip(model)
     scheme = SchemeParams(dt=0.05, t_end=0.5)
-    sys_a = factor(model.layout, model.W, model.M0, model.M1, model.A, scheme)
-    sys_b = factor(flipped.layout, flipped.W, flipped.M0, flipped.M1, flipped.A, scheme)
+    sys_a = factor(model, scheme)
+    sys_b = factor(flipped, scheme)
     s = sign_flip_vector(model.layout)
     u0 = rng.standard_normal(model.layout.dim)
-    ts_a = run(sys_a, StateVector(model.layout, u0), ZeroSignal(model.layout.dim))
-    ts_b = run(sys_b, StateVector(model.layout, s * u0), ZeroSignal(model.layout.dim))
+    ts_a = run(sys_a, u0, ZeroSignal(model.layout.dim))
+    ts_b = run(sys_b, s * u0, ZeroSignal(model.layout.dim))
     assert np.max(np.abs(ts_b.snapshots - ts_a.snapshots * s[None, :])) < 1e-12
     assert np.max(np.abs(ts_b.energy - ts_a.energy)) < 1e-12
 
@@ -215,15 +213,15 @@ def test_sign_flip_conjugates_solutions_bitwise(rng, n):
     model = make_timoshenko_damped(build_grid(n), TimoshenkoParams(c=0.5, I_tilde=0.1, d=0.3))
     flipped = apply_sign_flip(model)
     scheme = SchemeParams(dt=0.05, t_end=0.5)
-    sys_a = factor(model.layout, model.W, model.M0, model.M1, model.A, scheme)
-    sys_b = factor(flipped.layout, flipped.W, flipped.M0, flipped.M1, flipped.A, scheme)
+    sys_a = factor(model, scheme)
+    sys_b = factor(flipped, scheme)
     s = sign_flip_vector(model.layout)
     profile = embed_block(model.layout, "eta", np.cos(np.pi * model.layout.points_of("eta")))
     f_a = SeparableSignal(profile, gaussian_envelope(0.2, 0.1))
     f_b = SeparableSignal(s * profile, gaussian_envelope(0.2, 0.1))
     u0 = rng.standard_normal(model.layout.dim)
-    ts_a = run(sys_a, StateVector(model.layout, u0), f_a)
-    ts_b = run(sys_b, StateVector(model.layout, s * u0), f_b)
+    ts_a = run(sys_a, u0, f_a)
+    ts_b = run(sys_b, s * u0, f_b)
     assert np.array_equal(ts_b.snapshots, ts_a.snapshots * s[None, :])
     assert np.array_equal(ts_b.energy, ts_a.energy)
 
@@ -231,8 +229,8 @@ def test_sign_flip_conjugates_solutions_bitwise(rng, n):
 def test_full_dynamic_conserves_energy(rng):
     model = make_full_dynamic(build_grid(16), FullDynamicParams())
     scheme = SchemeParams(dt=0.05, t_end=2.0)
-    sys_ = factor(model.layout, model.W, model.M0, model.M1, model.A, scheme)
-    u0 = StateVector(model.layout, rng.standard_normal(model.layout.dim))
+    sys_ = factor(model, scheme)
+    u0 = rng.standard_normal(model.layout.dim)
     ts = run(sys_, u0, ZeroSignal(model.layout.dim))
     assert np.max(np.abs(ts.energy - ts.energy[0])) <= 1e-10 * max(1.0, ts.energy[0])
 
@@ -241,8 +239,8 @@ def test_full_dynamic_trace_damping_dissipates(rng):
     params = FullDynamicParams(mu_plus=NevanlinnaSpec(1.0, 0.5))
     model = make_full_dynamic(build_grid(16), params)
     scheme = SchemeParams(dt=0.05, t_end=2.0)
-    sys_ = factor(model.layout, model.W, model.M0, model.M1, model.A, scheme)
-    u0 = StateVector(model.layout, rng.standard_normal(model.layout.dim))
+    sys_ = factor(model, scheme)
+    u0 = rng.standard_normal(model.layout.dim)
     ts = run(sys_, u0, ZeroSignal(model.layout.dim))
     assert ts.energy[-1] < ts.energy[0]
     assert np.all(np.diff(ts.energy) <= 1e-12 * ts.energy[0])
@@ -258,8 +256,8 @@ def test_full_dynamic_rejects_negative_trace_law():
 def test_sturm_liouville_hyperbolic_conserves(rng):
     model = make_sturm_liouville(build_grid(16), SturmLiouvilleParams(s0=1.0))
     scheme = SchemeParams(dt=0.05, t_end=2.0)
-    sys_ = factor(model.layout, model.W, model.M0, model.M1, model.A, scheme)
-    u0 = StateVector(model.layout, rng.standard_normal(model.layout.dim))
+    sys_ = factor(model, scheme)
+    u0 = rng.standard_normal(model.layout.dim)
     ts = run(sys_, u0, ZeroSignal(model.layout.dim))
     assert np.max(np.abs(ts.energy - ts.energy[0])) <= 1e-10 * max(1.0, ts.energy[0])
 
@@ -298,16 +296,16 @@ def test_split_model_evolution_matches_full(rng, n):
     group = ("V1", "eta", "tau0_minus", "tau0_plus")
     sub = split_model(fd, group)
     scheme = SchemeParams(dt=0.05, t_end=0.5)
-    sys_full = factor(fd.layout, fd.W, fd.M0, fd.M1, fd.A, scheme)
-    sys_sub = factor(sub.layout, sub.W, sub.M0, sub.M1, sub.A, scheme)
+    sys_full = factor(fd, scheme)
+    sys_sub = factor(sub, scheme)
     u0_sub = rng.standard_normal(sub.layout.dim)
     idx = np.concatenate(
         [np.arange(*fd.layout.slice_of(n).indices(fd.layout.dim)) for n in group]
     )
     u0_full = np.zeros(fd.layout.dim)
     u0_full[idx] = u0_sub
-    ts_full = run(sys_full, StateVector(fd.layout, u0_full), ZeroSignal(fd.layout.dim))
-    ts_sub = run(sys_sub, StateVector(sub.layout, u0_sub), ZeroSignal(sub.layout.dim))
+    ts_full = run(sys_full, u0_full, ZeroSignal(fd.layout.dim))
+    ts_sub = run(sys_sub, u0_sub, ZeroSignal(sub.layout.dim))
     assert np.array_equal(ts_full.snapshots[:, idx], ts_sub.snapshots)
     rest = np.setdiff1d(np.arange(fd.layout.dim), idx)
     assert np.array_equal(ts_full.snapshots[:, rest], np.zeros_like(ts_full.snapshots[:, rest]))
@@ -334,8 +332,8 @@ def test_split_identity_bitwise_on_random_coefficients(n, seed):
     sub = split_model(fd, group)
     idx = fd.layout.indices_of(group)
     scheme = SchemeParams(dt=0.05, t_end=0.5, record_every=2)
-    sys_full = factor(fd.layout, fd.W, fd.M0, fd.M1, fd.A, scheme)
-    sys_sub = factor(sub.layout, sub.W, sub.M0, sub.M1, sub.A, scheme)
+    sys_full = factor(fd, scheme)
+    sys_sub = factor(sub, scheme)
     u0_sub = rng.standard_normal(sub.layout.dim)
     u0_full = np.zeros(fd.layout.dim)
     u0_full[idx] = u0_sub
@@ -343,8 +341,8 @@ def test_split_identity_bitwise_on_random_coefficients(n, seed):
     profile_full = np.zeros(fd.layout.dim)
     profile_full[idx] = profile_sub
     env = gaussian_envelope(0.2, 0.1)
-    ts_full = run(sys_full, StateVector(fd.layout, u0_full), SeparableSignal(profile_full, env))
-    ts_sub = run(sys_sub, StateVector(sub.layout, u0_sub), SeparableSignal(profile_sub, env))
+    ts_full = run(sys_full, u0_full, SeparableSignal(profile_full, env))
+    ts_sub = run(sys_sub, u0_sub, SeparableSignal(profile_sub, env))
     assert np.array_equal(ts_full.snapshots[:, idx], ts_sub.snapshots)
     rest = np.setdiff1d(np.arange(fd.layout.dim), idx)
     assert not ts_full.snapshots[:, rest].any()
@@ -356,45 +354,45 @@ def test_consistent_initial_state_solves_algebraic_slot():
     # with I_tilde = 0 the trace row reads c*tau = V1(1/2-0) at t = 0
     model = make_timoshenko_damped(build_grid(4), TimoshenkoParams(c=0.5, I_tilde=0.0))
     lay = model.layout
-    u = zero_state(lay)
-    u.values[lay.slice_of("V1")] = 0.2
-    u.values[_last_v1(lay)] = 0.8
+    u = np.zeros(lay.dim)
+    u[lay.slice_of("V1")] = 0.2
+    u[_last_v1(lay)] = 0.8
     out = consistent_initial_state(model, u)
-    assert out.values[lay.offset_of("tau_plus")] == 1.6
+    assert out[lay.offset_of("tau_plus")] == 1.6
     mask = np.ones(lay.dim, dtype=bool)
     mask[lay.offset_of("tau_plus")] = False
-    assert np.array_equal(out.values[mask], u.values[mask])
+    assert np.array_equal(out[mask], u[mask])
 
 
 def test_consistent_initial_state_noop_without_algebraic_slots():
     model = make_timoshenko_damped(build_grid(4), TimoshenkoParams(c=0.5, I_tilde=0.1))
-    u = zero_state(model.layout)
-    u.values[:] = 0.7
+    u = np.zeros(model.layout.dim)
+    u[:] = 0.7
     out = consistent_initial_state(model, u)
     assert out is not u
-    assert np.array_equal(out.values, u.values)
+    assert np.array_equal(out, u)
 
 
 def test_consistent_initial_state_parabolic_residual(rng):
     model = make_sturm_liouville(
         build_grid(8), SturmLiouvilleParams(s0=0.0, s1=0.5)
     )
-    u = StateVector(model.layout, rng.standard_normal(model.layout.dim))
+    u = rng.standard_normal(model.layout.dim)
     out = consistent_initial_state(model, u)
     K = (model.M1 + model.A).tocsr()
     alg = np.where(model.M0.diagonal() == 0.0)[0]
-    res = (K @ out.values)[alg]
+    res = (K @ out)[alg]
     assert np.max(np.abs(res)) < 1e-12
     dif = np.setdiff1d(np.arange(model.layout.dim), alg)
-    assert np.array_equal(out.values[dif], u.values[dif])
+    assert np.array_equal(out[dif], u[dif])
 
 
 def test_exact_state_fills_traces_from_bindings():
     model = make_sturm_liouville(build_grid(8), SturmLiouvilleParams())
     f = lambda x, t: x**2 + t
     state = exact_state(model, {"V1": f}, t=0.25)
-    assert state.values[model.layout.offset_of("tau_minus")] == pytest.approx(0.5)
-    assert state.values[model.layout.offset_of("tau_plus")] == pytest.approx(-0.5)
+    assert state[model.layout.offset_of("tau_minus")] == pytest.approx(0.5)
+    assert state[model.layout.offset_of("tau_plus")] == pytest.approx(-0.5)
 
 
 def test_manufactured_source_vanishes_on_zero_fields():
@@ -414,7 +412,7 @@ def test_manufactured_source_trace_row_carries_boundary_data():
     for t in (0.0, 0.37, 1.1):
         assert F(t)[tau] == pytest.approx(np.pi * np.cos(2 * t + 0.3), rel=1e-13)
         exact = exact_state(model, fields, t)
-        assert abs(exact.values[tau]) < 1e-15
+        assert abs(exact[tau]) < 1e-15
 
 
 def test_extrapolate_to_boundary_exact_for_quadratics():
@@ -468,14 +466,14 @@ def test_boundary_residual_decays_first_order():
     for n in (16, 32, 64):
         model = make_timoshenko_damped(build_grid(n), TimoshenkoParams(c=c, I_tilde=0.0))
         lay = model.layout
-        u0 = zero_state(lay)
+        u0 = np.zeros(lay.dim)
         xc = lay.points_of("eta")
         xv = lay.points_of("V1")
-        u0.values[lay.slice_of("eta")] = np.sin(np.pi * (xc + 0.5) / 2)
-        u0.values[lay.slice_of("V1")] = -c * np.sin(np.pi * (xv + 0.5) / 2)
+        u0[lay.slice_of("eta")] = np.sin(np.pi * (xc + 0.5) / 2)
+        u0[lay.slice_of("V1")] = -c * np.sin(np.pi * (xv + 0.5) / 2)
         u0 = consistent_initial_state(model, u0)
         scheme = SchemeParams(dt=1.0 / n, t_end=1.0)
-        sys_ = factor(lay, model.W, model.M0, model.M1, model.A, scheme)
+        sys_ = factor(model, scheme)
         ts = run(sys_, u0, ZeroSignal(lay.dim))
         v1_last = ts.snapshots[:, _last_v1(lay)]
         worst = 0.0
@@ -492,8 +490,8 @@ def test_energy_of_exact_state_matches_quadrature():
     # all-ones state with unit coefficients: energy is the weighted sum of
     # M0 against the squares, 0.5*sum(w_i * m_i)
     model = make_timoshenko_damped(build_grid(4), TimoshenkoParams(c=0.5, I_tilde=2.0))
-    u = zero_state(model.layout)
-    u.values[:] = 1.0
+    u = np.zeros(model.layout.dim)
+    u[:] = 1.0
     e = energy(u, model.M0, model.W)
     expected = 0.5 * float(np.sum(model.W.diag * model.M0.diagonal()))
     assert e == pytest.approx(expected, rel=1e-14)
