@@ -9,10 +9,8 @@ balance to machine precision at theta = 1/2.
 """
 
 from .core import (
-    CoefficientField,
     EvobeamError,
     Grid,
-    Signal,
     SpaceTag,
     StateLayout,
     TimeSeries,

@@ -16,17 +16,14 @@ import operator
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .core import (
-    CoefficientField,
     EvobeamError,
     NumericError,
-    Signal,
     SpaceTag,
-    ZeroSignal,
-    SeparableSignal,
     bump_envelope,
     build_grid,
     gaussian_envelope,
@@ -155,10 +152,14 @@ def _eval_node(node: ast.AST, names: dict):
 def _eval_expr(expr: str, x: np.ndarray, where: str) -> np.ndarray:
     try:
         with np.errstate(all="ignore"):
-            val = _eval_node(ast.parse(expr, "<config>", mode="eval").body, {**_EXPR_NAMES, "x": x})
+            val = np.asarray(_eval_node(ast.parse(expr, "<config>", mode="eval").body, {**_EXPR_NAMES, "x": x}))
+            if np.iscomplexobj(val):
+                raise ConfigError(f"{where}: {expr!r} is not real")
+            val = val.astype(float) * np.ones_like(x)
+    except ConfigError:
+        raise
     except Exception as exc:
         raise ConfigError(f"{where}: cannot evaluate {expr!r}: {exc}") from exc
-    val = np.asarray(val, dtype=float) * np.ones_like(x)
     if not np.isfinite(val).all():
         raise ConfigError(f"{where}: {expr!r} is not finite at every sample point")
     return val
@@ -308,8 +309,7 @@ def build_model(cfg: RunConfig) -> tuple[AssembledModel, list[NevanlinnaSpec]]:
     for f in fields(spec.params):
         raw, where = cfg.params[f.name], f"[scenario] {f.name}"
         if "tag" in f.metadata:
-            tag = f.metadata["tag"]
-            values[f.name] = CoefficientField(tag, _eval_expr(raw, grid.points(tag), where))
+            values[f.name] = _eval_expr(raw, grid.points(f.metadata["tag"]), where)
         elif isinstance(f.default, NevanlinnaSpec):
             values[f.name] = NevanlinnaSpec(*_pair(raw, where))
         else:
@@ -331,16 +331,19 @@ def build_scheme(cfg: RunConfig) -> SchemeParams:
         record_every=_int(s["record_every"], "[scheme] record_every"),
         rho=_float(s["rho"], "[scheme] rho"),
     )
+    if not _float(s["c_target"], "[scheme] c_target") > 0:
+        raise ConfigError(f"[scheme] c_target: must be > 0, got {s['c_target']!r}")
     if abs(scheme.n_steps * scheme.dt - scheme.t_end) > 1e-9 * scheme.t_end:
         raise ConfigError(f"[scheme] t_end: {s['t_end']} is not a whole number of steps of dt = {s['dt']}")
     return scheme
 
 
-def build_source(cfg: RunConfig, model: AssembledModel) -> Signal:
+def build_source(cfg: RunConfig, model: AssembledModel) -> Callable[[float], np.ndarray]:
     s = cfg.source
     kind = s["kind"]
     if kind == "zero":
-        return ZeroSignal(model.layout.dim)
+        dim = model.layout.dim
+        return lambda t: np.zeros(dim)
     block = s["block"] or model.layout.names[0]
     if block not in model.layout.names:
         raise ConfigError(f"[source] block: unknown block {block!r}")
@@ -371,7 +374,7 @@ def build_source(cfg: RunConfig, model: AssembledModel) -> Signal:
         )
     else:
         raise ConfigError(f"[source] kind: unknown kind {kind!r}")
-    return SeparableSignal(profile, env)
+    return lambda t: profile * env(t)
 
 
 def build_initial(cfg: RunConfig, model: AssembledModel) -> np.ndarray:
@@ -382,7 +385,8 @@ def build_initial(cfg: RunConfig, model: AssembledModel) -> np.ndarray:
         vals = np.zeros(model.layout.dim)
     elif kind == "random":
         rng = np.random.default_rng(_int(ini["seed"], "[initial] seed"))
-        vals = amplitude * rng.standard_normal(model.layout.dim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = amplitude * rng.standard_normal(model.layout.dim)
     elif kind == "expr":
         vals = np.zeros(model.layout.dim)
         for key, raw in ini.items():
@@ -390,10 +394,9 @@ def build_initial(cfg: RunConfig, model: AssembledModel) -> np.ndarray:
                 continue
             if key not in model.layout.names:
                 raise ConfigError(f"[initial]: unknown block {key!r}")
-            x = model.layout.points_of(key)
-            vals[model.layout.slice_of(key)] = amplitude * _eval_expr(
-                raw, x, f"[initial] {key}"
-            )
+            block = _eval_expr(raw, model.layout.points_of(key), f"[initial] {key}")
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals[model.layout.slice_of(key)] = amplitude * block
     else:
         raise ConfigError(f"[initial] kind: unknown kind {kind!r}")
     if not np.isfinite(vals).all():
@@ -601,8 +604,8 @@ def cmd_probe(cfg: RunConfig, kind: str, a: float | None = None) -> tuple[list[s
         profile = embed_block(
             model.layout, pulse_block, np.ones(model.layout.length_of(pulse_block))
         )
-        pulse = SeparableSignal(profile, bump_envelope(t0, scheme.t_end))
-        dev = causality_probe(sys_, base, base + pulse, a)
+        pulse = bump_envelope(t0, scheme.t_end)
+        dev = causality_probe(sys_, base, lambda t: base(t) + profile * pulse(t), a)
         return [f"max_dev_before_a={fmt17(dev)}"], 0 if dev <= 1e-13 else 2
     if kind == "bound":
         report = coercivity(model.M0, model.M1, scheme.rho, model.W)
@@ -610,7 +613,7 @@ def cmd_probe(cfg: RunConfig, kind: str, a: float | None = None) -> tuple[list[s
             return ["c0<=0"], 2
         source = build_source(cfg, model)
         try:
-            ratio = bound_probe(sys_, source, scheme, scheme.rho)
+            ratio = bound_probe(sys_, source)
         except UndefinedRatioError as exc:
             raise ConfigError(str(exc)) from exc
         lines = [f"ratio={fmt17(ratio)}", f"limit={fmt17(report.bound)}"]

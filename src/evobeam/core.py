@@ -4,7 +4,9 @@ Everything downstream speaks this vocabulary: a uniform staggered grid on
 (-1/2, 1/2), named state blocks living on nodes, cell centers, or scalar
 boundary-trace slots, and diagonal quadrature weights that make coefficient
 vectors behave like elements of a weighted L2-type space with trace summands.
-A state is a plain float array of length ``layout.dim`` on that space.
+A state is a plain float array of length ``layout.dim`` on that space, and
+a source is a function of time that returns one; the envelopes at the end
+give the time factor of a separable source ``profile * envelope(t)``.
 All values are immutable after construction and all operations are pure.
 """
 
@@ -13,8 +15,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable
-
 import numpy as np
 
 __all__ = [
@@ -36,11 +36,6 @@ __all__ = [
     "energy",
     "exp_weighted_norm",
     "TimeSeries",
-    "CoefficientField",
-    "Signal",
-    "ZeroSignal",
-    "SeparableSignal",
-    "CallableSignal",
     "gaussian_envelope",
     "sinusoid_envelope",
     "bump_envelope",
@@ -310,93 +305,8 @@ def exp_weighted_norm(times, states, rho: float, W: WeightMatrix) -> float:
     return math.sqrt(max(integral, 0.0))
 
 
-@dataclass(frozen=True)
-class CoefficientField:
-    """Samples of a scalar material coefficient at one block's points."""
-
-    tag: SpaceTag
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if not np.all(np.isfinite(self.values)):
-            raise NumericError("coefficient samples must be finite")
-
-    @classmethod
-    def constant(cls, value: float, grid: Grid, tag: SpaceTag) -> "CoefficientField":
-        n = tag.block_length(grid.n_cells)
-        return cls(tag, np.full(n, float(value)))
-
-    def require_positive(self, what: str) -> "CoefficientField":
-        if not np.all(self.values > 0):
-            raise ParameterError(f"{what} must be strictly positive everywhere")
-        return self
-
-    def require_nonnegative(self, what: str) -> "CoefficientField":
-        if not np.all(self.values >= 0):
-            raise ParameterError(f"{what} must be nonnegative everywhere")
-        return self
-
-
 # ---------------------------------------------------------------------------
-# time-dependent sources
-
-
-class Signal:
-    """Time-indexed state-shaped source term.
-
-    Subclasses implement ``__call__(t) -> ndarray`` defined and finite on the
-    run window.  Signals form a vector space: ``a * f + g`` builds the obvious
-    combined signal, which the linearity and causality probes rely on.
-    """
-
-    dim: int
-
-    def __call__(self, t: float) -> np.ndarray:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def __add__(self, other: "Signal") -> "Signal":
-        if self.dim != other.dim:
-            raise DimensionError("cannot add signals of different dimensions")
-        return CallableSignal(lambda t: self(t) + other(t), self.dim)
-
-    def __mul__(self, scalar: float) -> "Signal":
-        a = float(scalar)
-        return CallableSignal(lambda t: a * self(t), self.dim)
-
-    __rmul__ = __mul__
-
-
-@dataclass
-class ZeroSignal(Signal):
-    dim: int
-
-    def __call__(self, t: float) -> np.ndarray:
-        return np.zeros(self.dim)
-
-
-@dataclass
-class SeparableSignal(Signal):
-    """Fixed spatial profile times a scalar time envelope."""
-
-    profile: np.ndarray
-    envelope: Callable[[float], float]
-
-    def __post_init__(self):
-        self.profile = np.asarray(self.profile, dtype=float)
-        self.dim = self.profile.shape[0]
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self.profile * self.envelope(t)
-
-
-@dataclass
-class CallableSignal(Signal):
-    fn: Callable[[float], np.ndarray]
-    dim: int
-
-    def __call__(self, t: float) -> np.ndarray:
-        return np.asarray(self.fn(t), dtype=float)
+# time envelopes of separable sources
 
 
 def gaussian_envelope(center: float, width: float, amplitude: float = 1.0):

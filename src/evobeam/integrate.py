@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,7 +21,6 @@ from .core import (
     EvobeamError,
     NumericError,
     ParameterError,
-    Signal,
     TimeSeries,
     energy,
     exp_weighted_norm,
@@ -137,8 +137,8 @@ _CHUNK_FLOATS = 1 << 16
 def run(
     sys_: SteppingSystem,
     u0: np.ndarray,
-    source: Signal,
-    scheme: SchemeParams | None = None,
+    source: Callable[[float], np.ndarray],
+    *,
     snapshots: bool = True,
 ) -> TimeSeries:
     """March from t = 0 to t_end, recording every record_every-th state.
@@ -148,15 +148,12 @@ def run(
     Each recorded energy is bitwise ``core.energy`` of the recorded state;
     a state or recorded energy that is not finite raises NumericError.
     """
-    if scheme is None:
-        scheme = sys_.scheme
-    elif scheme.dt != sys_.scheme.dt or scheme.theta != sys_.scheme.theta:
-        raise ParameterError("scheme dt/theta differ from the factored system")
     layout, M0, w = sys_.model.layout, sys_.model.M0, sys_.model.W.diag
     if np.shape(u0) != (layout.dim,):
         raise ParameterError(f"initial state has shape {np.shape(u0)}, layout needs ({layout.dim},)")
     trace_names = layout.trace_names()
     trace_at = np.array([layout.offset_of(name) for name in trace_names], dtype=int)
+    scheme = sys_.scheme
     n_steps, every, dt, theta = scheme.n_steps, scheme.record_every, scheme.dt, scheme.theta
     n_rec = n_steps // every + 1
     energies = np.empty(n_rec)
@@ -223,20 +220,17 @@ def energy_balance_residual(
 
 def causality_probe(
     sys_: SteppingSystem,
-    source_f: Signal,
-    source_g: Signal,
+    source_f: Callable[[float], np.ndarray],
+    source_g: Callable[[float], np.ndarray],
     a: float,
-    scheme: SchemeParams | None = None,
-    u0: np.ndarray | None = None,
 ) -> float:
-    """Max W-norm deviation of the two runs over recorded times t <= a.
+    """Max W-norm deviation of the two runs from rest over recorded times t <= a.
 
     The sources must agree at every stepping sample point up to a; the
     recorded states up to a then coincide and the return value measures
     exactly that.  Both runs stop at the last step at or before a.
     """
-    if scheme is None:
-        scheme = sys_.scheme
+    scheme = sys_.scheme
     if not 0 < a <= scheme.t_end:
         raise InvalidProbeError(f"split time a={a} outside the run window")
     for k in range(scheme.n_steps):
@@ -249,35 +243,27 @@ def causality_probe(
     steps_to_a = int(np.searchsorted(np.arange(scheme.n_steps + 1) * scheme.dt, a, side="right")) - 1
     if steps_to_a == 0:
         return 0.0  # only the common initial state lies at or before a
-    if u0 is None:
-        u0 = np.zeros(sys_.model.layout.dim)
-    scheme_to_a = replace(scheme, t_end=steps_to_a * scheme.dt)
-    ts_f = run(sys_, u0, source_f, scheme_to_a)
-    ts_g = run(sys_, u0, source_g, scheme_to_a)
+    u0 = np.zeros(sys_.model.layout.dim)
+    # same dt and theta, so the truncated system reuses the LU factors
+    sys_to_a = replace(sys_, scheme=replace(scheme, t_end=steps_to_a * scheme.dt))
+    ts_f = run(sys_to_a, u0, source_f)
+    ts_g = run(sys_to_a, u0, source_g)
     dev = 0.0
     for diff in ts_f.snapshots - ts_g.snapshots:
         dev = max(dev, math.sqrt(weighted_inner(diff, diff, sys_.model.W)))
     return dev
 
 
-def bound_probe(
-    sys_: SteppingSystem,
-    source: Signal,
-    scheme: SchemeParams | None = None,
-    rho: float | None = None,
-) -> float:
+def bound_probe(sys_: SteppingSystem, source: Callable[[float], np.ndarray]) -> float:
     """Ratio of exponentially weighted norms of response and source.
 
     Discrete counterpart of the solution-operator bound: for a coercive
     configuration the ratio must not exceed 1/c0 by more than quadrature
-    slack.  Starts from rest; both norms use the same recorded time grid.
+    slack.  Starts from rest; both norms use the same recorded time grid
+    and the scheme's rho.
     """
-    if scheme is None:
-        scheme = sys_.scheme
-    if rho is None:
-        rho = scheme.rho
-    W = sys_.model.W
-    ts_u = run(sys_, np.zeros(W.dim), source, scheme)
+    rho, W = sys_.scheme.rho, sys_.model.W
+    ts_u = run(sys_, np.zeros(W.dim), source)
     f_snaps = np.vstack([source(t) for t in ts_u.times])
     den = exp_weighted_norm(ts_u.times, f_snaps, rho, W)
     if den == 0.0:

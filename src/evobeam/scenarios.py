@@ -18,12 +18,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .core import (
-    CallableSignal,
-    CoefficientField,
     Grid,
     InsufficientDataError,
+    NumericError,
     ParameterError,
-    Signal,
     SpaceTag,
     StateLayout,
     TimeSeries,
@@ -75,7 +73,7 @@ class TraceBinding:
 
 
 def _on(tag: SpaceTag, default: float):
-    """A coefficient field sampled on the points of ``tag``."""
+    """A coefficient: a float, or an array of its values on the points of ``tag``."""
     return field(default=default, metadata={"tag": tag})
 
 
@@ -85,11 +83,11 @@ class TimoshenkoParams:
     nu's the two inertias, d a distributed damping on the shear velocity,
     c the boundary dashpot at +1/2, I_tilde the boundary inertia there."""
 
-    kappa1: CoefficientField | float = _on(SpaceTag.NODE_FREE_LEFT, 1.0)
-    nu1: CoefficientField | float = _on(SpaceTag.CENTER, 1.0)
-    nu2: CoefficientField | float = _on(SpaceTag.NODE_INTERIOR, 1.0)
-    kappa2: CoefficientField | float = _on(SpaceTag.CENTER, 1.0)
-    d: CoefficientField | float = _on(SpaceTag.NODE_INTERIOR, 0.0)
+    kappa1: np.ndarray | float = _on(SpaceTag.NODE_FREE_LEFT, 1.0)
+    nu1: np.ndarray | float = _on(SpaceTag.CENTER, 1.0)
+    nu2: np.ndarray | float = _on(SpaceTag.NODE_INTERIOR, 1.0)
+    kappa2: np.ndarray | float = _on(SpaceTag.CENTER, 1.0)
+    d: np.ndarray | float = _on(SpaceTag.NODE_INTERIOR, 0.0)
     c: float = 0.0
     I_tilde: float = 0.0
     sigma0: float = 1.0
@@ -104,8 +102,8 @@ class SturmLiouvilleParams:
     s0 + integral*s1 (s0 = 1/p hyperbolic, s1 = 1/p parabolic), and a trace
     law at each endpoint."""
 
-    r: CoefficientField | float = _on(SpaceTag.CENTER, 1.0)
-    q: CoefficientField | float = _on(SpaceTag.CENTER, 0.0)
+    r: np.ndarray | float = _on(SpaceTag.CENTER, 1.0)
+    q: np.ndarray | float = _on(SpaceTag.CENTER, 0.0)
     s0: float = 1.0
     s1: float = 0.0
     mu_minus: NevanlinnaSpec = NevanlinnaSpec(1.0, 0.0)
@@ -121,14 +119,14 @@ class FullDynamicParams:
     one positive inertia per field block, optional nonnegative field
     damping, and a trace law per endpoint of each group."""
 
-    m_V1: CoefficientField | float = _on(SpaceTag.NODE_ALL, 1.0)
-    m_eta: CoefficientField | float = _on(SpaceTag.CENTER, 1.0)
-    m_s: CoefficientField | float = _on(SpaceTag.NODE_ALL, 1.0)
-    m_V2: CoefficientField | float = _on(SpaceTag.CENTER, 1.0)
-    g_V1: CoefficientField | float = _on(SpaceTag.NODE_ALL, 0.0)
-    g_eta: CoefficientField | float = _on(SpaceTag.CENTER, 0.0)
-    g_s: CoefficientField | float = _on(SpaceTag.NODE_ALL, 0.0)
-    g_V2: CoefficientField | float = _on(SpaceTag.CENTER, 0.0)
+    m_V1: np.ndarray | float = _on(SpaceTag.NODE_ALL, 1.0)
+    m_eta: np.ndarray | float = _on(SpaceTag.CENTER, 1.0)
+    m_s: np.ndarray | float = _on(SpaceTag.NODE_ALL, 1.0)
+    m_V2: np.ndarray | float = _on(SpaceTag.CENTER, 1.0)
+    g_V1: np.ndarray | float = _on(SpaceTag.NODE_ALL, 0.0)
+    g_eta: np.ndarray | float = _on(SpaceTag.CENTER, 0.0)
+    g_s: np.ndarray | float = _on(SpaceTag.NODE_ALL, 0.0)
+    g_V2: np.ndarray | float = _on(SpaceTag.CENTER, 0.0)
     mu_minus: NevanlinnaSpec = NevanlinnaSpec(1.0, 0.0)
     mu_plus: NevanlinnaSpec = NevanlinnaSpec(1.0, 0.0)
     nu_minus: NevanlinnaSpec = NevanlinnaSpec(1.0, 0.0)
@@ -155,15 +153,17 @@ class AssembledModel:
 def _samples(params, name: str, grid: Grid, positive: bool) -> np.ndarray:
     """Values of the coefficient ``params.<name>`` on the points of its tag."""
     value, tag = getattr(params, name), params.__dataclass_fields__[name].metadata["tag"]
-    if not isinstance(value, CoefficientField):
-        value = CoefficientField.constant(float(value), grid, tag)
-    elif value.values.shape[0] != tag.block_length(grid.n_cells):
+    n = tag.block_length(grid.n_cells)
+    values = np.full(n, float(value)) if np.ndim(value) == 0 else np.asarray(value, dtype=float)
+    if values.shape != (n,):
         raise ParameterError(f"{name} sampled on the wrong block length")
-    if positive:
-        value.require_positive(name)
-    else:
-        value.require_nonnegative(name)
-    return value.values
+    if not np.isfinite(values).all():
+        raise NumericError("coefficient samples must be finite")
+    if positive and not np.all(values > 0):
+        raise ParameterError(f"{name} must be strictly positive everywhere")
+    if not positive and not np.all(values >= 0):
+        raise ParameterError(f"{name} must be nonnegative everywhere")
+    return values
 
 
 def _check_trace_law(spec: NevanlinnaSpec, what: str) -> NevanlinnaSpec:
@@ -445,7 +445,7 @@ def manufactured_source(
     model: AssembledModel,
     fields: dict[str, Callable],
     dfields_dt: dict[str, Callable],
-) -> Signal:
+) -> Callable[[float], np.ndarray]:
     """Source F(t) = M0 u*'(t) + (M1 + A) u*(t) for sampled exact fields.
 
     Driving the stepper with F and u0 = u*(0) makes the sampled fields the
@@ -459,7 +459,7 @@ def manufactured_source(
         du = exact_state(model, dfields_dt, t)
         return model.M0 @ du + K @ u
 
-    return CallableSignal(F, model.layout.dim)
+    return F
 
 
 def timoshenko_mms_fields(omega: float = 2.0) -> tuple[dict, dict]:
@@ -496,8 +496,8 @@ def timoshenko_mms_fields(omega: float = 2.0) -> tuple[dict, dict]:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One scenario: its params class (tagged fields are coefficient
-    fields), its maker, and how a refinement study measures its error:
+    """One scenario: its params class (tagged fields are coefficients),
+    its maker, and how a refinement study measures its error:
     against a closed-form MMS family, against a run four times finer
     (self_reference), or not at all."""
 

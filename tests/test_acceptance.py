@@ -14,8 +14,6 @@ import pytest
 
 from evobeam.cli import cmd_check, parse_config
 from evobeam.core import (
-    SeparableSignal,
-    ZeroSignal,
     build_grid,
     bump_envelope,
     energy,
@@ -153,7 +151,7 @@ def test_long_run_conservation(rng):
     )
     assert scheme.n_steps == 10_000
     u0 = rng.standard_normal(model.layout.dim)
-    ts = run(sys_, u0, ZeroSignal(model.layout.dim))
+    ts = run(sys_, u0, lambda t: np.zeros(model.layout.dim))
     drift = np.max(np.abs(ts.energy - ts.energy[0])) / ts.energy[0]
     assert drift <= 1e-10
 
@@ -169,7 +167,7 @@ def test_boundary_damping_decays():
     u0[lay.slice_of("eta")] = np.sin(np.pi * (xc + 0.5) / 2)
     u0 = consistent_initial_state(model, u0)
     _, sys_ = _system(model, dt=1.0 / 32, t_end=4.0)
-    ts = run(sys_, u0, ZeroSignal(lay.dim))
+    ts = run(sys_, u0, lambda t: np.zeros(lay.dim))
     e0 = ts.energy[0]
     assert np.all(np.diff(ts.energy) <= 1e-12 * max(1.0, e0))
     assert ts.energy[-1] < 0.99 * e0
@@ -218,8 +216,8 @@ def test_solution_bound_probe(block, center, width):
     scheme, sys_ = _system(model, dt=1.0 / 64, t_end=10.0, rho=2.0)
     x = model.layout.points_of(block)
     profile = embed_block(model.layout, block, np.cos(np.pi * x))
-    pulse = SeparableSignal(profile, gaussian_envelope(center, width))
-    ratio = bound_probe(sys_, pulse)
+    env = gaussian_envelope(center, width)
+    ratio = bound_probe(sys_, lambda t: profile * env(t))
     # c0 = 1/2 at rho = 2, so the discrete ratio must stay below 1.05 * 2
     assert 0.0 < ratio <= 1.05 * 2.0
 
@@ -232,15 +230,11 @@ def test_causality_split(a):
     )
     scheme, sys_ = _system(model, dt=1.0 / 64, t_end=1.0)
     x = model.layout.points_of("eta")
-    shared = SeparableSignal(
-        embed_block(model.layout, "eta", np.cos(np.pi * x)),
-        sinusoid_envelope(1.0),
-    )
-    late = SeparableSignal(
-        embed_block(model.layout, "s", np.ones(model.layout.length_of("s"))),
-        bump_envelope(a + 0.05, 1.0),
-    )
-    dev = causality_probe(sys_, shared, shared + late, a)
+    shared_profile = embed_block(model.layout, "eta", np.cos(np.pi * x))
+    late_profile = embed_block(model.layout, "s", np.ones(model.layout.length_of("s")))
+    wave, bump = sinusoid_envelope(1.0), bump_envelope(a + 0.05, 1.0)
+    shared = lambda t: shared_profile * wave(t)
+    dev = causality_probe(sys_, shared, lambda t: shared(t) + late_profile * bump(t), a)
     assert dev <= 1e-13
 
 
@@ -266,8 +260,8 @@ def test_full_vs_split_runs(rng):
     )
     u0_full = np.zeros(fd.layout.dim)
     u0_full[idx] = u0_sub
-    ts_full = run(sys_full, u0_full, ZeroSignal(fd.layout.dim))
-    ts_sub = run(sys_sub, u0_sub, ZeroSignal(sub.layout.dim))
+    ts_full = run(sys_full, u0_full, lambda t: np.zeros(fd.layout.dim))
+    ts_sub = run(sys_sub, u0_sub, lambda t: np.zeros(sub.layout.dim))
     assert np.max(np.abs(ts_full.snapshots[:, idx] - ts_sub.snapshots)) <= 1e-12
     rest = np.setdiff1d(np.arange(fd.layout.dim), idx)
     assert np.max(np.abs(ts_full.snapshots[:, rest])) <= 1e-12
@@ -285,11 +279,10 @@ def test_unitary_congruence(rng):
     _, sys_b = _system(flipped, **scheme_kw)
     x = model.layout.points_of("eta")
     profile = embed_block(model.layout, "eta", np.cos(np.pi * x))
-    f = SeparableSignal(profile, gaussian_envelope(0.3, 0.1))
-    f_flipped = SeparableSignal(s * profile, gaussian_envelope(0.3, 0.1))
+    env = gaussian_envelope(0.3, 0.1)
     u0 = rng.standard_normal(model.layout.dim)
-    ts_a = run(sys_a, u0, f)
-    ts_b = run(sys_b, s * u0, f_flipped)
+    ts_a = run(sys_a, u0, lambda t: profile * env(t))
+    ts_b = run(sys_b, s * u0, lambda t: s * profile * env(t))
     assert np.max(np.abs(ts_b.snapshots - ts_a.snapshots * s[None, :])) <= 1e-12
     assert np.max(np.abs(ts_b.energy - ts_a.energy)) <= 1e-12
 
@@ -300,14 +293,12 @@ def test_inhomogeneous_boundary_data():
         build_grid(16), TimoshenkoParams(c=0.5, I_tilde=0.0)
     )
     _, sys_ = _system(model, dt=1.0 / 64, t_end=1.0)
-    g = SeparableSignal(
-        embed_block(model.layout, "tau_plus", np.ones(1)),
-        sinusoid_envelope(1.0),
-    )
+    trace_profile, wave = embed_block(model.layout, "tau_plus", np.ones(1)), sinusoid_envelope(1.0)
+    g = lambda t: trace_profile * wave(t)
     ts1 = run(sys_, np.zeros(model.layout.dim), g)
     assert np.max(np.abs(ts1.snapshots)) > 1e-8
     assert ts1.energy[-1] > 0.0
-    ts3 = run(sys_, np.zeros(model.layout.dim), 3.0 * g)
+    ts3 = run(sys_, np.zeros(model.layout.dim), lambda t: 3.0 * g(t))
     scale = np.max(np.abs(ts1.snapshots))
     assert np.max(np.abs(ts3.snapshots - 3.0 * ts1.snapshots)) <= 1e-11 * max(1.0, scale)
     # the convergence family itself carries nonzero boundary data in the

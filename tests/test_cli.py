@@ -436,6 +436,48 @@ def test_main_rejects_nonfinite_expression_values(command, extra, where, expr, t
     assert err == [f"config error: {where}: {expr!r} is not finite at every sample point"]
 
 
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize(
+    "extra,where,expr",
+    [
+        ("kappa1 = (-1)**0.5\n", "[scenario] kappa1", "(-1)**0.5"),
+        ("kappa1 = 2 + (-1)**0.5 * x\n", "[scenario] kappa1", "2 + (-1)**0.5 * x"),
+        ("\n[initial]\nkind = expr\neta = x * (-1)**0.5\n", "[initial] eta", "x * (-1)**0.5"),
+    ],
+    ids=["kappa1-constant", "kappa1-field", "initial-eta"],
+)
+def test_main_rejects_complex_expression_values(command, extra, where, expr, tmp_path, capsys):
+    code, err = _main_fails_once(command, MINIMAL + extra, tmp_path, capsys)
+    assert code == 4
+    assert err == [f"config error: {where}: {expr!r} is not real"]
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("kind", ["random", "expr"])
+def test_main_rejects_overflowing_initial_amplitude(command, kind, tmp_path, capsys):
+    extra = f"\n[initial]\nkind = {kind}\namplitude = 1e308\neta = 3.0\n"
+    code, err = _main_fails_once(command, MINIMAL + extra, tmp_path, capsys)
+    assert code == 4
+    assert err == ["config error: state contains non-finite entries"]
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize(
+    "raw,message",
+    [
+        ("-1", "must be > 0, got '-1'"),
+        ("0", "must be > 0, got '0'"),
+        ("abc", "expected a number, got 'abc'"),
+        ("inf", "expected a finite number, got 'inf'"),
+    ],
+    ids=["negative", "zero", "not-a-number", "infinite"],
+)
+def test_main_rejects_bad_c_target(command, raw, message, tmp_path, capsys):
+    code, err = _main_fails_once(command, MINIMAL + f"\n[scheme]\nc_target = {raw}\n", tmp_path, capsys)
+    assert code == 4
+    assert err == [f"config error: [scheme] c_target: {message}"]
+
+
 def test_main_config_not_utf8_exits_three(tmp_path, capsys):
     path = tmp_path / "cfg.ini"
     path.write_bytes(b"\xff\xfe" + MINIMAL.encode())

@@ -4,27 +4,21 @@ import numpy as np
 import pytest
 
 from evobeam.core import (
-    CoefficientField,
     DimensionError,
     Grid,
     InvalidDomainError,
     InvalidGridError,
     NumericError,
-    ParameterError,
-    SeparableSignal,
-    Signal,
     SpaceTag,
     StateLayout,
     TimeSeries,
     WeightMatrix,
-    ZeroSignal,
     build_grid,
     build_weights,
     bump_envelope,
     energy,
     exp_weighted_norm,
     gaussian_envelope,
-    sinusoid_envelope,
     weighted_inner,
     weighted_norm,
 )
@@ -168,26 +162,6 @@ def test_exp_weighted_norm_constant_state():
     for rho in (0.5, 1.0, 2.0):
         exact = math.sqrt((1.0 - math.exp(-2.0 * rho)) / (2.0 * rho))
         assert math.isclose(exp_weighted_norm(times, states, rho, W), exact, rel_tol=1e-6)
-
-
-def test_coefficient_field_constructors_and_checks():
-    g = build_grid(4)
-    f = CoefficientField.constant(2.0, g, SpaceTag.CENTER)
-    np.testing.assert_array_equal(f.values, [2.0, 2.0, 2.0, 2.0])
-    with pytest.raises(ParameterError):
-        CoefficientField.constant(-1.0, g, SpaceTag.CENTER).require_nonnegative("d")
-    with pytest.raises(ParameterError):
-        CoefficientField.constant(0.0, g, SpaceTag.CENTER).require_positive("kappa")
-
-
-def test_zero_signal_and_algebra():
-    z = ZeroSignal(3)
-    np.testing.assert_array_equal(z(0.7), np.zeros(3))
-    s = SeparableSignal(np.array([1.0, 0.0, 2.0]), sinusoid_envelope(1.0, 0.0, 1.0))
-    total = z + s * 2.0
-    expected = 2.0 * math.sin(2.0 * math.pi * 0.25) * np.array([1.0, 0.0, 2.0])
-    np.testing.assert_allclose(total(0.25), expected)
-    assert isinstance(total, Signal)
 
 
 def test_bump_envelope_has_compact_support():

@@ -15,15 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from evobeam import integrate
 from evobeam.core import (
-    CallableSignal,
-    CoefficientField,
     NumericError,
     ParameterError,
-    SeparableSignal,
     SpaceTag,
     StateLayout,
     WeightMatrix,
-    ZeroSignal,
     bump_envelope,
     build_grid,
     energy,
@@ -117,8 +113,7 @@ def test_scalar_global_second_order():
     for m in (20, 40, 80):
         dt = 1.0 / m
         layout, scheme, sys_ = _scalar_system(1.0, dt, t_end=1.0)
-        src = CallableSignal(lambda t: np.array([math.cos(t)]), 1)
-        ts = run(sys_, np.array([0.5]), src)
+        ts = run(sys_, np.array([0.5]), lambda t: np.array([math.cos(t)]))
         errs.append(abs(ts.snapshots[-1][0] - exact(1.0)))
     rates = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(1.9 < r < 2.1 for r in rates)
@@ -127,7 +122,7 @@ def test_scalar_global_second_order():
 def test_backward_euler_runs_but_has_no_balance_identity():
     layout, _, sys_ = _scalar_system(0.5, 0.1, t_end=1.0, theta=1.0)
     u0 = np.array([1.0])
-    ts = run(sys_, u0, ZeroSignal(1))
+    ts = run(sys_, u0, lambda t: np.zeros(1))
     assert ts.energy[-1] < ts.energy[0]
     u1 = ts.snapshots[1]
     with pytest.raises(UnsupportedSchemeError):
@@ -183,7 +178,7 @@ def test_factor_shape_validation():
 def test_run_record_counts_and_times():
     scheme = SchemeParams(dt=0.0625, t_end=1.0, record_every=4)
     model, sys_ = _beam_system(4, TimoshenkoParams(c=0.5), scheme)
-    ts = run(sys_, np.zeros(model.layout.dim), ZeroSignal(model.layout.dim))
+    ts = run(sys_, np.zeros(model.layout.dim), lambda t: np.zeros(model.layout.dim))
     # 16 steps, recording step 0 and every 4th: 0, 4, 8, 12, 16
     assert len(ts) == 5
     assert np.array_equal(ts.times, np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
@@ -199,7 +194,8 @@ def test_run_without_snapshots_records_the_same_bytes(rng):
     u0 = rng.standard_normal(lay.dim)
     profile = np.zeros(lay.dim)
     profile[lay.slice_of("eta")] = np.sin(np.pi * lay.points_of("eta"))
-    f = SeparableSignal(profile, gaussian_envelope(0.4, 0.1))
+    env = gaussian_envelope(0.4, 0.1)
+    f = lambda t: profile * env(t)
     full = run(sys_, u0, f)
     lean = run(sys_, u0, f, snapshots=False)
     assert lean.snapshots is None
@@ -216,13 +212,13 @@ def test_run_rejects_a_wrong_length_or_nonfinite_initial_state():
     model, sys_ = _beam_system(4, TimoshenkoParams(c=0.5), scheme)
     dim = model.layout.dim
     with pytest.raises(ParameterError):
-        run(sys_, np.zeros(dim - 1), ZeroSignal(dim))
+        run(sys_, np.zeros(dim - 1), lambda t: np.zeros(dim))
     with pytest.raises(ParameterError):
-        run(sys_, np.zeros((1, dim)), ZeroSignal(dim))
+        run(sys_, np.zeros((1, dim)), lambda t: np.zeros(dim))
     u0 = np.zeros(dim)
     u0[model.layout.offset_of("tau_plus")] = np.nan
     with pytest.raises(NumericError):
-        run(sys_, u0, ZeroSignal(dim))
+        run(sys_, u0, lambda t: np.zeros(dim))
 
 
 def test_run_validates_layout_and_scheme():
@@ -230,14 +226,18 @@ def test_run_validates_layout_and_scheme():
     model, sys_ = _beam_system(4, TimoshenkoParams(c=0.5), scheme)
     other = StateLayout(build_grid(2), (("tau", SpaceTag.TRACE),))
     with pytest.raises(ParameterError):
-        run(sys_, np.zeros(other.dim), ZeroSignal(model.layout.dim))
-    with pytest.raises(ParameterError):
-        run(
-            sys_,
-            np.zeros(model.layout.dim),
-            ZeroSignal(model.layout.dim),
-            SchemeParams(dt=0.05, t_end=1.0),
-        )
+        run(sys_, np.zeros(other.dim), lambda t: np.zeros(model.layout.dim))
+
+
+def test_run_takes_snapshots_only_by_keyword():
+    # a scheme in the old fourth position must not pass for a true flag
+    scheme = SchemeParams(dt=0.1, t_end=1.0)
+    model, sys_ = _beam_system(4, TimoshenkoParams(c=0.5), scheme)
+    u0, source = np.zeros(model.layout.dim), lambda t: np.zeros(model.layout.dim)
+    with pytest.raises(TypeError):
+        run(sys_, u0, source, SchemeParams(dt=0.1, t_end=0.5))
+    with pytest.raises(TypeError):
+        run(sys_, u0, source, False)
 
 
 @pytest.mark.parametrize("theta,expected", [(0.5, 0.5), (1.0, 1.0)])
@@ -251,7 +251,7 @@ def test_source_sampled_at_theta_offset(theta, expected):
         seen.append(t)
         return np.zeros(1)
 
-    run(sys_, np.zeros(model.layout.dim), CallableSignal(probe_fn, 1))
+    run(sys_, np.zeros(model.layout.dim), probe_fn)
     assert seen == [(k + expected) * 0.25 for k in range(4)]
 
 
@@ -261,9 +261,10 @@ def test_response_is_linear_in_source_bitwise():
     profile = np.zeros(model.layout.dim)
     sl = model.layout.slice_of("eta")
     profile[sl] = np.sin(np.pi * model.layout.points_of("eta"))
-    f = SeparableSignal(profile, gaussian_envelope(0.4, 0.1))
+    env = gaussian_envelope(0.4, 0.1)
+    f = lambda t: profile * env(t)
     ts1 = run(sys_, np.zeros(model.layout.dim), f)
-    ts2 = run(sys_, np.zeros(model.layout.dim), 2.0 * f)
+    ts2 = run(sys_, np.zeros(model.layout.dim), lambda t: 2.0 * f(t))
     # doubling is exact in binary floating point, so the trajectories
     # must double without any drift at all
     assert np.array_equal(ts2.snapshots, 2.0 * ts1.snapshots)
@@ -275,8 +276,8 @@ def test_causality_probe_zero_before_split():
     profile = np.zeros(model.layout.dim)
     profile[model.layout.offset_of("eta")] = 1.0
     a = 1.0
-    late = SeparableSignal(profile, bump_envelope(1.2, 2.0))
-    dev = causality_probe(sys_, late, ZeroSignal(model.layout.dim), a)
+    env = bump_envelope(1.2, 2.0)
+    dev = causality_probe(sys_, lambda t: profile * env(t), lambda t: np.zeros(model.layout.dim), a)
     assert dev == 0.0
 
 
@@ -286,35 +287,35 @@ def test_causality_probe_stops_at_split():
     dim = model.layout.dim
     profile = np.zeros(dim)
     profile[model.layout.offset_of("eta")] = 1.0
-    late = SeparableSignal(profile, bump_envelope(1.2, 2.0))
+    env = bump_envelope(1.2, 2.0)
     seen = []
 
     def spy(t):
         seen.append(t)
-        return late(t)
+        return profile * env(t)
 
-    assert causality_probe(sys_, CallableSignal(spy, dim), ZeroSignal(dim), 1.0) == 0.0
+    assert causality_probe(sys_, spy, lambda t: np.zeros(dim), 1.0) == 0.0
     # the premise check and both runs sample sources only up to a
     assert seen and max(seen) <= 1.0
     seen.clear()
     # with a < dt only the common initial state lies before a
-    assert causality_probe(sys_, CallableSignal(spy, dim), ZeroSignal(dim), 0.01) == 0.0
+    assert causality_probe(sys_, spy, lambda t: np.zeros(dim), 0.01) == 0.0
     assert seen == []
 
 
 def test_causality_probe_rejects_bad_inputs():
     scheme = SchemeParams(dt=0.05, t_end=2.0)
     model, sys_ = _beam_system(4, TimoshenkoParams(c=0.5), scheme)
-    z = ZeroSignal(model.layout.dim)
+    z = lambda t: np.zeros(model.layout.dim)
     with pytest.raises(InvalidProbeError):
         causality_probe(sys_, z, z, a=0.0)
     with pytest.raises(InvalidProbeError):
         causality_probe(sys_, z, z, a=2.5)
     profile = np.zeros(model.layout.dim)
     profile[model.layout.offset_of("eta")] = 1.0
-    early = SeparableSignal(profile, bump_envelope(0.1, 2.0))
+    env = bump_envelope(0.1, 2.0)
     with pytest.raises(InvalidProbeError):
-        causality_probe(sys_, early, z, a=1.0)
+        causality_probe(sys_, lambda t: profile * env(t), z, a=1.0)
 
 
 def test_bound_probe_respects_solution_bound():
@@ -323,8 +324,8 @@ def test_bound_probe_respects_solution_bound():
     profile = np.zeros(model.layout.dim)
     sl = model.layout.slice_of("eta")
     profile[sl] = np.cos(np.pi * model.layout.points_of("eta"))
-    f = SeparableSignal(profile, gaussian_envelope(1.0, 0.2))
-    ratio = bound_probe(sys_, f)
+    env = gaussian_envelope(1.0, 0.2)
+    ratio = bound_probe(sys_, lambda t: profile * env(t))
     # coercivity constant of this law at rho = 2 is c0 = 1/2
     assert 0.0 < ratio <= 2.0 * 1.05
 
@@ -333,7 +334,7 @@ def test_bound_probe_rejects_zero_source():
     scheme = SchemeParams(dt=0.1, t_end=1.0)
     model, sys_ = _beam_system(4, TimoshenkoParams(c=0.5), scheme)
     with pytest.raises(UndefinedRatioError):
-        bound_probe(sys_, ZeroSignal(model.layout.dim))
+        bound_probe(sys_, lambda t: np.zeros(model.layout.dim))
 
 
 def test_step_guards_against_nonfinite_source():
@@ -387,7 +388,8 @@ def test_run_matches_stepwise_reference_bitwise(monkeypatch, rng, name, record_e
     scheme = SchemeParams(dt=0.04, t_end=1.0, record_every=record_every)
     sys_ = factor(model, scheme)
     u0 = rng.standard_normal(lay.dim)
-    f = SeparableSignal(rng.standard_normal(lay.dim), gaussian_envelope(0.4, 0.2))
+    profile, env = rng.standard_normal(lay.dim), gaussian_envelope(0.4, 0.2)
+    f = lambda t: profile * env(t)
     ts = run(sys_, u0, f, snapshots=snapshots)
     times, energies, traces, snaps = _stepwise_reference(sys_, u0, f, scheme)
     assert np.array_equal(ts.times, times)
@@ -413,7 +415,7 @@ def test_run_raises_when_the_source_turns_nonfinite(t_bad):
         return np.full(dim, np.inf) if t >= t_bad else np.ones(dim)
 
     with pytest.raises(NumericError):
-        run(sys_, np.zeros(model.layout.dim), CallableSignal(source, dim))
+        run(sys_, np.zeros(model.layout.dim), source)
 
 
 def test_run_raises_when_a_recorded_energy_overflows():
@@ -425,15 +427,15 @@ def test_run_raises_when_a_recorded_energy_overflows():
     lay = model.layout
     profile = np.zeros(lay.dim)
     profile[lay.slice_of("V1")] = 1.0
-    source = SeparableSignal(profile, sinusoid_envelope(1.0, 0.0, 1e308))
+    env = sinusoid_envelope(1.0, 0.0, 1e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="recorded energy is not finite"):
-            run(sys_, np.zeros(lay.dim), source)
+            run(sys_, np.zeros(lay.dim), lambda t: profile * env(t))
 
 
 def _random_field(rng, tag, n, lo, hi):
-    return CoefficientField(tag, rng.uniform(lo, hi, tag.block_length(n)))
+    return rng.uniform(lo, hi, tag.block_length(n))
 
 
 @settings(max_examples=25, deadline=None)
@@ -458,7 +460,8 @@ def test_run_keeps_energy_balance_on_random_coefficients(n, seed, c, I_tilde):
     scheme = SchemeParams(dt=0.05, t_end=1.0)
     model, sys_ = _beam_system(n, params, scheme)
     lay = model.layout
-    f = SeparableSignal(rng.standard_normal(lay.dim), gaussian_envelope(0.3, 0.2))
+    profile, env = rng.standard_normal(lay.dim), gaussian_envelope(0.3, 0.2)
+    f = lambda t: profile * env(t)
     ts = run(sys_, rng.standard_normal(lay.dim), f)
     scale = max(1.0, float(np.max(ts.energy)))
     for k in range(len(ts) - 1):

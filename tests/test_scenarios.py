@@ -6,14 +6,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from evobeam.core import (
-    CoefficientField,
     InsufficientDataError,
+    NumericError,
     ParameterError,
-    SeparableSignal,
     SpaceTag,
     StateLayout,
     TimeSeries,
-    ZeroSignal,
     build_grid,
     energy,
     gaussian_envelope,
@@ -60,10 +58,28 @@ def test_timoshenko_parameter_validation():
 
 
 def test_coefficient_field_length_checked():
+    # kappa1 lives on the 4 nodes 1..N of this grid, not on all 5
     grid = build_grid(4)
-    wrong = CoefficientField.constant(1.0, grid, SpaceTag.NODE_ALL)
-    with pytest.raises(ParameterError):
-        make_timoshenko_damped(grid, TimoshenkoParams(c=0.5, kappa1=wrong))
+    for wrong in (np.ones(5), np.ones(3), np.ones((4, 1)), np.ones((1, 4))):
+        with pytest.raises(ParameterError, match="^kappa1 sampled on the wrong block length$"):
+            make_timoshenko_damped(grid, TimoshenkoParams(c=0.5, kappa1=wrong))
+
+
+def test_coefficient_samples_checked():
+    # d lives on the 3 interior nodes; a float is broadcast to the block
+    grid = build_grid(4)
+    model = make_timoshenko_damped(grid, TimoshenkoParams(c=0.5, kappa1=2.0))
+    assert np.array_equal(model.M0.diagonal()[model.layout.slice_of("V1")], np.full(4, 2.0))
+    for bad in (np.inf, np.array([1.0, np.inf, 1.0, 1.0]), np.array([1.0, 1.0, np.nan, 1.0])):
+        with pytest.raises(NumericError, match="^coefficient samples must be finite$"):
+            make_timoshenko_damped(grid, TimoshenkoParams(c=0.5, kappa1=bad))
+    for bad in (0.0, np.array([1.0, 0.0, 1.0, 1.0]), np.array([1.0, 1.0, 1.0, -0.5])):
+        with pytest.raises(ParameterError, match="^kappa1 must be strictly positive everywhere$"):
+            make_timoshenko_damped(grid, TimoshenkoParams(c=0.5, kappa1=bad))
+    make_timoshenko_damped(grid, TimoshenkoParams(c=0.5, d=np.array([0.0, 0.1, 0.0])))
+    for bad in (-0.1, np.array([0.0, -1e-300, 0.0])):
+        with pytest.raises(ParameterError, match="^d must be nonnegative everywhere$"):
+            make_timoshenko_damped(grid, TimoshenkoParams(c=0.5, d=bad))
 
 
 def test_timoshenko_trace_row():
@@ -116,7 +132,7 @@ def _lil_damping_reference(model, params):
     M1 = sp.lil_matrix((lay.dim, lay.dim))
     tau = lay.offset_of("tau_plus")
     M1[tau, tau] = params.c
-    d = params.d.values if isinstance(params.d, CoefficientField) else np.full(lay.length_of("s"), params.d)
+    d = np.full(lay.length_of("s"), params.d)
     s_sl = lay.slice_of("s")
     M1[s_sl, s_sl] = sp.diags(d)
     eta, v2 = lay.offset_of("eta"), lay.offset_of("V2")
@@ -136,7 +152,7 @@ def test_timoshenko_damping_matrix_matches_lil_build_bitwise(n, d, c):
         "zero": 0.0,
         "constant": 0.2,
         # zero on part of the beam, so some entries are dropped
-        "field": CoefficientField(tag, np.maximum(np.sin(7.0 * x), 0.0)),
+        "field": np.maximum(np.sin(7.0 * x), 0.0),
     }[d]
     params = TimoshenkoParams(c=c, I_tilde=0.1, d=d_value, sigma0=-1.5)
     model = make_timoshenko_damped(build_grid(n), params)
@@ -199,8 +215,8 @@ def test_sign_flip_conjugates_solutions(rng):
     sys_b = factor(flipped, scheme)
     s = sign_flip_vector(model.layout)
     u0 = rng.standard_normal(model.layout.dim)
-    ts_a = run(sys_a, u0, ZeroSignal(model.layout.dim))
-    ts_b = run(sys_b, s * u0, ZeroSignal(model.layout.dim))
+    ts_a = run(sys_a, u0, lambda t: np.zeros(model.layout.dim))
+    ts_b = run(sys_b, s * u0, lambda t: np.zeros(model.layout.dim))
     assert np.max(np.abs(ts_b.snapshots - ts_a.snapshots * s[None, :])) < 1e-12
     assert np.max(np.abs(ts_b.energy - ts_a.energy)) < 1e-12
 
@@ -217,11 +233,10 @@ def test_sign_flip_conjugates_solutions_bitwise(rng, n):
     sys_b = factor(flipped, scheme)
     s = sign_flip_vector(model.layout)
     profile = embed_block(model.layout, "eta", np.cos(np.pi * model.layout.points_of("eta")))
-    f_a = SeparableSignal(profile, gaussian_envelope(0.2, 0.1))
-    f_b = SeparableSignal(s * profile, gaussian_envelope(0.2, 0.1))
+    env = gaussian_envelope(0.2, 0.1)
     u0 = rng.standard_normal(model.layout.dim)
-    ts_a = run(sys_a, u0, f_a)
-    ts_b = run(sys_b, s * u0, f_b)
+    ts_a = run(sys_a, u0, lambda t: profile * env(t))
+    ts_b = run(sys_b, s * u0, lambda t: s * profile * env(t))
     assert np.array_equal(ts_b.snapshots, ts_a.snapshots * s[None, :])
     assert np.array_equal(ts_b.energy, ts_a.energy)
 
@@ -231,7 +246,7 @@ def test_full_dynamic_conserves_energy(rng):
     scheme = SchemeParams(dt=0.05, t_end=2.0)
     sys_ = factor(model, scheme)
     u0 = rng.standard_normal(model.layout.dim)
-    ts = run(sys_, u0, ZeroSignal(model.layout.dim))
+    ts = run(sys_, u0, lambda t: np.zeros(model.layout.dim))
     assert np.max(np.abs(ts.energy - ts.energy[0])) <= 1e-10 * max(1.0, ts.energy[0])
 
 
@@ -241,7 +256,7 @@ def test_full_dynamic_trace_damping_dissipates(rng):
     scheme = SchemeParams(dt=0.05, t_end=2.0)
     sys_ = factor(model, scheme)
     u0 = rng.standard_normal(model.layout.dim)
-    ts = run(sys_, u0, ZeroSignal(model.layout.dim))
+    ts = run(sys_, u0, lambda t: np.zeros(model.layout.dim))
     assert ts.energy[-1] < ts.energy[0]
     assert np.all(np.diff(ts.energy) <= 1e-12 * ts.energy[0])
 
@@ -258,7 +273,7 @@ def test_sturm_liouville_hyperbolic_conserves(rng):
     scheme = SchemeParams(dt=0.05, t_end=2.0)
     sys_ = factor(model, scheme)
     u0 = rng.standard_normal(model.layout.dim)
-    ts = run(sys_, u0, ZeroSignal(model.layout.dim))
+    ts = run(sys_, u0, lambda t: np.zeros(model.layout.dim))
     assert np.max(np.abs(ts.energy - ts.energy[0])) <= 1e-10 * max(1.0, ts.energy[0])
 
 
@@ -304,8 +319,8 @@ def test_split_model_evolution_matches_full(rng, n):
     )
     u0_full = np.zeros(fd.layout.dim)
     u0_full[idx] = u0_sub
-    ts_full = run(sys_full, u0_full, ZeroSignal(fd.layout.dim))
-    ts_sub = run(sys_sub, u0_sub, ZeroSignal(sub.layout.dim))
+    ts_full = run(sys_full, u0_full, lambda t: np.zeros(fd.layout.dim))
+    ts_sub = run(sys_sub, u0_sub, lambda t: np.zeros(sub.layout.dim))
     assert np.array_equal(ts_full.snapshots[:, idx], ts_sub.snapshots)
     rest = np.setdiff1d(np.arange(fd.layout.dim), idx)
     assert np.array_equal(ts_full.snapshots[:, rest], np.zeros_like(ts_full.snapshots[:, rest]))
@@ -319,7 +334,7 @@ def test_split_identity_bitwise_on_random_coefficients(n, seed):
     fields.update({f"g_{b}": (0.0, 2.0) for b in ("V1", "eta", "s", "V2")})
     tags = {f.name: f.metadata.get("tag") for f in FullDynamicParams.__dataclass_fields__.values()}
     samples = {
-        name: CoefficientField(tags[name], rng.uniform(lo, hi, tags[name].block_length(n)))
+        name: rng.uniform(lo, hi, tags[name].block_length(n))
         for name, (lo, hi) in fields.items()
     }
     laws = {
@@ -341,8 +356,8 @@ def test_split_identity_bitwise_on_random_coefficients(n, seed):
     profile_full = np.zeros(fd.layout.dim)
     profile_full[idx] = profile_sub
     env = gaussian_envelope(0.2, 0.1)
-    ts_full = run(sys_full, u0_full, SeparableSignal(profile_full, env))
-    ts_sub = run(sys_sub, u0_sub, SeparableSignal(profile_sub, env))
+    ts_full = run(sys_full, u0_full, lambda t: profile_full * env(t))
+    ts_sub = run(sys_sub, u0_sub, lambda t: profile_sub * env(t))
     assert np.array_equal(ts_full.snapshots[:, idx], ts_sub.snapshots)
     rest = np.setdiff1d(np.arange(fd.layout.dim), idx)
     assert not ts_full.snapshots[:, rest].any()
@@ -474,7 +489,7 @@ def test_boundary_residual_decays_first_order():
         u0 = consistent_initial_state(model, u0)
         scheme = SchemeParams(dt=1.0 / n, t_end=1.0)
         sys_ = factor(model, scheme)
-        ts = run(sys_, u0, ZeroSignal(lay.dim))
+        ts = run(sys_, u0, lambda t: np.zeros(lay.dim))
         v1_last = ts.snapshots[:, _last_v1(lay)]
         worst = 0.0
         for k in range(len(ts)):
