@@ -335,6 +335,11 @@ def build_scheme(cfg: RunConfig) -> SchemeParams:
         raise ConfigError(f"[scheme] c_target: must be > 0, got {s['c_target']!r}")
     if abs(scheme.n_steps * scheme.dt - scheme.t_end) > 1e-9 * scheme.t_end:
         raise ConfigError(f"[scheme] t_end: {s['t_end']} is not a whole number of steps of dt = {s['dt']}")
+    if scheme.n_steps % scheme.record_every:
+        raise ConfigError(
+            f"[scheme] record_every: {s['record_every']} does not divide the {scheme.n_steps} steps,"
+            " so the last record would fall before t_end"
+        )
     return scheme
 
 
@@ -529,7 +534,8 @@ def _restrict(fine_model: AssembledModel, coarse_model: AssembledModel, u: np.nd
 
 def cmd_converge(cfg: RunConfig, levels: list[int]) -> tuple[list[str], int]:
     """Grid refinement study: the W-norm error at t_end on each level and
-    the fitted slope of log(error) against log(h).
+    the fitted slope of log(error) against log(h).  Each level steps with
+    the configured t_end and theta at its own dt (h for MMS, 1/n otherwise).
 
     A scenario with an MMS family is driven by its manufactured source and
     compared with the exact fields.  A self-reference scenario runs the
@@ -550,6 +556,7 @@ def cmd_converge(cfg: RunConfig, levels: list[int]) -> tuple[list[str], int]:
     if spec.mms is None and not spec.self_reference:
         raise ConfigError(f"converge does not support scenario {cfg.scenario!r}")
     t_end = _float(cfg.scheme["t_end"], "[scheme] t_end")
+    theta = _float(cfg.scheme["theta"], "[scheme] theta")
     if spec.mms is not None:
         exact, rates = spec.mms()
 
@@ -564,7 +571,7 @@ def cmd_converge(cfg: RunConfig, levels: list[int]) -> tuple[list[str], int]:
             steps = max(1, round(t_end * n))
             source = build_source(level_cfg, model)
             u0 = consistent_initial_state(model, build_initial(level_cfg, model), source(0.0))
-        scheme = SchemeParams(dt=t_end / steps, t_end=t_end, record_every=steps)
+        scheme = SchemeParams(dt=t_end / steps, t_end=t_end, theta=theta, record_every=steps)
         sys_ = factor(model, scheme)
         return model, run(sys_, u0, source)
 

@@ -7,7 +7,9 @@ vectors behave like elements of a weighted L2-type space with trace summands.
 A state is a plain float array of length ``layout.dim`` on that space, and
 a source is a function of time that returns one; the envelopes at the end
 give the time factor of a separable source ``profile * envelope(t)``.
-All values are immutable after construction and all operations are pure.
+Grids and weight matrices are frozen; ``StateLayout`` and ``TimeSeries``
+are mutable dataclasses that nothing here changes after construction, and
+every function leaves its arguments unchanged.
 """
 
 from __future__ import annotations
@@ -19,10 +21,6 @@ import numpy as np
 
 __all__ = [
     "EvobeamError",
-    "InvalidGridError",
-    "DimensionError",
-    "InvalidDomainError",
-    "InsufficientDataError",
     "NumericError",
     "ParameterError",
     "SpaceTag",
@@ -46,28 +44,13 @@ class EvobeamError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidGridError(EvobeamError):
-    """Grid construction with an unusable cell count."""
-
-
-class DimensionError(EvobeamError):
-    """Operands do not share a layout or dimension."""
-
-
-class InvalidDomainError(EvobeamError):
-    """An operator or point set was requested on an unsupported space tag."""
-
-
-class InsufficientDataError(EvobeamError):
-    """A time series lacks the records needed for the computation."""
-
-
 class NumericError(EvobeamError):
     """Non-finite values, or a numerical consistency check failed."""
 
 
 class ParameterError(EvobeamError):
-    """Model parameters violate a scenario invariant."""
+    """An argument is outside what the function accepts: a parameter that
+    violates a scenario invariant, a wrong shape, tag or record count."""
 
 
 class SpaceTag(enum.Enum):
@@ -87,7 +70,7 @@ class SpaceTag(enum.Enum):
             return slice(1, n_cells + 1)
         if self is SpaceTag.NODE_INTERIOR:
             return slice(1, n_cells)
-        raise InvalidDomainError(f"{self} is not a node tag")
+        raise ParameterError(f"{self} is not a node tag")
 
     def block_length(self, n_cells: int) -> int:
         if self is SpaceTag.CENTER:
@@ -123,7 +106,7 @@ class Grid:
         if tag is SpaceTag.CENTER:
             return self.centers
         if tag is SpaceTag.TRACE:
-            raise InvalidDomainError("trace slots carry no sample points")
+            raise ParameterError("trace slots carry no sample points")
         return self.nodes[tag.node_slice(self.n_cells)]
 
     def weights(self, tag: SpaceTag) -> np.ndarray:
@@ -143,7 +126,7 @@ class Grid:
 def build_grid(n_cells: int) -> Grid:
     """Build the uniform grid; requires at least two cells."""
     if not isinstance(n_cells, (int, np.integer)) or n_cells < 2:
-        raise InvalidGridError(f"n_cells must be an integer >= 2, got {n_cells!r}")
+        raise ParameterError(f"n_cells must be an integer >= 2, got {n_cells!r}")
     n = int(n_cells)
     nodes = np.linspace(-0.5, 0.5, n + 1)
     centers = 0.5 * (nodes[:-1] + nodes[1:])
@@ -168,7 +151,7 @@ class StateLayout:
         self.blocks = tuple((str(n), t) for n, t in self.blocks)
         names = [n for n, _ in self.blocks]
         if len(set(names)) != len(names):
-            raise DimensionError(f"duplicate block names in layout: {names}")
+            raise ParameterError(f"duplicate block names in layout: {names}")
         self._offsets = {}
         self._tags = {}
         off = 0
@@ -245,7 +228,7 @@ def weighted_inner(u, v, W: WeightMatrix) -> float:
     """Discrete inner product sum_i W_i u_i v_i (symmetric, positive definite)."""
     uv, vv = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     if uv.shape != vv.shape or uv.shape != (W.dim,):
-        raise DimensionError(
+        raise ParameterError(
             f"shapes {uv.shape}, {vv.shape} incompatible with weights ({W.dim},)"
         )
     return float(np.dot(uv, W.diag * vv))
@@ -278,12 +261,12 @@ class TimeSeries:
             raise NumericError("record times must be strictly increasing")
         n = self.times.shape[0]
         if self.energy.shape != (n,):
-            raise DimensionError("energy record count does not match times")
+            raise ParameterError("energy record count does not match times")
         for name, vals in self.traces.items():
             if np.asarray(vals).shape != (n,):
-                raise DimensionError(f"trace record {name!r} does not match times")
+                raise ParameterError(f"trace record {name!r} does not match times")
         if self.snapshots is not None and self.snapshots.shape[0] != n:
-            raise DimensionError("snapshot count does not match times")
+            raise ParameterError("snapshot count does not match times")
 
     def __len__(self) -> int:
         return self.times.shape[0]

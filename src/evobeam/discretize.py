@@ -11,22 +11,13 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .core import (
-    Grid,
-    InvalidDomainError,
-    SpaceTag,
-    StateLayout,
-    WeightMatrix,
-    build_weights,
-)
+from .core import Grid, ParameterError, SpaceTag, StateLayout, WeightMatrix, build_weights
 
 __all__ = [
     "build_derivative",
     "build_B",
     "build_B_tilde",
     "adjoint_wrt",
-    "timoshenko_layout",
-    "full_dynamic_layout",
     "assemble_skew",
     "skew_defect",
 ]
@@ -37,7 +28,7 @@ def build_derivative(grid: Grid, tag: SpaceTag) -> sp.csr_matrix:
 
     Row i is (u_{i+1} - u_i)/h over all N+1 nodes; columns of nodes removed
     by the tag are absent, so a pinned node enters the quotient as zero.  A
-    tag that is not a node tag raises InvalidDomainError.
+    tag that is not a node tag raises ParameterError.
     """
     n = grid.n_cells
     keep = tag.node_slice(n)
@@ -82,40 +73,11 @@ def adjoint_wrt(op: sp.spmatrix, W_dom: WeightMatrix, W_ran: WeightMatrix) -> sp
     """
     m, n = op.shape
     if W_ran.dim != m or W_dom.dim != n:
-        raise InvalidDomainError(
+        raise ParameterError(
             f"adjoint weights ({W_dom.dim}, {W_ran.dim}) do not fit operator {op.shape}"
         )
     scaled = sp.csr_matrix(op).T.multiply(W_ran.diag[np.newaxis, :])
     return sp.csr_matrix(scaled.multiply((1.0 / W_dom.diag)[:, np.newaxis]))
-
-
-def timoshenko_layout(grid: Grid) -> StateLayout:
-    return StateLayout(
-        grid,
-        (
-            ("V1", SpaceTag.NODE_FREE_LEFT),
-            ("eta", SpaceTag.CENTER),
-            ("tau_plus", SpaceTag.TRACE),
-            ("s", SpaceTag.NODE_INTERIOR),
-            ("V2", SpaceTag.CENTER),
-        ),
-    )
-
-
-def full_dynamic_layout(grid: Grid) -> StateLayout:
-    return StateLayout(
-        grid,
-        (
-            ("V1", SpaceTag.NODE_ALL),
-            ("eta", SpaceTag.CENTER),
-            ("tau0_minus", SpaceTag.TRACE),
-            ("tau0_plus", SpaceTag.TRACE),
-            ("s", SpaceTag.NODE_ALL),
-            ("V2", SpaceTag.CENTER),
-            ("tau1_minus", SpaceTag.TRACE),
-            ("tau1_plus", SpaceTag.TRACE),
-        ),
-    )
 
 
 def assemble_skew(
@@ -134,7 +96,7 @@ def assemble_skew(
     rows, cols, vals = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0)]
     for op, dom, ran in pairs:
         if set(dom) & set(ran):
-            raise InvalidDomainError("domain and range blocks of a pair must differ")
+            raise ParameterError("domain and range blocks of a pair must differ")
         dom_idx, ran_idx = layout.indices_of(dom), layout.indices_of(ran)
         op = sp.coo_matrix(op)
         adj = adjoint_wrt(op, WeightMatrix(W.diag[dom_idx]), WeightMatrix(W.diag[ran_idx])).tocoo()

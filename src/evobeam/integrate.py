@@ -30,9 +30,6 @@ from .scenarios import AssembledModel
 from .wellposed import sparse_symmetric_part
 
 __all__ = [
-    "IllPosedError",
-    "UnsupportedSchemeError",
-    "InvalidProbeError",
     "UndefinedRatioError",
     "SchemeParams",
     "SteppingSystem",
@@ -43,20 +40,6 @@ __all__ = [
     "causality_probe",
     "bound_probe",
 ]
-
-
-class IllPosedError(EvobeamError):
-    """The stepping matrix is singular; the configuration is outside the
-    well-posed class (for example a trace slot with no inertia, no damping,
-    and no coupling)."""
-
-
-class UnsupportedSchemeError(EvobeamError):
-    """The exact balance identity only holds for theta = 1/2."""
-
-
-class InvalidProbeError(EvobeamError):
-    """Probe inputs violate the probe's premise."""
 
 
 class UndefinedRatioError(EvobeamError):
@@ -114,7 +97,9 @@ def factor(model: AssembledModel, scheme: SchemeParams) -> SteppingSystem:
     try:
         lu = spla.splu(L.tocsc())
     except RuntimeError as exc:
-        raise IllPosedError(f"stepping matrix is singular: {exc}") from exc
+        # outside the well-posed class, e.g. a trace slot with no inertia,
+        # no damping and no coupling
+        raise NumericError(f"stepping matrix is singular: {exc}") from exc
     return SteppingSystem(model, scheme, R, lu, sparse_symmetric_part(M1m, model.W))
 
 
@@ -208,7 +193,7 @@ def energy_balance_residual(
 ) -> float:
     """Defect of the exact midpoint energy identity for one step."""
     if sys_.scheme.theta != 0.5:
-        raise UnsupportedSchemeError("energy balance identity requires theta = 1/2")
+        raise ParameterError("energy balance identity requires theta = 1/2")
     M0, W = sys_.model.M0, sys_.model.W
     u_mid = 0.5 * (u_n + u_np1)
     e0 = energy(u_n, M0, W)
@@ -232,15 +217,19 @@ def causality_probe(
     """
     scheme = sys_.scheme
     if not 0 < a <= scheme.t_end:
-        raise InvalidProbeError(f"split time a={a} outside the run window")
+        raise ParameterError(f"split time a={a} outside the run window")
+    steps = scheme.n_steps
     for k in range(scheme.n_steps):
         t_mid = (k + scheme.theta) * scheme.dt
         if t_mid > a:
+            steps = k
             break
         if not np.array_equal(source_f(t_mid), source_g(t_mid)):
-            raise InvalidProbeError(f"sources differ at sampled t={t_mid} <= a={a}")
-    # run records the state of step k at time k*dt
-    steps_to_a = int(np.searchsorted(np.arange(scheme.n_steps + 1) * scheme.dt, a, side="right")) - 1
+            raise ParameterError(f"sources differ at sampled t={t_mid} <= a={a}")
+    # run records step k at time k*dt <= (k + theta)*dt <= (k+1)*dt; the
+    # midpoint of step steps-1 is at most a and that of `steps` past it, so
+    # the last step at or before a is `steps` or `steps - 1`
+    steps_to_a = steps if steps * scheme.dt <= a else steps - 1
     if steps_to_a == 0:
         return 0.0  # only the common initial state lies at or before a
     u0 = np.zeros(sys_.model.layout.dim)

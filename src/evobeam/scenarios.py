@@ -19,7 +19,6 @@ import scipy.sparse.linalg as spla
 
 from .core import (
     Grid,
-    InsufficientDataError,
     NumericError,
     ParameterError,
     SpaceTag,
@@ -28,14 +27,7 @@ from .core import (
     WeightMatrix,
     build_weights,
 )
-from .discretize import (
-    assemble_skew,
-    build_B,
-    build_B_tilde,
-    build_derivative,
-    full_dynamic_layout,
-    timoshenko_layout,
-)
+from .discretize import assemble_skew, build_B, build_B_tilde, build_derivative
 from .wellposed import NevanlinnaSpec
 
 __all__ = [
@@ -195,7 +187,16 @@ def make_timoshenko_damped(grid: Grid, params: TimoshenkoParams) -> AssembledMod
         raise ParameterError("boundary trace law degenerate: c and I_tilde not both zero")
     if params.sigma0 == 0:
         raise ParameterError("sigma0 must be nonzero")
-    layout = timoshenko_layout(grid)
+    layout = StateLayout(
+        grid,
+        (
+            ("V1", SpaceTag.NODE_FREE_LEFT),
+            ("eta", SpaceTag.CENTER),
+            ("tau_plus", SpaceTag.TRACE),
+            ("s", SpaceTag.NODE_INTERIOR),
+            ("V2", SpaceTag.CENTER),
+        ),
+    )
     kappa1 = _samples(params, "kappa1", grid, True)
     nu1 = _samples(params, "nu1", grid, True)
     nu2 = _samples(params, "nu2", grid, True)
@@ -263,7 +264,20 @@ def make_full_dynamic(grid: Grid, params: FullDynamicParams) -> AssembledModel:
     """Two decoupled wave pairs with dynamic conditions at all four traces:
     A holds two copies of the [[0, adj], [-op, 0]] pattern of the two-trace
     derivative, and the (V1, eta, tau0) group never touches (s, V2, tau1)."""
-    layout, Bt = full_dynamic_layout(grid), build_B_tilde(grid)
+    layout = StateLayout(
+        grid,
+        (
+            ("V1", SpaceTag.NODE_ALL),
+            ("eta", SpaceTag.CENTER),
+            ("tau0_minus", SpaceTag.TRACE),
+            ("tau0_plus", SpaceTag.TRACE),
+            ("s", SpaceTag.NODE_ALL),
+            ("V2", SpaceTag.CENTER),
+            ("tau1_minus", SpaceTag.TRACE),
+            ("tau1_plus", SpaceTag.TRACE),
+        ),
+    )
+    Bt = build_B_tilde(grid)
     m_v1 = _samples(params, "m_V1", grid, True)
     m_eta = _samples(params, "m_eta", grid, True)
     m_s = _samples(params, "m_s", grid, True)
@@ -531,7 +545,7 @@ def extrapolate_to_boundary(values: np.ndarray, side: int) -> float:
     """
     v = values if side > 0 else values[::-1]
     if v.shape[0] < 3:
-        raise InsufficientDataError("need at least three center samples")
+        raise ParameterError("need at least three center samples")
     return float((15.0 * v[-1] - 10.0 * v[-2] + 3.0 * v[-3]) / 8.0)
 
 
@@ -549,11 +563,11 @@ def reconstruct_displacements(
     zero (displacements carry no energy of their own here).
     """
     if ts.snapshots is None or ts.layout is None:
-        raise InsufficientDataError("displacement reconstruction needs snapshots")
+        raise ParameterError("displacement reconstruction needs snapshots")
     if blocks is None:
         blocks = tuple(n for n in ("eta", "s") if n in ts.layout.names)
     if not blocks:
-        raise InsufficientDataError("no velocity blocks to integrate")
+        raise ParameterError("no velocity blocks to integrate")
     initial = initial or {}
     out_layout = StateLayout(
         ts.layout.grid,

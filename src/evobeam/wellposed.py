@@ -18,7 +18,6 @@ from .core import EvobeamError, NumericError, ParameterError, WeightMatrix
 
 __all__ = [
     "NotCoerciveError",
-    "InvalidSampleError",
     "CoercivityReport",
     "NevanlinnaSpec",
     "sparse_symmetric_part",
@@ -34,10 +33,6 @@ RHO_BISECT_RELTOL = 1e-6
 
 class NotCoerciveError(EvobeamError):
     """No rho in the scan range reaches the requested coercivity."""
-
-
-class InvalidSampleError(EvobeamError):
-    """A Nevanlinna sample point lies outside the open upper half-plane."""
 
 
 @dataclass(frozen=True)
@@ -189,6 +184,6 @@ def nevanlinna_check(spec: NevanlinnaSpec, samples) -> bool:
     """True iff Im(mu0*z + mu1) >= -1e-14 at every upper-half-plane sample."""
     zs = np.atleast_1d(np.asarray(samples, dtype=complex))
     if np.any(zs.imag <= 0):
-        raise InvalidSampleError("all samples must have positive imaginary part")
+        raise ParameterError("all samples must have positive imaginary part")
     im = (spec.mu0 * zs + spec.mu1).imag
     return bool(np.all(im >= -1e-14))

@@ -1,9 +1,9 @@
-"""The public surface: every name a module exports exists, the package
-re-exports only names that its modules export, and the README's Python
-example runs as written."""
+"""The public surface: every name a module exports exists and is defined
+in that module, so each name has one import path; the package itself binds
+only its version; and the README's Python example runs as written."""
 
-import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -21,13 +21,17 @@ def test_every_exported_name_exists(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
-def test_package_imports_only_exported_names():
-    tree = ast.parse(Path(evobeam.__file__).read_text())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        module = importlib.import_module(f"evobeam.{node.module}")
-        assert [a.name for a in node.names if a.name not in module.__all__] == [], node.module
+@pytest.mark.parametrize("name", MODULES)
+def test_exported_names_are_defined_in_their_module(name):
+    module = importlib.import_module(f"evobeam.{name}")
+    objs = {n: getattr(module, n) for n in module.__all__}
+    assert [n for n, obj in objs.items() if getattr(obj, "__module__", module.__name__) != module.__name__] == []
+
+
+def test_package_binds_only_its_version():
+    bound = [n for n, v in vars(evobeam).items() if not n.startswith("_") and not inspect.ismodule(v)]
+    assert bound == []
+    assert evobeam.__version__
 
 
 def test_readme_python_example(capsys):

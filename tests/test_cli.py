@@ -312,6 +312,15 @@ def test_main_converge_zero_error_exits_four(tmp_path, capsys):
     ]
 
 
+def test_main_converge_uses_configured_theta(tmp_path, capsys):
+    # backward Euler is first order in time, so its slope falls short of 1.9
+    path = tmp_path / "euler.ini"
+    path.write_text(MINIMAL + "[scheme]\ntheta = 1.0\n")
+    assert main(["converge", str(path), "--levels", "8,16,32"]) == 2
+    slope = float(capsys.readouterr().out.splitlines()[-1].removeprefix("slope="))
+    assert 0.5 < slope < 1.5
+
+
 @pytest.mark.parametrize(
     "output",
     [
@@ -570,6 +579,22 @@ def test_main_rejects_t_end_not_a_multiple_of_dt(tmp_path):
     with pytest.raises(ConfigError, match="t_end"):
         parse_config(path.read_text())
     assert main(["run", str(path)]) == 4
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_main_rejects_record_every_not_dividing_the_steps(command, tmp_path, monkeypatch, capsys):
+    # 10 steps recorded every 3rd would end the records at t = 0.9
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "every.ini"
+    path.write_text(MINIMAL + "[scheme]\ndt = 0.1\nt_end = 1.0\nrecord_every = 3\n")
+    assert main([command, str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "config error: [scheme] record_every: 3 does not divide the 10 steps,"
+        " so the last record would fall before t_end"
+    ]
+    assert not (tmp_path / "out.csv").exists()
 
 
 SCENARIO_DEFAULTS = {

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from evobeam.core import (
-    DimensionError,
     Grid,
-    InvalidDomainError,
-    InvalidGridError,
     NumericError,
+    ParameterError,
     SpaceTag,
     StateLayout,
     TimeSeries,
@@ -22,7 +20,6 @@ from evobeam.core import (
     weighted_inner,
     weighted_norm,
 )
-from evobeam.discretize import timoshenko_layout
 from evobeam.scenarios import TimoshenkoParams, make_timoshenko_damped
 
 
@@ -35,7 +32,7 @@ def test_grid_geometry():
 
 @pytest.mark.parametrize("bad", [0, 1, -3, 2.5, "8"])
 def test_grid_rejects_bad_sizes(bad):
-    with pytest.raises(InvalidGridError):
+    with pytest.raises(ParameterError, match="n_cells must be an integer >= 2"):
         build_grid(bad)
 
 
@@ -67,7 +64,7 @@ def test_node_slice_keeps_the_tagged_nodes(tag, kept):
 
 @pytest.mark.parametrize("tag", [SpaceTag.CENTER, SpaceTag.TRACE])
 def test_node_slice_rejects_non_node_tags(tag):
-    with pytest.raises(InvalidDomainError):
+    with pytest.raises(ParameterError, match="is not a node tag"):
         tag.node_slice(4)
 
 
@@ -75,7 +72,7 @@ def test_points_exclude_pinned_nodes():
     g = build_grid(4)
     np.testing.assert_allclose(g.points(SpaceTag.NODE_FREE_LEFT), g.nodes[1:])
     np.testing.assert_allclose(g.points(SpaceTag.NODE_INTERIOR), g.nodes[1:-1])
-    with pytest.raises(InvalidDomainError):
+    with pytest.raises(ParameterError, match="trace slots carry no sample points"):
         g.points(SpaceTag.TRACE)
 
 
@@ -98,7 +95,7 @@ def test_node_weights_sum_to_interval_length():
 
 def test_layout_offsets_and_views():
     g = build_grid(4)
-    lay = timoshenko_layout(g)
+    lay = make_timoshenko_damped(g, TimoshenkoParams(c=0.5)).layout
     assert lay.names == ("V1", "eta", "tau_plus", "s", "V2")
     assert lay.dim == 4 + 4 + 1 + 3 + 4
     assert lay.offset_of("tau_plus") == 8
@@ -111,7 +108,7 @@ def test_layout_offsets_and_views():
 
 def test_layout_rejects_duplicate_names():
     g = build_grid(4)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ParameterError, match="duplicate block names in layout"):
         StateLayout(g, (("a", SpaceTag.CENTER), ("a", SpaceTag.TRACE)))
 
 
@@ -122,7 +119,7 @@ def test_weight_matrix_positivity():
 
 def test_weighted_inner_is_symmetric_bilinear(rng):
     g = build_grid(8)
-    lay = timoshenko_layout(g)
+    lay = make_timoshenko_damped(g, TimoshenkoParams(c=0.5)).layout
     W = build_weights(lay)
     u = rng.standard_normal(lay.dim)
     v = rng.standard_normal(lay.dim)
@@ -148,7 +145,7 @@ def test_energy_constant_coefficient_oracle():
 def test_time_series_validation():
     with pytest.raises(NumericError):
         TimeSeries(times=np.array([0.0, 0.0]), energy=np.zeros(2), traces={})
-    with pytest.raises(DimensionError):
+    with pytest.raises(ParameterError, match="energy record count does not match times"):
         TimeSeries(times=np.array([0.0, 1.0]), energy=np.zeros(3), traces={})
 
 

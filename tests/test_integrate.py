@@ -5,6 +5,7 @@ the stepper is checked against it directly before anything model-sized.
 """
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -27,11 +28,8 @@ from evobeam.core import (
     sinusoid_envelope,
 )
 from evobeam.integrate import (
-    IllPosedError,
-    InvalidProbeError,
     SchemeParams,
     UndefinedRatioError,
-    UnsupportedSchemeError,
     bound_probe,
     causality_probe,
     energy_balance_residual,
@@ -125,7 +123,7 @@ def test_backward_euler_runs_but_has_no_balance_identity():
     ts = run(sys_, u0, lambda t: np.zeros(1))
     assert ts.energy[-1] < ts.energy[0]
     u1 = ts.snapshots[1]
-    with pytest.raises(UnsupportedSchemeError):
+    with pytest.raises(ParameterError, match="energy balance identity requires theta = 1/2"):
         energy_balance_residual(sys_, u0, u1, np.zeros(1))
 
 
@@ -156,7 +154,7 @@ def test_factor_rejects_singular_trace_slot():
     A[k, :] = 0.0
     A[:, k] = 0.0
     scheme = SchemeParams(dt=0.1, t_end=1.0)
-    with pytest.raises(IllPosedError):
+    with pytest.raises(NumericError, match="stepping matrix is singular"):
         factor(replace(model, M0=M0.tocsr(), M1=M1.tocsr(), A=A.tocsr()), scheme)
 
 
@@ -303,18 +301,63 @@ def test_causality_probe_stops_at_split():
     assert seen == []
 
 
+@pytest.mark.parametrize(
+    "dt,t_end,theta,a",
+    [
+        (0.1, 1.0, 0.5, 0.05),
+        (0.1, 1.0, 0.5, 0.1),
+        (0.1, 1.0, 0.5, 0.15),
+        (0.1, 1.0, 0.5, 0.349),
+        (0.1, 1.0, 0.5, 0.36),
+        (0.1, 1.0, 0.5, 1.0),
+        (0.1, 1.0, 1.0, 0.15),
+        (0.1, 1.0, 1.0, 0.2),
+        (0.3, 1.0, 0.5, 0.95),
+        # 3 * 0.1 > 0.3 in floating point: the last step lies past a = t_end
+        (0.1, 0.3, 0.5, 0.3),
+    ],
+)
+def test_causality_probe_runs_to_the_last_step_at_or_before_a(dt, t_end, theta, a, monkeypatch):
+    layout, scheme, sys_ = _scalar_system(0.5, dt, t_end, theta)
+    ran = []
+
+    def spy(sys_to_a, u0, source):
+        ran.append(sys_to_a.scheme.n_steps)
+        return run(sys_to_a, u0, source)
+
+    monkeypatch.setattr(integrate, "run", spy)
+    z = lambda t: np.zeros(layout.dim)
+    assert causality_probe(sys_, z, z, a) == 0.0
+    expected = int(np.searchsorted(np.arange(scheme.n_steps + 1) * dt, a, side="right")) - 1
+    assert ran == ([expected, expected] if expected else [])
+
+
+def test_causality_probe_memory_follows_the_steps_to_a():
+    # 10 steps up to a in a window of 10^7 steps
+    scheme = SchemeParams(dt=1e-7, t_end=1.0)
+    model, sys_ = _beam_system(4, TimoshenkoParams(c=0.5), scheme)
+    z = lambda t: np.zeros(model.layout.dim)
+    tracemalloc.start()
+    try:
+        assert causality_probe(sys_, z, z, a=1e-6) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_causality_probe_rejects_bad_inputs():
     scheme = SchemeParams(dt=0.05, t_end=2.0)
     model, sys_ = _beam_system(4, TimoshenkoParams(c=0.5), scheme)
     z = lambda t: np.zeros(model.layout.dim)
-    with pytest.raises(InvalidProbeError):
+    with pytest.raises(ParameterError, match="split time a=0.0 outside the run window"):
         causality_probe(sys_, z, z, a=0.0)
-    with pytest.raises(InvalidProbeError):
+    with pytest.raises(ParameterError, match="split time a=2.5 outside the run window"):
         causality_probe(sys_, z, z, a=2.5)
     profile = np.zeros(model.layout.dim)
     profile[model.layout.offset_of("eta")] = 1.0
     env = bump_envelope(0.1, 2.0)
-    with pytest.raises(InvalidProbeError):
+    with pytest.raises(ParameterError, match="sources differ at sampled t="):
         causality_probe(sys_, lambda t: profile * env(t), z, a=1.0)
 
 

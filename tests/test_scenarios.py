@@ -6,7 +6,6 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from evobeam.core import (
-    InsufficientDataError,
     NumericError,
     ParameterError,
     SpaceTag,
@@ -437,7 +436,7 @@ def test_extrapolate_to_boundary_exact_for_quadratics():
     v = q(x)
     assert extrapolate_to_boundary(v, +1) == pytest.approx(q(0.5), abs=1e-14)
     assert extrapolate_to_boundary(v, -1) == pytest.approx(q(-0.5), abs=1e-14)
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(ParameterError, match="need at least three center samples"):
         extrapolate_to_boundary(np.array([1.0, 2.0]), +1)
 
 
@@ -468,7 +467,7 @@ def test_reconstruct_displacements_requires_snapshots():
         snapshots=None,
         layout=None,
     )
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(ParameterError, match="displacement reconstruction needs snapshots"):
         reconstruct_displacements(ts)
 
 

@@ -23,7 +23,6 @@ from evobeam.scenarios import (
 )
 from evobeam.wellposed import (
     CoercivityReport,
-    InvalidSampleError,
     NevanlinnaSpec,
     NotCoerciveError,
     coercivity,
@@ -357,7 +356,7 @@ def test_nevanlinna_check_rejects_negative_inertia():
 
 def test_nevanlinna_check_sample_validation():
     spec = NevanlinnaSpec(1.0, 0.0)
-    with pytest.raises(InvalidSampleError):
+    with pytest.raises(ParameterError, match="all samples must have positive imaginary part"):
         nevanlinna_check(spec, np.array([1.0 + 0j]))
-    with pytest.raises(InvalidSampleError):
+    with pytest.raises(ParameterError, match="all samples must have positive imaginary part"):
         nevanlinna_check(spec, np.array([1j, 1 - 1j]))
