@@ -2,9 +2,8 @@
 
 Sections: [grid] [scenario] [scheme] [source] [initial] [output].  Every
 key has a default except grid.n_cells and scenario.name, and parsing fills
-defaults in, so an emitted config is the canonical form of itself.  Exit
-statuses are a stable contract: 0 pass, 2 failed check or probe, 3 I/O,
-4 usage or config error.
+defaults in.  Exit statuses are a stable contract: 0 pass, 2 failed check
+or probe, 3 I/O, 4 usage or config error.
 """
 
 from __future__ import annotations
@@ -59,20 +58,12 @@ __all__ = [
     "ConfigError",
     "RunConfig",
     "parse_config",
-    "emit_config",
     "cmd_check",
     "cmd_run",
     "cmd_converge",
     "cmd_probe",
     "main",
 ]
-
-# [scenario] defaults come from the params classes, except where their
-# defaults c = I_tilde = 0 would make the beam's boundary law degenerate.
-_PARAM_OVERRIDES = {
-    "timoshenko_damped": {"c": "0.5"},
-    "dynamic_inertia": {"I_tilde": "1.0"},
-}
 
 _SCHEME_DEFAULTS = {
     "dt": "0.01", "t_end": "1.0", "theta": "0.5",
@@ -106,8 +97,8 @@ class RunConfig:
     source: dict[str, str] = field(default_factory=dict)
     initial: dict[str, str] = field(default_factory=dict)
     output: dict[str, str] = field(default_factory=dict)
-    # build_model's result, kept by parse_config so commands need not build
-    # the model again; dataclasses.replace drops it
+    # build_model's result: parse_config sets it and the commands read it,
+    # so each builds the model once; dataclasses.replace drops it
     built: tuple[AssembledModel, list[NevanlinnaSpec]] | None = field(
         default=None, init=False, compare=False, repr=False
     )
@@ -198,9 +189,8 @@ def _pair(raw: str, where: str) -> tuple[float, float]:
     return _float(parts[0], where), _float(parts[1], where)
 
 
-def _default_text(f) -> str:
-    d = f.default
-    return f"{d.mu0!r}, {d.mu1!r}" if isinstance(d, NevanlinnaSpec) else repr(float(d))
+def _default_text(value) -> str:
+    return f"{value.mu0!r}, {value.mu1!r}" if isinstance(value, NevanlinnaSpec) else repr(float(value))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -235,18 +225,19 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("[scenario]: name is required")
     if name not in SCENARIOS:
         raise ConfigError(f"[scenario] name: unknown scenario {name!r}")
-    params = {f.name: _default_text(f) for f in fields(SCENARIOS[name].params)}
-    params.update(_PARAM_OVERRIDES.get(name, {}))
+    defaults = SCENARIOS[name].defaults
+    params = {f.name: _default_text(getattr(defaults, f.name)) for f in fields(defaults)}
     for k, v in scen_items.items():
         if k not in params:
             raise ConfigError(f"[scenario]: unknown key {k!r} for {name}")
         params[k] = v
 
-    def section(nm: str, defaults: dict[str, str], extra_ok=()) -> dict[str, str]:
+    def section(nm: str, defaults: dict[str, str]) -> dict[str, str]:
         out = dict(defaults)
         if cp.has_section(nm):
             for k, v in cp.items(nm):
-                if k not in defaults and k not in extra_ok:
+                # build_initial checks the block keys against the layout
+                if k not in defaults and nm != "initial":
                     raise ConfigError(f"[{nm}]: unknown key {k!r}")
                 out[k] = v.strip()
         return out
@@ -257,10 +248,7 @@ def parse_config(text: str) -> RunConfig:
         params=params,
         scheme=section("scheme", _SCHEME_DEFAULTS),
         source=section("source", _SOURCE_DEFAULTS),
-        initial=section(
-            "initial", _INITIAL_DEFAULTS,
-            extra_ok=("V1", "eta", "s", "V2"),
-        ),
+        initial=section("initial", _INITIAL_DEFAULTS),
         output=section("output", _OUTPUT_DEFAULTS),
     )
     # full validation: if any of these raise, surface it as a parse error
@@ -277,22 +265,6 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-def emit_config(cfg: RunConfig) -> str:
-    """Canonical text form; parse_config(emit_config(cfg)) == cfg."""
-    lines = ["[grid]", f"n_cells = {cfg.n_cells}", ""]
-    lines += ["[scenario]", f"name = {cfg.scenario}"]
-    lines += [f"{k} = {v}" for k, v in sorted(cfg.params.items())]
-    for sec, data in (
-        ("scheme", cfg.scheme),
-        ("source", cfg.source),
-        ("initial", cfg.initial),
-        ("output", cfg.output),
-    ):
-        lines += ["", f"[{sec}]"]
-        lines += [f"{k} = {v}" for k, v in sorted(data.items())]
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # builders
 
@@ -306,20 +278,16 @@ def build_model(cfg: RunConfig) -> tuple[AssembledModel, list[NevanlinnaSpec]]:
     spec = SCENARIOS[cfg.scenario]
     grid = build_grid(cfg.n_cells)
     values = {}
-    for f in fields(spec.params):
+    for f in fields(spec.defaults):
         raw, where = cfg.params[f.name], f"[scenario] {f.name}"
         if "tag" in f.metadata:
             values[f.name] = _eval_expr(raw, grid.points(f.metadata["tag"]), where)
-        elif isinstance(f.default, NevanlinnaSpec):
+        elif isinstance(getattr(spec.defaults, f.name), NevanlinnaSpec):
             values[f.name] = NevanlinnaSpec(*_pair(raw, where))
         else:
             values[f.name] = _float(raw, where)
-    params = spec.params(**values)
+    params = replace(spec.defaults, **values)
     return spec.make(grid, params), params.trace_laws()
-
-
-def _built(cfg: RunConfig) -> tuple[AssembledModel, list[NevanlinnaSpec]]:
-    return cfg.built or build_model(cfg)
 
 
 def build_scheme(cfg: RunConfig) -> SchemeParams:
@@ -343,6 +311,15 @@ def build_scheme(cfg: RunConfig) -> SchemeParams:
     return scheme
 
 
+# the envelope of each source kind but zero, and the [source] keys of its
+# first two arguments (the third is the amplitude)
+_ENVELOPES = {
+    "gaussian": (gaussian_envelope, "center", "width"),
+    "sinusoid": (sinusoid_envelope, "frequency", "phase"),
+    "bump": (bump_envelope, "t0", "t1"),
+}
+
+
 def build_source(cfg: RunConfig, model: AssembledModel) -> Callable[[float], np.ndarray]:
     s = cfg.source
     kind = s["kind"]
@@ -359,50 +336,34 @@ def build_source(cfg: RunConfig, model: AssembledModel) -> Callable[[float], np.
         x = model.layout.points_of(block)
         profile_vals = _eval_expr(s["profile"], x, "[source] profile")
     profile = embed_block(model.layout, block, profile_vals)
-    if kind == "gaussian":
-        env = gaussian_envelope(
-            _float(s["center"], "[source] center"),
-            _float(s["width"], "[source] width"),
-            amplitude,
-        )
-    elif kind == "sinusoid":
-        env = sinusoid_envelope(
-            _float(s["frequency"], "[source] frequency"),
-            _float(s["phase"], "[source] phase"),
-            amplitude,
-        )
-    elif kind == "bump":
-        env = bump_envelope(
-            _float(s["t0"], "[source] t0"),
-            _float(s["t1"], "[source] t1"),
-            amplitude,
-        )
-    else:
+    if kind not in _ENVELOPES:
         raise ConfigError(f"[source] kind: unknown kind {kind!r}")
+    envelope, *keys = _ENVELOPES[kind]
+    env = envelope(*(_float(s[k], f"[source] {k}") for k in keys), amplitude)
     return lambda t: profile * env(t)
 
 
 def build_initial(cfg: RunConfig, model: AssembledModel) -> np.ndarray:
     ini = cfg.initial
     kind = ini["kind"]
+    blocks = {k: v for k, v in ini.items() if k not in _INITIAL_DEFAULTS}
+    for key in blocks:
+        if key not in model.layout.field_names():
+            raise ConfigError(f"[initial]: unknown key {key!r}")
+        if kind != "expr":
+            raise ConfigError(f"[initial] {key}: a block value is read only with kind = expr")
     amplitude = _float(ini["amplitude"], "[initial] amplitude")
-    if kind == "zero":
-        vals = np.zeros(model.layout.dim)
-    elif kind == "random":
+    vals = np.zeros(model.layout.dim)
+    if kind == "random":
         rng = np.random.default_rng(_int(ini["seed"], "[initial] seed"))
         with np.errstate(over="ignore", invalid="ignore"):
             vals = amplitude * rng.standard_normal(model.layout.dim)
     elif kind == "expr":
-        vals = np.zeros(model.layout.dim)
-        for key, raw in ini.items():
-            if key in _INITIAL_DEFAULTS:
-                continue
-            if key not in model.layout.names:
-                raise ConfigError(f"[initial]: unknown block {key!r}")
+        for key, raw in blocks.items():
             block = _eval_expr(raw, model.layout.points_of(key), f"[initial] {key}")
             with np.errstate(over="ignore", invalid="ignore"):
                 vals[model.layout.slice_of(key)] = amplitude * block
-    else:
+    elif kind != "zero":
         raise ConfigError(f"[initial] kind: unknown kind {kind!r}")
     if not np.isfinite(vals).all():
         raise NumericError("state contains non-finite entries")
@@ -456,7 +417,7 @@ def _nevanlinna_samples() -> np.ndarray:
 
 def cmd_check(cfg: RunConfig) -> tuple[list[str], int]:
     """Well-posedness report: c0, rho0, bound, skew defect, trace laws."""
-    model, laws = _built(cfg)
+    model, laws = cfg.built
     scheme = build_scheme(cfg)
     report = coercivity(model.M0, model.M1, scheme.rho, model.W)
     if not report.satisfied:
@@ -483,19 +444,16 @@ def cmd_check(cfg: RunConfig) -> tuple[list[str], int]:
 
 def cmd_run(cfg: RunConfig) -> int:
     """Simulate and write the CSV (and optional snapshot file)."""
-    model, _ = _built(cfg)
+    model, _ = cfg.built
     scheme = build_scheme(cfg)
     source = build_source(cfg, model)
     u0 = consistent_initial_state(model, build_initial(cfg, model), source(0.0))
     sys_ = factor(model, scheme)
     out = cfg.output
     with_energy, trace_names, stride = build_output(cfg, model)
-    ts = run(sys_, u0, source, snapshots=bool(out["snapshots"]))
-    header = ["t"] + (["energy"] if with_energy else []) + [f"trace:{t}" for t in trace_names]
-    cols = [ts.times] + ([ts.energy] if with_energy else []) + [ts.traces[t] for t in trace_names]
-    rows = [",".join(header)] + [",".join(map(repr, row)) for row in np.column_stack(cols).tolist()]
-    Path(out["csv"]).write_text("\n".join(rows) + "\n")
     snap_path = out["snapshots"]
+    ts = run(sys_, u0, source, snapshots=bool(snap_path))
+    # the CSV goes last, so a run whose snapshot file fails leaves no CSV
     if snap_path:
         lay = model.layout
         keys = [f"{name},{j}," for name in lay.names for j in range(lay.length_of(name))]
@@ -504,6 +462,10 @@ def cmd_run(cfg: RunConfig) -> int:
             t_key = repr(t) + ","
             lines += [t_key + key + repr(v) for key, v in zip(keys, state)]
         Path(snap_path).write_text("\n".join(lines) + "\n")
+    header = ["t"] + (["energy"] if with_energy else []) + [f"trace:{t}" for t in trace_names]
+    cols = [ts.times] + ([ts.energy] if with_energy else []) + [ts.traces[t] for t in trace_names]
+    rows = [",".join(header)] + [",".join(map(repr, row)) for row in np.column_stack(cols).tolist()]
+    Path(out["csv"]).write_text("\n".join(rows) + "\n")
     return 0
 
 
@@ -597,7 +559,7 @@ def cmd_converge(cfg: RunConfig, levels: list[int]) -> tuple[list[str], int]:
 
 
 def cmd_probe(cfg: RunConfig, kind: str, a: float | None = None) -> tuple[list[str], int]:
-    model, _ = _built(cfg)
+    model, _ = cfg.built
     scheme = build_scheme(cfg)
     sys_ = factor(model, scheme)
     if kind == "causality":
@@ -671,9 +633,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 4
-    except NotCoerciveError as exc:
-        print(f"not coercive: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

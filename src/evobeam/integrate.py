@@ -209,11 +209,12 @@ def causality_probe(
     source_g: Callable[[float], np.ndarray],
     a: float,
 ) -> float:
-    """Max W-norm deviation of the two runs from rest over recorded times t <= a.
+    """Max W-norm deviation of the two runs from rest over the step times t <= a.
 
     The sources must agree at every stepping sample point up to a; the
-    recorded states up to a then coincide and the return value measures
-    exactly that.  Both runs stop at the last step at or before a.
+    states up to a then coincide and the return value measures exactly
+    that.  Both runs record every step, whatever the scheme's
+    record_every, and stop at the last step at or before a.
     """
     scheme = sys_.scheme
     if not 0 < a <= scheme.t_end:
@@ -234,7 +235,8 @@ def causality_probe(
         return 0.0  # only the common initial state lies at or before a
     u0 = np.zeros(sys_.model.layout.dim)
     # same dt and theta, so the truncated system reuses the LU factors
-    sys_to_a = replace(sys_, scheme=replace(scheme, t_end=steps_to_a * scheme.dt))
+    # (record_every is not part of the stepping matrix)
+    sys_to_a = replace(sys_, scheme=replace(scheme, t_end=steps_to_a * scheme.dt, record_every=1))
     ts_f = run(sys_to_a, u0, source_f)
     ts_g = run(sys_to_a, u0, source_g)
     dev = 0.0

@@ -510,22 +510,24 @@ def timoshenko_mms_fields(omega: float = 2.0) -> tuple[dict, dict]:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One scenario: its params class (tagged fields are coefficients),
-    its maker, and how a refinement study measures its error:
+    """One scenario: its default params, an instance whose values are the
+    scenario's [scenario] defaults (its class's tagged fields are
+    coefficients), its maker, and how a refinement study measures its error:
     against a closed-form MMS family, against a run four times finer
     (self_reference), or not at all."""
 
-    params: type
+    defaults: Any
     make: Callable[[Grid, Any], AssembledModel]
     mms: Callable[[], tuple[dict, dict]] | None = None
     self_reference: bool = False
 
 
 SCENARIOS: dict[str, ScenarioSpec] = {
-    "timoshenko_damped": ScenarioSpec(TimoshenkoParams, make_timoshenko_damped, mms=timoshenko_mms_fields),
-    "dynamic_inertia": ScenarioSpec(TimoshenkoParams, make_timoshenko_damped, mms=timoshenko_mms_fields),
-    "full_dynamic": ScenarioSpec(FullDynamicParams, make_full_dynamic),
-    "sturm_liouville": ScenarioSpec(SturmLiouvilleParams, make_sturm_liouville, self_reference=True),
+    # c = I_tilde = 0 would leave the beam's boundary law degenerate
+    "timoshenko_damped": ScenarioSpec(TimoshenkoParams(c=0.5), make_timoshenko_damped, mms=timoshenko_mms_fields),
+    "dynamic_inertia": ScenarioSpec(TimoshenkoParams(I_tilde=1.0), make_timoshenko_damped, mms=timoshenko_mms_fields),
+    "full_dynamic": ScenarioSpec(FullDynamicParams(), make_full_dynamic),
+    "sturm_liouville": ScenarioSpec(SturmLiouvilleParams(), make_sturm_liouville, self_reference=True),
 }
 
 

@@ -42,3 +42,22 @@ def test_readme_python_example(capsys):
         "0.6 1.6666666666666667",
         "0.25 0.14329199163303613",
     ]
+
+
+def _sh_output(readme, command):
+    """The lines a README ```sh block prints after ``$ <command>``."""
+    block = re.search(rf"```sh\n(?:.*\n)*?\$ {re.escape(command)}\n((?:[^$`].*\n)*)", readme).group(1)
+    return block.splitlines()
+
+
+def test_readme_quick_start(tmp_path, monkeypatch, capsys):
+    from evobeam.cli import main
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (tmp_path / "beam.cfg").write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+    monkeypatch.chdir(tmp_path)
+    assert main(["check", "beam.cfg"]) == 0
+    assert capsys.readouterr().out.splitlines() == _sh_output(readme, "evobeam check beam.cfg")
+    assert main(["run", "beam.cfg"]) == 0
+    head = _sh_output(readme, "head -3 out.csv")
+    assert (tmp_path / "out.csv").read_text().splitlines()[:2] == head[:2]

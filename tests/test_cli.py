@@ -18,13 +18,13 @@ import pytest
 
 import evobeam
 from evobeam import cli, scenarios
+from evobeam.core import bump_envelope, gaussian_envelope, sinusoid_envelope
 from evobeam.cli import (
     ConfigError,
     cmd_check,
     cmd_converge,
     cmd_probe,
     cmd_run,
-    emit_config,
     fmt17,
     main,
     parse_config,
@@ -73,15 +73,6 @@ def test_parse_minimal_fills_defaults():
     assert cfg.source["kind"] == "zero"
     assert cfg.initial["kind"] == "zero"
     assert cfg.output["csv"] == "out.csv"
-
-
-def test_emit_parse_roundtrip():
-    text = MINIMAL + "\n[scheme]\ndt = 0.025\nrho = 2.0\n\n[source]\nkind = gaussian\nblock = eta\n"
-    cfg = parse_config(text)
-    again = parse_config(emit_config(cfg))
-    assert again == cfg
-    # canonical form is a fixed point
-    assert emit_config(again) == emit_config(cfg)
 
 
 @pytest.mark.parametrize(
@@ -464,10 +455,97 @@ def test_main_rejects_complex_expression_values(command, extra, where, expr, tmp
 @pytest.mark.parametrize("command", ["check", "run"])
 @pytest.mark.parametrize("kind", ["random", "expr"])
 def test_main_rejects_overflowing_initial_amplitude(command, kind, tmp_path, capsys):
-    extra = f"\n[initial]\nkind = {kind}\namplitude = 1e308\neta = 3.0\n"
+    block = "eta = 3.0\n" if kind == "expr" else ""
+    extra = f"\n[initial]\nkind = {kind}\namplitude = 1e308\n{block}"
     code, err = _main_fails_once(command, MINIMAL + extra, tmp_path, capsys)
     assert code == 4
     assert err == ["config error: state contains non-finite entries"]
+
+
+@pytest.mark.parametrize("command", ["check", "probe"])
+@pytest.mark.parametrize(
+    "name,initial,message",
+    [
+        ("timoshenko_damped", "kind = expr\ntau_plus = 1.0", "[initial]: unknown key 'tau_plus'"),
+        ("timoshenko_damped", "kind = expr\nzeta = 1.0", "[initial]: unknown key 'zeta'"),
+        ("sturm_liouville", "kind = expr\ns = 1.0", "[initial]: unknown key 's'"),
+        ("sturm_liouville", "kind = random\ns = 1.0", "[initial]: unknown key 's'"),
+        ("timoshenko_damped", "kind = random\neta = sin(x)", "[initial] eta: a block value is read only with kind = expr"),
+        ("timoshenko_damped", "kind = zero\nV2 = x", "[initial] V2: a block value is read only with kind = expr"),
+    ],
+    ids=["trace-key", "outside-layout", "beam-block-on-sl-expr", "beam-block-on-sl-random", "random-with-block", "zero-with-block"],
+)
+def test_main_rejects_initial_keys(command, name, initial, message, tmp_path, capsys):
+    # block keys are the field blocks of the scenario's layout, read only by kind = expr
+    text = MINIMAL.replace("timoshenko_damped", name) + f"\n[initial]\n{initial}\n"
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    argv = [command, str(path)] + (["--kind", "causality", "--a", "0.5"] if command == "probe" else [])
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"config error: {message}"]
+
+
+def test_initial_expr_sets_each_field_block():
+    cfg = parse_config(MINIMAL + "\n[initial]\nkind = expr\namplitude = 2.0\neta = x\nV2 = 1 + x\n")
+    model, _ = cfg.built
+    lay = model.layout
+    u = cli.build_initial(cfg, model)
+    assert np.array_equal(u[lay.slice_of("eta")], 2.0 * lay.points_of("eta"))
+    assert np.array_equal(u[lay.slice_of("V2")], 2.0 * (1 + lay.points_of("V2")))
+    others = np.ones(lay.dim, bool)
+    others[lay.slice_of("eta")] = others[lay.slice_of("V2")] = False
+    assert not u[others].any()
+
+
+@pytest.mark.parametrize(
+    "kind,keys,envelope",
+    [
+        ("gaussian", {"center": "0.3", "width": "0.2"}, lambda a: gaussian_envelope(0.3, 0.2, a)),
+        ("sinusoid", {"frequency": "2.5", "phase": "0.7"}, lambda a: sinusoid_envelope(2.5, 0.7, a)),
+        ("bump", {"t0": "0.2", "t1": "0.9"}, lambda a: bump_envelope(0.2, 0.9, a)),
+    ],
+)
+def test_source_kinds_equal_profile_times_envelope(kind, keys, envelope):
+    body = "".join(f"{k} = {v}\n" for k, v in keys.items())
+    cfg = parse_config(MINIMAL + f"\n[source]\nkind = {kind}\nblock = eta\nprofile = cos(pi*x)\namplitude = 1.5\n{body}")
+    model, _ = cfg.built
+    source = cli.build_source(cfg, model)
+    profile = np.zeros(model.layout.dim)
+    profile[model.layout.slice_of("eta")] = np.cos(np.pi * model.layout.points_of("eta"))
+    env = envelope(1.5)
+    for t in (0.0, 0.1, 0.25, 0.5, 0.55, 0.8, 1.0):
+        assert source(t).tobytes() == (profile * env(t)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "source,message",
+    [
+        ("kind = triangle", "[source] kind: unknown kind 'triangle'"),
+        ("kind = gaussian\nwidth = 0", "gaussian width must be positive"),
+        ("kind = bump\nt0 = 0.5\nt1 = 0.5", "bump support must have t1 > t0"),
+        ("kind = sinusoid\nfrequency = abc", "[source] frequency: expected a number, got 'abc'"),
+    ],
+    ids=["unknown-kind", "gaussian-width", "bump-support", "sinusoid-frequency"],
+)
+def test_main_rejects_bad_source(source, message, tmp_path, capsys):
+    code, err = _main_fails_once("run", MINIMAL + f"\n[source]\n{source}\n", tmp_path, capsys)
+    assert code == 4
+    assert err == [f"config error: {message}"]
+
+
+def test_main_run_unwritable_snapshots_leaves_no_csv(tmp_path, capsys):
+    # a run that fails writes no CSV, also when the snapshot file is what fails
+    csv, snaps = tmp_path / "out.csv", tmp_path / "missing" / "s.txt"
+    path = tmp_path / "cfg.ini"
+    path.write_text(MINIMAL + f"\n[output]\ncsv = {csv}\nsnapshots = {snaps}\n")
+    assert main(["run", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("i/o error: ")
+    assert not csv.exists()
 
 
 @pytest.mark.parametrize("command", ["check", "run"])
@@ -623,7 +701,6 @@ SCENARIO_DEFAULTS = {
 def test_scenario_defaults(name):
     cfg = parse_config(MINIMAL.replace("timoshenko_damped", name))
     assert cfg.params == SCENARIO_DEFAULTS[name]
-    assert emit_config(parse_config(emit_config(cfg))) == emit_config(cfg)
     lines, code = cmd_check(cfg)
     assert code == 0, lines
 

@@ -332,6 +332,23 @@ def test_causality_probe_runs_to_the_last_step_at_or_before_a(dt, t_end, theta, 
     assert ran == ([expected, expected] if expected else [])
 
 
+def test_causality_probe_records_every_step_to_a(monkeypatch):
+    # the scheme records every 4th state; the probe compares every state up to a
+    scheme = SchemeParams(dt=0.01, t_end=1.0, record_every=4)
+    model, sys_ = _beam_system(8, TimoshenkoParams(c=0.5), scheme)
+    series = []
+
+    def spy(sys_to_a, u0, source):
+        series.append(run(sys_to_a, u0, source))
+        return series[-1]
+
+    monkeypatch.setattr(integrate, "run", spy)
+    z = lambda t: np.zeros(model.layout.dim)
+    assert causality_probe(sys_, z, z, a=0.5) == 0.0
+    assert [len(ts) for ts in series] == [51, 51]
+    assert [ts.times[-1] for ts in series] == [0.5, 0.5]
+
+
 def test_causality_probe_memory_follows_the_steps_to_a():
     # 10 steps up to a in a window of 10^7 steps
     scheme = SchemeParams(dt=1e-7, t_end=1.0)
