@@ -30,7 +30,6 @@ __all__ = [
     "WeightMatrix",
     "build_weights",
     "weighted_inner",
-    "weighted_norm",
     "energy",
     "exp_weighted_norm",
     "TimeSeries",
@@ -232,10 +231,6 @@ def weighted_inner(u, v, W: WeightMatrix) -> float:
             f"shapes {uv.shape}, {vv.shape} incompatible with weights ({W.dim},)"
         )
     return float(np.dot(uv, W.diag * vv))
-
-
-def weighted_norm(u, W: WeightMatrix) -> float:
-    return math.sqrt(max(weighted_inner(u, u, W), 0.0))
 
 
 def energy(u, M0, W: WeightMatrix) -> float:

@@ -131,7 +131,8 @@ def run(
     Energies and traces are always recorded; full-state snapshots only when
     ``snapshots`` is true (otherwise the series carries ``snapshots=None``).
     Each recorded energy is bitwise ``core.energy`` of the recorded state;
-    a state or recorded energy that is not finite raises NumericError.
+    a state or recorded energy that is not finite raises NumericError, and
+    so do records too large to allocate.
     """
     layout, M0, w = sys_.model.layout, sys_.model.M0, sys_.model.W.diag
     if np.shape(u0) != (layout.dim,):
@@ -141,9 +142,12 @@ def run(
     scheme = sys_.scheme
     n_steps, every, dt, theta = scheme.n_steps, scheme.record_every, scheme.dt, scheme.theta
     n_rec = n_steps // every + 1
-    energies = np.empty(n_rec)
-    traces = np.empty((len(trace_at), n_rec))
-    snaps = np.empty((n_rec, layout.dim)) if snapshots else None
+    try:
+        energies = np.empty(n_rec)
+        traces = np.empty((len(trace_at), n_rec))
+        snaps = np.empty((n_rec, layout.dim)) if snapshots else None
+    except (ValueError, MemoryError) as exc:
+        raise NumericError(f"cannot allocate the records of the run: {exc}") from exc
     buf = np.empty((min(max(_CHUNK_FLOATS // layout.dim, 1), n_rec), layout.dim))
     done = 0
 

@@ -3,9 +3,9 @@
 Four variants share one shape: diagonal inertia M0, a cheap damping/coupling
 operator M1, and a skew spatial operator with trace-augmented state.  Each
 constructor validates its parameter class, builds the three matrices on the
-documented layout, and records where every trace is weakly pinned, so probes
-and boundary-residual checks can interrogate the model without re-deriving
-its structure.
+documented layout, and records where every trace is weakly pinned and which
+law it carries, so probes and checks can interrogate the model without
+re-deriving its structure.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
     "manufactured_source",
     "exact_state",
     "embed_block",
-    "extrapolate_to_boundary",
     "reconstruct_displacements",
     "timoshenko_mms_fields",
 ]
@@ -57,11 +56,13 @@ __all__ = [
 @dataclass(frozen=True)
 class TraceBinding:
     """Weak identity trace = sign * field(endpoint) enforced by the adjoint
-    penalty rows."""
+    penalty rows, and the trace's own material law mu0*z + mu1 (mu0 on its
+    M0 diagonal entry, mu1 on its M1 diagonal entry)."""
 
     field: str
     endpoint: float
     sign: float
+    law: NevanlinnaSpec
 
 
 def _on(tag: SpaceTag, default: float):
@@ -84,9 +85,6 @@ class TimoshenkoParams:
     I_tilde: float = 0.0
     sigma0: float = 1.0
 
-    def trace_laws(self) -> list[NevanlinnaSpec]:
-        return [NevanlinnaSpec(self.I_tilde, self.c)]
-
 
 @dataclass(frozen=True)
 class SturmLiouvilleParams:
@@ -100,9 +98,6 @@ class SturmLiouvilleParams:
     s1: float = 0.0
     mu_minus: NevanlinnaSpec = NevanlinnaSpec(1.0, 0.0)
     mu_plus: NevanlinnaSpec = NevanlinnaSpec(1.0, 0.0)
-
-    def trace_laws(self) -> list[NevanlinnaSpec]:
-        return [self.mu_minus, self.mu_plus, NevanlinnaSpec(self.s0, self.s1)]
 
 
 @dataclass(frozen=True)
@@ -123,9 +118,6 @@ class FullDynamicParams:
     mu_plus: NevanlinnaSpec = NevanlinnaSpec(1.0, 0.0)
     nu_minus: NevanlinnaSpec = NevanlinnaSpec(1.0, 0.0)
     nu_plus: NevanlinnaSpec = NevanlinnaSpec(1.0, 0.0)
-
-    def trace_laws(self) -> list[NevanlinnaSpec]:
-        return [self.mu_minus, self.mu_plus, self.nu_minus, self.nu_plus]
 
 
 @dataclass(frozen=True)
@@ -164,8 +156,26 @@ def _check_trace_law(spec: NevanlinnaSpec, what: str) -> NevanlinnaSpec:
     return spec
 
 
-def _diag_csr(entries: np.ndarray) -> sp.csr_matrix:
-    return sp.csr_matrix(sp.diags(entries))
+def _diagonal_law(
+    layout: StateLayout,
+    m0: dict[str, np.ndarray | float],
+    m1: dict[str, np.ndarray | float],
+    traces: dict[str, TraceBinding],
+) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Diagonal M0 and M1 in layout order: each field block takes its samples
+    from ``m0`` and ``m1`` (a missing block is 0), each trace slot its law's
+    mu0 and mu1.  Zero entries are not stored."""
+
+    def diagonal(blocks: dict[str, np.ndarray | float], coefficient: str) -> sp.csr_matrix:
+        entries = [
+            [getattr(traces[name].law, coefficient)]
+            if tag is SpaceTag.TRACE
+            else np.broadcast_to(blocks.get(name, 0.0), layout.length_of(name))
+            for name, tag in layout.blocks
+        ]
+        return sp.csr_matrix(sp.diags(np.concatenate(entries)))
+
+    return diagonal(m0, "mu0"), diagonal(m1, "mu1")
 
 
 def make_timoshenko_damped(grid: Grid, params: TimoshenkoParams) -> AssembledModel:
@@ -197,29 +207,27 @@ def make_timoshenko_damped(grid: Grid, params: TimoshenkoParams) -> AssembledMod
             ("V2", SpaceTag.CENTER),
         ),
     )
-    kappa1 = _samples(params, "kappa1", grid, True)
-    nu1 = _samples(params, "nu1", grid, True)
-    nu2 = _samples(params, "nu2", grid, True)
-    kappa2 = _samples(params, "kappa2", grid, True)
-    d = _samples(params, "d", grid, False)
-    M0 = _diag_csr(
-        np.concatenate([kappa1, nu1, [params.I_tilde], nu2, kappa2])
+    m0 = {
+        "V1": _samples(params, "kappa1", grid, True),
+        "eta": _samples(params, "nu1", grid, True),
+        "s": _samples(params, "nu2", grid, True),
+        "V2": _samples(params, "kappa2", grid, True),
+    }
+    traces = {"tau_plus": TraceBinding("eta", +0.5, -1.0, NevanlinnaSpec(params.I_tilde, params.c))}
+    M0, M1 = _diagonal_law(layout, m0, {"s": _samples(params, "d", grid, False)}, traces)
+    # M1 adds the sigma0 coupling of eta and V2; a CSR sum stores no zeros
+    coupling = sp.csr_matrix(
+        (
+            np.repeat([params.sigma0, -params.sigma0], grid.n_cells),
+            (layout.indices_of(("eta", "V2")), layout.indices_of(("V2", "eta"))),
+        ),
+        shape=(layout.dim, layout.dim),
     )
-    n = grid.n_cells
-    tau = layout.offset_of("tau_plus")
-    s_at = layout.offset_of("s") + np.arange(d.shape[0])
-    eta_at = layout.offset_of("eta") + np.arange(n)
-    v2_at = layout.offset_of("V2") + np.arange(n)
-    rows = np.concatenate([[tau], s_at, eta_at, v2_at])
-    cols = np.concatenate([[tau], s_at, v2_at, eta_at])
-    vals = np.concatenate([[params.c], d, np.full(n, params.sigma0), np.full(n, -params.sigma0)])
-    stored = vals != 0  # zero dashpot or damping entries are not stored
-    M1 = sp.csr_matrix((vals[stored], (rows[stored], cols[stored])), shape=(layout.dim, layout.dim))
     return AssembledModel(
         layout=layout,
         W=build_weights(layout),
         M0=M0,
-        M1=M1,
+        M1=M1 + coupling,
         A=assemble_skew(
             layout,
             [
@@ -227,7 +235,7 @@ def make_timoshenko_damped(grid: Grid, params: TimoshenkoParams) -> AssembledMod
                 (build_derivative(grid, SpaceTag.NODE_INTERIOR), ("s",), ("V2",)),
             ],
         ),
-        traces={"tau_plus": TraceBinding("eta", +0.5, -1.0)},
+        traces=traces,
     )
 
 
@@ -277,45 +285,17 @@ def make_full_dynamic(grid: Grid, params: FullDynamicParams) -> AssembledModel:
             ("tau1_plus", SpaceTag.TRACE),
         ),
     )
-    Bt = build_B_tilde(grid)
-    m_v1 = _samples(params, "m_V1", grid, True)
-    m_eta = _samples(params, "m_eta", grid, True)
-    m_s = _samples(params, "m_s", grid, True)
-    m_v2 = _samples(params, "m_V2", grid, True)
-    g_v1 = _samples(params, "g_V1", grid, False)
-    g_eta = _samples(params, "g_eta", grid, False)
-    g_s = _samples(params, "g_s", grid, False)
-    g_v2 = _samples(params, "g_V2", grid, False)
-    laws = {
-        "tau0_minus": _check_trace_law(params.mu_minus, "mu_minus"),
-        "tau0_plus": _check_trace_law(params.mu_plus, "mu_plus"),
-        "tau1_minus": _check_trace_law(params.nu_minus, "nu_minus"),
-        "tau1_plus": _check_trace_law(params.nu_plus, "nu_plus"),
+    blocks = ("V1", "eta", "s", "V2")
+    m0 = {b: _samples(params, f"m_{b}", grid, True) for b in blocks}
+    m1 = {b: _samples(params, f"g_{b}", grid, False) for b in blocks}
+    traces = {
+        "tau0_minus": TraceBinding("eta", -0.5, +1.0, _check_trace_law(params.mu_minus, "mu_minus")),
+        "tau0_plus": TraceBinding("eta", +0.5, -1.0, _check_trace_law(params.mu_plus, "mu_plus")),
+        "tau1_minus": TraceBinding("V2", -0.5, +1.0, _check_trace_law(params.nu_minus, "nu_minus")),
+        "tau1_plus": TraceBinding("V2", +0.5, -1.0, _check_trace_law(params.nu_plus, "nu_plus")),
     }
-    M0 = _diag_csr(
-        np.concatenate(
-            [
-                m_v1,
-                m_eta,
-                [laws["tau0_minus"].mu0, laws["tau0_plus"].mu0],
-                m_s,
-                m_v2,
-                [laws["tau1_minus"].mu0, laws["tau1_plus"].mu0],
-            ]
-        )
-    )
-    M1 = _diag_csr(
-        np.concatenate(
-            [
-                g_v1,
-                g_eta,
-                [laws["tau0_minus"].mu1, laws["tau0_plus"].mu1],
-                g_s,
-                g_v2,
-                [laws["tau1_minus"].mu1, laws["tau1_plus"].mu1],
-            ]
-        )
-    )
+    M0, M1 = _diagonal_law(layout, m0, m1, traces)
+    Bt = build_B_tilde(grid)
     return AssembledModel(
         layout=layout,
         W=build_weights(layout),
@@ -328,12 +308,7 @@ def make_full_dynamic(grid: Grid, params: FullDynamicParams) -> AssembledModel:
                 (Bt, ("s",), ("V2", "tau1_minus", "tau1_plus")),
             ],
         ),
-        traces={
-            "tau0_minus": TraceBinding("eta", -0.5, +1.0),
-            "tau0_plus": TraceBinding("eta", +0.5, -1.0),
-            "tau1_minus": TraceBinding("V2", -0.5, +1.0),
-            "tau1_plus": TraceBinding("V2", +0.5, -1.0),
-        },
+        traces=traces,
     )
 
 
@@ -357,15 +332,11 @@ def make_sturm_liouville(grid: Grid, params: SturmLiouvilleParams) -> AssembledM
     )
     r = _samples(params, "r", grid, True)
     q = _samples(params, "q", grid, False)
-    mu_m = _check_trace_law(params.mu_minus, "mu_minus")
-    mu_p = _check_trace_law(params.mu_plus, "mu_plus")
-    n_nodes = grid.n_cells + 1
-    M0 = _diag_csr(
-        np.concatenate([r, np.full(n_nodes, params.s0), [mu_m.mu0, mu_p.mu0]])
-    )
-    M1 = _diag_csr(
-        np.concatenate([q, np.full(n_nodes, params.s1), [mu_m.mu1, mu_p.mu1]])
-    )
+    traces = {
+        "tau_minus": TraceBinding("V1", -0.5, +1.0, _check_trace_law(params.mu_minus, "mu_minus")),
+        "tau_plus": TraceBinding("V1", +0.5, -1.0, _check_trace_law(params.mu_plus, "mu_plus")),
+    }
+    M0, M1 = _diagonal_law(layout, {"V1": r, "eta": params.s0}, {"V1": q, "eta": params.s1}, traces)
     A = assemble_skew(
         layout,
         [(build_B_tilde(grid), ("eta",), ("V1", "tau_minus", "tau_plus"))],
@@ -376,10 +347,7 @@ def make_sturm_liouville(grid: Grid, params: SturmLiouvilleParams) -> AssembledM
         M0=M0,
         M1=M1,
         A=A,
-        traces={
-            "tau_minus": TraceBinding("V1", -0.5, +1.0),
-            "tau_plus": TraceBinding("V1", +0.5, -1.0),
-        },
+        traces=traces,
     )
 
 
@@ -537,18 +505,6 @@ def embed_block(layout: StateLayout, name: str, values) -> np.ndarray:
     block = out[layout.slice_of(name)]
     block[:] = values
     return out
-
-
-def extrapolate_to_boundary(values: np.ndarray, side: int) -> float:
-    """One-sided quadratic extrapolation of center samples to an endpoint.
-
-    side = +1 for the right boundary, -1 for the left; exact for quadratics
-    on the uniform staggered offsets h/2, 3h/2, 5h/2.
-    """
-    v = values if side > 0 else values[::-1]
-    if v.shape[0] < 3:
-        raise ParameterError("need at least three center samples")
-    return float((15.0 * v[-1] - 10.0 * v[-2] + 3.0 * v[-3]) / 8.0)
 
 
 _DISPLACEMENT_NAMES = {"eta": "phi", "s": "u"}

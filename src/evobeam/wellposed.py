@@ -52,8 +52,10 @@ class NevanlinnaSpec:
     """Affine trace law mu0 + integral * mu1, i.e. R(z) = mu0*z + mu1.
 
     Construction only rejects the degenerate all-zero pair; sign validation
-    is the job of nevanlinna_check and of the scenario constructors, so a
-    bad sign is caught by the checker rather than masked at construction.
+    is the job of nevanlinna_check and of the scenario makers (the beam's
+    check of c and I_tilde, scenarios._check_trace_law for the laws of
+    full_dynamic and sturm_liouville), so a bad sign is caught by the checker
+    rather than masked at construction.
     """
 
     mu0: float

@@ -200,7 +200,7 @@ def test_run_cli_writes_snapshots_only_when_asked(tmp_path):
     lines = (tmp_path / "snaps.txt").read_text().splitlines()
     assert lines[0] == "t,block,index,value"
     # 20 steps from t = 0 give 21 records; stride 3 keeps records 0, 3, ..., 18
-    model, _ = parse_config(CONSERVATIVE).built
+    model = parse_config(CONSERVATIVE).built
     dim = model.layout.dim
     assert len(lines) == 1 + 7 * dim
     assert lines[-1].startswith(f"{repr(18 * 0.05)},")
@@ -226,7 +226,7 @@ def test_run_files_match_value_by_value_formatting(tmp_path, monkeypatch, stride
     )
     assert main(["run", str(config)]) == 0
     (ts,) = series
-    model, _ = parse_config(config.read_text()).built
+    model = parse_config(config.read_text()).built
     names = model.layout.trace_names()
     rows = [",".join(["t", "energy"] + [f"trace:{t}" for t in names])]
     for i, t in enumerate(ts.times):
@@ -462,6 +462,25 @@ def test_main_rejects_overflowing_initial_amplitude(command, kind, tmp_path, cap
     assert err == ["config error: state contains non-finite entries"]
 
 
+@pytest.mark.parametrize(
+    "name,keys,message",
+    [
+        ("timoshenko_damped", "c = -1", "boundary coefficients c and I_tilde must be nonnegative"),
+        ("timoshenko_damped", "c = 0", "boundary trace law degenerate: c and I_tilde not both zero"),
+        ("full_dynamic", "mu_plus = -1, 0.5", "mu_plus trace law needs nonnegative coefficients"),
+        ("full_dynamic", "nu_minus = 0, 0", "trace law must not have both coefficients zero"),
+        ("sturm_liouville", "s0 = 0\ns1 = 0", "potential law needs s0, s1 >= 0 with s0 + s1 > 0"),
+        ("sturm_liouville", "mu_minus = 0.5, -1", "mu_minus trace law needs nonnegative coefficients"),
+    ],
+    ids=["beam-negative", "beam-zero", "mu_plus-negative", "nu_minus-zero", "potential-zero", "mu_minus-negative"],
+)
+def test_main_check_rejects_inadmissible_laws(name, keys, message, tmp_path, capsys):
+    text = MINIMAL.replace("timoshenko_damped", name) + keys + "\n"
+    code, err = _main_fails_once("check", text, tmp_path, capsys)
+    assert code == 4
+    assert err == [f"config error: {message}"]
+
+
 @pytest.mark.parametrize("command", ["check", "probe"])
 @pytest.mark.parametrize(
     "name,initial,message",
@@ -489,7 +508,7 @@ def test_main_rejects_initial_keys(command, name, initial, message, tmp_path, ca
 
 def test_initial_expr_sets_each_field_block():
     cfg = parse_config(MINIMAL + "\n[initial]\nkind = expr\namplitude = 2.0\neta = x\nV2 = 1 + x\n")
-    model, _ = cfg.built
+    model = cfg.built
     lay = model.layout
     u = cli.build_initial(cfg, model)
     assert np.array_equal(u[lay.slice_of("eta")], 2.0 * lay.points_of("eta"))
@@ -510,7 +529,7 @@ def test_initial_expr_sets_each_field_block():
 def test_source_kinds_equal_profile_times_envelope(kind, keys, envelope):
     body = "".join(f"{k} = {v}\n" for k, v in keys.items())
     cfg = parse_config(MINIMAL + f"\n[source]\nkind = {kind}\nblock = eta\nprofile = cos(pi*x)\namplitude = 1.5\n{body}")
-    model, _ = cfg.built
+    model = cfg.built
     source = cli.build_source(cfg, model)
     profile = np.zeros(model.layout.dim)
     profile[model.layout.slice_of("eta")] = np.cos(np.pi * model.layout.points_of("eta"))
@@ -649,6 +668,25 @@ def test_expression_values_match_python_arithmetic(expr, native):
 
     x = np.linspace(-0.5, 0.5, 9)
     assert _eval_expr(expr, x, "test").tobytes() == native(x).tobytes()
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_main_rejects_huge_integer_power(command, tmp_path, capsys):
+    # number constants are floats, so the power overflows at once instead of
+    # running exact integer arithmetic on a number of 41 million digits
+    code, err = _main_fails_once(command, MINIMAL + "d = 9**9**8 * 0\n", tmp_path, capsys)
+    assert code == 4
+    assert len(err) == 1 and "[scenario] d: cannot evaluate '9**9**8 * 0'" in err[0]
+
+
+def test_main_run_exits_two_when_the_records_cannot_be_allocated(tmp_path, capsys):
+    # 1e300 steps: the record arrays exceed numpy's largest dimension
+    text = MINIMAL + "[scheme]\ndt = 1e-300\nt_end = 1\n"
+    code, err = _main_fails_once("run", text, tmp_path, capsys)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: cannot allocate the records of the run: ")
+    path = tmp_path / "cfg.ini"
+    assert main(["check", str(path)]) == 0
 
 
 def test_main_rejects_t_end_not_a_multiple_of_dt(tmp_path):

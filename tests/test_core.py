@@ -18,7 +18,6 @@ from evobeam.core import (
     exp_weighted_norm,
     gaussian_envelope,
     weighted_inner,
-    weighted_norm,
 )
 from evobeam.scenarios import TimoshenkoParams, make_timoshenko_damped
 
@@ -126,7 +125,6 @@ def test_weighted_inner_is_symmetric_bilinear(rng):
     assert math.isclose(weighted_inner(u, v, W), weighted_inner(v, u, W), rel_tol=1e-13)
     lhs = weighted_inner(2.5 * u, v, W)
     assert math.isclose(lhs, 2.5 * weighted_inner(u, v, W), rel_tol=1e-13)
-    assert weighted_norm(np.zeros(lay.dim), W) == 0.0
 
 
 def test_energy_constant_coefficient_oracle():

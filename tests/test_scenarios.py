@@ -17,6 +17,7 @@ from evobeam.core import (
 )
 from evobeam.integrate import SchemeParams, factor, run
 from evobeam.scenarios import (
+    SCENARIOS,
     FullDynamicParams,
     SturmLiouvilleParams,
     TimoshenkoParams,
@@ -25,7 +26,6 @@ from evobeam.scenarios import (
     consistent_initial_state,
     embed_block,
     exact_state,
-    extrapolate_to_boundary,
     make_full_dynamic,
     make_sturm_liouville,
     make_timoshenko_damped,
@@ -93,7 +93,29 @@ def test_timoshenko_trace_row():
     expected = np.zeros(model.layout.dim)
     expected[_last_v1(model.layout)] = -1.0
     assert np.array_equal(arow, expected)
-    assert model.traces["tau_plus"] == TraceBinding("eta", +0.5, -1.0)
+    assert model.traces["tau_plus"] == TraceBinding("eta", +0.5, -1.0, NevanlinnaSpec(0.25, 0.5))
+
+
+# each scenario's defaults, and two mixed cases: a massless and a
+# dashpot-free trace on full_dynamic, and the parabolic potential law
+TRACE_LAW_CASES = [(name, spec.make, spec.defaults) for name, spec in sorted(SCENARIOS.items())] + [
+    (
+        "full_dynamic-mixed",
+        make_full_dynamic,
+        FullDynamicParams(mu_plus=NevanlinnaSpec(0.0, 0.5), nu_minus=NevanlinnaSpec(2.0, 0.0)),
+    ),
+    ("sturm_liouville-parabolic", make_sturm_liouville, SturmLiouvilleParams(s0=0.0, s1=1.0)),
+]
+
+
+@pytest.mark.parametrize("n", [2, 8, 33])
+@pytest.mark.parametrize("make,params", [c[1:] for c in TRACE_LAW_CASES], ids=[c[0] for c in TRACE_LAW_CASES])
+def test_each_trace_slot_carries_its_law_on_the_diagonals(make, params, n):
+    model = make(build_grid(n), params)
+    assert list(model.traces) == list(model.layout.trace_names())
+    for slot, binding in model.traces.items():
+        k = model.layout.offset_of(slot)
+        assert (model.M0[k, k], model.M1[k, k]) == (binding.law.mu0, binding.law.mu1)
 
 
 def test_timoshenko_inertia_diagonal():
@@ -429,17 +451,6 @@ def test_manufactured_source_trace_row_carries_boundary_data():
         assert abs(exact[tau]) < 1e-15
 
 
-def test_extrapolate_to_boundary_exact_for_quadratics():
-    grid = build_grid(8)
-    x = grid.points(SpaceTag.CENTER)
-    q = lambda x: 2.0 * x**2 - x + 0.5
-    v = q(x)
-    assert extrapolate_to_boundary(v, +1) == pytest.approx(q(0.5), abs=1e-14)
-    assert extrapolate_to_boundary(v, -1) == pytest.approx(q(-0.5), abs=1e-14)
-    with pytest.raises(ParameterError, match="need at least three center samples"):
-        extrapolate_to_boundary(np.array([1.0, 2.0]), +1)
-
-
 def test_reconstruct_displacements_trapezoid():
     model = make_timoshenko_damped(build_grid(4), TimoshenkoParams(c=0.5))
     lay = model.layout
@@ -472,7 +483,8 @@ def test_reconstruct_displacements_requires_snapshots():
 
 
 def test_boundary_residual_decays_first_order():
-    # V1(1/2) + c*eta(1/2) with eta read by one-sided extrapolation: the
+    # V1(1/2) + c*eta(1/2) with eta read by one-sided quadratic
+    # extrapolation of its last three centers (exact for quadratics): the
     # pair (tau, eta(1/2-0)) is only weakly identified, so the realized
     # residual decays like h (a bit faster in practice)
     c = 0.5
@@ -492,7 +504,8 @@ def test_boundary_residual_decays_first_order():
         v1_last = ts.snapshots[:, _last_v1(lay)]
         worst = 0.0
         for k in range(len(ts)):
-            eta_b = extrapolate_to_boundary(ts.snapshots[k, lay.slice_of("eta")], +1)
+            v = ts.snapshots[k, lay.slice_of("eta")]
+            eta_b = float((15.0 * v[-1] - 10.0 * v[-2] + 3.0 * v[-3]) / 8.0)
             worst = max(worst, abs(v1_last[k] + c * eta_b))
         res.append(worst)
     assert res[0] < 1.5e-3
