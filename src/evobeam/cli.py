@@ -357,7 +357,10 @@ def build_initial(cfg: RunConfig, model: AssembledModel) -> np.ndarray:
     amplitude = _float(ini["amplitude"], "[initial] amplitude")
     vals = np.zeros(model.layout.dim)
     if kind == "random":
-        rng = np.random.default_rng(_int(ini["seed"], "[initial] seed"))
+        seed = _int(ini["seed"], "[initial] seed")
+        if seed < 0:
+            raise ConfigError(f"[initial] seed: must be >= 0, got {ini['seed']!r}")
+        rng = np.random.default_rng(seed)
         with np.errstate(over="ignore", invalid="ignore"):
             vals = amplitude * rng.standard_normal(model.layout.dim)
     elif kind == "expr":
@@ -421,10 +424,10 @@ def cmd_check(cfg: RunConfig) -> tuple[list[str], int]:
     """Well-posedness report: c0, rho0, bound, skew defect, trace laws."""
     model = cfg.built
     scheme = build_scheme(cfg)
-    report = coercivity(model.M0, model.M1, scheme.rho, model.W)
-    if not report.satisfied:
+    c0 = coercivity(model.M0, model.M1, scheme.rho, model.W)
+    if c0 <= 0:
         return ["c0<=0"], 2
-    lines = [f"c0={fmt17(report.c0)}"]
+    lines = [f"c0={fmt17(c0)}"]
     code = 0
     try:
         rho0 = find_rho0(
@@ -434,7 +437,7 @@ def cmd_check(cfg: RunConfig) -> tuple[list[str], int]:
     except NotCoerciveError:
         lines.append("rho0=unreachable")
         code = 2
-    lines.append(f"bound={fmt17(report.bound)}")
+    lines.append(f"bound={fmt17(1.0 / c0)}")
     lines.append(f"skew_defect={fmt17(skew_defect(model.A, model.W))}")
     samples = _nevanlinna_samples()
     ok = all(nevanlinna_check(b.law, samples) for b in model.traces.values())
@@ -579,16 +582,16 @@ def cmd_probe(cfg: RunConfig, kind: str, a: float | None = None) -> tuple[list[s
         dev = causality_probe(sys_, base, lambda t: base(t) + profile * pulse(t), a)
         return [f"max_dev_before_a={fmt17(dev)}"], 0 if dev <= 1e-13 else 2
     if kind == "bound":
-        report = coercivity(model.M0, model.M1, scheme.rho, model.W)
-        if not report.satisfied:
+        c0 = coercivity(model.M0, model.M1, scheme.rho, model.W)
+        if c0 <= 0:
             return ["c0<=0"], 2
         source = build_source(cfg, model)
         try:
             ratio = bound_probe(sys_, source)
         except UndefinedRatioError as exc:
             raise ConfigError(str(exc)) from exc
-        lines = [f"ratio={fmt17(ratio)}", f"limit={fmt17(report.bound)}"]
-        return lines, 0 if ratio <= 1.05 * report.bound else 2
+        bound = 1.0 / c0
+        return [f"ratio={fmt17(ratio)}", f"limit={fmt17(bound)}"], 0 if ratio <= 1.05 * bound else 2
     raise ConfigError(f"unknown probe kind {kind!r}")
 
 

@@ -127,8 +127,11 @@ def build_grid(n_cells: int) -> Grid:
     if not isinstance(n_cells, (int, np.integer)) or n_cells < 2:
         raise ParameterError(f"n_cells must be an integer >= 2, got {n_cells!r}")
     n = int(n_cells)
-    nodes = np.linspace(-0.5, 0.5, n + 1)
-    centers = 0.5 * (nodes[:-1] + nodes[1:])
+    try:
+        nodes = np.linspace(-0.5, 0.5, n + 1)
+        centers = 0.5 * (nodes[:-1] + nodes[1:])
+    except (MemoryError, ValueError) as exc:
+        raise ParameterError(f"cannot allocate a grid of {n} cells: {exc}") from exc
     return Grid(n_cells=n, h=1.0 / n, nodes=nodes, centers=centers)
 
 
@@ -159,16 +162,6 @@ class StateLayout:
             self._tags[name] = tag
             off += tag.block_length(self.grid.n_cells)
         self.dim = off
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, StateLayout)
-            and other.grid == self.grid
-            and other.blocks == self.blocks
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.grid, self.blocks))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -303,7 +296,10 @@ def sinusoid_envelope(frequency: float, phase: float = 0.0, amplitude: float = 1
     """amplitude * sin(2 pi frequency t + phase)"""
 
     def env(t: float) -> float:
-        return amplitude * math.sin(2.0 * math.pi * frequency * t + phase)
+        arg = 2.0 * math.pi * frequency * t + phase
+        if not math.isfinite(arg):
+            raise NumericError(f"sinusoid argument is not finite at t = {t!r}")
+        return amplitude * math.sin(arg)
 
     return env
 

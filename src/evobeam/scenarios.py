@@ -156,15 +156,19 @@ def _check_trace_law(spec: NevanlinnaSpec, what: str) -> NevanlinnaSpec:
     return spec
 
 
-def _diagonal_law(
+def _assemble(
     layout: StateLayout,
     m0: dict[str, np.ndarray | float],
     m1: dict[str, np.ndarray | float],
     traces: dict[str, TraceBinding],
-) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Diagonal M0 and M1 in layout order: each field block takes its samples
-    from ``m0`` and ``m1`` (a missing block is 0), each trace slot its law's
-    mu0 and mu1.  Zero entries are not stored."""
+    pairs: list[tuple[sp.spmatrix, tuple[str, ...], tuple[str, ...]]],
+    couplings: tuple[tuple[str, str, float], ...] = (),
+) -> AssembledModel:
+    """The model on ``layout``.  M0 and M1 are diagonal in layout order: each
+    field block takes its samples from ``m0`` and ``m1`` (a missing block is
+    0), each trace slot its law's mu0 and mu1.  Each coupling (a, b, s) adds
+    +s at (a, b) and -s at (b, a) of M1, and A = assemble_skew(layout, pairs).
+    Zero entries are not stored (a CSR sum drops them)."""
 
     def diagonal(blocks: dict[str, np.ndarray | float], coefficient: str) -> sp.csr_matrix:
         entries = [
@@ -175,7 +179,18 @@ def _diagonal_law(
         ]
         return sp.csr_matrix(sp.diags(np.concatenate(entries)))
 
-    return diagonal(m0, "mu0"), diagonal(m1, "mu1")
+    M1 = diagonal(m1, "mu1")
+    for a, b, s in couplings:
+        rows, cols = layout.indices_of((a, b)), layout.indices_of((b, a))
+        M1 = M1 + sp.csr_matrix((np.repeat([s, -s], layout.length_of(a)), (rows, cols)), shape=M1.shape)
+    return AssembledModel(
+        layout=layout,
+        W=build_weights(layout),
+        M0=diagonal(m0, "mu0"),
+        M1=M1,
+        A=assemble_skew(layout, pairs),
+        traces=traces,
+    )
 
 
 def make_timoshenko_damped(grid: Grid, params: TimoshenkoParams) -> AssembledModel:
@@ -214,29 +229,12 @@ def make_timoshenko_damped(grid: Grid, params: TimoshenkoParams) -> AssembledMod
         "V2": _samples(params, "kappa2", grid, True),
     }
     traces = {"tau_plus": TraceBinding("eta", +0.5, -1.0, NevanlinnaSpec(params.I_tilde, params.c))}
-    M0, M1 = _diagonal_law(layout, m0, {"s": _samples(params, "d", grid, False)}, traces)
-    # M1 adds the sigma0 coupling of eta and V2; a CSR sum stores no zeros
-    coupling = sp.csr_matrix(
-        (
-            np.repeat([params.sigma0, -params.sigma0], grid.n_cells),
-            (layout.indices_of(("eta", "V2")), layout.indices_of(("V2", "eta"))),
-        ),
-        shape=(layout.dim, layout.dim),
-    )
-    return AssembledModel(
-        layout=layout,
-        W=build_weights(layout),
-        M0=M0,
-        M1=M1 + coupling,
-        A=assemble_skew(
-            layout,
-            [
-                (build_B(grid), ("V1",), ("eta", "tau_plus")),
-                (build_derivative(grid, SpaceTag.NODE_INTERIOR), ("s",), ("V2",)),
-            ],
-        ),
-        traces=traces,
-    )
+    pairs = [
+        (build_B(grid), ("V1",), ("eta", "tau_plus")),
+        (build_derivative(grid, SpaceTag.NODE_INTERIOR), ("s",), ("V2",)),
+    ]
+    m1 = {"s": _samples(params, "d", grid, False)}
+    return _assemble(layout, m0, m1, traces, pairs, couplings=(("eta", "V2", params.sigma0),))
 
 
 def sign_flip_vector(layout: StateLayout) -> np.ndarray:
@@ -294,22 +292,12 @@ def make_full_dynamic(grid: Grid, params: FullDynamicParams) -> AssembledModel:
         "tau1_minus": TraceBinding("V2", -0.5, +1.0, _check_trace_law(params.nu_minus, "nu_minus")),
         "tau1_plus": TraceBinding("V2", +0.5, -1.0, _check_trace_law(params.nu_plus, "nu_plus")),
     }
-    M0, M1 = _diagonal_law(layout, m0, m1, traces)
     Bt = build_B_tilde(grid)
-    return AssembledModel(
-        layout=layout,
-        W=build_weights(layout),
-        M0=M0,
-        M1=M1,
-        A=assemble_skew(
-            layout,
-            [
-                (Bt, ("V1",), ("eta", "tau0_minus", "tau0_plus")),
-                (Bt, ("s",), ("V2", "tau1_minus", "tau1_plus")),
-            ],
-        ),
-        traces=traces,
-    )
+    pairs = [
+        (Bt, ("V1",), ("eta", "tau0_minus", "tau0_plus")),
+        (Bt, ("s",), ("V2", "tau1_minus", "tau1_plus")),
+    ]
+    return _assemble(layout, m0, m1, traces, pairs)
 
 
 def make_sturm_liouville(grid: Grid, params: SturmLiouvilleParams) -> AssembledModel:
@@ -336,19 +324,8 @@ def make_sturm_liouville(grid: Grid, params: SturmLiouvilleParams) -> AssembledM
         "tau_minus": TraceBinding("V1", -0.5, +1.0, _check_trace_law(params.mu_minus, "mu_minus")),
         "tau_plus": TraceBinding("V1", +0.5, -1.0, _check_trace_law(params.mu_plus, "mu_plus")),
     }
-    M0, M1 = _diagonal_law(layout, {"V1": r, "eta": params.s0}, {"V1": q, "eta": params.s1}, traces)
-    A = assemble_skew(
-        layout,
-        [(build_B_tilde(grid), ("eta",), ("V1", "tau_minus", "tau_plus"))],
-    )
-    return AssembledModel(
-        layout=layout,
-        W=build_weights(layout),
-        M0=M0,
-        M1=M1,
-        A=A,
-        traces=traces,
-    )
+    pairs = [(build_B_tilde(grid), ("eta",), ("V1", "tau_minus", "tau_plus"))]
+    return _assemble(layout, {"V1": r, "eta": params.s0}, {"V1": q, "eta": params.s1}, traces, pairs)
 
 
 def split_model(model: AssembledModel, names: tuple[str, ...]) -> AssembledModel:
@@ -511,27 +488,23 @@ _DISPLACEMENT_NAMES = {"eta": "phi", "s": "u"}
 
 
 def reconstruct_displacements(
-    ts: TimeSeries,
-    blocks: tuple[str, ...] | None = None,
-    initial: dict[str, np.ndarray] | None = None,
+    ts: TimeSeries, initial: dict[str, np.ndarray] | None = None
 ) -> TimeSeries:
-    """Trapezoidal time integrals of velocity blocks (eta -> phi, s -> u).
+    """Trapezoidal time integrals of the velocity blocks eta -> phi and s -> u
+    that the layout carries, starting from ``initial`` (zero by default).
 
     Returns a TimeSeries over the displacement layout; the energy column is
     zero (displacements carry no energy of their own here).
     """
     if ts.snapshots is None or ts.layout is None:
         raise ParameterError("displacement reconstruction needs snapshots")
-    if blocks is None:
-        blocks = tuple(n for n in ("eta", "s") if n in ts.layout.names)
+    blocks = [n for n in _DISPLACEMENT_NAMES if n in ts.layout.names]
     if not blocks:
         raise ParameterError("no velocity blocks to integrate")
     initial = initial or {}
     out_layout = StateLayout(
         ts.layout.grid,
-        tuple(
-            (_DISPLACEMENT_NAMES.get(n, f"int_{n}"), ts.layout.tag_of(n)) for n in blocks
-        ),
+        tuple((_DISPLACEMENT_NAMES[n], ts.layout.tag_of(n)) for n in blocks),
     )
     nt = len(ts)
     snaps = np.zeros((nt, out_layout.dim))
@@ -542,8 +515,7 @@ def reconstruct_displacements(
         dts = np.diff(ts.times)
         increments = 0.5 * dts[:, None] * (src[:-1] + src[1:])
         disp[1:] = disp[0] + np.cumsum(increments, axis=0)
-        out_name = _DISPLACEMENT_NAMES.get(name, f"int_{name}")
-        snaps[:, out_layout.slice_of(out_name)] = disp
+        snaps[:, out_layout.slice_of(_DISPLACEMENT_NAMES[name])] = disp
     return TimeSeries(
         times=ts.times.copy(),
         energy=np.zeros(nt),

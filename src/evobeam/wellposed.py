@@ -18,7 +18,6 @@ from .core import EvobeamError, NumericError, ParameterError, WeightMatrix
 
 __all__ = [
     "NotCoerciveError",
-    "CoercivityReport",
     "NevanlinnaSpec",
     "sparse_symmetric_part",
     "coercivity",
@@ -33,18 +32,6 @@ RHO_BISECT_RELTOL = 1e-6
 
 class NotCoerciveError(EvobeamError):
     """No rho in the scan range reaches the requested coercivity."""
-
-
-@dataclass(frozen=True)
-class CoercivityReport:
-    rho: float
-    c0: float
-    satisfied: bool
-    bound: float | None
-
-    def __post_init__(self):
-        if self.satisfied != (self.c0 > 0):
-            raise NumericError("inconsistent coercivity report")
 
 
 @dataclass(frozen=True)
@@ -111,14 +98,15 @@ def _w_min_eig(S, W: WeightMatrix) -> float:
     return c0
 
 
-def coercivity(M0, M1, rho: float, W: WeightMatrix) -> CoercivityReport:
-    """Report on rho*M0 + sym(M1) >= c0 in the W inner product."""
+def coercivity(M0, M1, rho: float, W: WeightMatrix) -> float:
+    """The largest c0 with rho*M0 + sym(M1) >= c0 in the W inner product.
+
+    The law is coercive iff c0 > 0, and then 1/c0 bounds the solution
+    operator.
+    """
     if rho < 0:
         raise ParameterError("rho must be nonnegative")
-    S = rho * sp.csr_matrix(M0, dtype=float) + sparse_symmetric_part(M1, W)
-    c0 = _w_min_eig(S, W)
-    satisfied = c0 > 0
-    return CoercivityReport(rho=rho, c0=c0, satisfied=satisfied, bound=1.0 / c0 if satisfied else None)
+    return _w_min_eig(rho * sp.csr_matrix(M0, dtype=float) + sparse_symmetric_part(M1, W), W)
 
 
 def find_rho0(M0, M1, c_target: float, W: WeightMatrix) -> float:
@@ -170,7 +158,7 @@ def symbol_range_check(M0, M1, rho: float, lambda_grid, W: WeightMatrix) -> floa
     lams = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
     if lams.size == 0:
         raise ParameterError("lambda grid must be nonempty")
-    base = coercivity(M0, M1, rho, W).c0
+    base = coercivity(M0, M1, rho, W)
     skew = (sp.csr_matrix(M0, dtype=float) - sparse_symmetric_part(M0, W)).tocoo()
     sq = np.sqrt(W.diag)
     drift = np.max(np.abs(lams)) * np.linalg.norm(skew.data * sq[skew.row] / sq[skew.col])

@@ -1,6 +1,7 @@
 """The public surface: every name a module exports exists and is defined
 in that module, so each name has one import path; the package itself binds
-only its version; and the README's Python example runs as written."""
+only its version; the README's Python example runs as written; and every
+module name the README mentions exists."""
 
 import importlib
 import inspect
@@ -61,3 +62,12 @@ def test_readme_quick_start(tmp_path, monkeypatch, capsys):
     assert main(["run", "beam.cfg"]) == 0
     head = _sh_output(readme, "head -3 out.csv")
     assert (tmp_path / "out.csv").read_text().splitlines()[:2] == head[:2]
+
+
+def test_readme_module_names_resolve():
+    # every `module.name` the README mentions is an attribute of that module
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    named = set(re.findall(r"`(core|discretize|scenarios|wellposed|integrate|cli)\.([A-Za-z_]\w*)", readme))
+    assert len(named) >= 25
+    missing = [f"{m}.{n}" for m, n in sorted(named) if not hasattr(importlib.import_module(f"evobeam.{m}"), n)]
+    assert missing == []

@@ -386,7 +386,7 @@ def test_cmd_probe_bound_rejects_zero_source():
         cmd_probe(cfg, "bound")
 
 
-def _main_fails_once(command, text, tmp_path, capsys):
+def _main_fails_once(command, text, tmp_path, capsys, *args):
     """Run main on a config with numpy warnings as errors; return its exit
     code and its stderr lines, after checking that no CSV was written."""
     csv = tmp_path / "out.csv"
@@ -394,7 +394,7 @@ def _main_fails_once(command, text, tmp_path, capsys):
     path.write_text(text + f"\n[output]\ncsv = {csv}\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main([command, str(path)])
+        code = main([command, str(path), *args])
     captured = capsys.readouterr()
     assert captured.out == ""
     assert not csv.exists()
@@ -471,8 +471,12 @@ def test_main_rejects_overflowing_initial_amplitude(command, kind, tmp_path, cap
         ("full_dynamic", "nu_minus = 0, 0", "trace law must not have both coefficients zero"),
         ("sturm_liouville", "s0 = 0\ns1 = 0", "potential law needs s0, s1 >= 0 with s0 + s1 > 0"),
         ("sturm_liouville", "mu_minus = 0.5, -1", "mu_minus trace law needs nonnegative coefficients"),
+        ("full_dynamic", "mu_plus = 1, 2, 3", "[scenario] mu_plus: expected 'mu0, mu1', got '1, 2, 3'"),
     ],
-    ids=["beam-negative", "beam-zero", "mu_plus-negative", "nu_minus-zero", "potential-zero", "mu_minus-negative"],
+    ids=[
+        "beam-negative", "beam-zero", "mu_plus-negative", "nu_minus-zero", "potential-zero", "mu_minus-negative",
+        "mu_plus-three-numbers",
+    ],
 )
 def test_main_check_rejects_inadmissible_laws(name, keys, message, tmp_path, capsys):
     text = MINIMAL.replace("timoshenko_damped", name) + keys + "\n"
@@ -491,8 +495,12 @@ def test_main_check_rejects_inadmissible_laws(name, keys, message, tmp_path, cap
         ("sturm_liouville", "kind = random\ns = 1.0", "[initial]: unknown key 's'"),
         ("timoshenko_damped", "kind = random\neta = sin(x)", "[initial] eta: a block value is read only with kind = expr"),
         ("timoshenko_damped", "kind = zero\nV2 = x", "[initial] V2: a block value is read only with kind = expr"),
+        ("timoshenko_damped", "kind = sobol", "[initial] kind: unknown kind 'sobol'"),
     ],
-    ids=["trace-key", "outside-layout", "beam-block-on-sl-expr", "beam-block-on-sl-random", "random-with-block", "zero-with-block"],
+    ids=[
+        "trace-key", "outside-layout", "beam-block-on-sl-expr", "beam-block-on-sl-random", "random-with-block",
+        "zero-with-block", "unknown-kind",
+    ],
 )
 def test_main_rejects_initial_keys(command, name, initial, message, tmp_path, capsys):
     # block keys are the field blocks of the scenario's layout, read only by kind = expr
@@ -545,8 +553,9 @@ def test_source_kinds_equal_profile_times_envelope(kind, keys, envelope):
         ("kind = gaussian\nwidth = 0", "gaussian width must be positive"),
         ("kind = bump\nt0 = 0.5\nt1 = 0.5", "bump support must have t1 > t0"),
         ("kind = sinusoid\nfrequency = abc", "[source] frequency: expected a number, got 'abc'"),
+        ("kind = gaussian\nblock = nope", "[source] block: unknown block 'nope'"),
     ],
-    ids=["unknown-kind", "gaussian-width", "bump-support", "sinusoid-frequency"],
+    ids=["unknown-kind", "gaussian-width", "bump-support", "sinusoid-frequency", "unknown-block"],
 )
 def test_main_rejects_bad_source(source, message, tmp_path, capsys):
     code, err = _main_fails_once("run", MINIMAL + f"\n[source]\n{source}\n", tmp_path, capsys)
@@ -761,3 +770,99 @@ def test_parse_then_command_builds_once(name, command, tmp_path, monkeypatch):
     else:
         cmd_run(cfg)
     assert calls == [8]
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("dt", ["1e-320", "5e-324"])
+def test_main_rejects_a_subnormal_dt(command, dt, tmp_path, capsys):
+    # t_end / dt overflows to inf, so there is no whole number of steps
+    code, err = _main_fails_once(command, MINIMAL + f"[scheme]\ndt = {dt}\nt_end = 1\n", tmp_path, capsys)
+    assert code == 4
+    assert err == [f"config error: t_end / dt must be finite, got 1.0 / {dt}"]
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_main_rejects_a_negative_seed(command, tmp_path, capsys):
+    code, err = _main_fails_once(command, MINIMAL + "[initial]\nkind = random\nseed = -1\n", tmp_path, capsys)
+    assert code == 4
+    assert err == ["config error: [initial] seed: must be >= 0, got '-1'"]
+
+
+@pytest.mark.parametrize(
+    "command,args",
+    [("run", ()), ("probe", ("--kind", "bound")), ("probe", ("--kind", "causality", "--a", "0.5"))],
+    ids=["run", "probe-bound", "probe-causality"],
+)
+def test_main_overflowing_sinusoid_exits_two(command, args, tmp_path, capsys):
+    text = MINIMAL + "[source]\nkind = sinusoid\nblock = eta\nfrequency = 1e308\n"
+    code, err = _main_fails_once(command, text, tmp_path, capsys, *args)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: sinusoid argument is not finite at t = ")
+
+
+def test_main_check_rejects_a_grid_too_large_to_allocate(tmp_path, capsys, monkeypatch):
+    # numpy fails the allocation as it would for 10^12 cells; none is attempted
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(np, "linspace", fail)
+    text = MINIMAL.replace("n_cells = 8", "n_cells = 1000000000000")
+    code, err = _main_fails_once("check", text, tmp_path, capsys)
+    assert code == 4
+    assert len(err) == 1 and err[0].startswith("config error: cannot allocate a grid of 1000000000000 cells: ")
+
+
+def test_main_check_unreachable_rho0_report(tmp_path, capsys):
+    path = tmp_path / "cfg.ini"
+    path.write_text(MINIMAL + "[scheme]\nc_target = 1e30\n")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "c0=5.0000000000000000e-1",
+        "rho0=unreachable",
+        "bound=2.0000000000000000e0",
+        "skew_defect=0.0000000000000000e0",
+        "nevanlinna=pass",
+    ]
+
+
+def test_main_run_csv_without_energy_or_traces(tmp_path):
+    csv = tmp_path / "out.csv"
+    path = tmp_path / "cfg.ini"
+    path.write_text(MINIMAL + f"[output]\ncsv = {csv}\nenergy = no\ntraces = none\n")
+    assert main(["run", str(path)]) == 0
+    rows = csv.read_text().splitlines()
+    assert rows[0] == "t"
+    assert len(rows) == 102 and not any("," in row for row in rows)
+
+
+def test_source_on_a_trace_slot_is_the_envelope_there():
+    cfg = parse_config(MINIMAL + "[source]\nkind = bump\nblock = tau_plus\n")
+    model = cfg.built
+    source = cli.build_source(cfg, model)
+    env = bump_envelope(0.0, 1.0, 1.0)
+    for t in (0.0, 0.2, 0.5, 0.77, 1.0):
+        expected = np.zeros(model.layout.dim)
+        expected[model.layout.offset_of("tau_plus")] = env(t)
+        assert source(t).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "text,args,message",
+    [
+        (MINIMAL.replace("n_cells = 8", "n_cells = 8\nfoo = 1"), (), "[grid]: unknown key 'foo'"),
+        (MINIMAL.replace("n_cells = 8", ""), (), "[grid]: n_cells is required"),
+        (MINIMAL.replace("name = timoshenko_damped", "c = 0.5"), (), "[scenario]: name is required"),
+        (MINIMAL + "kappa1 = foo(x)\n", (), "[scenario] kappa1: cannot evaluate 'foo(x)': name 'foo' is not defined"),
+        (
+            MINIMAL.replace("timoshenko_damped", "sturm_liouville"),
+            ("--levels", "3,5,7"),
+            "reference grid must be an even multiple of each level",
+        ),
+    ],
+    ids=["grid-unknown-key", "grid-no-n_cells", "scenario-no-name", "undefined-function", "converge-odd-multiple"],
+)
+def test_main_config_errors_exit_four(text, args, message, tmp_path, capsys):
+    command = "converge" if args else "check"
+    code, err = _main_fails_once(command, text, tmp_path, capsys, *args)
+    assert code == 4
+    assert err == [f"config error: {message}"]

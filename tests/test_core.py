@@ -17,6 +17,7 @@ from evobeam.core import (
     energy,
     exp_weighted_norm,
     gaussian_envelope,
+    sinusoid_envelope,
     weighted_inner,
 )
 from evobeam.scenarios import TimoshenkoParams, make_timoshenko_damped
@@ -33,6 +34,18 @@ def test_grid_geometry():
 def test_grid_rejects_bad_sizes(bad):
     with pytest.raises(ParameterError, match="n_cells must be an integer >= 2"):
         build_grid(bad)
+
+
+@pytest.mark.parametrize("error", [MemoryError, ValueError])
+def test_grid_too_large_to_allocate_is_a_parameter_error(error, monkeypatch):
+    # the allocation is never attempted: linspace fails as it would on a
+    # grid that does not fit in memory
+    def fail(*args, **kwargs):
+        raise error("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(np, "linspace", fail)
+    with pytest.raises(ParameterError, match="cannot allocate a grid of 1000000000000 cells"):
+        build_grid(10**12)
 
 
 @pytest.mark.parametrize(
@@ -167,6 +180,22 @@ def test_bump_envelope_has_compact_support():
     assert env(1.0) == 0.0
     assert env(0.5) == 3.0  # peak value is exactly the amplitude
     assert 0.0 < env(0.3) < 3.0
+
+
+def test_sinusoid_envelope_refuses_a_nonfinite_argument():
+    env = sinusoid_envelope(1e308)
+    # 2*pi*1e308 overflows: inf * 0 is NaN at t = 0, inf after
+    for t in (0.0, 0.5):
+        with pytest.raises(NumericError, match="sinusoid argument is not finite"):
+            env(t)
+    with pytest.raises(NumericError):
+        sinusoid_envelope(1.0, phase=math.inf)(0.0)
+
+
+def test_sinusoid_envelope_values_unchanged():
+    env = sinusoid_envelope(2.5, 0.7, 1.5)
+    for t in (0.0, 0.1, 0.37, 1.0, 123.456):
+        assert env(t) == 1.5 * math.sin(2.0 * math.pi * 2.5 * t + 0.7)
 
 
 def test_gaussian_envelope_peak():

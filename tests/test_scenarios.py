@@ -35,6 +35,7 @@ from evobeam.scenarios import (
     split_model,
     timoshenko_mms_fields,
 )
+from evobeam.scenarios import _assemble
 from evobeam.wellposed import NevanlinnaSpec
 
 
@@ -522,3 +523,33 @@ def test_energy_of_exact_state_matches_quadrature():
     e = energy(u, model.M0, model.W)
     expected = 0.5 * float(np.sum(model.W.diag * model.M0.diagonal()))
     assert e == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 8, 33])
+def test_assemble_zero_coupling_stores_nothing(n):
+    # a zero coupling leaves M1's arrays as they are, so a coupling whose
+    # strength defaults to 0 keeps the uncoupled matrices bitwise
+    model = make_full_dynamic(build_grid(n), FullDynamicParams())
+    m0 = {b: 1.0 for b in ("V1", "eta", "s", "V2")}
+    args = (model.layout, m0, {"eta": 0.5}, model.traces, [])
+    plain = _assemble(*args)
+    zero = _assemble(*args, couplings=(("eta", "V2", 0.0),))
+    for M in ("M0", "M1", "A"):
+        a, b = getattr(plain, M), getattr(zero, M)
+        assert a.data.tobytes() == b.data.tobytes()
+        assert a.indices.tobytes() == b.indices.tobytes()
+        assert a.indptr.tobytes() == b.indptr.tobytes()
+        assert a.dtype == b.dtype and a.has_canonical_format == b.has_canonical_format
+
+
+def test_assemble_coupling_is_w_skew():
+    model = make_full_dynamic(build_grid(8), FullDynamicParams())
+    coupled = _assemble(
+        model.layout, {}, {}, model.traces, [], couplings=(("eta", "V2", 1.5),)
+    )
+    M1 = coupled.M1.toarray()
+    eta, V2 = model.layout.indices_of(("eta",)), model.layout.indices_of(("V2",))
+    assert np.array_equal(M1[eta, V2], np.full(8, 1.5))
+    assert np.array_equal(M1[V2, eta], np.full(8, -1.5))
+    W = coupled.W.diag
+    assert np.array_equal(W[:, None] * M1, -(W[:, None] * M1).T)

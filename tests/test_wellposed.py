@@ -22,7 +22,6 @@ from evobeam.scenarios import (
     make_timoshenko_damped,
 )
 from evobeam.wellposed import (
-    CoercivityReport,
     NevanlinnaSpec,
     NotCoerciveError,
     coercivity,
@@ -128,27 +127,26 @@ def test_symmetric_part_shape_check():
 def test_coercivity_diagonal_known_values():
     M0 = np.diag([2.0, 2.0, 0.5, 2.0, 2.0])
     M1 = np.zeros((5, 5))
-    rep = coercivity(M0, M1, rho=1.0, W=_ones_weight(5))
-    assert rep.c0 == 0.5
-    assert rep.satisfied
-    assert rep.bound == 2.0
+    c0 = coercivity(M0, M1, rho=1.0, W=_ones_weight(5))
+    assert c0 == 0.5
+    assert c0 > 0
+    assert 1.0 / c0 == 2.0
     oracle = min_coercivity_eig(M0, M1, 1.0, np.ones(5))
-    assert abs(rep.c0 - oracle) < 1e-13
+    assert abs(c0 - oracle) < 1e-13
 
 
 def test_coercivity_rho_zero_allowed_negative_rejected():
     M1 = np.eye(3)
-    rep = coercivity(np.zeros((3, 3)), M1, rho=0.0, W=_ones_weight(3))
-    assert rep.c0 == 1.0
+    c0 = coercivity(np.zeros((3, 3)), M1, rho=0.0, W=_ones_weight(3))
+    assert c0 == 1.0
     with pytest.raises(ParameterError):
         coercivity(np.eye(3), M1, rho=-1.0, W=_ones_weight(3))
 
 
 def test_coercivity_unsatisfied_has_no_bound():
-    rep = coercivity(np.diag([1.0, 0.0]), np.zeros((2, 2)), 1.0, _ones_weight(2))
-    assert not rep.satisfied
-    assert rep.bound is None
-    assert rep.c0 <= 0.0
+    c0 = coercivity(np.diag([1.0, 0.0]), np.zeros((2, 2)), 1.0, _ones_weight(2))
+    assert not c0 > 0
+    assert c0 <= 0.0
 
 
 def test_coercivity_matches_jacobi_on_assembled_model():
@@ -157,12 +155,12 @@ def test_coercivity_matches_jacobi_on_assembled_model():
         grid, TimoshenkoParams(c=0.5, I_tilde=0.2, d=0.25, sigma0=1.0)
     )
     rho = 1.0
-    rep = coercivity(model.M0, model.M1, rho, model.W)
+    c0 = coercivity(model.M0, model.M1, rho, model.W)
     oracle = min_coercivity_eig(
         model.M0.toarray(), model.M1.toarray(), rho, model.W.diag
     )
-    assert abs(rep.c0 - oracle) < 1e-11
-    assert rep.satisfied
+    assert abs(c0 - oracle) < 1e-11
+    assert c0 > 0
 
 
 def test_coercivity_sturm_liouville_parabolic_closed_form():
@@ -177,12 +175,12 @@ def test_coercivity_sturm_liouville_parabolic_closed_form():
         mu_plus=NevanlinnaSpec(0.5, 0.25),
     )
     model = make_sturm_liouville(grid, params)
-    rep = coercivity(model.M0, model.M1, rho=0.3, W=model.W)
-    assert abs(rep.c0 - 0.3) < 1e-14
+    c0 = coercivity(model.M0, model.M1, rho=0.3, W=model.W)
+    assert abs(c0 - 0.3) < 1e-14
     oracle = min_coercivity_eig(
         model.M0.toarray(), model.M1.toarray(), 0.3, model.W.diag
     )
-    assert abs(rep.c0 - oracle) < 1e-12
+    assert abs(c0 - oracle) < 1e-12
 
 
 def _dense_c0(M0, M1, rho, w):
@@ -197,8 +195,8 @@ def _dense_c0(M0, M1, rho, w):
 def test_coercivity_matches_dense_eigvalsh_bitwise(name, n):
     model = _DAMPED_MODELS[name](build_grid(n))
     for rho in (1.0, 2.0**-10):
-        rep = coercivity(model.M0, model.M1, rho, model.W)
-        assert rep.c0 == _dense_c0(model.M0, model.M1, rho, model.W.diag)
+        c0 = coercivity(model.M0, model.M1, rho, model.W)
+        assert c0 == _dense_c0(model.M0, model.M1, rho, model.W.diag)
 
 
 def _w_selfadjoint(rng, w):
@@ -224,8 +222,8 @@ def test_coercivity_matches_jacobi_on_interleaved_blocks(sizes, seed, rho):
     for rows in np.split(perm, np.cumsum(sizes)[:-1]):
         M0[np.ix_(rows, rows)] = _w_selfadjoint(rng, w[rows])
         M1[np.ix_(rows, rows)] = rng.standard_normal((rows.size, rows.size))
-    rep = coercivity(sp.csr_matrix(M0), sp.csr_matrix(M1), rho, WeightMatrix(w))
-    assert abs(rep.c0 - min_coercivity_eig(M0, M1, rho, w)) <= 1e-12
+    c0 = coercivity(sp.csr_matrix(M0), sp.csr_matrix(M1), rho, WeightMatrix(w))
+    assert abs(c0 - min_coercivity_eig(M0, M1, rho, w)) <= 1e-12
 
 
 def test_check_eigensolves_no_matrix_larger_than_a_block(monkeypatch):
@@ -251,13 +249,6 @@ def test_check_eigensolves_no_matrix_larger_than_a_block(monkeypatch):
     assert all(size <= largest for size in sizes)
 
 
-def test_coercivity_report_rejects_inconsistency():
-    with pytest.raises(NumericError):
-        CoercivityReport(rho=1.0, c0=-0.5, satisfied=True, bound=None)
-    with pytest.raises(NumericError):
-        CoercivityReport(rho=1.0, c0=0.5, satisfied=False, bound=None)
-
-
 def test_find_rho0_identity_hits_target_exactly():
     M0 = np.eye(4)
     M1 = np.zeros((4, 4))
@@ -276,8 +267,8 @@ def test_find_rho0_bisection_interior_target():
     # c0(rho) = rho - 0.3, so the smallest admissible rho is 0.67
     assert rho0 >= 0.67
     assert abs(rho0 - 0.67) < 2e-6
-    assert coercivity(M0, M1, rho0, W).c0 >= 0.37
-    assert coercivity(M0, M1, 0.67 * (1 - 1e-4), W).c0 < 0.37
+    assert coercivity(M0, M1, rho0, W) >= 0.37
+    assert coercivity(M0, M1, 0.67 * (1 - 1e-4), W) < 0.37
 
 
 def test_find_rho0_failure_and_validation():
@@ -292,7 +283,7 @@ def test_symbol_range_check_is_lambda_independent():
     grid = build_grid(8)
     model = make_timoshenko_damped(grid, TimoshenkoParams(c=0.5, d=0.25))
     rho = 1.0
-    base = coercivity(model.M0, model.M1, rho, model.W).c0
+    base = coercivity(model.M0, model.M1, rho, model.W)
     lams = np.linspace(-50.0, 50.0, 11)
     val = symbol_range_check(model.M0, model.M1, rho, lams, model.W)
     assert abs(val - base) < 1e-12 * max(1.0, abs(base))
@@ -319,7 +310,7 @@ def test_symbol_range_check_coupled_selfadjoint_inertia(rng):
     M0, M1 = _w_selfadjoint(rng, w), rng.standard_normal((6, 6))
     W = WeightMatrix(w)
     val = symbol_range_check(M0, M1, 1.0, np.linspace(-100.0, 100.0, 21), W)
-    assert val == coercivity(M0, M1, 1.0, W).c0
+    assert val == coercivity(M0, M1, 1.0, W)
     assert abs(val - min_coercivity_eig(M0, M1, 1.0, w)) < 1e-12
 
 
