@@ -94,12 +94,6 @@ class Grid:
     nodes: np.ndarray
     centers: np.ndarray
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Grid) and other.n_cells == self.n_cells
-
-    def __hash__(self) -> int:
-        return hash(("Grid", self.n_cells))
-
     def points(self, tag: SpaceTag) -> np.ndarray:
         """Sample points carried by a block with the given tag."""
         if tag is SpaceTag.CENTER:
@@ -223,7 +217,7 @@ def weighted_inner(u, v, W: WeightMatrix) -> float:
         raise ParameterError(
             f"shapes {uv.shape}, {vv.shape} incompatible with weights ({W.dim},)"
         )
-    return float(np.dot(uv, W.diag * vv))
+    return float(np.sum(uv * (W.diag * vv)))
 
 
 def energy(u, M0, W: WeightMatrix) -> float:

@@ -41,7 +41,7 @@ def test_readme_python_example(capsys):
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines() == [
         "0.6 1.6666666666666667",
-        "0.25 0.14329199163303613",
+        "0.25 0.14329199163308304",
     ]
 
 

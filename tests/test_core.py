@@ -202,9 +202,3 @@ def test_gaussian_envelope_peak():
     env = gaussian_envelope(1.0, 0.2, amplitude=2.0)
     assert math.isclose(env(1.0), 2.0)
     assert env(0.0) < 1e-4
-
-
-def test_grid_equality_is_by_size():
-    assert build_grid(8) == build_grid(8)
-    assert build_grid(8) != build_grid(16)
-    assert hash(build_grid(8)) == hash(build_grid(8))

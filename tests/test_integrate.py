@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from evobeam import integrate
@@ -90,15 +91,16 @@ def test_n_steps_rounding():
 
 
 def test_scalar_midpoint_recurrence():
-    # homogeneous decay: u_{n+1} = (1 - g dt/2)/(1 + g dt/2) u_n
+    # homogeneous decay: u_{n+1} = (1 - (1-theta) g dt)/(1 + theta g dt) u_n
     gamma, dt, n = 0.8, 0.05, 100
-    layout, _, sys_ = _scalar_system(gamma, dt, t_end=n * dt)
-    u = np.array([1.0])
-    f0 = np.zeros(1)
-    for _ in range(n):
-        u = step(sys_, u, f0)
-    factor_exact = (1 - gamma * dt / 2) / (1 + gamma * dt / 2)
-    assert abs(u[0] - factor_exact**n) < 1e-13
+    for theta in (0.5, 0.75, 1.0):
+        layout, _, sys_ = _scalar_system(gamma, dt, t_end=n * dt, theta=theta)
+        u = np.array([1.0])
+        f0 = np.zeros(1)
+        for _ in range(n):
+            u = step(sys_, u, f0)
+        factor_exact = (1 - (1 - theta) * gamma * dt) / (1 + theta * gamma * dt)
+        assert abs(u[0] - factor_exact**n) < 1e-13
 
 
 def test_scalar_global_second_order():
@@ -165,6 +167,23 @@ def test_factor_is_fill_free(n):
     scheme = SchemeParams(dt=1e-3, t_end=1.0)
     model, sys_ = _beam_system(n, TimoshenkoParams(c=0.5, I_tilde=0.1, d=0.2), scheme)
     assert sys_._lu.L.nnz + sys_._lu.U.nnz <= 10 * model.layout.dim
+
+
+def test_factor_rejects_a_non_diagonal_inertia():
+    # step multiplies by the diagonal of M0; a coupled M0 would be dropped
+    model = make_timoshenko_damped(build_grid(4), TimoshenkoParams(c=0.5, I_tilde=0.2))
+    scheme = SchemeParams(dt=0.1, t_end=1.0)
+    M0 = model.M0.tolil()
+    M0[0, 1] = M0[1, 0] = 0.1
+    with pytest.raises(ParameterError, match="M0 must be diagonal"):
+        factor(replace(model, M0=M0.tocsr()), scheme)
+    # an off-diagonal entry stored as an explicit zero couples nothing
+    M0 = model.M0.tocoo()
+    explicit_zero = sp.csr_matrix(
+        (np.append(M0.data, 0.0), (np.append(M0.row, 0), np.append(M0.col, 1))), shape=M0.shape
+    )
+    assert explicit_zero.nnz == model.M0.nnz + 1
+    factor(replace(model, M0=explicit_zero), scheme)
 
 
 def test_factor_shape_validation():
@@ -432,6 +451,50 @@ _RUN_MODELS = {
     "full_dynamic": lambda: make_full_dynamic(build_grid(33), FullDynamicParams(g_s=0.3)),
     "sturm_liouville": lambda: make_sturm_liouville(build_grid(33), SturmLiouvilleParams(q=0.3)),
 }
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
+@pytest.mark.parametrize("name", sorted(_RUN_MODELS))
+def test_step_matches_the_sparse_right_hand_side(rng, name, theta):
+    # the reference solves L u_next = R u_n + dt*f with R assembled as a
+    # matrix, R = M0 - (1-theta)*dt*(M1 + A)
+    model = _RUN_MODELS[name]()
+    scheme = SchemeParams(dt=0.04, t_end=1.0, theta=theta)
+    sys_ = factor(model, scheme)
+    stiff = model.M1 + model.A
+    L = (model.M0 + theta * scheme.dt * stiff).tocsc()
+    R = (model.M0 - (1.0 - theta) * scheme.dt * stiff).tocsr()
+    lu = spla.splu(L)
+    u, f = rng.standard_normal(model.layout.dim), rng.standard_normal(model.layout.dim)
+    for _ in range(5):
+        expected = lu.solve(R @ u + scheme.dt * f)
+        u_next = step(sys_, u, f)
+        assert np.max(np.abs(u_next - expected)) <= 1e-13 * np.max(np.abs(expected))
+        u = expected
+
+
+def test_step_roundoff_stays_near_a_refined_trajectory(rng):
+    # dt = h on the damped beam without boundary inertia: the trace slot's
+    # diagonal is small next to its coupling, where row swaps in the LU
+    # cost accuracy; every reference step is refined twice against L and R
+    n = 128
+    model = make_timoshenko_damped(build_grid(n), TimoshenkoParams(c=0.5))
+    scheme = SchemeParams(dt=1.0 / n, t_end=1.0)
+    sys_ = factor(model, scheme)
+    stiff = model.M1 + model.A
+    L = (model.M0 + 0.5 * scheme.dt * stiff).tocsr()
+    R = (model.M0 - 0.5 * scheme.dt * stiff).tocsr()
+    lu = spla.splu(L.tocsc())
+    zero = np.zeros(model.layout.dim)
+    for _ in range(3):
+        u = ref = rng.standard_normal(model.layout.dim)
+        for _ in range(n):
+            u = step(sys_, u, zero)
+            rhs = R @ ref
+            ref = lu.solve(rhs)
+            for _ in range(2):
+                ref = ref + lu.solve(rhs - L @ ref)
+        assert np.max(np.abs(u - ref)) <= 5e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("snapshots", [True, False])
