@@ -204,7 +204,8 @@ def parse_config(text: str) -> RunConfig:
     try:
         cp.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"malformed config: {exc}") from exc
+        one_line = " ".join(map(str.strip, str(exc).splitlines()))
+        raise ConfigError(f"malformed config: {one_line}") from exc
     known = {"grid", "scenario", "scheme", "source", "initial", "output"}
     for sec in cp.sections():
         if sec not in known:

@@ -210,20 +210,27 @@ def build_weights(layout: StateLayout) -> WeightMatrix:
     return WeightMatrix(np.concatenate(parts))
 
 
-def weighted_inner(u, v, W: WeightMatrix) -> float:
-    """Discrete inner product sum_i W_i u_i v_i (symmetric, positive definite)."""
+def weighted_inner(u, v, W: WeightMatrix):
+    """Discrete inner product sum_i W_i u_i v_i (symmetric, positive definite)
+    of two states, a float, or of two stacks of states row by row.  Rows are
+    summed C-ordered, each in np.sum's pairwise order for that row alone, so
+    each row's value is bitwise its one-state value."""
     uv, vv = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    if uv.shape != vv.shape or uv.shape != (W.dim,):
+    if uv.shape != vv.shape or uv.ndim not in (1, 2) or uv.shape[-1] != W.dim:
         raise ParameterError(
             f"shapes {uv.shape}, {vv.shape} incompatible with weights ({W.dim},)"
         )
-    return float(np.sum(uv * (W.diag * vv)))
+    products = np.multiply(W.diag, vv, order="C")
+    products *= uv  # in place: a stack holds one temporary, not two
+    sums = np.sum(products, axis=-1)
+    return float(sums) if uv.ndim == 1 else sums
 
 
-def energy(u, M0, W: WeightMatrix) -> float:
-    """Quadratic energy 1/2 <u, M0 u>_W of a state under the inertia operator."""
+def energy(u, M0, W: WeightMatrix):
+    """Quadratic energy 1/2 <u, M0 u>_W of a state under the inertia operator,
+    or of each row of a stack of states (bitwise per row for a sparse M0)."""
     uv = np.asarray(u, dtype=float)
-    return 0.5 * weighted_inner(uv, M0 @ uv, W)
+    return 0.5 * weighted_inner(uv, (M0 @ uv.T).T, W)
 
 
 @dataclass
@@ -263,6 +270,7 @@ def exp_weighted_norm(times, states, rho: float, W: WeightMatrix) -> float:
     """
     if rho <= 0:
         raise ParameterError("rho must be positive")
+    # not weighted_inner: that moves the bound probe's printed ratio in its last digits
     sq = np.einsum("ij,j,ij->i", states, W.diag, states)
     integrand = sq * np.exp(-2.0 * rho * times)
     dt = np.diff(times)

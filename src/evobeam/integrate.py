@@ -61,9 +61,9 @@ class SchemeParams:
             raise ParameterError(f"t_end / dt must be finite, got {self.t_end!r} / {self.dt!r}")
         if not 0.5 <= self.theta <= 1.0:
             raise ParameterError("theta must lie in [1/2, 1]")
-        if self.record_every < 1 or int(self.record_every) != self.record_every:
+        if not isinstance(self.record_every, (int, np.integer)) or self.record_every < 1:
             raise ParameterError("record_every must be a positive integer")
-        if self.rho < 0:
+        if not self.rho >= 0:
             raise ParameterError("rho must be nonnegative")
 
     @property
@@ -133,9 +133,9 @@ def step(sys_: SteppingSystem, u_n: np.ndarray, f_mid: np.ndarray) -> np.ndarray
 
 
 # Recorded states wait in a buffer of at most this many floats (512 kB),
-# and each full buffer gets its energies from one sparse product and one
-# reduction.  The buffer is kept small so that it does not show in the
-# peak memory of a run on a large grid.
+# and each full buffer gets its energies from one core.energy call.  The
+# buffer is kept small so that it does not show in the peak memory of a
+# run on a large grid.
 _CHUNK_FLOATS = 1 << 16
 
 
@@ -154,7 +154,7 @@ def run(
     a state or recorded energy that is not finite raises NumericError, and
     so do records too large to allocate.
     """
-    layout, M0, w = sys_.model.layout, sys_.model.M0, sys_.model.W.diag
+    layout, M0, W = sys_.model.layout, sys_.model.M0, sys_.model.W
     if np.shape(u0) != (layout.dim,):
         raise ParameterError(f"initial state has shape {np.shape(u0)}, layout needs ({layout.dim},)")
     trace_names = layout.trace_names()
@@ -175,10 +175,7 @@ def run(
         nonlocal done
         U = buf[:count]
         with np.errstate(over="ignore", invalid="ignore"):
-            # core.energy's products, summed along C-ordered rows: a row
-            # sum takes the same pairwise order as np.sum of that row alone
-            V = np.multiply((M0 @ U.T).T, w, order="C")
-            energies[done : done + count] = 0.5 * np.sum(U * V, axis=1)
+            energies[done : done + count] = energy(U, M0, W)
         if not np.isfinite(energies[done : done + count]).all():
             raise NumericError("recorded energy is not finite")
         traces[:, done : done + count] = U[:, trace_at].T
@@ -263,10 +260,8 @@ def causality_probe(
     sys_to_a = replace(sys_, scheme=replace(scheme, t_end=steps_to_a * scheme.dt, record_every=1))
     ts_f = run(sys_to_a, u0, source_f)
     ts_g = run(sys_to_a, u0, source_g)
-    dev = 0.0
-    for diff in ts_f.snapshots - ts_g.snapshots:
-        dev = max(dev, math.sqrt(weighted_inner(diff, diff, sys_.model.W)))
-    return dev
+    diff = ts_f.snapshots - ts_g.snapshots
+    return math.sqrt(weighted_inner(diff, diff, sys_.model.W).max())
 
 
 def bound_probe(sys_: SteppingSystem, source: Callable[[float], np.ndarray]) -> float:

@@ -421,17 +421,18 @@ def manufactured_source(
     return F
 
 
-def timoshenko_mms_fields(omega: float = 2.0) -> tuple[dict, dict]:
+def timoshenko_mms_fields() -> tuple[dict, dict]:
     """Closed-form field family for unit-coefficient beam convergence runs.
 
     Built from displacements phi = sin(pi(x+1/2)) cos(omega t + 0.3) and
-    u = sin(pi(x+1/2)) sin(omega t), so eta and s are their time derivatives
-    and V1 = d_x phi, V2 = d_x u + phi satisfy the constitutive relations
-    with unit compliances.  u vanishes at both endpoints, matching the
-    pinned shear-velocity block, and eta(+1/2) = 0 so the boundary trace of
-    the exact solution is zero while its source row is not.
+    u = sin(pi(x+1/2)) sin(omega t) with omega = 2, so eta and s are their
+    time derivatives and V1 = d_x phi, V2 = d_x u + phi satisfy the
+    constitutive relations with unit compliances.  u vanishes at both
+    endpoints, matching the pinned shear-velocity block, and eta(+1/2) = 0
+    so the boundary trace of the exact solution is zero while its source
+    row is not.
     """
-    w = float(omega)
+    w = 2.0  # omega
 
     def p(x):
         return np.pi * (x + 0.5)
@@ -489,12 +490,12 @@ _DISPLACEMENT_NAMES = {"eta": "phi", "s": "u"}
 
 def reconstruct_displacements(
     ts: TimeSeries, initial: dict[str, np.ndarray] | None = None
-) -> TimeSeries:
+) -> dict[str, np.ndarray]:
     """Trapezoidal time integrals of the velocity blocks eta -> phi and s -> u
     that the layout carries, starting from ``initial`` (zero by default).
 
-    Returns a TimeSeries over the displacement layout; the energy column is
-    zero (displacements carry no energy of their own here).
+    Returns the displacements by name, each an array with one row per
+    recorded time.
     """
     if ts.snapshots is None or ts.layout is None:
         raise ParameterError("displacement reconstruction needs snapshots")
@@ -502,24 +503,13 @@ def reconstruct_displacements(
     if not blocks:
         raise ParameterError("no velocity blocks to integrate")
     initial = initial or {}
-    out_layout = StateLayout(
-        ts.layout.grid,
-        tuple((_DISPLACEMENT_NAMES[n], ts.layout.tag_of(n)) for n in blocks),
-    )
-    nt = len(ts)
-    snaps = np.zeros((nt, out_layout.dim))
+    dts = np.diff(ts.times)
+    out = {}
     for name in blocks:
         src = ts.snapshots[:, ts.layout.slice_of(name)]
         disp = np.zeros_like(src)
         disp[0] = initial.get(name, np.zeros(src.shape[1]))
-        dts = np.diff(ts.times)
         increments = 0.5 * dts[:, None] * (src[:-1] + src[1:])
         disp[1:] = disp[0] + np.cumsum(increments, axis=0)
-        snaps[:, out_layout.slice_of(_DISPLACEMENT_NAMES[name])] = disp
-    return TimeSeries(
-        times=ts.times.copy(),
-        energy=np.zeros(nt),
-        traces={},
-        snapshots=snaps,
-        layout=out_layout,
-    )
+        out[_DISPLACEMENT_NAMES[name]] = disp
+    return out

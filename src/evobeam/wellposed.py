@@ -52,7 +52,7 @@ class NevanlinnaSpec:
         if self.mu0 == 0 and self.mu1 == 0:
             raise ParameterError("trace law must not have both coefficients zero")
 
-    def evaluate(self, z: complex) -> complex:
+    def evaluate(self, z: complex | np.ndarray) -> complex | np.ndarray:
         return self.mu0 * z + self.mu1
 
 
@@ -175,5 +175,5 @@ def nevanlinna_check(spec: NevanlinnaSpec, samples) -> bool:
     zs = np.atleast_1d(np.asarray(samples, dtype=complex))
     if np.any(zs.imag <= 0):
         raise ParameterError("all samples must have positive imaginary part")
-    im = (spec.mu0 * zs + spec.mu1).imag
+    im = spec.evaluate(zs).imag
     return bool(np.all(im >= -1e-14))

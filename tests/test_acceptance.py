@@ -77,7 +77,7 @@ def _mms_results(levels):
     """W-norm errors at t_end = 1 with dt = h, plus reconstruction
     residuals of the two constitutive relations and the largest trace-row
     source value (shared by criteria 8 and 11)."""
-    fields, dfields = timoshenko_mms_fields(omega=2.0)
+    fields, dfields = timoshenko_mms_fields()
     errs, res_v1, res_v2, hs = [], [], [], []
     trace_peak = 0.0
     for n in levels:
@@ -102,8 +102,7 @@ def _mms_results(levels):
         phi0 = np.sin(np.pi * (xc + 0.5)) * np.cos(0.3)
         u0 = np.zeros(lay.length_of("s"))
         disp = reconstruct_displacements(ts, initial={"eta": phi0, "s": u0})
-        phi = disp.snapshots[-1][disp.layout.slice_of("phi")]
-        u = disp.snapshots[-1][disp.layout.slice_of("u")]
+        phi, u = disp["phi"][-1], disp["u"][-1]
         v1 = ts.snapshots[-1][lay.slice_of("V1")]
         v2 = ts.snapshots[-1][lay.slice_of("V2")]
         # stress = slope of the angular displacement at interior nodes

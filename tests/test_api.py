@@ -1,7 +1,7 @@
 """The public surface: every name a module exports exists and is defined
 in that module, so each name has one import path; the package itself binds
 only its version; the README's Python example runs as written; and every
-module name the README mentions exists."""
+module name the README mentions exists, with as many arguments as it takes."""
 
 import importlib
 import inspect
@@ -71,3 +71,14 @@ def test_readme_module_names_resolve():
     assert len(named) >= 25
     missing = [f"{m}.{n}" for m, n in sorted(named) if not hasattr(importlib.import_module(f"evobeam.{m}"), n)]
     assert missing == []
+    # and every mention written with an argument list, `module.name(a, b=1)`,
+    # gives as many arguments as the function has positional parameters
+    calls = re.findall(r"`(core|discretize|scenarios|wellposed|integrate|cli)\.(\w+)\(([^`]*)\)`", readme)
+    assert len(calls) >= 8
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    mismatched = []
+    for m, n, args in calls:
+        params = inspect.signature(getattr(importlib.import_module(f"evobeam.{m}"), n)).parameters.values()
+        if len(args.split(",")) != sum(p.kind in positional for p in params):
+            mismatched.append(f"{m}.{n}({args})")
+    assert mismatched == []

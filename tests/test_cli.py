@@ -825,6 +825,27 @@ def test_main_check_unreachable_rho0_report(tmp_path, capsys):
     ]
 
 
+def test_main_check_reports_the_first_scanned_rho0(tmp_path, capsys):
+    # coercive already at the first scanned weight 2^-10, so no bisection
+    path = tmp_path / "cfg.ini"
+    path.write_text(
+        "[grid]\nn_cells = 8\n[scenario]\nname = sturm_liouville\nq = 1.0\ns1 = 1.0\n"
+        "mu_minus = 1.0, 0.5\nmu_plus = 1.0, 0.5\n"
+    )
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "rho0=9.7656250000000000e-4"
+
+
+def test_main_probe_bound_exits_two_when_not_coercive(tmp_path, capsys):
+    path = tmp_path / "cfg.ini"
+    path.write_text(
+        "[grid]\nn_cells = 8\n[scenario]\nname = dynamic_inertia\n"
+        "[scheme]\nrho = 0.0\n[source]\nkind = gaussian\nblock = eta\n"
+    )
+    assert main(["probe", str(path), "--kind", "bound"]) == 2
+    assert capsys.readouterr().out.splitlines() == ["c0<=0"]
+
+
 def test_main_run_csv_without_energy_or_traces(tmp_path):
     csv = tmp_path / "out.csv"
     path = tmp_path / "cfg.ini"
@@ -858,11 +879,26 @@ def test_source_on_a_trace_slot_is_the_envelope_there():
             ("--levels", "3,5,7"),
             "reference grid must be an even multiple of each level",
         ),
+        # configparser's own messages span lines; the CLI prints one
+        (
+            MINIMAL.replace("[grid]\n", ""),
+            (),
+            "malformed config: File contains no section headers. file: '<string>', line: 1 'n_cells = 8\\n'",
+        ),
+        (
+            MINIMAL.replace("n_cells = 8", "n_cells = 8\ngarbage"),
+            (),
+            "malformed config: Source contains parsing errors: '<string>' [line  3]: 'garbage\\n'",
+        ),
     ],
-    ids=["grid-unknown-key", "grid-no-n_cells", "scenario-no-name", "undefined-function", "converge-odd-multiple"],
+    ids=[
+        "grid-unknown-key", "grid-no-n_cells", "scenario-no-name", "undefined-function", "converge-odd-multiple",
+        "no-section-header", "unparsable-line",
+    ],
 )
 def test_main_config_errors_exit_four(text, args, message, tmp_path, capsys):
     command = "converge" if args else "check"
     code, err = _main_fails_once(command, text, tmp_path, capsys, *args)
     assert code == 4
     assert err == [f"config error: {message}"]
+

@@ -140,6 +140,25 @@ def test_weighted_inner_is_symmetric_bilinear(rng):
     assert math.isclose(lhs, 2.5 * weighted_inner(u, v, W), rel_tol=1e-13)
 
 
+def test_stack_of_states_gives_each_row_its_one_state_bits(rng):
+    # 64 cells put dim past numpy's 128-element pairwise block, so a
+    # different summation order would show in the last bits
+    g = build_grid(64)
+    nu1 = 1.0 + rng.random(g.n_cells)
+    m = make_timoshenko_damped(g, TimoshenkoParams(nu1=nu1, c=0.5, I_tilde=0.3))
+    buf = rng.standard_normal((7, m.layout.dim)) * np.logspace(-3, 3, m.layout.dim)
+    V = rng.standard_normal((3, m.layout.dim))
+    for U in (buf[2:5], np.asfortranarray(buf[2:5]), buf[2:5][::-1]):
+        inner = weighted_inner(U, V, m.W)
+        assert inner.tobytes() == np.array([weighted_inner(u, v, m.W) for u, v in zip(U, V)]).tobytes()
+        e = energy(U, m.M0, m.W)
+        assert e.tobytes() == np.array([energy(u, m.M0, m.W) for u in U]).tobytes()
+    with pytest.raises(ParameterError):
+        weighted_inner(buf[:2], V[:1], m.W)
+    with pytest.raises(ParameterError):
+        weighted_inner(buf[None], buf[None], m.W)
+
+
 def test_energy_constant_coefficient_oracle():
     """All-ones state, all material coefficients 2, boundary inertia off:
     E = kappa * (sum of field-block weights) / 2 * |1|^2 = 2 * (4 - 3h/2) / 2."""

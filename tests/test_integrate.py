@@ -84,6 +84,17 @@ def test_scheme_params_validation():
     assert SchemeParams(dt=0.1, t_end=1.0, rho=0.0).rho == 0.0
 
 
+def test_scheme_params_refuse_a_float_record_every():
+    # a whole float would reach run and fail there in numpy
+    with pytest.raises(ParameterError, match="record_every"):
+        SchemeParams(dt=0.1, t_end=1.0, record_every=2.0)
+
+
+def test_scheme_params_refuse_a_nan_rho():
+    with pytest.raises(ParameterError, match="rho"):
+        SchemeParams(dt=0.1, t_end=1.0, rho=float("nan"))
+
+
 def test_n_steps_rounding():
     assert SchemeParams(dt=0.1, t_end=1.0).n_steps == 10
     assert SchemeParams(dt=0.3, t_end=1.0).n_steps == 3
