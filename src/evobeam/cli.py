@@ -13,7 +13,7 @@ import ast
 import math
 import operator
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -88,20 +88,24 @@ class ConfigError(EvobeamError):
     """Config text violates the format or a scenario invariant."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RunConfig:
+    """A parsed config: each section's raw values with defaults filled in,
+    and the values parse_config built from them, which the commands read."""
+
     scenario: str
     n_cells: int
-    params: dict[str, str] = field(default_factory=dict)
-    scheme: dict[str, str] = field(default_factory=dict)
-    source: dict[str, str] = field(default_factory=dict)
-    initial: dict[str, str] = field(default_factory=dict)
-    output: dict[str, str] = field(default_factory=dict)
-    # build_model's result: parse_config sets it and the commands read it,
-    # so each builds the model once; dataclasses.replace drops it
-    built: AssembledModel | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    params: dict[str, str]
+    scheme: dict[str, str]
+    source: dict[str, str]
+    initial: dict[str, str]
+    output: dict[str, str]
+    model: AssembledModel
+    scheme_params: SchemeParams
+    c_target: float
+    source_fn: Callable[[float], np.ndarray]
+    initial_state: np.ndarray  # before consistent_initial_state
+    output_sel: tuple[bool, list[str], int | None]  # build_output's result
 
 
 # ---------------------------------------------------------------------------
@@ -245,56 +249,53 @@ def parse_config(text: str) -> RunConfig:
                 out[k] = v.strip()
         return out
 
-    cfg = RunConfig(
-        scenario=name,
-        n_cells=n_cells,
-        params=params,
-        scheme=section("scheme", _SCHEME_DEFAULTS),
-        source=section("source", _SOURCE_DEFAULTS),
-        initial=section("initial", _INITIAL_DEFAULTS),
-        output=section("output", _OUTPUT_DEFAULTS),
-    )
+    scheme = section("scheme", _SCHEME_DEFAULTS)
+    source = section("source", _SOURCE_DEFAULTS)
+    initial = section("initial", _INITIAL_DEFAULTS)
+    output = section("output", _OUTPUT_DEFAULTS)
     # full validation: if any of these raise, surface it as a parse error
     try:
-        cfg.built = build_model(cfg)
-        build_scheme(cfg)
-        build_source(cfg, cfg.built)
-        build_initial(cfg, cfg.built)
-        build_output(cfg, cfg.built)
+        model = build_model(name, params, n_cells)
+        scheme_params, c_target = build_scheme(scheme)
+        source_fn = build_source(source, model)
+        initial_state = build_initial(initial, model)
+        output_sel = build_output(output, model)
     except ConfigError:
         raise
     except EvobeamError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
+    return RunConfig(
+        name, n_cells, params, scheme, source, initial, output,
+        model, scheme_params, c_target, source_fn, initial_state, output_sel,
+    )
 
 
 # ---------------------------------------------------------------------------
 # builders
 
-def build_model(cfg: RunConfig) -> AssembledModel:
-    """Assemble the configured model.
+def build_model(scenario: str, params: dict[str, str], n_cells: int) -> AssembledModel:
+    """Assemble the scenario's model from its [scenario] values.
 
     Each params field is read by its kind: a tagged coefficient is an
     expression in x sampled on its tag, a trace law a 'mu0, mu1' pair, and
     anything else a number.
     """
-    spec = SCENARIOS[cfg.scenario]
-    grid = build_grid(cfg.n_cells)
+    spec = SCENARIOS[scenario]
+    grid = build_grid(n_cells)
     values = {}
     for f in fields(spec.defaults):
-        raw, where = cfg.params[f.name], f"[scenario] {f.name}"
+        raw, where = params[f.name], f"[scenario] {f.name}"
         if "tag" in f.metadata:
             values[f.name] = _eval_expr(raw, grid.points(f.metadata["tag"]), where)
         elif isinstance(getattr(spec.defaults, f.name), NevanlinnaSpec):
             values[f.name] = NevanlinnaSpec(*_pair(raw, where))
         else:
             values[f.name] = _float(raw, where)
-    params = replace(spec.defaults, **values)
-    return spec.make(grid, params)
+    return spec.make(grid, replace(spec.defaults, **values))
 
 
-def build_scheme(cfg: RunConfig) -> SchemeParams:
-    s = cfg.scheme
+def build_scheme(s: dict[str, str]) -> tuple[SchemeParams, float]:
+    """The scheme and c_target of a [scheme] section."""
     scheme = SchemeParams(
         dt=_float(s["dt"], "[scheme] dt"),
         t_end=_float(s["t_end"], "[scheme] t_end"),
@@ -302,7 +303,8 @@ def build_scheme(cfg: RunConfig) -> SchemeParams:
         record_every=_int(s["record_every"], "[scheme] record_every"),
         rho=_float(s["rho"], "[scheme] rho"),
     )
-    if not _float(s["c_target"], "[scheme] c_target") > 0:
+    c_target = _float(s["c_target"], "[scheme] c_target")
+    if not c_target > 0:
         raise ConfigError(f"[scheme] c_target: must be > 0, got {s['c_target']!r}")
     if abs(scheme.n_steps * scheme.dt - scheme.t_end) > 1e-9 * scheme.t_end:
         raise ConfigError(f"[scheme] t_end: {s['t_end']} is not a whole number of steps of dt = {s['dt']}")
@@ -311,7 +313,7 @@ def build_scheme(cfg: RunConfig) -> SchemeParams:
             f"[scheme] record_every: {s['record_every']} does not divide the {scheme.n_steps} steps,"
             " so the last record would fall before t_end"
         )
-    return scheme
+    return scheme, c_target
 
 
 # the envelope of each source kind but zero, and the [source] keys of its
@@ -323,8 +325,7 @@ _ENVELOPES = {
 }
 
 
-def build_source(cfg: RunConfig, model: AssembledModel) -> Callable[[float], np.ndarray]:
-    s = cfg.source
+def build_source(s: dict[str, str], model: AssembledModel) -> Callable[[float], np.ndarray]:
     kind = s["kind"]
     if kind == "zero":
         dim = model.layout.dim
@@ -346,8 +347,7 @@ def build_source(cfg: RunConfig, model: AssembledModel) -> Callable[[float], np.
     return lambda t: profile * env(t)
 
 
-def build_initial(cfg: RunConfig, model: AssembledModel) -> np.ndarray:
-    ini = cfg.initial
+def build_initial(ini: dict[str, str], model: AssembledModel) -> np.ndarray:
     kind = ini["kind"]
     blocks = {k: v for k, v in ini.items() if k not in _INITIAL_DEFAULTS}
     for key in blocks:
@@ -376,10 +376,9 @@ def build_initial(cfg: RunConfig, model: AssembledModel) -> np.ndarray:
     return vals
 
 
-def build_output(cfg: RunConfig, model: AssembledModel) -> tuple[bool, list[str], int | None]:
+def build_output(out: dict[str, str], model: AssembledModel) -> tuple[bool, list[str], int | None]:
     """The energy flag, the trace names and the snapshot stride (None
     without snapshots) that [output] asks for."""
-    out = cfg.output
     with_energy = _bool(out["energy"], "[output] energy")
     traces_sel = out["traces"]
     if traces_sel == "all":
@@ -423,17 +422,14 @@ def _nevanlinna_samples() -> np.ndarray:
 
 def cmd_check(cfg: RunConfig) -> tuple[list[str], int]:
     """Well-posedness report: c0, rho0, bound, skew defect, trace laws."""
-    model = cfg.built
-    scheme = build_scheme(cfg)
-    c0 = coercivity(model.M0, model.M1, scheme.rho, model.W)
+    model = cfg.model
+    c0 = coercivity(model.M0, model.M1, cfg.scheme_params.rho, model.W)
     if c0 <= 0:
         return ["c0<=0"], 2
     lines = [f"c0={fmt17(c0)}"]
     code = 0
     try:
-        rho0 = find_rho0(
-            model.M0, model.M1, _float(cfg.scheme["c_target"], "[scheme] c_target"), model.W
-        )
+        rho0 = find_rho0(model.M0, model.M1, cfg.c_target, model.W)
         lines.append(f"rho0={fmt17(rho0)}")
     except NotCoerciveError:
         lines.append("rho0=unreachable")
@@ -450,14 +446,11 @@ def cmd_check(cfg: RunConfig) -> tuple[list[str], int]:
 
 def cmd_run(cfg: RunConfig) -> int:
     """Simulate and write the CSV (and optional snapshot file)."""
-    model = cfg.built
-    scheme = build_scheme(cfg)
-    source = build_source(cfg, model)
-    u0 = consistent_initial_state(model, build_initial(cfg, model), source(0.0))
-    sys_ = factor(model, scheme)
-    out = cfg.output
-    with_energy, trace_names, stride = build_output(cfg, model)
-    snap_path = out["snapshots"]
+    model, source = cfg.model, cfg.source_fn
+    u0 = consistent_initial_state(model, cfg.initial_state, source(0.0))
+    sys_ = factor(model, cfg.scheme_params)
+    with_energy, trace_names, stride = cfg.output_sel
+    snap_path = cfg.output["snapshots"]
     ts = run(sys_, u0, source, snapshots=bool(snap_path))
     # the CSV goes last, so a run whose snapshot file fails leaves no CSV
     if snap_path:
@@ -471,7 +464,7 @@ def cmd_run(cfg: RunConfig) -> int:
     header = ["t"] + (["energy"] if with_energy else []) + [f"trace:{t}" for t in trace_names]
     cols = [ts.times] + ([ts.energy] if with_energy else []) + [ts.traces[t] for t in trace_names]
     rows = [",".join(header)] + [",".join(map(repr, row)) for row in np.column_stack(cols).tolist()]
-    Path(out["csv"]).write_text("\n".join(rows) + "\n")
+    Path(cfg.output["csv"]).write_text("\n".join(rows) + "\n")
     return 0
 
 
@@ -523,22 +516,20 @@ def cmd_converge(cfg: RunConfig, levels: list[int]) -> tuple[list[str], int]:
     spec = SCENARIOS[cfg.scenario]
     if spec.mms is None and not spec.self_reference:
         raise ConfigError(f"converge does not support scenario {cfg.scenario!r}")
-    t_end = _float(cfg.scheme["t_end"], "[scheme] t_end")
-    theta = _float(cfg.scheme["theta"], "[scheme] theta")
+    t_end, theta = cfg.scheme_params.t_end, cfg.scheme_params.theta
     if spec.mms is not None:
         exact, rates = spec.mms()
 
     def solve(n: int):
-        level_cfg = replace(cfg, n_cells=n)
-        model = build_model(level_cfg)
+        model = build_model(cfg.scenario, cfg.params, n)
         if spec.mms is not None:
             steps = max(1, round(t_end / model.grid.h))
             source = manufactured_source(model, exact, rates)
             u0 = exact_state(model, exact, 0.0)
         else:
             steps = max(1, round(t_end * n))
-            source = build_source(level_cfg, model)
-            u0 = consistent_initial_state(model, build_initial(level_cfg, model), source(0.0))
+            source = build_source(cfg.source, model)
+            u0 = consistent_initial_state(model, build_initial(cfg.initial, model), source(0.0))
         scheme = SchemeParams(dt=t_end / steps, t_end=t_end, theta=theta, record_every=steps)
         sys_ = factor(model, scheme)
         return model, run(sys_, u0, source)
@@ -565,28 +556,27 @@ def cmd_converge(cfg: RunConfig, levels: list[int]) -> tuple[list[str], int]:
 
 
 def cmd_probe(cfg: RunConfig, kind: str, a: float | None = None) -> tuple[list[str], int]:
-    model = cfg.built
-    scheme = build_scheme(cfg)
+    model, scheme, source = cfg.model, cfg.scheme_params, cfg.source_fn
     sys_ = factor(model, scheme)
     if kind == "causality":
         if a is None:
             raise ConfigError("causality probe needs --a")
         if not 0 < a < scheme.t_end:
             raise ConfigError(f"split time a={a} must lie inside (0, t_end)")
-        base = build_source(cfg, model)
         t0 = a + 0.01 * (scheme.t_end - a)
         pulse_block = model.layout.names[0]
         profile = embed_block(
             model.layout, pulse_block, np.ones(model.layout.length_of(pulse_block))
         )
         pulse = bump_envelope(t0, scheme.t_end)
-        dev = causality_probe(sys_, base, lambda t: base(t) + profile * pulse(t), a)
+        dev = causality_probe(sys_, source, lambda t: source(t) + profile * pulse(t), a)
         return [f"max_dev_before_a={fmt17(dev)}"], 0 if dev <= 1e-13 else 2
     if kind == "bound":
         c0 = coercivity(model.M0, model.M1, scheme.rho, model.W)
         if c0 <= 0:
             return ["c0<=0"], 2
-        source = build_source(cfg, model)
+        if not scheme.rho > 0:
+            raise ConfigError(f"[scheme] rho: the bound probe needs rho > 0, got {cfg.scheme['rho']!r}")
         try:
             ratio = bound_probe(sys_, source)
         except UndefinedRatioError as exc:

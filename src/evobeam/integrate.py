@@ -65,6 +65,8 @@ class SchemeParams:
             raise ParameterError("record_every must be a positive integer")
         if not self.rho >= 0:
             raise ParameterError("rho must be nonnegative")
+        if self.rho == math.inf:
+            raise ParameterError("rho must be finite")
 
     @property
     def n_steps(self) -> int:

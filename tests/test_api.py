@@ -1,8 +1,11 @@
 """The public surface: every name a module exports exists and is defined
 in that module, so each name has one import path; the package itself binds
 only its version; the README's Python example runs as written; and every
-module name the README mentions exists, with as many arguments as it takes."""
+module name the README mentions exists, with as many arguments as it takes;
+and no module under src/ imports a name it never uses or keeps a private
+module-level name that nothing reads."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -82,3 +85,47 @@ def test_readme_module_names_resolve():
         if len(args.split(",")) != sum(p.kind in positional for p in params):
             mismatched.append(f"{m}.{n}({args})")
     assert mismatched == []
+
+
+SRC = Path(evobeam.__file__).parent
+TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _loaded_names(tree):
+    """Every name a module reads, and every attribute name it looks up."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return names | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_every_import_is_used(name):
+    tree = TREES[name]
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    exported = set(getattr(importlib.import_module(f"evobeam.{name}"), "__all__", ()))
+    assert sorted(imported - _loaded_names(tree) - exported) == []
+
+
+def test_every_private_module_name_is_referenced():
+    # a module-level _name that nothing under src/ reads is dead code
+    referenced = set().union(*map(_loaded_names, TREES.values()))
+    referenced |= {
+        alias.name for tree in TREES.values() for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    defined = []
+    for name, tree in TREES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [t.id for n in nodes for t in ast.walk(n) if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [f"{name}.{t}" for t in targets if t.startswith("_") and not t.startswith("__")]
+    assert [d for d in defined if d.split(".")[1] not in referenced] == []

@@ -19,6 +19,7 @@ import pytest
 import evobeam
 from evobeam import cli, scenarios
 from evobeam.core import bump_envelope, gaussian_envelope, sinusoid_envelope
+from evobeam.wellposed import NevanlinnaSpec
 from evobeam.cli import (
     ConfigError,
     cmd_check,
@@ -200,7 +201,7 @@ def test_run_cli_writes_snapshots_only_when_asked(tmp_path):
     lines = (tmp_path / "snaps.txt").read_text().splitlines()
     assert lines[0] == "t,block,index,value"
     # 20 steps from t = 0 give 21 records; stride 3 keeps records 0, 3, ..., 18
-    model = parse_config(CONSERVATIVE).built
+    model = parse_config(CONSERVATIVE).model
     dim = model.layout.dim
     assert len(lines) == 1 + 7 * dim
     assert lines[-1].startswith(f"{repr(18 * 0.05)},")
@@ -226,7 +227,7 @@ def test_run_files_match_value_by_value_formatting(tmp_path, monkeypatch, stride
     )
     assert main(["run", str(config)]) == 0
     (ts,) = series
-    model = parse_config(config.read_text()).built
+    model = parse_config(config.read_text()).model
     names = model.layout.trace_names()
     rows = [",".join(["t", "energy"] + [f"trace:{t}" for t in names])]
     for i, t in enumerate(ts.times):
@@ -516,9 +517,9 @@ def test_main_rejects_initial_keys(command, name, initial, message, tmp_path, ca
 
 def test_initial_expr_sets_each_field_block():
     cfg = parse_config(MINIMAL + "\n[initial]\nkind = expr\namplitude = 2.0\neta = x\nV2 = 1 + x\n")
-    model = cfg.built
+    model = cfg.model
     lay = model.layout
-    u = cli.build_initial(cfg, model)
+    u = cli.build_initial(cfg.initial, model)
     assert np.array_equal(u[lay.slice_of("eta")], 2.0 * lay.points_of("eta"))
     assert np.array_equal(u[lay.slice_of("V2")], 2.0 * (1 + lay.points_of("V2")))
     others = np.ones(lay.dim, bool)
@@ -537,8 +538,8 @@ def test_initial_expr_sets_each_field_block():
 def test_source_kinds_equal_profile_times_envelope(kind, keys, envelope):
     body = "".join(f"{k} = {v}\n" for k, v in keys.items())
     cfg = parse_config(MINIMAL + f"\n[source]\nkind = {kind}\nblock = eta\nprofile = cos(pi*x)\namplitude = 1.5\n{body}")
-    model = cfg.built
-    source = cli.build_source(cfg, model)
+    model = cfg.model
+    source = cli.build_source(cfg.source, model)
     profile = np.zeros(model.layout.dim)
     profile[model.layout.slice_of("eta")] = np.cos(np.pi * model.layout.points_of("eta"))
     env = envelope(1.5)
@@ -772,6 +773,55 @@ def test_parse_then_command_builds_once(name, command, tmp_path, monkeypatch):
     assert calls == [8]
 
 
+BUILDERS = ("build_model", "build_scheme", "build_source", "build_initial", "build_output")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("check",), ("run",), ("probe", "--kind", "bound"), ("probe", "--kind", "causality", "--a", "0.5")],
+    ids=["check", "run", "probe-bound", "probe-causality"],
+)
+def test_main_runs_each_builder_once(args, tmp_path, monkeypatch, capsys):
+    # parse_config builds every value; the commands only read them
+    calls = []
+    for name in BUILDERS:
+        def counting(*a, _real=getattr(cli, name), _name=name):
+            calls.append(_name)
+            return _real(*a)
+
+        monkeypatch.setattr(cli, name, counting)
+    path = tmp_path / "cfg.ini"
+    path.write_text(
+        MINIMAL + "[scheme]\ndt = 0.25\n[source]\nkind = gaussian\nblock = eta\n"
+        + f"[output]\ncsv = {tmp_path / 'out.csv'}\n"
+    )
+    assert main([args[0], str(path), *args[1:]]) == 0
+    assert sorted(calls) == sorted(BUILDERS)
+
+
+def test_cmd_check_reports_a_failing_trace_law():
+    # every maker refuses a negative mu0, so the law is swapped in afterwards
+    cfg = parse_config(MINIMAL)
+    traces = dict(cfg.model.traces)
+    traces["tau_plus"] = replace(traces["tau_plus"], law=NevanlinnaSpec(-1.0, 0.5))
+    lines, code = cmd_check(replace(cfg, model=replace(cfg.model, traces=traces)))
+    assert code == 2
+    assert lines == cmd_check(cfg)[0][:-1] + ["nevanlinna=fail"]
+
+
+def test_main_probe_bound_refuses_rho_zero_before_stepping(tmp_path, capsys, monkeypatch):
+    # coercive at rho = 0 (c0 = 0.5), but the weighted norms need rho > 0
+    monkeypatch.setattr(cli, "bound_probe", lambda *a: pytest.fail("the probe stepped"))
+    laws = "".join(f"{law} = 1.0, 0.5\n" for law in ("mu_minus", "mu_plus", "nu_minus", "nu_plus"))
+    text = (
+        "[grid]\nn_cells = 8\n[scenario]\nname = full_dynamic\ng_V1 = 0.5\ng_eta = 0.5\ng_s = 0.5\ng_V2 = 0.5\n"
+        + laws + "[scheme]\nrho = 0.0\n[source]\nkind = gaussian\nblock = eta\n"
+    )
+    code, err = _main_fails_once("probe", text, tmp_path, capsys, "--kind", "bound")
+    assert code == 4
+    assert err == ["config error: [scheme] rho: the bound probe needs rho > 0, got '0.0'"]
+
+
 @pytest.mark.parametrize("command", ["check", "run"])
 @pytest.mark.parametrize("dt", ["1e-320", "5e-324"])
 def test_main_rejects_a_subnormal_dt(command, dt, tmp_path, capsys):
@@ -858,8 +908,8 @@ def test_main_run_csv_without_energy_or_traces(tmp_path):
 
 def test_source_on_a_trace_slot_is_the_envelope_there():
     cfg = parse_config(MINIMAL + "[source]\nkind = bump\nblock = tau_plus\n")
-    model = cfg.built
-    source = cli.build_source(cfg, model)
+    model = cfg.model
+    source = cli.build_source(cfg.source, model)
     env = bump_envelope(0.0, 1.0, 1.0)
     for t in (0.0, 0.2, 0.5, 0.77, 1.0):
         expected = np.zeros(model.layout.dim)

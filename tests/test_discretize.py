@@ -187,7 +187,7 @@ def test_assembled_operator_skew_defect_generic():
     name=st.sampled_from(sorted(SCENARIOS)),
 )
 def test_skew_defect_bound_on_any_grid(n, name):
-    model = parse_config(f"[grid]\nn_cells = {n}\n[scenario]\nname = {name}\n").built
+    model = parse_config(f"[grid]\nn_cells = {n}\n[scenario]\nname = {name}\n").model
     defect = skew_defect(model.A, model.W)
     assert defect <= 1e-13 / model.grid.h
     if n & (n - 1) == 0:

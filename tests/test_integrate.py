@@ -95,6 +95,12 @@ def test_scheme_params_refuse_a_nan_rho():
         SchemeParams(dt=0.1, t_end=1.0, rho=float("nan"))
 
 
+def test_scheme_params_refuse_an_infinite_rho():
+    # bound_probe would weight every state by exp(-2*inf*t), nan at t = 0
+    with pytest.raises(ParameterError, match="rho must be finite"):
+        SchemeParams(dt=0.05, t_end=1.0, rho=float("inf"))
+
+
 def test_n_steps_rounding():
     assert SchemeParams(dt=0.1, t_end=1.0).n_steps == 10
     assert SchemeParams(dt=0.3, t_end=1.0).n_steps == 3

@@ -1,5 +1,7 @@
 """Model assembly, symmetry maps, splitting, and manufactured solutions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -422,6 +424,17 @@ def test_consistent_initial_state_parabolic_residual(rng):
     assert np.max(np.abs(res)) < 1e-12
     dif = np.setdiff1d(np.arange(model.layout.dim), alg)
     assert np.array_equal(out[dif], u[dif])
+
+
+def test_consistent_initial_state_refuses_a_singular_algebraic_block():
+    # parabolic eta with its M1 entries zeroed: the eta rows of M1 + A
+    # vanish on the eta slots, so nothing determines them
+    model = make_sturm_liouville(build_grid(8), SturmLiouvilleParams(s0=0.0, s1=1.0))
+    m1 = model.M1.diagonal()
+    m1[model.layout.slice_of("eta")] = 0.0
+    model = replace(model, M1=sp.diags(m1, format="csr"))
+    with pytest.raises(ParameterError, match="^algebraic slots are not solvable: "):
+        consistent_initial_state(model, np.ones(model.layout.dim))
 
 
 def test_exact_state_fills_traces_from_bindings():

@@ -231,7 +231,7 @@ def test_check_eigensolves_no_matrix_larger_than_a_block(monkeypatch):
         "[grid]\nn_cells = 256\n\n[scenario]\nname = timoshenko_damped\n"
         "c = 0.5\nI_tilde = 0.1\nd = 0.2\n"
     )
-    model = cfg.built
+    model = cfg.model
     pattern = abs(model.M0) + abs(sparse_symmetric_part(model.M1, model.W))
     pattern.eliminate_zeros()
     _, labels = connected_components(pattern, directed=False)
