@@ -423,13 +423,13 @@ def _nevanlinna_samples() -> np.ndarray:
 def cmd_check(cfg: RunConfig) -> tuple[list[str], int]:
     """Well-posedness report: c0, rho0, bound, skew defect, trace laws."""
     model = cfg.model
-    c0 = coercivity(model.M0, model.M1, cfg.scheme_params.rho, model.W)
+    c0 = coercivity(model.m0, model.M1, cfg.scheme_params.rho, model.W)
     if c0 <= 0:
         return ["c0<=0"], 2
     lines = [f"c0={fmt17(c0)}"]
     code = 0
     try:
-        rho0 = find_rho0(model.M0, model.M1, cfg.c_target, model.W)
+        rho0 = find_rho0(model.m0, model.M1, cfg.c_target, model.W)
         lines.append(f"rho0={fmt17(rho0)}")
     except NotCoerciveError:
         lines.append("rho0=unreachable")
@@ -502,7 +502,7 @@ def cmd_converge(cfg: RunConfig, levels: list[int]) -> tuple[list[str], int]:
     compared with the exact fields.  A self-reference scenario runs the
     configured source and initial state and is compared with a run four
     times finer than the largest level, over the differential slots
-    (nonzero M0 diagonal) only: algebraic slots are pointwise functionals
+    (nonzero m0 entries) only: algebraic slots are pointwise functionals
     of the rest of the state with an h-dependent stencil, so comparing
     them across grids mixes first-order boundary terms into an otherwise
     second-order solution.
@@ -543,7 +543,7 @@ def cmd_converge(cfg: RunConfig, levels: list[int]) -> tuple[list[str], int]:
             diff = ts.snapshots[-1] - exact_state(model, exact, ts.times[-1])
         else:
             ref = _restrict(ref_model, model, ref_ts.snapshots[-1])
-            diff = (ts.snapshots[-1] - ref) * (model.M0.diagonal() != 0.0)
+            diff = (ts.snapshots[-1] - ref) * (model.m0 != 0.0)
         err = math.sqrt(weighted_inner(diff, diff, model.W))
         if err == 0.0:
             raise ConfigError(f"level {n}: the error is 0, so the convergence slope is undefined")
@@ -557,7 +557,6 @@ def cmd_converge(cfg: RunConfig, levels: list[int]) -> tuple[list[str], int]:
 
 def cmd_probe(cfg: RunConfig, kind: str, a: float | None = None) -> tuple[list[str], int]:
     model, scheme, source = cfg.model, cfg.scheme_params, cfg.source_fn
-    sys_ = factor(model, scheme)
     if kind == "causality":
         if a is None:
             raise ConfigError("causality probe needs --a")
@@ -569,16 +568,17 @@ def cmd_probe(cfg: RunConfig, kind: str, a: float | None = None) -> tuple[list[s
             model.layout, pulse_block, np.ones(model.layout.length_of(pulse_block))
         )
         pulse = bump_envelope(t0, scheme.t_end)
-        dev = causality_probe(sys_, source, lambda t: source(t) + profile * pulse(t), a)
+        pulsed = lambda t: source(t) + profile * pulse(t)
+        dev = causality_probe(factor(model, scheme), source, pulsed, a)
         return [f"max_dev_before_a={fmt17(dev)}"], 0 if dev <= 1e-13 else 2
     if kind == "bound":
-        c0 = coercivity(model.M0, model.M1, scheme.rho, model.W)
+        c0 = coercivity(model.m0, model.M1, scheme.rho, model.W)
         if c0 <= 0:
             return ["c0<=0"], 2
         if not scheme.rho > 0:
             raise ConfigError(f"[scheme] rho: the bound probe needs rho > 0, got {cfg.scheme['rho']!r}")
         try:
-            ratio = bound_probe(sys_, source)
+            ratio = bound_probe(factor(model, scheme), source)
         except UndefinedRatioError as exc:
             raise ConfigError(str(exc)) from exc
         bound = 1.0 / c0

@@ -226,11 +226,11 @@ def weighted_inner(u, v, W: WeightMatrix):
     return float(sums) if uv.ndim == 1 else sums
 
 
-def energy(u, M0, W: WeightMatrix):
-    """Quadratic energy 1/2 <u, M0 u>_W of a state under the inertia operator,
-    or of each row of a stack of states (bitwise per row for a sparse M0)."""
+def energy(u, m0: np.ndarray, W: WeightMatrix):
+    """Quadratic energy 1/2 <u, m0 u>_W of a state under the diagonal inertia
+    m0, or of each row of a stack of states."""
     uv = np.asarray(u, dtype=float)
-    return 0.5 * weighted_inner(uv, (M0 @ uv.T).T, W)
+    return 0.5 * weighted_inner(uv, m0 * uv, W)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Theta-scheme stepping for d/dt(M0 u) + M1 u + A u = f.
+"""Theta-scheme stepping for d/dt(M0 u) + M1 u + A u = f with M0 = diag(m0).
 
 At theta = 1/2 the step satisfies an exact algebraic energy balance:
 E_{n+1} - E_n + dt*<u_mid, sym(M1) u_mid>_W - dt*<u_mid, f_mid>_W = 0,
@@ -82,7 +82,7 @@ class SteppingSystem:
 
 
 def factor(model: AssembledModel, scheme: SchemeParams) -> SteppingSystem:
-    """Build and LU-factor L = M0 + theta*dt*(M1 + A) for a diagonal M0.
+    """Build and LU-factor L = diag(m0) + theta*dt*(M1 + A).
 
     splu's default fill-reducing column ordering (COLAMD) follows the grid
     coupling, so the factors of this banded matrix stay banded.  The
@@ -98,33 +98,32 @@ def factor(model: AssembledModel, scheme: SchemeParams) -> SteppingSystem:
     manufactured-solution run at dt = h it left 5.5e-12 of accumulated
     roundoff in the state, against 1.4e-13 with diagonal pivots.
     """
-    M0m, M1m, Am = sp.csr_matrix(model.M0), sp.csr_matrix(model.M1), sp.csr_matrix(model.A)
+    M1m, Am = sp.csr_matrix(model.M1), sp.csr_matrix(model.A)
     n = model.layout.dim
-    for name, m in (("M0", M0m), ("M1", M1m), ("A", Am)):
+    if np.shape(model.m0) != (n,):
+        raise ParameterError(f"m0 has shape {np.shape(model.m0)}, layout needs ({n},)")
+    for name, m in (("M1", M1m), ("A", Am)):
         if m.shape != (n, n):
             raise ParameterError(f"{name} has shape {m.shape}, layout needs ({n}, {n})")
-    coo = M0m.tocoo()
-    if np.any(coo.data[coo.row != coo.col]):
-        raise ParameterError("M0 must be diagonal")
-    L = (M0m + scheme.theta * scheme.dt * (M1m + Am)).tocsr()
+    L = (sp.diags(model.m0) + scheme.theta * scheme.dt * (M1m + Am)).tocsr()
     try:
         lu = spla.splu(L.tocsc(), diag_pivot_thresh=0.0)
     except RuntimeError as exc:
         # outside the well-posed class, e.g. a trace slot with no inertia,
         # no damping and no coupling
         raise NumericError(f"stepping matrix is singular: {exc}") from exc
-    return SteppingSystem(model, scheme, M0m.diagonal() / scheme.theta, lu)
+    return SteppingSystem(model, scheme, model.m0 / scheme.theta, lu)
 
 
 def step(sys_: SteppingSystem, u_n: np.ndarray, f_mid: np.ndarray) -> np.ndarray:
     """One theta step: solve L u_next = R u_n + dt*f_mid with
-    R = M0 - (1-theta)*dt*(M1 + A), where f_mid is the raw source at
+    R = diag(m0) - (1-theta)*dt*(M1 + A), where f_mid is the raw source at
     t_n + theta*dt.
 
-    Since R = M0/theta - ((1-theta)/theta)*L, the step is
-    u_next = L^-1(M0 u_n/theta + dt*f_mid) - ((1-theta)/theta)*u_n, and
-    the diagonal M0 makes M0 u_n/theta an elementwise product.  At
-    theta = 1/2 the coefficients are exactly 2*M0 and 1.
+    Since R = diag(m0)/theta - ((1-theta)/theta)*L, the step is
+    u_next = L^-1(m0 u_n/theta + dt*f_mid) - ((1-theta)/theta)*u_n, with
+    m0 u_n/theta an elementwise product.  At theta = 1/2 the coefficients
+    are exactly 2*m0 and 1.
     """
     theta = sys_.scheme.theta
     u_next = sys_._lu.solve(sys_.m0_over_theta * u_n + sys_.scheme.dt * f_mid)
@@ -156,7 +155,7 @@ def run(
     a state or recorded energy that is not finite raises NumericError, and
     so do records too large to allocate.
     """
-    layout, M0, W = sys_.model.layout, sys_.model.M0, sys_.model.W
+    layout, m0, W = sys_.model.layout, sys_.model.m0, sys_.model.W
     if np.shape(u0) != (layout.dim,):
         raise ParameterError(f"initial state has shape {np.shape(u0)}, layout needs ({layout.dim},)")
     trace_names = layout.trace_names()
@@ -177,7 +176,7 @@ def run(
         nonlocal done
         U = buf[:count]
         with np.errstate(over="ignore", invalid="ignore"):
-            energies[done : done + count] = energy(U, M0, W)
+            energies[done : done + count] = energy(U, m0, W)
         if not np.isfinite(energies[done : done + count]).all():
             raise NumericError("recorded energy is not finite")
         traces[:, done : done + count] = U[:, trace_at].T
@@ -217,10 +216,10 @@ def energy_balance_residual(
     """Defect of the exact midpoint energy identity for one step."""
     if sys_.scheme.theta != 0.5:
         raise ParameterError("energy balance identity requires theta = 1/2")
-    M0, M1, W = sys_.model.M0, sys_.model.M1, sys_.model.W
+    m0, M1, W = sys_.model.m0, sys_.model.M1, sys_.model.W
     u_mid = 0.5 * (u_n + u_np1)
-    e0 = energy(u_n, M0, W)
-    e1 = energy(u_np1, M0, W)
+    e0 = energy(u_n, m0, W)
+    e1 = energy(u_np1, m0, W)
     dissipated = weighted_inner(u_mid, sparse_symmetric_part(M1, W) @ u_mid, W)
     injected = weighted_inner(u_mid, f_mid, W)
     return e1 - e0 + sys_.scheme.dt * (dissipated - injected)

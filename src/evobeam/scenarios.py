@@ -1,11 +1,11 @@
 """Concrete model assemblies.
 
-Four variants share one shape: diagonal inertia M0, a cheap damping/coupling
-operator M1, and a skew spatial operator with trace-augmented state.  Each
-constructor validates its parameter class, builds the three matrices on the
-documented layout, and records where every trace is weakly pinned and which
-law it carries, so probes and checks can interrogate the model without
-re-deriving its structure.
+Four variants share one shape: a diagonal inertia, carried as the vector m0
+of its diagonal, a cheap damping/coupling operator M1, and a skew spatial
+operator with trace-augmented state.  Each constructor validates its
+parameter class, builds m0, M1 and A on the documented layout, and records
+where every trace is weakly pinned and which law it carries, so probes and
+checks can interrogate the model without re-deriving its structure.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ __all__ = [
 @dataclass(frozen=True)
 class TraceBinding:
     """Weak identity trace = sign * field(endpoint) enforced by the adjoint
-    penalty rows, and the trace's own material law mu0*z + mu1 (mu0 on its
-    M0 diagonal entry, mu1 on its M1 diagonal entry)."""
+    penalty rows, and the trace's own material law mu0*z + mu1 (mu0 its
+    entry of m0, mu1 its M1 diagonal entry)."""
 
     field: str
     endpoint: float
@@ -124,7 +124,7 @@ class FullDynamicParams:
 class AssembledModel:
     layout: StateLayout
     W: WeightMatrix
-    M0: sp.csr_matrix
+    m0: np.ndarray  # the diagonal of the inertia M0
     M1: sp.csr_matrix
     A: sp.csr_matrix
     traces: dict[str, TraceBinding]
@@ -164,29 +164,31 @@ def _assemble(
     pairs: list[tuple[sp.spmatrix, tuple[str, ...], tuple[str, ...]]],
     couplings: tuple[tuple[str, str, float], ...] = (),
 ) -> AssembledModel:
-    """The model on ``layout``.  M0 and M1 are diagonal in layout order: each
-    field block takes its samples from ``m0`` and ``m1`` (a missing block is
-    0), each trace slot its law's mu0 and mu1.  Each coupling (a, b, s) adds
-    +s at (a, b) and -s at (b, a) of M1, and A = assemble_skew(layout, pairs).
-    Zero entries are not stored (a CSR sum drops them)."""
+    """The model on ``layout``.  The inertia m0 and the diagonal of M1 are in
+    layout order: each field block takes its samples from ``m0`` and ``m1``
+    (a missing block is 0), each trace slot its law's mu0 and mu1.  Each
+    coupling (a, b, s) adds +s at (a, b) and -s at (b, a) of M1, and
+    A = assemble_skew(layout, pairs).  M1 stores no zero entries (a CSR sum
+    drops them)."""
 
-    def diagonal(blocks: dict[str, np.ndarray | float], coefficient: str) -> sp.csr_matrix:
+    def diagonal(blocks: dict[str, np.ndarray | float], coefficient: str) -> np.ndarray:
         entries = [
             [getattr(traces[name].law, coefficient)]
             if tag is SpaceTag.TRACE
             else np.broadcast_to(blocks.get(name, 0.0), layout.length_of(name))
             for name, tag in layout.blocks
         ]
-        return sp.csr_matrix(sp.diags(np.concatenate(entries)))
+        # + 0.0 makes every zero entry +0.0, also where a coefficient is -0.0
+        return np.concatenate(entries, dtype=float) + 0.0
 
-    M1 = diagonal(m1, "mu1")
+    M1 = sp.csr_matrix(sp.diags(diagonal(m1, "mu1")))
     for a, b, s in couplings:
         rows, cols = layout.indices_of((a, b)), layout.indices_of((b, a))
         M1 = M1 + sp.csr_matrix((np.repeat([s, -s], layout.length_of(a)), (rows, cols)), shape=M1.shape)
     return AssembledModel(
         layout=layout,
         W=build_weights(layout),
-        M0=diagonal(m0, "mu0"),
+        m0=diagonal(m0, "mu0"),
         M1=M1,
         A=assemble_skew(layout, pairs),
         traces=traces,
@@ -246,7 +248,8 @@ def sign_flip_vector(layout: StateLayout) -> np.ndarray:
 
 def apply_sign_flip(model: AssembledModel) -> AssembledModel:
     """Congruent model with eta negated; W-orthogonal, so energies and
-    solutions map exactly (flip twice to get the original back)."""
+    solutions map exactly (flip twice to get the original back).  The
+    diagonal m0 is its own flip."""
     if "eta" not in model.layout.names:
         raise ParameterError("sign flip is defined for models carrying an eta block")
     u = sign_flip_vector(model.layout)
@@ -259,7 +262,7 @@ def apply_sign_flip(model: AssembledModel) -> AssembledModel:
     return AssembledModel(
         layout=model.layout,
         W=model.W,
-        M0=flip(model.M0),
+        m0=model.m0,
         M1=flip(model.M1),
         A=flip(model.A),
         traces=traces,
@@ -336,7 +339,7 @@ def split_model(model: AssembledModel, names: tuple[str, ...]) -> AssembledModel
             raise ParameterError(f"unknown block {n!r}")
     keep = model.layout.indices_of(names)
     drop = np.setdiff1d(np.arange(model.layout.dim), keep)
-    for M in (model.M0, model.M1, model.A):
+    for M in (model.M1, model.A):
         if drop.size and keep.size:
             if M[np.ix_(keep, drop)].count_nonzero() or M[np.ix_(drop, keep)].count_nonzero():
                 raise ParameterError("requested blocks are coupled to the remainder")
@@ -348,7 +351,7 @@ def split_model(model: AssembledModel, names: tuple[str, ...]) -> AssembledModel
     return AssembledModel(
         layout=layout,
         W=build_weights(layout),
-        M0=sub(model.M0),
+        m0=model.m0[keep],
         M1=sub(model.M1),
         A=sub(model.A),
         traces={k: v for k, v in model.traces.items() if k in names},
@@ -358,11 +361,10 @@ def split_model(model: AssembledModel, names: tuple[str, ...]) -> AssembledModel
 def consistent_initial_state(
     model: AssembledModel, u: np.ndarray, f0: np.ndarray | None = None
 ) -> np.ndarray:
-    """Adjust the algebraic slots (zero rows of M0) to satisfy the system
+    """Adjust the algebraic slots (zero entries of m0) to satisfy the system
     at t = 0, leaving differential slots untouched.  Needed by parabolic
     laws where a field has no inertia."""
-    diag = model.M0.diagonal()
-    alg = np.where(diag == 0.0)[0]
+    alg = np.where(model.m0 == 0.0)[0]
     out = np.array(u, dtype=float)
     if alg.size == 0:
         return out
@@ -405,7 +407,7 @@ def manufactured_source(
     fields: dict[str, Callable],
     dfields_dt: dict[str, Callable],
 ) -> Callable[[float], np.ndarray]:
-    """Source F(t) = M0 u*'(t) + (M1 + A) u*(t) for sampled exact fields.
+    """Source F(t) = m0 u*'(t) + (M1 + A) u*(t) for sampled exact fields.
 
     Driving the stepper with F and u0 = u*(0) makes the sampled fields the
     exact semi-discrete solution, so the measured error isolates the time
@@ -416,7 +418,7 @@ def manufactured_source(
     def F(t: float) -> np.ndarray:
         u = exact_state(model, fields, t)
         du = exact_state(model, dfields_dt, t)
-        return model.M0 @ du + K @ u
+        return model.m0 * du + K @ u
 
     return F
 

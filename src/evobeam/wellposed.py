@@ -2,9 +2,10 @@
 
 The single hypothesis everything rests on: rho*M0 + sym(M1) is strictly
 positive definite in the weighted inner product.  Its smallest eigenvalue
-c0 bounds the solution operator by 1/c0.  The symbol check confirms that
-for affine laws the Hermitian part of z*M0 + M1 does not depend on the
-imaginary part of z, so one real eigenvalue problem settles every frequency.
+c0 bounds the solution operator by 1/c0.  M0 is diagonal, given as the
+vector m0 of its entries, so it has no W-skew part: the Hermitian part of
+z*M0 + M1 is rho*diag(m0) + sym(M1) at every z = rho + i*lambda, and one
+real eigenvalue problem settles every frequency.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "sparse_symmetric_part",
     "coercivity",
     "find_rho0",
-    "symbol_range_check",
     "nevanlinna_check",
 ]
 
@@ -98,30 +98,30 @@ def _w_min_eig(S, W: WeightMatrix) -> float:
     return c0
 
 
-def coercivity(M0, M1, rho: float, W: WeightMatrix) -> float:
-    """The largest c0 with rho*M0 + sym(M1) >= c0 in the W inner product.
+def coercivity(m0: np.ndarray, M1, rho: float, W: WeightMatrix) -> float:
+    """The largest c0 with rho*diag(m0) + sym(M1) >= c0 in the W inner product.
 
     The law is coercive iff c0 > 0, and then 1/c0 bounds the solution
     operator.
     """
     if rho < 0:
         raise ParameterError("rho must be nonnegative")
-    return _w_min_eig(rho * sp.csr_matrix(M0, dtype=float) + sparse_symmetric_part(M1, W), W)
+    return _w_min_eig(rho * sp.diags(m0) + sparse_symmetric_part(M1, W), W)
 
 
-def find_rho0(M0, M1, c_target: float, W: WeightMatrix) -> float:
+def find_rho0(m0: np.ndarray, M1, c_target: float, W: WeightMatrix) -> float:
     """Smallest rho (to 1e-6 relative) with coercivity c0 >= c_target.
 
     Scans rho = 2^k for k in -10..40 and bisects the first bracketing pair;
-    monotonicity of c0 in rho (M0 is positive semidefinite) makes the
-    bisection valid.  No admissible rho in the range raises NotCoerciveError.
+    monotonicity of c0 in rho (m0 is nonnegative) makes the bisection
+    valid.  No admissible rho in the range raises NotCoerciveError.
     """
     if c_target <= 0:
         raise ParameterError("c_target must be positive")
-    M0s, M1sym = sp.csr_matrix(M0, dtype=float), sparse_symmetric_part(M1, W)
+    M0, M1sym = sp.diags(m0, format="csr"), sparse_symmetric_part(M1, W)
 
     def ok(rho: float) -> bool:
-        return _w_min_eig(rho * M0s + M1sym, W) >= c_target
+        return _w_min_eig(rho * M0 + M1sym, W) >= c_target
 
     hit = None
     for k in RHO_SCAN_EXPONENTS:
@@ -143,31 +143,6 @@ def find_rho0(M0, M1, c_target: float, W: WeightMatrix) -> float:
         else:
             lo = mid
     return hi
-
-
-def symbol_range_check(M0, M1, rho: float, lambda_grid, W: WeightMatrix) -> float:
-    """Minimum over z = rho + i*lambda of the smallest Hermitian-part eigenvalue.
-
-    For an affine law the Hermitian part of z*M0 + M1 is
-    rho*M0 + sym(M1) + i*lambda*skew(M0), with skew(M0) = M0 - sym(M0).
-    By Weyl's inequality the lambda term moves no eigenvalue by more than
-    max|lambda| times the Frobenius norm of W^{1/2} skew(M0) W^{-1/2}; the
-    check raises NumericError when that exceeds 1e-12 relative to c0 and
-    otherwise returns c0, the value at every lambda.
-    """
-    lams = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
-    if lams.size == 0:
-        raise ParameterError("lambda grid must be nonempty")
-    base = coercivity(M0, M1, rho, W)
-    skew = (sp.csr_matrix(M0, dtype=float) - sparse_symmetric_part(M0, W)).tocoo()
-    sq = np.sqrt(W.diag)
-    drift = np.max(np.abs(lams)) * np.linalg.norm(skew.data * sq[skew.row] / sq[skew.col])
-    if drift > 1e-12 * max(1.0, abs(base)):
-        raise NumericError(
-            f"affine symbol lost lambda-independence: the W-skew part of M0 "
-            f"moves eigenvalues by up to {drift} over the lambda grid"
-        )
-    return base
 
 
 def nevanlinna_check(spec: NevanlinnaSpec, samples) -> bool:

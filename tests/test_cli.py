@@ -822,6 +822,35 @@ def test_main_probe_bound_refuses_rho_zero_before_stepping(tmp_path, capsys, mon
     assert err == ["config error: [scheme] rho: the bound probe needs rho > 0, got '0.0'"]
 
 
+_LAWS = "".join(f"{law} = 1.0, 0.5\n" for law in ("mu_minus", "mu_plus", "nu_minus", "nu_plus"))
+
+
+@pytest.mark.parametrize(
+    "text,args,code,out,err",
+    [
+        (MINIMAL, ("--kind", "causality"), 4, [], ["config error: causality probe needs --a"]),
+        (MINIMAL, ("--kind", "causality", "--a", "0"), 4, [],
+         ["config error: split time a=0.0 must lie inside (0, t_end)"]),
+        (MINIMAL, ("--kind", "causality", "--a", "1.5"), 4, [],
+         ["config error: split time a=1.5 must lie inside (0, t_end)"]),
+        ("[grid]\nn_cells = 8\n[scenario]\nname = dynamic_inertia\n[scheme]\nrho = 0.0\n",
+         ("--kind", "bound"), 2, ["c0<=0"], []),
+        ("[grid]\nn_cells = 8\n[scenario]\nname = full_dynamic\ng_V1 = 0.5\ng_eta = 0.5\ng_s = 0.5\n"
+         "g_V2 = 0.5\n" + _LAWS + "[scheme]\nrho = 0.0\n",
+         ("--kind", "bound"), 4, [], ["config error: [scheme] rho: the bound probe needs rho > 0, got '0.0'"]),
+    ],
+    ids=["causality-without-a", "causality-a-at-0", "causality-a-past-t_end", "bound-not-coercive", "bound-rho-0"],
+)
+def test_main_refused_probe_factors_nothing(text, args, code, out, err, tmp_path, capsys, monkeypatch):
+    # every refusal comes before the LU factorisation of the stepping matrix
+    monkeypatch.setattr(cli, "factor", lambda *a: pytest.fail("the probe factored"))
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    assert main(["probe", str(path), *args]) == code
+    captured = capsys.readouterr()
+    assert (captured.out.splitlines(), captured.err.splitlines()) == (out, err)
+
+
 @pytest.mark.parametrize("command", ["check", "run"])
 @pytest.mark.parametrize("dt", ["1e-320", "5e-324"])
 def test_main_rejects_a_subnormal_dt(command, dt, tmp_path, capsys):

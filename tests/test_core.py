@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from evobeam.core import (
     Grid,
@@ -151,12 +154,26 @@ def test_stack_of_states_gives_each_row_its_one_state_bits(rng):
     for U in (buf[2:5], np.asfortranarray(buf[2:5]), buf[2:5][::-1]):
         inner = weighted_inner(U, V, m.W)
         assert inner.tobytes() == np.array([weighted_inner(u, v, m.W) for u, v in zip(U, V)]).tobytes()
-        e = energy(U, m.M0, m.W)
-        assert e.tobytes() == np.array([energy(u, m.M0, m.W) for u in U]).tobytes()
+        e = energy(U, m.m0, m.W)
+        assert e.tobytes() == np.array([energy(u, m.m0, m.W) for u in U]).tobytes()
     with pytest.raises(ParameterError):
         weighted_inner(buf[:2], V[:1], m.W)
     with pytest.raises(ParameterError):
         weighted_inner(buf[None], buf[None], m.W)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 40), rows=st.integers(1, 5))
+def test_energy_of_the_inertia_vector_is_the_sparse_product_bitwise(data, dim, rows):
+    # m0 * u and a sparse product differ only in the sign of a zero: the
+    # sparse product is 0 + m*u, which is +0.0 where m*u is -0.0.  Every
+    # term w*(m*u)*u is >= +0 either way, so the energies agree bitwise.
+    m0 = data.draw(arrays(float, dim, elements=st.just(0.0) | st.floats(0.0, 1e3)))
+    U = data.draw(arrays(float, (rows, dim), elements=st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3)))
+    W = WeightMatrix(data.draw(arrays(float, dim, elements=st.floats(0.5, 2.0))))
+    expected = 0.5 * weighted_inner(U, (sp.diags(m0) @ U.T).T, W)
+    assert energy(U, m0, W).tobytes() == expected.tobytes()
+    assert np.array([energy(u, m0, W) for u in U]).tobytes() == expected.tobytes()
 
 
 def test_energy_constant_coefficient_oracle():
@@ -168,7 +185,7 @@ def test_energy_constant_coefficient_oracle():
     )
     u = np.ones(m.layout.dim)
     expected = 4.0 - 3.0 * g.h / 2.0  # = 2 * (identity-material energy)
-    assert math.isclose(energy(u, m.M0, m.W), expected, rel_tol=1e-14)
+    assert math.isclose(energy(u, m.m0, m.W), expected, rel_tol=1e-14)
     assert math.isclose(expected, 3.625)
 
 

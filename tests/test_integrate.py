@@ -24,9 +24,9 @@ from evobeam.core import (
     WeightMatrix,
     bump_envelope,
     build_grid,
-    energy,
     gaussian_envelope,
     sinusoid_envelope,
+    weighted_inner,
 )
 from evobeam.integrate import (
     SchemeParams,
@@ -49,15 +49,16 @@ from evobeam.scenarios import (
 )
 
 
-def _one_slot_model(M0, M1, A):
-    """A model on one trace slot with unit weight; M0, M1, A may be dense."""
+def _one_slot_model(m0, M1, A):
+    """A model on one trace slot with unit weight and inertia m0, a scalar;
+    M1 and A may be dense."""
     layout = StateLayout(build_grid(2), (("tau", SpaceTag.TRACE),))
     csr = sp.csr_matrix
-    return AssembledModel(layout, WeightMatrix(np.ones(1)), csr(M0), csr(M1), csr(A), traces={})
+    return AssembledModel(layout, WeightMatrix(np.ones(1)), np.array([m0], dtype=float), csr(M1), csr(A), traces={})
 
 
 def _scalar_system(gamma, dt, t_end, theta=0.5):
-    model = _one_slot_model([[1.0]], [[gamma]], [[0.0]])
+    model = _one_slot_model(1.0, [[gamma]], [[0.0]])
     scheme = SchemeParams(dt=dt, t_end=t_end, theta=theta)
     return model.layout, scheme, factor(model, scheme)
 
@@ -165,16 +166,16 @@ def test_factor_rejects_singular_trace_slot():
     # determines, which is exactly the ill-posed boundary law
     model = make_timoshenko_damped(build_grid(4), TimoshenkoParams(c=0.5, I_tilde=0.2))
     k = model.layout.offset_of("tau_plus")
-    M0 = model.M0.tolil()
+    m0 = model.m0.copy()
     M1 = model.M1.tolil()
     A = model.A.tolil()
-    M0[k, k] = 0.0
+    m0[k] = 0.0
     M1[k, k] = 0.0
     A[k, :] = 0.0
     A[:, k] = 0.0
     scheme = SchemeParams(dt=0.1, t_end=1.0)
     with pytest.raises(NumericError, match="stepping matrix is singular"):
-        factor(replace(model, M0=M0.tocsr(), M1=M1.tocsr(), A=A.tocsr()), scheme)
+        factor(replace(model, m0=m0, M1=M1.tocsr(), A=A.tocsr()), scheme)
 
 
 @pytest.mark.parametrize("n", [64, 1024])
@@ -186,27 +187,22 @@ def test_factor_is_fill_free(n):
     assert sys_._lu.L.nnz + sys_._lu.U.nnz <= 10 * model.layout.dim
 
 
-def test_factor_rejects_a_non_diagonal_inertia():
-    # step multiplies by the diagonal of M0; a coupled M0 would be dropped
+def test_factor_rejects_an_inertia_of_the_wrong_shape():
+    # m0 is the diagonal of the inertia, one entry per state slot
     model = make_timoshenko_damped(build_grid(4), TimoshenkoParams(c=0.5, I_tilde=0.2))
     scheme = SchemeParams(dt=0.1, t_end=1.0)
-    M0 = model.M0.tolil()
-    M0[0, 1] = M0[1, 0] = 0.1
-    with pytest.raises(ParameterError, match="M0 must be diagonal"):
-        factor(replace(model, M0=M0.tocsr()), scheme)
-    # an off-diagonal entry stored as an explicit zero couples nothing
-    M0 = model.M0.tocoo()
-    explicit_zero = sp.csr_matrix(
-        (np.append(M0.data, 0.0), (np.append(M0.row, 0), np.append(M0.col, 1))), shape=M0.shape
-    )
-    assert explicit_zero.nnz == model.M0.nnz + 1
-    factor(replace(model, M0=explicit_zero), scheme)
+    dim = model.layout.dim
+    for m0 in (np.ones(dim + 1), np.ones(dim - 1), np.ones((1, dim)), np.diag(model.m0), 1.0):
+        with pytest.raises(ParameterError, match=rf"^m0 has shape .*, layout needs \({dim},\)$"):
+            factor(replace(model, m0=m0), scheme)
 
 
 def test_factor_shape_validation():
     scheme = SchemeParams(dt=0.1, t_end=1.0)
-    with pytest.raises(ParameterError):
-        factor(_one_slot_model(np.eye(2), np.zeros((1, 1)), np.zeros((1, 1))), scheme)
+    with pytest.raises(ParameterError, match="^M1 has shape"):
+        factor(_one_slot_model(1.0, np.eye(2), np.zeros((1, 1))), scheme)
+    with pytest.raises(ParameterError, match="^A has shape"):
+        factor(_one_slot_model(1.0, np.zeros((1, 1)), np.eye(2)), scheme)
 
 
 def test_run_record_counts_and_times():
@@ -276,7 +272,7 @@ def test_run_takes_snapshots_only_by_keyword():
 
 @pytest.mark.parametrize("theta,expected", [(0.5, 0.5), (1.0, 1.0)])
 def test_source_sampled_at_theta_offset(theta, expected):
-    model = _one_slot_model(np.eye(1), np.zeros((1, 1)), np.zeros((1, 1)))
+    model = _one_slot_model(1.0, np.zeros((1, 1)), np.zeros((1, 1)))
     scheme = SchemeParams(dt=0.25, t_end=1.0, theta=theta)
     sys_ = factor(model, scheme)
     seen = []
@@ -442,7 +438,7 @@ def test_step_guards_against_nonfinite_source():
 
 def _stepwise_reference(sys_, u0, source, scheme):
     """Times, energies, traces and snapshots of run, recomputed one step
-    at a time with step and core.energy."""
+    at a time with step, each energy from the sparse inertia matrix."""
     u, k_rec = u0, [0]
     snaps = [u0.copy()]
     for k in range(scheme.n_steps):
@@ -451,10 +447,10 @@ def _stepwise_reference(sys_, u0, source, scheme):
             k_rec.append(k + 1)
             snaps.append(u.copy())
     snaps = np.array(snaps)
-    lay = sys_.model.layout
+    lay, M0 = sys_.model.layout, sp.diags(sys_.model.m0)
     return (
         np.array([k * scheme.dt for k in k_rec]),
-        np.array([energy(v, sys_.model.M0, sys_.model.W) for v in snaps]),
+        np.array([0.5 * weighted_inner(v, M0 @ v, sys_.model.W) for v in snaps]),
         {name: snaps[:, lay.offset_of(name)] for name in lay.trace_names()},
         snaps,
     )
@@ -474,13 +470,14 @@ _RUN_MODELS = {
 @pytest.mark.parametrize("name", sorted(_RUN_MODELS))
 def test_step_matches_the_sparse_right_hand_side(rng, name, theta):
     # the reference solves L u_next = R u_n + dt*f with R assembled as a
-    # matrix, R = M0 - (1-theta)*dt*(M1 + A)
+    # matrix, R = diag(m0) - (1-theta)*dt*(M1 + A)
     model = _RUN_MODELS[name]()
     scheme = SchemeParams(dt=0.04, t_end=1.0, theta=theta)
     sys_ = factor(model, scheme)
     stiff = model.M1 + model.A
-    L = (model.M0 + theta * scheme.dt * stiff).tocsc()
-    R = (model.M0 - (1.0 - theta) * scheme.dt * stiff).tocsr()
+    M0 = sp.diags(model.m0)
+    L = (M0 + theta * scheme.dt * stiff).tocsc()
+    R = (M0 - (1.0 - theta) * scheme.dt * stiff).tocsr()
     lu = spla.splu(L)
     u, f = rng.standard_normal(model.layout.dim), rng.standard_normal(model.layout.dim)
     for _ in range(5):
@@ -499,8 +496,9 @@ def test_step_roundoff_stays_near_a_refined_trajectory(rng):
     scheme = SchemeParams(dt=1.0 / n, t_end=1.0)
     sys_ = factor(model, scheme)
     stiff = model.M1 + model.A
-    L = (model.M0 + 0.5 * scheme.dt * stiff).tocsr()
-    R = (model.M0 - 0.5 * scheme.dt * stiff).tocsr()
+    M0 = sp.diags(model.m0)
+    L = (M0 + 0.5 * scheme.dt * stiff).tocsr()
+    R = (M0 - 0.5 * scheme.dt * stiff).tocsr()
     lu = spla.splu(L.tocsc())
     zero = np.zeros(model.layout.dim)
     for _ in range(3):
@@ -559,7 +557,7 @@ def test_run_raises_when_the_source_turns_nonfinite(t_bad):
 
 
 def test_run_raises_when_a_recorded_energy_overflows():
-    # the state stays finite (up to about 1e305) while 1/2 <u, M0 u>_W
+    # the state stays finite (up to about 1e305) while 1/2 <u, m0 u>_W
     # overflows; run must say so instead of recording inf, and numpy must
     # not warn on the way
     scheme = SchemeParams(dt=0.01, t_end=1.0)

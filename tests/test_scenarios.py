@@ -71,7 +71,7 @@ def test_coefficient_samples_checked():
     # d lives on the 3 interior nodes; a float is broadcast to the block
     grid = build_grid(4)
     model = make_timoshenko_damped(grid, TimoshenkoParams(c=0.5, kappa1=2.0))
-    assert np.array_equal(model.M0.diagonal()[model.layout.slice_of("V1")], np.full(4, 2.0))
+    assert np.array_equal(model.m0[model.layout.slice_of("V1")], np.full(4, 2.0))
     for bad in (np.inf, np.array([1.0, np.inf, 1.0, 1.0]), np.array([1.0, 1.0, np.nan, 1.0])):
         with pytest.raises(NumericError, match="^coefficient samples must be finite$"):
             make_timoshenko_damped(grid, TimoshenkoParams(c=0.5, kappa1=bad))
@@ -86,11 +86,11 @@ def test_coefficient_samples_checked():
 
 def test_timoshenko_trace_row():
     # the boundary law d/dt(I_tilde tau) + c tau = V1(1/2-0) + g sits in
-    # one row: I_tilde on M0, c on M1, -1 on A against the last V1 node
+    # one row: I_tilde in m0, c on M1, -1 on A against the last V1 node
     grid = build_grid(4)
     model = make_timoshenko_damped(grid, TimoshenkoParams(c=0.5, I_tilde=0.25))
     tau = model.layout.offset_of("tau_plus")
-    assert model.M0[tau, tau] == 0.25
+    assert model.m0[tau] == 0.25
     assert model.M1[tau, tau] == 0.5
     arow = model.A[tau].toarray().ravel()
     expected = np.zeros(model.layout.dim)
@@ -115,10 +115,24 @@ TRACE_LAW_CASES = [(name, spec.make, spec.defaults) for name, spec in sorted(SCE
 @pytest.mark.parametrize("make,params", [c[1:] for c in TRACE_LAW_CASES], ids=[c[0] for c in TRACE_LAW_CASES])
 def test_each_trace_slot_carries_its_law_on_the_diagonals(make, params, n):
     model = make(build_grid(n), params)
+    assert model.m0.shape == (model.layout.dim,) and model.m0.dtype == np.float64
     assert list(model.traces) == list(model.layout.trace_names())
     for slot, binding in model.traces.items():
         k = model.layout.offset_of(slot)
-        assert (model.M0[k, k], model.M1[k, k]) == (binding.law.mu0, binding.law.mu1)
+        assert (model.m0[k], model.M1[k, k]) == (binding.law.mu0, binding.law.mu1)
+    # a diagonal is its own sign flip; a split keeps the entries of its blocks
+    assert apply_sign_flip(model).m0.tobytes() == model.m0.tobytes()
+    names = ("s", "V2", "tau1_minus", "tau1_plus") if "tau1_plus" in model.traces else model.layout.names[::-1]
+    keep = model.layout.indices_of(names)
+    assert split_model(model, names).m0.tobytes() == model.m0[keep].tobytes()
+
+
+def test_a_negative_zero_trace_inertia_is_stored_as_zero():
+    # an entry that a sparse inertia matrix would not store reads +0.0
+    params = FullDynamicParams(mu_plus=NevanlinnaSpec(-0.0, 0.5))
+    model = make_full_dynamic(build_grid(4), params)
+    k = model.layout.offset_of("tau0_plus")
+    assert model.m0[k] == 0.0 and not np.signbit(model.m0[k])
 
 
 def test_timoshenko_inertia_diagonal():
@@ -126,7 +140,7 @@ def test_timoshenko_inertia_diagonal():
     model = make_timoshenko_damped(
         grid, TimoshenkoParams(kappa1=2.0, nu1=3.0, nu2=4.0, kappa2=5.0, c=0.5, I_tilde=0.25)
     )
-    d = model.M0.diagonal()
+    d = model.m0
     lay = model.layout
     assert np.all(d[lay.slice_of("V1")] == 2.0)
     assert np.all(d[lay.slice_of("eta")] == 3.0)
@@ -192,7 +206,7 @@ def test_dynamic_inertia_variant():
     grid = build_grid(4)
     model = make_timoshenko_damped(grid, TimoshenkoParams(c=0.0, I_tilde=1.0))
     tau = model.layout.offset_of("tau_plus")
-    assert model.M0[tau, tau] == 1.0
+    assert model.m0[tau] == 1.0
     assert model.M1[tau, tau] == 0.0
     with pytest.raises(ParameterError):
         make_timoshenko_damped(grid, TimoshenkoParams(c=0.0, I_tilde=0.0))
@@ -216,7 +230,7 @@ def test_sign_flip_is_involution():
     assert np.array_equal(flipped.M1.toarray()[eta, v2], -1.5 * np.eye(4))
     assert flipped.traces["tau_plus"].sign == +1.0
     back = apply_sign_flip(flipped)
-    assert (back.M0 - model.M0).nnz == 0
+    assert back.m0.tobytes() == model.m0.tobytes()
     assert (back.M1 - model.M1).nnz == 0
     assert (back.A - model.A).nnz == 0
     assert back.traces == model.traces
@@ -419,7 +433,7 @@ def test_consistent_initial_state_parabolic_residual(rng):
     u = rng.standard_normal(model.layout.dim)
     out = consistent_initial_state(model, u)
     K = (model.M1 + model.A).tocsr()
-    alg = np.where(model.M0.diagonal() == 0.0)[0]
+    alg = np.where(model.m0 == 0.0)[0]
     res = (K @ out)[alg]
     assert np.max(np.abs(res)) < 1e-12
     dif = np.setdiff1d(np.arange(model.layout.dim), alg)
@@ -526,12 +540,12 @@ def test_boundary_residual_decays_first_order():
 
 def test_energy_of_exact_state_matches_quadrature():
     # all-ones state with unit coefficients: energy is the weighted sum of
-    # M0 against the squares, 0.5*sum(w_i * m_i)
+    # m0 against the squares, 0.5*sum(w_i * m_i)
     model = make_timoshenko_damped(build_grid(4), TimoshenkoParams(c=0.5, I_tilde=2.0))
     u = np.zeros(model.layout.dim)
     u[:] = 1.0
-    e = energy(u, model.M0, model.W)
-    expected = 0.5 * float(np.sum(model.W.diag * model.M0.diagonal()))
+    e = energy(u, model.m0, model.W)
+    expected = 0.5 * float(np.sum(model.W.diag * model.m0))
     assert e == pytest.approx(expected, rel=1e-14)
 
 
@@ -544,7 +558,8 @@ def test_assemble_zero_coupling_stores_nothing(n):
     args = (model.layout, m0, {"eta": 0.5}, model.traces, [])
     plain = _assemble(*args)
     zero = _assemble(*args, couplings=(("eta", "V2", 0.0),))
-    for M in ("M0", "M1", "A"):
+    assert plain.m0.tobytes() == zero.m0.tobytes()
+    for M in ("M1", "A"):
         a, b = getattr(plain, M), getattr(zero, M)
         assert a.data.tobytes() == b.data.tobytes()
         assert a.indices.tobytes() == b.indices.tobytes()

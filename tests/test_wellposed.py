@@ -1,4 +1,4 @@
-"""Coercivity, rho search, symbol check, and trace-law sign tests.
+"""Coercivity, rho search, and trace-law sign tests.
 
 Eigenvalue assertions are cross-checked against the cyclic Jacobi
 implementation in oracles.py rather than trusting the library path that
@@ -28,7 +28,6 @@ from evobeam.wellposed import (
     find_rho0,
     nevanlinna_check,
     sparse_symmetric_part,
-    symbol_range_check,
 )
 from oracles import jacobi_eigvals, min_coercivity_eig
 
@@ -125,26 +124,26 @@ def test_symmetric_part_shape_check():
 
 
 def test_coercivity_diagonal_known_values():
-    M0 = np.diag([2.0, 2.0, 0.5, 2.0, 2.0])
+    m0 = np.array([2.0, 2.0, 0.5, 2.0, 2.0])
     M1 = np.zeros((5, 5))
-    c0 = coercivity(M0, M1, rho=1.0, W=_ones_weight(5))
+    c0 = coercivity(m0, M1, rho=1.0, W=_ones_weight(5))
     assert c0 == 0.5
     assert c0 > 0
     assert 1.0 / c0 == 2.0
-    oracle = min_coercivity_eig(M0, M1, 1.0, np.ones(5))
+    oracle = min_coercivity_eig(np.diag(m0), M1, 1.0, np.ones(5))
     assert abs(c0 - oracle) < 1e-13
 
 
 def test_coercivity_rho_zero_allowed_negative_rejected():
     M1 = np.eye(3)
-    c0 = coercivity(np.zeros((3, 3)), M1, rho=0.0, W=_ones_weight(3))
+    c0 = coercivity(np.zeros(3), M1, rho=0.0, W=_ones_weight(3))
     assert c0 == 1.0
     with pytest.raises(ParameterError):
-        coercivity(np.eye(3), M1, rho=-1.0, W=_ones_weight(3))
+        coercivity(np.ones(3), M1, rho=-1.0, W=_ones_weight(3))
 
 
 def test_coercivity_unsatisfied_has_no_bound():
-    c0 = coercivity(np.diag([1.0, 0.0]), np.zeros((2, 2)), 1.0, _ones_weight(2))
+    c0 = coercivity(np.array([1.0, 0.0]), np.zeros((2, 2)), 1.0, _ones_weight(2))
     assert not c0 > 0
     assert c0 <= 0.0
 
@@ -155,9 +154,9 @@ def test_coercivity_matches_jacobi_on_assembled_model():
         grid, TimoshenkoParams(c=0.5, I_tilde=0.2, d=0.25, sigma0=1.0)
     )
     rho = 1.0
-    c0 = coercivity(model.M0, model.M1, rho, model.W)
+    c0 = coercivity(model.m0, model.M1, rho, model.W)
     oracle = min_coercivity_eig(
-        model.M0.toarray(), model.M1.toarray(), rho, model.W.diag
+        np.diag(model.m0), model.M1.toarray(), rho, model.W.diag
     )
     assert abs(c0 - oracle) < 1e-11
     assert c0 > 0
@@ -175,16 +174,16 @@ def test_coercivity_sturm_liouville_parabolic_closed_form():
         mu_plus=NevanlinnaSpec(0.5, 0.25),
     )
     model = make_sturm_liouville(grid, params)
-    c0 = coercivity(model.M0, model.M1, rho=0.3, W=model.W)
+    c0 = coercivity(model.m0, model.M1, rho=0.3, W=model.W)
     assert abs(c0 - 0.3) < 1e-14
     oracle = min_coercivity_eig(
-        model.M0.toarray(), model.M1.toarray(), 0.3, model.W.diag
+        np.diag(model.m0), model.M1.toarray(), 0.3, model.W.diag
     )
     assert abs(c0 - oracle) < 1e-12
 
 
-def _dense_c0(M0, M1, rho, w):
-    S = rho * M0.toarray() + _dense_symmetric_part(M1, w)
+def _dense_c0(m0, M1, rho, w):
+    S = rho * np.diag(m0) + _dense_symmetric_part(M1, w)
     sq = np.sqrt(w)
     sym = (S * sq[:, None]) / sq[None, :]
     return float(np.linalg.eigvalsh(0.5 * (sym + sym.T))[0])
@@ -195,8 +194,8 @@ def _dense_c0(M0, M1, rho, w):
 def test_coercivity_matches_dense_eigvalsh_bitwise(name, n):
     model = _DAMPED_MODELS[name](build_grid(n))
     for rho in (1.0, 2.0**-10):
-        c0 = coercivity(model.M0, model.M1, rho, model.W)
-        assert c0 == _dense_c0(model.M0, model.M1, rho, model.W.diag)
+        c0 = coercivity(model.m0, model.M1, rho, model.W)
+        assert c0 == _dense_c0(model.m0, model.M1, rho, model.W.diag)
 
 
 def _w_selfadjoint(rng, w):
@@ -213,17 +212,18 @@ def _w_selfadjoint(rng, w):
 )
 def test_coercivity_matches_jacobi_on_interleaved_blocks(sizes, seed, rho):
     # blocks of coupled entries on randomly permuted rows, so that each
-    # component of the sparse pattern is spread over the whole matrix
+    # component of the sparse pattern is spread over the whole matrix; the
+    # inertia is diagonal, so the coupled W-selfadjoint blocks sit in M1
     rng = np.random.default_rng(seed)
     dim = sum(sizes)
     perm = rng.permutation(dim)
     w = rng.uniform(0.5, 2.0, dim)
-    M0, M1 = np.zeros((dim, dim)), np.zeros((dim, dim))
+    m0, M1 = rng.uniform(0.5, 2.0, dim), np.zeros((dim, dim))
     for rows in np.split(perm, np.cumsum(sizes)[:-1]):
-        M0[np.ix_(rows, rows)] = _w_selfadjoint(rng, w[rows])
-        M1[np.ix_(rows, rows)] = rng.standard_normal((rows.size, rows.size))
-    c0 = coercivity(sp.csr_matrix(M0), sp.csr_matrix(M1), rho, WeightMatrix(w))
-    assert abs(c0 - min_coercivity_eig(M0, M1, rho, w)) <= 1e-12
+        block = _w_selfadjoint(rng, w[rows]) + rng.standard_normal((rows.size, rows.size))
+        M1[np.ix_(rows, rows)] = block
+    c0 = coercivity(m0, sp.csr_matrix(M1), rho, WeightMatrix(w))
+    assert abs(c0 - min_coercivity_eig(np.diag(m0), M1, rho, w)) <= 1e-12
 
 
 def test_check_eigensolves_no_matrix_larger_than_a_block(monkeypatch):
@@ -232,7 +232,7 @@ def test_check_eigensolves_no_matrix_larger_than_a_block(monkeypatch):
         "c = 0.5\nI_tilde = 0.1\nd = 0.2\n"
     )
     model = cfg.model
-    pattern = abs(model.M0) + abs(sparse_symmetric_part(model.M1, model.W))
+    pattern = sp.diags(abs(model.m0)) + abs(sparse_symmetric_part(model.M1, model.W))
     pattern.eliminate_zeros()
     _, labels = connected_components(pattern, directed=False)
     largest = np.bincount(labels).max()
@@ -250,78 +250,33 @@ def test_check_eigensolves_no_matrix_larger_than_a_block(monkeypatch):
 
 
 def test_find_rho0_identity_hits_target_exactly():
-    M0 = np.eye(4)
+    m0 = np.ones(4)
     M1 = np.zeros((4, 4))
     W = _ones_weight(4)
     # c0(rho) = rho, so the scan lands on the power of two equal to the
     # target and bisection never moves the upper end
-    assert find_rho0(M0, M1, 1.0, W) == 1.0
-    assert find_rho0(M0, M1, 0.25, W) == 0.25
+    assert find_rho0(m0, M1, 1.0, W) == 1.0
+    assert find_rho0(m0, M1, 0.25, W) == 0.25
 
 
 def test_find_rho0_bisection_interior_target():
-    M0 = np.eye(3)
+    m0 = np.ones(3)
     M1 = -0.3 * np.eye(3)
     W = _ones_weight(3)
-    rho0 = find_rho0(M0, M1, 0.37, W)
+    rho0 = find_rho0(m0, M1, 0.37, W)
     # c0(rho) = rho - 0.3, so the smallest admissible rho is 0.67
     assert rho0 >= 0.67
     assert abs(rho0 - 0.67) < 2e-6
-    assert coercivity(M0, M1, rho0, W) >= 0.37
-    assert coercivity(M0, M1, 0.67 * (1 - 1e-4), W) < 0.37
+    assert coercivity(m0, M1, rho0, W) >= 0.37
+    assert coercivity(m0, M1, 0.67 * (1 - 1e-4), W) < 0.37
 
 
 def test_find_rho0_failure_and_validation():
     W = _ones_weight(2)
     with pytest.raises(NotCoerciveError):
-        find_rho0(np.diag([1.0, 0.0]), np.zeros((2, 2)), 0.1, W)
+        find_rho0(np.array([1.0, 0.0]), np.zeros((2, 2)), 0.1, W)
     with pytest.raises(ParameterError):
-        find_rho0(np.eye(2), np.zeros((2, 2)), 0.0, W)
-
-
-def test_symbol_range_check_is_lambda_independent():
-    grid = build_grid(8)
-    model = make_timoshenko_damped(grid, TimoshenkoParams(c=0.5, d=0.25))
-    rho = 1.0
-    base = coercivity(model.M0, model.M1, rho, model.W)
-    lams = np.linspace(-50.0, 50.0, 11)
-    val = symbol_range_check(model.M0, model.M1, rho, lams, model.W)
-    assert abs(val - base) < 1e-12 * max(1.0, abs(base))
-
-
-def test_symbol_range_check_empty_grid():
-    with pytest.raises(ParameterError):
-        symbol_range_check(np.eye(2), np.zeros((2, 2)), 1.0, [], _ones_weight(2))
-
-
-def test_symbol_range_check_flags_nonselfadjoint_inertia():
-    # a non-symmetric M0 makes the Hermitian part genuinely depend on
-    # the imaginary part of z, which the check must refuse to average away
-    M0 = np.array([[1.0, 1.0], [0.0, 1.0]])
-    M1 = np.zeros((2, 2))
-    with pytest.raises(NumericError):
-        symbol_range_check(M0, M1, 1.0, [0.0, 5.0], _ones_weight(2))
-
-
-def test_symbol_range_check_coupled_selfadjoint_inertia(rng):
-    # a W-selfadjoint but non-diagonal M0 with non-uniform weights leaves
-    # only roundoff in the W-skew part, which must not raise
-    w = rng.uniform(0.5, 2.0, 6)
-    M0, M1 = _w_selfadjoint(rng, w), rng.standard_normal((6, 6))
-    W = WeightMatrix(w)
-    val = symbol_range_check(M0, M1, 1.0, np.linspace(-100.0, 100.0, 21), W)
-    assert val == coercivity(M0, M1, 1.0, W)
-    assert abs(val - min_coercivity_eig(M0, M1, 1.0, w)) < 1e-12
-
-
-def test_symbol_range_check_flags_small_w_skew_part(rng):
-    w = rng.uniform(0.5, 2.0, 6)
-    K = rng.standard_normal((6, 6))
-    # w_i K_ij is antisymmetric, so K is W-skew
-    skew = (K - K.T) / w[:, None]
-    M0 = _w_selfadjoint(rng, w) + 1e-8 * skew
-    with pytest.raises(NumericError):
-        symbol_range_check(M0, np.zeros((6, 6)), 1.0, [100.0], WeightMatrix(w))
+        find_rho0(np.ones(2), np.zeros((2, 2)), 0.0, W)
 
 
 def test_nevanlinna_spec_validation_and_evaluate():
