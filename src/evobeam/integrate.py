@@ -70,7 +70,11 @@ class SchemeParams:
 
     @property
     def n_steps(self) -> int:
-        return int(math.floor(self.t_end / self.dt + 1e-9))
+        # round when t_end is a whole number of steps to a relative 1e-9
+        n = round(self.t_end / self.dt)
+        if abs(n * self.dt - self.t_end) <= 1e-9 * self.t_end:
+            return n
+        return math.floor(self.t_end / self.dt)
 
 
 @dataclass(frozen=True)

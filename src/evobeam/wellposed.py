@@ -39,10 +39,10 @@ class NevanlinnaSpec:
     """Affine trace law mu0 + integral * mu1, i.e. R(z) = mu0*z + mu1.
 
     Construction only rejects the degenerate all-zero pair; sign validation
-    is the job of nevanlinna_check and of the scenario makers (the beam's
-    check of c and I_tilde, scenarios._check_trace_law for the laws of
-    full_dynamic and sturm_liouville), so a bad sign is caught by the checker
-    rather than masked at construction.
+    is the job of nevanlinna_check (the sign of mu0) and of the scenario
+    makers (the beam's check of c and I_tilde, scenarios._check_trace_law
+    for the laws of full_dynamic and sturm_liouville), so a bad sign is
+    caught by a check rather than masked at construction.
     """
 
     mu0: float
@@ -51,9 +51,6 @@ class NevanlinnaSpec:
     def __post_init__(self):
         if self.mu0 == 0 and self.mu1 == 0:
             raise ParameterError("trace law must not have both coefficients zero")
-
-    def evaluate(self, z: complex | np.ndarray) -> complex | np.ndarray:
-        return self.mu0 * z + self.mu1
 
 
 def sparse_symmetric_part(M, W: WeightMatrix) -> sp.csr_matrix:
@@ -145,10 +142,6 @@ def find_rho0(m0: np.ndarray, M1, c_target: float, W: WeightMatrix) -> float:
     return hi
 
 
-def nevanlinna_check(spec: NevanlinnaSpec, samples) -> bool:
-    """True iff Im(mu0*z + mu1) >= -1e-14 at every upper-half-plane sample."""
-    zs = np.atleast_1d(np.asarray(samples, dtype=complex))
-    if np.any(zs.imag <= 0):
-        raise ParameterError("all samples must have positive imaginary part")
-    im = spec.evaluate(zs).imag
-    return bool(np.all(im >= -1e-14))
+def nevanlinna_check(spec: NevanlinnaSpec) -> bool:
+    """Nevanlinna type: Im(mu0*z + mu1) = mu0*Im(z) >= 0 for all Im(z) > 0 iff mu0 >= 0."""
+    return bool(spec.mu0 >= 0)

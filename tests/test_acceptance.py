@@ -311,6 +311,11 @@ def test_nevanlinna_bulk_validation(rng):
     for mu0, mu1 in coeffs:
         if mu0 == 0.0 and mu1 == 0.0:
             continue
-        assert nevanlinna_check(NevanlinnaSpec(mu0, mu1), samples)
-    assert not nevanlinna_check(NevanlinnaSpec(-0.1, 1.0), samples)
-    assert not nevanlinna_check(NevanlinnaSpec(-1e-6, 0.0), np.array([100j]))
+        assert nevanlinna_check(NevanlinnaSpec(mu0, mu1))
+        # the samples are an independent oracle for the closed-form verdict
+        assert np.all((mu0 * samples + mu1).imag >= 0)
+    for mu0, mu1 in ((-0.1, 1.0), (-1e-6, 0.0)):
+        assert not nevanlinna_check(NevanlinnaSpec(mu0, mu1))
+        assert np.any((mu0 * samples + mu1).imag < 0)
+    # Im = mu0*Im(z) < 0 however small mu0 is, though no sample may resolve it
+    assert not nevanlinna_check(NevanlinnaSpec(-1e-300, 0.0))

@@ -5,6 +5,7 @@ subprocess test at the end confirms the installed entry point wires up
 the same code path.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import evobeam
 from evobeam import cli, scenarios
@@ -22,6 +24,7 @@ from evobeam.core import bump_envelope, gaussian_envelope, sinusoid_envelope
 from evobeam.wellposed import NevanlinnaSpec
 from evobeam.cli import (
     ConfigError,
+    build_scheme,
     cmd_check,
     cmd_converge,
     cmd_probe,
@@ -707,6 +710,38 @@ def test_main_rejects_t_end_not_a_multiple_of_dt(tmp_path):
     assert main(["run", str(path)]) == 4
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 10**6),
+    dt=st.floats(1e-6, 1e3),
+    off=st.one_of(st.floats(-3e-9, 3e-9), st.floats(-0.5, 0.5), st.just(0.0)),
+)
+def test_build_scheme_accepts_a_whole_number_of_steps_to_a_relative_1e_9(n, dt, off):
+    t_end = n * dt * (1.0 + off)
+    s = {"dt": repr(dt), "t_end": repr(t_end), "theta": "0.5", "record_every": "1", "rho": "1.0", "c_target": "1.0"}
+    r = math.floor(t_end / dt)
+    whole = [m for m in range(max(1, r - 1), r + 3) if abs(m * dt - t_end) <= 1e-9 * t_end]
+    if whole:
+        assert build_scheme(s)[0].n_steps == whole[0]
+    else:
+        with pytest.raises(ConfigError, match="is not a whole number of steps"):
+            build_scheme(s)
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_main_accepts_t_end_within_the_relative_tolerance(command, tmp_path, monkeypatch, capsys):
+    # t_end / dt = 999.9999995: 1000 steps end 5e-10 past t_end, inside
+    # the relative 1e-9
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "tol.ini"
+    path.write_text(MINIMAL + "[scheme]\ndt = 0.0010000000005\nt_end = 1.0\n")
+    assert main([command, str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    if command == "run":
+        times = [float(row.split(",")[0]) for row in (tmp_path / "out.csv").read_text().splitlines()[1:]]
+        assert len(times) == 1001 and times[-1] == 1000 * 0.0010000000005
+
+
 @pytest.mark.parametrize("command", ["check", "run"])
 def test_main_rejects_record_every_not_dividing_the_steps(command, tmp_path, monkeypatch, capsys):
     # 10 steps recorded every 3rd would end the records at t = 0.9
@@ -958,6 +993,12 @@ def test_source_on_a_trace_slot_is_the_envelope_there():
             ("--levels", "3,5,7"),
             "reference grid must be an even multiple of each level",
         ),
+        (
+            # the 80-cell reference grid is 5 times level 16, an odd multiple
+            MINIMAL.replace("timoshenko_damped", "sturm_liouville"),
+            ("--levels", "8,16,20"),
+            "reference grid must be an even multiple of each level",
+        ),
         # configparser's own messages span lines; the CLI prints one
         (
             MINIMAL.replace("[grid]\n", ""),
@@ -972,10 +1013,12 @@ def test_source_on_a_trace_slot_is_the_envelope_there():
     ],
     ids=[
         "grid-unknown-key", "grid-no-n_cells", "scenario-no-name", "undefined-function", "converge-odd-multiple",
-        "no-section-header", "unparsable-line",
+        "converge-odd-quotient", "no-section-header", "unparsable-line",
     ],
 )
-def test_main_config_errors_exit_four(text, args, message, tmp_path, capsys):
+def test_main_config_errors_exit_four(text, args, message, tmp_path, capsys, monkeypatch):
+    # every refusal comes before the LU factorisation of a stepping matrix
+    monkeypatch.setattr(cli, "factor", lambda *a: pytest.fail("factored before the refusal"))
     command = "converge" if args else "check"
     code, err = _main_fails_once(command, text, tmp_path, capsys, *args)
     assert code == 4
