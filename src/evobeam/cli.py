@@ -410,12 +410,21 @@ def fmt17(x: float) -> str:
 # ---------------------------------------------------------------------------
 # commands
 
+def _bound(c0: float) -> float:
+    """The solution operator's bound 1/c0 of a coercive law (c0 > 0)."""
+    bound = 1.0 / c0
+    if not math.isfinite(bound):
+        raise NumericError(f"bound 1/c0 overflows for c0={c0!r}")
+    return bound
+
+
 def cmd_check(cfg: RunConfig) -> tuple[list[str], int]:
     """Well-posedness report: c0, rho0, bound, skew defect, trace laws."""
     model = cfg.model
     c0 = coercivity(model.m0, model.M1, cfg.scheme_params.rho, model.W)
     if c0 <= 0:
         return ["c0<=0"], 2
+    bound = _bound(c0)
     lines = [f"c0={fmt17(c0)}"]
     code = 0
     try:
@@ -424,7 +433,7 @@ def cmd_check(cfg: RunConfig) -> tuple[list[str], int]:
     except NotCoerciveError:
         lines.append("rho0=unreachable")
         code = 2
-    lines.append(f"bound={fmt17(1.0 / c0)}")
+    lines.append(f"bound={fmt17(bound)}")
     lines.append(f"skew_defect={fmt17(skew_defect(model.A, model.W))}")
     ok = all(nevanlinna_check(b.law) for b in model.traces.values())
     lines.append(f"nevanlinna={'pass' if ok else 'fail'}")
@@ -571,7 +580,7 @@ def cmd_probe(cfg: RunConfig, kind: str, a: float | None = None) -> tuple[list[s
             ratio = bound_probe(factor(model, scheme), source)
         except UndefinedRatioError as exc:
             raise ConfigError(str(exc)) from exc
-        bound = 1.0 / c0
+        bound = _bound(c0)
         return [f"ratio={fmt17(ratio)}", f"limit={fmt17(bound)}"], 0 if ratio <= 1.05 * bound else 2
     raise ConfigError(f"unknown probe kind {kind!r}")
 

@@ -15,7 +15,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .core import (
     EvobeamError,
@@ -82,7 +81,7 @@ class SteppingSystem:
     model: AssembledModel
     scheme: SchemeParams
     m0_over_theta: np.ndarray
-    _lu: spla.SuperLU = field(repr=False)
+    _lu: sp.linalg.SuperLU = field(repr=False)
 
 
 def factor(model: AssembledModel, scheme: SchemeParams) -> SteppingSystem:
@@ -102,6 +101,8 @@ def factor(model: AssembledModel, scheme: SchemeParams) -> SteppingSystem:
     manufactured-solution run at dt = h it left 5.5e-12 of accumulated
     roundoff in the state, against 1.4e-13 with diagonal pivots.
     """
+    from scipy.sparse.linalg import splu
+
     M1m, Am = sp.csr_matrix(model.M1), sp.csr_matrix(model.A)
     n = model.layout.dim
     if np.shape(model.m0) != (n,):
@@ -111,7 +112,7 @@ def factor(model: AssembledModel, scheme: SchemeParams) -> SteppingSystem:
             raise ParameterError(f"{name} has shape {m.shape}, layout needs ({n}, {n})")
     L = (sp.diags(model.m0) + scheme.theta * scheme.dt * (M1m + Am)).tocsr()
     try:
-        lu = spla.splu(L.tocsc(), diag_pivot_thresh=0.0)
+        lu = splu(L.tocsc(), diag_pivot_thresh=0.0)
     except RuntimeError as exc:
         # outside the well-posed class, e.g. a trace slot with no inertia,
         # no damping and no coupling

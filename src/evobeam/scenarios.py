@@ -15,7 +15,6 @@ from typing import Any, Callable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .core import (
     Grid,
@@ -364,6 +363,8 @@ def consistent_initial_state(
     """Adjust the algebraic slots (zero entries of m0) to satisfy the system
     at t = 0, leaving differential slots untouched.  Needed by parabolic
     laws where a field has no inertia."""
+    from scipy.sparse.linalg import splu
+
     alg = np.where(model.m0 == 0.0)[0]
     out = np.array(u, dtype=float)
     if alg.size == 0:
@@ -375,7 +376,7 @@ def consistent_initial_state(
     rhs = f0[alg] - K[np.ix_(alg, dif)] @ out[dif]
     Kaa = sp.csc_matrix(K[np.ix_(alg, alg)])
     try:
-        x = spla.splu(Kaa, permc_spec="NATURAL").solve(rhs)
+        x = splu(Kaa, permc_spec="NATURAL").solve(rhs)
     except RuntimeError as exc:
         raise ParameterError(f"algebraic slots are not solvable: {exc}") from exc
     out[alg] = x

@@ -72,11 +72,11 @@ def _w_min_eig(S, W: WeightMatrix) -> float:
     """Smallest eigenvalue of a sparse W-selfadjoint S via the W^{1/2} similarity.
 
     The similarity keeps the sparsity pattern, so the spectrum is the union
-    of the spectra of its connected blocks: a single entry is its own
-    eigenvalue, and each larger block gets an eigensolve on its rows only.
+    of the spectra of its connected blocks.  A row with no stored
+    off-diagonal entry is a block of one, its diagonal entry its own
+    eigenvalue; only the coupled rows are split into blocks, each of which
+    gets an eigensolve on its rows only.
     """
-    from scipy.sparse.csgraph import connected_components
-
     sq = np.sqrt(W.diag)
     sym = sp.coo_matrix(S, dtype=float)
     sym.data = sym.data * sq[sym.row] / sq[sym.col]
@@ -85,13 +85,20 @@ def _w_min_eig(S, W: WeightMatrix) -> float:
     if not np.all(np.isfinite(sym.data)):
         raise NumericError("non-finite entries in coercivity operator")
     sym.eliminate_zeros()
-    _, labels = connected_components(sym, directed=False)
-    sizes = np.bincount(labels)
-    single = sizes[labels] == 1
+    # the pattern is symmetric, so counting a row's entries off the diagonal
+    # also counts its column's
+    ij = sym.tocoo()
+    coupled = np.bincount(ij.row[ij.row != ij.col], minlength=sym.shape[0]) > 0
+    single = ~coupled
     c0 = float(np.min(sym.diagonal()[single])) if single.any() else np.inf
-    for k in np.flatnonzero(sizes > 1):
-        rows = np.flatnonzero(labels == k)
-        c0 = min(c0, float(np.linalg.eigvalsh(sym[rows][:, rows].toarray())[0]))
+    if coupled.any():
+        from scipy.sparse.csgraph import connected_components
+
+        idx = np.flatnonzero(coupled)
+        n_blocks, labels = connected_components(sym[idx][:, idx], directed=False)
+        for k in range(n_blocks):
+            block = idx[labels == k]
+            c0 = min(c0, float(np.linalg.eigvalsh(sym[block][:, block].toarray())[0]))
     return c0
 
 

@@ -8,13 +8,17 @@ module-level name that nothing reads."""
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import evobeam
+from evobeam.scenarios import SCENARIOS
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(evobeam.__path__) if m.name != "__main__")
 
@@ -129,3 +133,39 @@ def test_every_private_module_name_is_referenced():
                 continue
             defined += [f"{name}.{t}" for t in targets if t.startswith("_") and not t.startswith("__")]
     assert [d for d in defined if d.split(".")[1] not in referenced] == []
+
+
+SOLVER_MODULES = ("scipy.sparse.linalg", "scipy.linalg", "scipy.sparse.csgraph")
+_IMPORT_PROBE = f"""\
+import sys
+import evobeam
+from evobeam.cli import cmd_check, cmd_run, parse_config
+
+def loaded():
+    return ",".join(m for m in {SOLVER_MODULES!r} if m in sys.modules)
+
+cfg = parse_config(open(sys.argv[1]).read())
+print(loaded())
+cmd_check(cfg)
+print(loaded())
+cmd_run(cfg)
+print(loaded())
+"""
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_check_leaves_the_solver_stack_unloaded(scenario, tmp_path):
+    # a fresh interpreter, since this one has long loaded every module: the
+    # config and the coercivity check need no factorisation, a run does
+    path = tmp_path / "cfg.ini"
+    path.write_text(
+        f"[grid]\nn_cells = 8\n\n[scenario]\nname = {scenario}\n\n[output]\ncsv = {tmp_path / 'out.csv'}\n"
+    )
+    src = str(SRC.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(path)], capture_output=True, text=True, env=env, check=True
+    )
+    after_parse, after_check, after_run = proc.stdout.split("\n")[:3]
+    assert after_parse == after_check == ""
+    assert "scipy.sparse.linalg" in after_run.split(",")

@@ -489,6 +489,23 @@ def test_main_check_rejects_inadmissible_laws(name, keys, message, tmp_path, cap
     assert err == [f"config error: {message}"]
 
 
+@pytest.mark.parametrize(
+    "keys", ["d = 0\n\n[scheme]\nrho = 1e-310", "c = 0\nI_tilde = 1e-310"], ids=["tiny-rho", "tiny-I_tilde"]
+)
+def test_main_check_overflowing_bound_exits_two(keys, tmp_path, capsys):
+    # a coercive law with c0 so small that 1/c0 is not a finite float
+    code, err = _main_fails_once("check", MINIMAL + keys + "\n", tmp_path, capsys)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: bound 1/c0 overflows for c0=")
+
+
+def test_main_probe_overflowing_bound_exits_two(tmp_path, capsys):
+    text = MINIMAL + "d = 0\n\n[scheme]\nrho = 1e-310\n\n[source]\nkind = sinusoid\n"
+    code, err = _main_fails_once("probe", text, tmp_path, capsys, "--kind", "bound")
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: bound 1/c0 overflows for c0=")
+
+
 @pytest.mark.parametrize("command", ["check", "probe"])
 @pytest.mark.parametrize(
     "name,initial,message",

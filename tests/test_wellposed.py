@@ -226,6 +226,59 @@ def test_coercivity_matches_jacobi_on_interleaved_blocks(sizes, seed, rho):
     assert abs(c0 - min_coercivity_eig(np.diag(m0), M1, rho, w)) <= 1e-12
 
 
+def _components_c0(m0, M1, rho, W):
+    """c0 through connected_components over the whole pattern: the least of
+    the diagonals of the one-entry blocks and of each larger block's
+    smallest eigenvalue."""
+    sq = np.sqrt(W.diag)
+    S = sp.coo_matrix(rho * sp.diags(m0) + sparse_symmetric_part(M1, W))
+    S.data = S.data * sq[S.row] / sq[S.col]
+    S = S.tocsr()
+    S = 0.5 * (S + S.T)
+    S.eliminate_zeros()
+    _, labels = connected_components(S, directed=False)
+    sizes = np.bincount(labels)
+    single = sizes[labels] == 1
+    c0 = float(np.min(S.diagonal()[single])) if single.any() else np.inf
+    for k in np.flatnonzero(sizes > 1):
+        rows = np.flatnonzero(labels == k)
+        c0 = min(c0, float(np.linalg.eigvalsh(S[rows][:, rows].toarray())[0]))
+    return c0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+    rho=st.floats(0.0, 2.0),
+    n_zero=st.integers(0, 2),
+    low_single=st.booleans(),
+)
+def test_coercivity_matches_whole_pattern_components_bitwise(sizes, seed, rho, n_zero, low_single):
+    # singleton rows (a size of 1) mixed with W-selfadjoint blocks on
+    # randomly permuted rows; n_zero singletons have a zero diagonal, and
+    # with low_single another singleton holds the minimum
+    rng = np.random.default_rng(seed)
+    dim = sum(sizes)
+    perm = rng.permutation(dim)
+    w = rng.uniform(0.5, 2.0, dim)
+    m0, M1 = rng.uniform(0.5, 2.0, dim), np.zeros((dim, dim))
+    singles = []
+    for rows in np.split(perm, np.cumsum(sizes)[:-1]):
+        if rows.size == 1:
+            singles.append(rows[0])
+            M1[rows[0], rows[0]] = rng.standard_normal()
+        else:
+            M1[np.ix_(rows, rows)] = _w_selfadjoint(rng, w[rows]) + rng.standard_normal((rows.size, rows.size))
+    for i in singles[:n_zero]:
+        m0[i] = M1[i, i] = 0.0
+    if low_single and singles[n_zero:]:
+        M1[singles[-1], singles[-1]] = -1e3
+    W = WeightMatrix(w)
+    c0 = coercivity(m0, sp.csr_matrix(M1), rho, W)
+    assert np.float64(c0).tobytes() == np.float64(_components_c0(m0, M1, rho, W)).tobytes()
+
+
 def test_check_eigensolves_no_matrix_larger_than_a_block(monkeypatch):
     cfg = parse_config(
         "[grid]\nn_cells = 256\n\n[scenario]\nname = timoshenko_damped\n"
