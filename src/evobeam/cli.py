@@ -12,6 +12,7 @@ import argparse
 import ast
 import math
 import operator
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -65,10 +66,7 @@ __all__ = [
     "main",
 ]
 
-_SCHEME_DEFAULTS = {
-    "dt": "0.01", "t_end": "1.0", "theta": "0.5",
-    "record_every": "1", "rho": "1.0", "c_target": "0.001",
-}
+_SCHEME_DEFAULTS = {**{f.name: repr(f.default) for f in fields(SchemeParams)}, "c_target": "0.001"}
 
 _SOURCE_DEFAULTS = {
     "kind": "zero", "block": "", "profile": "1.0", "amplitude": "1.0",
@@ -141,8 +139,9 @@ def _eval_node(node: ast.AST, names: dict):
         return _EXPR_OPS[type(node.op)](_eval_node(node.operand, names))
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords:
         fn = _eval_node(node.func, names)
-        if callable(fn):
-            return fn(*(_eval_node(arg, names) for arg in node.args))
+        # one argument: a numpy ufunc's second positional argument is its output
+        if callable(fn) and len(node.args) == 1:
+            return fn(_eval_node(node.args[0], names))
     raise ValueError(f"unsupported syntax {ast.unparse(node)!r}")
 
 
@@ -218,13 +217,20 @@ def parse_config(text: str) -> RunConfig:
         if not cp.has_section(sec):
             raise ConfigError(f"missing required section [{sec}]")
 
-    grid_keys = dict(cp.items("grid"))
-    extra = set(grid_keys) - {"n_cells"}
-    if extra:
-        raise ConfigError(f"[grid]: unknown key {sorted(extra)[0]!r}")
-    if "n_cells" not in grid_keys:
+    def section(nm: str, defaults: dict[str, str | None]) -> dict[str, str | None]:
+        out = dict(defaults)
+        if cp.has_section(nm):
+            for k, v in cp.items(nm):
+                # build_initial checks the block keys against the layout
+                if k not in defaults and nm != "initial":
+                    raise ConfigError(f"[{nm}]: unknown key {k!r}")
+                out[k] = v.strip()
+        return out
+
+    n_cells = section("grid", {"n_cells": None})["n_cells"]
+    if n_cells is None:
         raise ConfigError("[grid]: n_cells is required")
-    n_cells = _int(grid_keys["n_cells"].strip(), "[grid] n_cells")
+    n_cells = _int(n_cells, "[grid] n_cells")
 
     scen_items = {k: v.strip() for k, v in cp.items("scenario")}
     name = scen_items.pop("name", None)
@@ -239,18 +245,13 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"[scenario]: unknown key {k!r} for {name}")
         params[k] = v
 
-    def section(nm: str, defaults: dict[str, str]) -> dict[str, str]:
-        out = dict(defaults)
-        if cp.has_section(nm):
-            for k, v in cp.items(nm):
-                # build_initial checks the block keys against the layout
-                if k not in defaults and nm != "initial":
-                    raise ConfigError(f"[{nm}]: unknown key {k!r}")
-                out[k] = v.strip()
-        return out
-
     scheme = section("scheme", _SCHEME_DEFAULTS)
     source = section("source", _SOURCE_DEFAULTS)
+    # an unknown kind is refused by build_source
+    reads = _SOURCE_READS.get(source["kind"], _SOURCE_DEFAULTS)
+    for k in cp.options("source") if cp.has_section("source") else ():
+        if k not in reads:
+            raise ConfigError(f"[source] {k}: not read by kind = {source['kind']}")
     initial = section("initial", _INITIAL_DEFAULTS)
     output = section("output", _OUTPUT_DEFAULTS)
     # full validation: if any of these raise, surface it as a parse error
@@ -296,13 +297,8 @@ def build_model(scenario: str, params: dict[str, str], n_cells: int) -> Assemble
 
 def build_scheme(s: dict[str, str]) -> tuple[SchemeParams, float]:
     """The scheme and c_target of a [scheme] section."""
-    scheme = SchemeParams(
-        dt=_float(s["dt"], "[scheme] dt"),
-        t_end=_float(s["t_end"], "[scheme] t_end"),
-        theta=_float(s["theta"], "[scheme] theta"),
-        record_every=_int(s["record_every"], "[scheme] record_every"),
-        rho=_float(s["rho"], "[scheme] rho"),
-    )
+    read = {"float": _float, "int": _int}
+    scheme = SchemeParams(**{f.name: read[f.type](s[f.name], f"[scheme] {f.name}") for f in fields(SchemeParams)})
     c_target = _float(s["c_target"], "[scheme] c_target")
     if not c_target > 0:
         raise ConfigError(f"[scheme] c_target: must be > 0, got {s['c_target']!r}")
@@ -322,6 +318,11 @@ _ENVELOPES = {
     "gaussian": (gaussian_envelope, "center", "width"),
     "sinusoid": (sinusoid_envelope, "frequency", "phase"),
     "bump": (bump_envelope, "t0", "t1"),
+}
+
+# the [source] keys that each kind reads
+_SOURCE_READS = {"zero": ("kind",)} | {
+    kind: ("kind", "block", "profile", "amplitude", *keys) for kind, (_, *keys) in _ENVELOPES.items()
 }
 
 
@@ -379,6 +380,9 @@ def build_initial(ini: dict[str, str], model: AssembledModel) -> np.ndarray:
 def build_output(out: dict[str, str], model: AssembledModel) -> tuple[bool, list[str], int | None]:
     """The energy flag, the trace names and the snapshot stride (None
     without snapshots) that [output] asks for."""
+    for key in ("csv", "snapshots"):
+        if "\0" in out[key]:
+            raise ConfigError(f"[output] {key}: a path cannot contain a NUL character")
     with_energy = _bool(out["energy"], "[output] energy")
     traces_sel = out["traces"]
     if traces_sel == "all":
@@ -395,6 +399,8 @@ def build_output(out: dict[str, str], model: AssembledModel) -> tuple[bool, list
         stride = _int(out["snapshot_stride"], "[output] snapshot_stride")
         if stride < 1:
             raise ConfigError("[output] snapshot_stride: must be >= 1")
+        if os.path.realpath(out["snapshots"]) == os.path.realpath(out["csv"]):
+            raise ConfigError(f"[output] snapshots: {out['snapshots']!r} is the same file as csv")
     return with_energy, trace_names, stride
 
 
@@ -563,9 +569,7 @@ def cmd_probe(cfg: RunConfig, kind: str, a: float | None = None) -> tuple[list[s
             raise ConfigError(f"split time a={a} must lie inside (0, t_end)")
         t0 = a + 0.01 * (scheme.t_end - a)
         pulse_block = model.layout.names[0]
-        profile = embed_block(
-            model.layout, pulse_block, np.ones(model.layout.length_of(pulse_block))
-        )
+        profile = embed_block(model.layout, pulse_block, 1.0)
         pulse = bump_envelope(t0, scheme.t_end)
         pulsed = lambda t: source(t) + profile * pulse(t)
         dev = causality_probe(factor(model, scheme), source, pulsed, a)

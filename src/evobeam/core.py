@@ -7,9 +7,10 @@ vectors behave like elements of a weighted L2-type space with trace summands.
 A state is a plain float array of length ``layout.dim`` on that space, and
 a source is a function of time that returns one; the envelopes at the end
 give the time factor of a separable source ``profile * envelope(t)``.
-Grids and weight matrices are frozen; ``StateLayout`` and ``TimeSeries``
-are mutable dataclasses that nothing here changes after construction, and
-every function leaves its arguments unchanged.
+Grids and weight matrices are frozen, and a grid's node and center arrays
+are read-only; ``StateLayout`` and ``TimeSeries`` are mutable dataclasses
+that nothing here changes after construction, and every function leaves
+its arguments unchanged.
 """
 
 from __future__ import annotations
@@ -126,6 +127,7 @@ def build_grid(n_cells: int) -> Grid:
         centers = 0.5 * (nodes[:-1] + nodes[1:])
     except (MemoryError, ValueError) as exc:
         raise ParameterError(f"cannot allocate a grid of {n} cells: {exc}") from exc
+    nodes.flags.writeable = centers.flags.writeable = False
     return Grid(n_cells=n, h=1.0 / n, nodes=nodes, centers=centers)
 
 

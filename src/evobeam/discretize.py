@@ -113,6 +113,4 @@ def skew_defect(A: sp.spmatrix, W: WeightMatrix) -> float:
     """max |(W A + A^T W)_ij|; zero for an exactly skew-adjoint operator."""
     Wd = sp.diags(W.diag)
     defect = Wd @ A + A.T @ Wd
-    if defect.nnz == 0:
-        return 0.0
-    return float(np.max(np.abs(defect.tocoo().data)))
+    return float(np.max(np.abs(defect.data), initial=0.0))

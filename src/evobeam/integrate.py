@@ -47,8 +47,8 @@ class UndefinedRatioError(EvobeamError):
 
 @dataclass(frozen=True)
 class SchemeParams:
-    dt: float
-    t_end: float
+    dt: float = 0.01
+    t_end: float = 1.0
     theta: float = 0.5
     record_every: int = 1
     rho: float = 1.0

@@ -258,14 +258,7 @@ def apply_sign_flip(model: AssembledModel) -> AssembledModel:
         name: replace(b, sign=-b.sign) if b.field == "eta" else b
         for name, b in model.traces.items()
     }
-    return AssembledModel(
-        layout=model.layout,
-        W=model.W,
-        m0=model.m0,
-        M1=flip(model.M1),
-        A=flip(model.A),
-        traces=traces,
-    )
+    return replace(model, M1=flip(model.M1), A=flip(model.A), traces=traces)
 
 
 def make_full_dynamic(grid: Grid, params: FullDynamicParams) -> AssembledModel:

@@ -110,7 +110,9 @@ def coercivity(m0: np.ndarray, M1, rho: float, W: WeightMatrix) -> float:
     """
     if rho < 0:
         raise ParameterError("rho must be nonnegative")
-    return _w_min_eig(rho * sp.diags(m0) + sparse_symmetric_part(M1, W), W)
+    # a law that overflows is refused by _w_min_eig's finiteness check alone
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _w_min_eig(rho * sp.diags(m0) + sparse_symmetric_part(M1, W), W)
 
 
 def find_rho0(m0: np.ndarray, M1, c_target: float, W: WeightMatrix) -> float:

@@ -323,6 +323,7 @@ def test_main_converge_uses_configured_theta(tmp_path, capsys):
         "snapshots = {snaps}\nsnapshot_stride = two",
         "energy = maybe",
         "traces = tau0_plus, nope",
+        "snapshots = a\0b",
     ],
 )
 def test_main_run_rejects_bad_output_before_stepping(output, tmp_path, capsys):
@@ -335,6 +336,20 @@ def test_main_run_rejects_bad_output_before_stepping(output, tmp_path, capsys):
     assert not csv.exists() and not snaps.exists()
     with pytest.raises(ConfigError, match=r"^\[output\] "):
         parse_config(path.read_text())
+
+
+@pytest.mark.parametrize("snapshots", ["same.txt", "./same.txt", "{tmp}/same.txt"], ids=["same", "dot", "absolute"])
+def test_main_run_refuses_snapshots_naming_the_csv(snapshots, tmp_path, capsys, monkeypatch):
+    # the CSV is written last and would overwrite the snapshots
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.ini"
+    path.write_text(MINIMAL + f"\n[output]\ncsv = same.txt\nsnapshots = {snapshots.format(tmp=tmp_path)}\n")
+    assert main(["run", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: [output] snapshots: ")
+    assert not (tmp_path / "same.txt").exists()
 
 
 def test_main_run_rejects_overflowing_energy(tmp_path, capsys):
@@ -499,6 +514,15 @@ def test_main_check_overflowing_bound_exits_two(keys, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: bound 1/c0 overflows for c0=")
 
 
+@pytest.mark.parametrize("args", [("check",), ("probe", "--kind", "bound")], ids=["check", "probe-bound"])
+def test_main_overflowing_law_exits_two(args, tmp_path, capsys):
+    # rho*m0 overflows to inf: the refusal is the only line, with no numpy warning before it
+    text = MINIMAL + "kappa1 = 2\n\n[scheme]\nrho = 1e308\n"
+    code, err = _main_fails_once(args[0], text, tmp_path, capsys, *args[1:])
+    assert code == 2
+    assert err == ["error: non-finite entries in coercivity operator"]
+
+
 def test_main_probe_overflowing_bound_exits_two(tmp_path, capsys):
     text = MINIMAL + "d = 0\n\n[scheme]\nrho = 1e-310\n\n[source]\nkind = sinusoid\n"
     code, err = _main_fails_once("probe", text, tmp_path, capsys, "--kind", "bound")
@@ -575,8 +599,15 @@ def test_source_kinds_equal_profile_times_envelope(kind, keys, envelope):
         ("kind = bump\nt0 = 0.5\nt1 = 0.5", "bump support must have t1 > t0"),
         ("kind = sinusoid\nfrequency = abc", "[source] frequency: expected a number, got 'abc'"),
         ("kind = gaussian\nblock = nope", "[source] block: unknown block 'nope'"),
+        ("kind = zero\namplitude = banana\nfrequency = nope", "[source] amplitude: not read by kind = zero"),
+        ("kind = zero\nblock = eta", "[source] block: not read by kind = zero"),
+        ("kind = gaussian\nfrequency = 2.0", "[source] frequency: not read by kind = gaussian"),
+        ("kind = bump\ncenter = 0.5", "[source] center: not read by kind = bump"),
     ],
-    ids=["unknown-kind", "gaussian-width", "bump-support", "sinusoid-frequency", "unknown-block"],
+    ids=[
+        "unknown-kind", "gaussian-width", "bump-support", "sinusoid-frequency", "unknown-block", "zero-amplitude",
+        "zero-block", "gaussian-frequency", "bump-center",
+    ],
 )
 def test_main_rejects_bad_source(source, message, tmp_path, capsys):
     code, err = _main_fails_once("run", MINIMAL + f"\n[source]\n{source}\n", tmp_path, capsys)
@@ -669,6 +700,22 @@ def test_console_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "c0=5.0000000000000000e-1"
+
+
+@pytest.mark.parametrize(
+    "extra,where,expr,call",
+    [
+        ("nu1 = 1 + 0*sin(x, x)\n", "[scenario] nu1", "1 + 0*sin(x, x)", "sin(x, x)"),
+        ("\n[source]\nkind = gaussian\nprofile = abs(1, x)\n", "[source] profile", "abs(1, x)", "abs(1, x)"),
+        ("\n[initial]\nkind = expr\neta = exp(x, x)\n", "[initial] eta", "exp(x, x)", "exp(x, x)"),
+    ],
+    ids=["coefficient", "source-profile", "initial-block"],
+)
+def test_main_refuses_a_call_with_two_arguments(extra, where, expr, call, tmp_path, capsys):
+    # a numpy ufunc's second positional argument is its output: here the grid's own points
+    code, err = _main_fails_once("check", MINIMAL + extra, tmp_path, capsys)
+    assert code == 4
+    assert err == [f"config error: {where}: cannot evaluate {expr!r}: unsupported syntax {call!r}"]
 
 
 ESCAPE = "1 + 0*x + ().__class__.__base__.__subclasses__().__len__()"
@@ -1002,6 +1049,8 @@ def test_source_on_a_trace_slot_is_the_envelope_there():
     "text,args,message",
     [
         (MINIMAL.replace("n_cells = 8", "n_cells = 8\nfoo = 1"), (), "[grid]: unknown key 'foo'"),
+        # the first unknown key in file order, as in every other section
+        (MINIMAL.replace("n_cells = 8", "n_cells = 8\nzeta = 1\nalpha = 2"), (), "[grid]: unknown key 'zeta'"),
         (MINIMAL.replace("n_cells = 8", ""), (), "[grid]: n_cells is required"),
         (MINIMAL.replace("name = timoshenko_damped", "c = 0.5"), (), "[scenario]: name is required"),
         (MINIMAL + "kappa1 = foo(x)\n", (), "[scenario] kappa1: cannot evaluate 'foo(x)': name 'foo' is not defined"),
@@ -1029,8 +1078,8 @@ def test_source_on_a_trace_slot_is_the_envelope_there():
         ),
     ],
     ids=[
-        "grid-unknown-key", "grid-no-n_cells", "scenario-no-name", "undefined-function", "converge-odd-multiple",
-        "converge-odd-quotient", "no-section-header", "unparsable-line",
+        "grid-unknown-key", "grid-two-unknown-keys", "grid-no-n_cells", "scenario-no-name", "undefined-function",
+        "converge-odd-multiple", "converge-odd-quotient", "no-section-header", "unparsable-line",
     ],
 )
 def test_main_config_errors_exit_four(text, args, message, tmp_path, capsys, monkeypatch):

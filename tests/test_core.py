@@ -33,6 +33,13 @@ def test_grid_geometry():
     np.testing.assert_allclose(g.centers, [-0.375, -0.125, 0.125, 0.375])
 
 
+def test_grid_points_are_read_only():
+    g = build_grid(4)
+    for points in (g.nodes, g.centers, g.points(SpaceTag.NODE_INTERIOR)):
+        with pytest.raises(ValueError, match="read-only"):
+            points[0] = 1.0
+
+
 @pytest.mark.parametrize("bad", [0, 1, -3, 2.5, "8"])
 def test_grid_rejects_bad_sizes(bad):
     with pytest.raises(ParameterError, match="n_cells must be an integer >= 2"):
@@ -194,6 +201,21 @@ def test_time_series_validation():
         TimeSeries(times=np.array([0.0, 0.0]), energy=np.zeros(2), traces={})
     with pytest.raises(ParameterError, match="energy record count does not match times"):
         TimeSeries(times=np.array([0.0, 1.0]), energy=np.zeros(3), traces={})
+
+
+def test_time_series_refuses_trace_and_snapshot_counts():
+    times = np.array([0.0, 1.0])
+    with pytest.raises(ParameterError, match="trace record 'tau' does not match times"):
+        TimeSeries(times=times, energy=np.zeros(2), traces={"tau": np.zeros(3)})
+    with pytest.raises(ParameterError, match="snapshot count does not match times"):
+        TimeSeries(times=times, energy=np.zeros(2), traces={}, snapshots=np.zeros((3, 4)))
+
+
+@pytest.mark.parametrize("rho", [0.0, -1.0])
+def test_exp_weighted_norm_refuses_a_nonpositive_rho(rho):
+    W = WeightMatrix(np.ones(1))
+    with pytest.raises(ParameterError, match="rho must be positive"):
+        exp_weighted_norm(np.array([0.0, 1.0]), np.ones((2, 1)), rho, W)
 
 
 def test_exp_weighted_norm_constant_state():

@@ -459,6 +459,16 @@ def test_exact_state_fills_traces_from_bindings():
     assert state[model.layout.offset_of("tau_plus")] == pytest.approx(-0.5)
 
 
+def test_exact_state_leaves_a_trace_without_a_closed_form_field_at_zero():
+    # both traces bind V1, which has no closed form here
+    model = make_sturm_liouville(build_grid(8), SturmLiouvilleParams())
+    state = exact_state(model, {"eta": lambda x, t: x + t}, t=0.25)
+    lay = model.layout
+    assert np.array_equal(state[lay.slice_of("eta")], lay.points_of("eta") + 0.25)
+    assert state[lay.offset_of("tau_minus")] == 0.0 and state[lay.offset_of("tau_plus")] == 0.0
+    assert not state[lay.slice_of("V1")].any()
+
+
 def test_manufactured_source_vanishes_on_zero_fields():
     model = make_timoshenko_damped(build_grid(4), TimoshenkoParams(c=0.5))
     zero = {n: (lambda x, t: np.zeros_like(x)) for n in model.layout.field_names()}
@@ -504,6 +514,15 @@ def test_reconstruct_displacements_requires_snapshots():
         layout=None,
     )
     with pytest.raises(ParameterError, match="displacement reconstruction needs snapshots"):
+        reconstruct_displacements(ts)
+
+
+def test_reconstruct_displacements_requires_a_velocity_block():
+    lay = StateLayout(build_grid(4), (("V1", SpaceTag.CENTER), ("tau", SpaceTag.TRACE)))
+    ts = TimeSeries(
+        times=np.array([0.0, 1.0]), energy=np.zeros(2), traces={}, snapshots=np.zeros((2, lay.dim)), layout=lay
+    )
+    with pytest.raises(ParameterError, match="no velocity blocks to integrate"):
         reconstruct_displacements(ts)
 
 
