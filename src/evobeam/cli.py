@@ -345,6 +345,12 @@ def build_source(s: dict[str, str], model: AssembledModel) -> Callable[[float], 
         raise ConfigError(f"[source] kind: unknown kind {kind!r}")
     envelope, *keys = _ENVELOPES[kind]
     env = envelope(*(_float(s[k], f"[source] {k}") for k in keys), amplitude)
+    # every envelope is amplitude * g(t) with |g| <= 1 and rounding is
+    # monotone, so each source value is finite if amplitude * profile is
+    with np.errstate(over="ignore"):
+        peak = amplitude * profile_vals
+    if not np.isfinite(peak).all():
+        raise ConfigError("[source] amplitude: amplitude * profile is not finite at every sample point")
     return lambda t: profile * env(t)
 
 
@@ -448,6 +454,29 @@ def cmd_check(cfg: RunConfig) -> tuple[list[str], int]:
     return lines, code
 
 
+# The CSV and snapshot files are formatted and written this many values at a
+# time (at least one row), so that the text of a long run is never held
+# whole as Python objects.
+_WRITE_CHUNK_VALUES = 1 << 12
+
+
+def _write_rows(
+    path: str,
+    header: str,
+    cols: list[np.ndarray],
+    lines_of: Callable[[list[list[float]]], list[str]],
+) -> None:
+    """Write the header line, then lines_of(rows) for the rows of
+    column_stack(cols), one bounded chunk of rows at a time."""
+    n_rows, width = len(cols[0]), sum(np.size(c[0]) for c in cols)
+    step = max(_WRITE_CHUNK_VALUES // width, 1)
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, n_rows, step):
+            rows = np.column_stack([c[lo : lo + step] for c in cols]).tolist()
+            fh.write("\n".join(lines_of(rows)) + "\n")
+
+
 def cmd_run(cfg: RunConfig) -> int:
     """Simulate and write the CSV (and optional snapshot file)."""
     model, source = cfg.model, cfg.source_fn
@@ -460,15 +489,18 @@ def cmd_run(cfg: RunConfig) -> int:
     if snap_path:
         lay = model.layout
         keys = [f"{name},{j}," for name in lay.names for j in range(lay.length_of(name))]
-        lines = ["t,block,index,value"]
-        for t, state in zip(ts.times[::stride].tolist(), ts.snapshots[::stride].tolist()):
-            t_key = repr(t) + ","
-            lines += [t_key + key + repr(v) for key, v in zip(keys, state)]
-        Path(snap_path).write_text("\n".join(lines) + "\n")
+
+        def snapshot_lines(rows):
+            lines = []
+            for t, *state in rows:
+                t_key = repr(t) + ","
+                lines += [t_key + key + repr(v) for key, v in zip(keys, state)]
+            return lines
+
+        _write_rows(snap_path, "t,block,index,value", [ts.times[::stride], ts.snapshots[::stride]], snapshot_lines)
     header = ["t"] + (["energy"] if with_energy else []) + [f"trace:{t}" for t in trace_names]
     cols = [ts.times] + ([ts.energy] if with_energy else []) + [ts.traces[t] for t in trace_names]
-    rows = [",".join(header)] + [",".join(map(repr, row)) for row in np.column_stack(cols).tolist()]
-    Path(cfg.output["csv"]).write_text("\n".join(rows) + "\n")
+    _write_rows(cfg.output["csv"], ",".join(header), cols, lambda rows: [",".join(map(repr, row)) for row in rows])
     return 0
 
 

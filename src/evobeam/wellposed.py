@@ -80,8 +80,10 @@ def _w_min_eig(S, W: WeightMatrix) -> float:
     sq = np.sqrt(W.diag)
     sym = sp.coo_matrix(S, dtype=float)
     sym.data = sym.data * sq[sym.row] / sq[sym.col]
-    sym = sym.tocsr()
-    sym = 0.5 * (sym + sym.T)
+    # halved before the sum, so that a finite S stays finite; halving is
+    # exact above the subnormals, where this is 0.5*(sym + sym.T) bit for bit
+    sym = 0.5 * sym.tocsr()
+    sym = sym + sym.T
     if not np.all(np.isfinite(sym.data)):
         raise NumericError("non-finite entries in coercivity operator")
     sym.eliminate_zeros()
@@ -120,14 +122,22 @@ def find_rho0(m0: np.ndarray, M1, c_target: float, W: WeightMatrix) -> float:
 
     Scans rho = 2^k for k in -10..40 and bisects the first bracketing pair;
     monotonicity of c0 in rho (m0 is nonnegative) makes the bisection
-    valid.  No admissible rho in the range raises NotCoerciveError.
+    valid.  No admissible rho in the range raises NotCoerciveError, and so
+    does a scan that overflows rho*diag(m0) + sym(M1) first: sym(M1) is
+    finite and rho*m0 only grows with rho, so no larger rho is finite either.
     """
     if c_target <= 0:
         raise ParameterError("c_target must be positive")
     M0, M1sym = sp.diags(m0, format="csr"), sparse_symmetric_part(M1, W)
+    if not np.isfinite(M1sym.data).all():
+        raise NumericError("non-finite entries in coercivity operator")
 
     def ok(rho: float) -> bool:
-        return _w_min_eig(rho * M0 + M1sym, W) >= c_target
+        with np.errstate(over="ignore"):
+            S = rho * M0 + M1sym
+        if not np.isfinite(S.data).all():
+            raise NotCoerciveError(f"rho*M0 + sym(M1) overflows at rho = {rho!r} before c0 reaches {c_target}")
+        return _w_min_eig(S, W) >= c_target
 
     hit = None
     for k in RHO_SCAN_EXPONENTS:

@@ -1,8 +1,8 @@
 """Config parsing, report formatting, and the four subcommands.
 
-Subcommands are exercised in-process through main(argv); a single
-subprocess test at the end confirms the installed entry point wires up
-the same code path.
+Subcommands are exercised in-process through main(argv); a subprocess
+test at the end confirms the installed entry point wires up the same code
+path, and another compares the peak memory of two runs in children.
 """
 
 import math
@@ -246,6 +246,48 @@ def test_run_files_match_value_by_value_formatting(tmp_path, monkeypatch, stride
                 lines.append(f"{t},{name},{j},{repr(float(v))}")
     assert snaps.read_text() == "\n".join(lines) + "\n"
     assert len(lines) == 1 + len(range(0, 11, stride)) * model.layout.dim
+
+
+# 21 records, of which stride 3 keeps 7 for the snapshot file (38 values
+# each, plus t).  A chunk of 1 or 3 values holds one row, except for the
+# one-column CSV, which 3 splits into 7 whole chunks.  8 leaves a partial
+# last chunk in the one- and two-column CSVs, 100 in the six-column CSV and
+# in the snapshot file.
+@pytest.mark.parametrize("chunk", [1, 3, 8, 100])
+@pytest.mark.parametrize(
+    "energy,traces", [("true", "all"), ("false", "none"), ("true", "none")], ids=["full", "t-only", "energy-only"]
+)
+def test_run_writers_are_byte_identical_across_chunk_ends(chunk, energy, traces, tmp_path, monkeypatch):
+    series, real_run = [], cli.run
+
+    def spy(*args, **kwargs):
+        series.append(real_run(*args, **kwargs))
+        return series[-1]
+
+    monkeypatch.setattr(cli, "run", spy)
+    monkeypatch.setattr(cli, "_WRITE_CHUNK_VALUES", chunk)
+    config = tmp_path / "run.ini"
+    csv, snaps = tmp_path / "run.csv", tmp_path / "snaps.txt"
+    config.write_text(
+        CONSERVATIVE + "\n[source]\nkind = sinusoid\nblock = V1\n"
+        + f"\n[output]\ncsv = {csv}\nsnapshots = {snaps}\nsnapshot_stride = 3\nenergy = {energy}\ntraces = {traces}\n"
+    )
+    assert main(["run", str(config)]) == 0
+    (ts,) = series
+    layout = parse_config(config.read_text()).model.layout
+    names = list(layout.trace_names()) if traces == "all" else []
+    header = ["t"] + (["energy"] if energy == "true" else []) + [f"trace:{t}" for t in names]
+    cols = [ts.times] + ([ts.energy] if energy == "true" else []) + [ts.traces[t] for t in names]
+    rows = [",".join(header)] + [",".join(map(repr, row)) for row in np.column_stack(cols).tolist()]
+    assert csv.read_bytes() == ("\n".join(rows) + "\n").encode()
+    keys = [f"{name},{j}," for name in layout.names for j in range(layout.length_of(name))]
+    lines = ["t,block,index,value"] + [
+        f"{t!r},{key}{v!r}"
+        for t, state in zip(ts.times[::3].tolist(), ts.snapshots[::3].tolist())
+        for key, v in zip(keys, state)
+    ]
+    assert snaps.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert len(rows) == 1 + 21 and len(lines) == 1 + 7 * layout.dim
 
 
 def test_cmd_converge_validation():
@@ -523,6 +565,22 @@ def test_main_overflowing_law_exits_two(args, tmp_path, capsys):
     assert err == ["error: non-finite entries in coercivity operator"]
 
 
+def test_main_check_rho_scan_that_overflows_is_unreachable(tmp_path, capsys):
+    # c0 = 1e-300 at rho = 1, and rho*1e300 overflows at rho = 2^28, long
+    # before the scan reaches c_target: the report is whole, with no warning
+    path = tmp_path / "cfg.ini"
+    path.write_text(MINIMAL + "kappa1 = 1e300\nnu1 = 1e-300\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert captured.out.splitlines() == [
+        f"c0={fmt17(1e-300)}", "rho0=unreachable", f"bound={fmt17(1 / 1e-300)}", f"skew_defect={fmt17(0.0)}",
+        "nevanlinna=pass",
+    ]
+
+
 def test_main_probe_overflowing_bound_exits_two(tmp_path, capsys):
     text = MINIMAL + "d = 0\n\n[scheme]\nrho = 1e-310\n\n[source]\nkind = sinusoid\n"
     code, err = _main_fails_once("probe", text, tmp_path, capsys, "--kind", "bound")
@@ -603,10 +661,15 @@ def test_source_kinds_equal_profile_times_envelope(kind, keys, envelope):
         ("kind = zero\nblock = eta", "[source] block: not read by kind = zero"),
         ("kind = gaussian\nfrequency = 2.0", "[source] frequency: not read by kind = gaussian"),
         ("kind = bump\ncenter = 0.5", "[source] center: not read by kind = bump"),
+        (
+            # 2 * 1e308 is not a float: refused before a step, with no numpy warning
+            "kind = sinusoid\nprofile = 2.0\namplitude = 1e308",
+            "[source] amplitude: amplitude * profile is not finite at every sample point",
+        ),
     ],
     ids=[
         "unknown-kind", "gaussian-width", "bump-support", "sinusoid-frequency", "unknown-block", "zero-amplitude",
-        "zero-block", "gaussian-frequency", "bump-center",
+        "zero-block", "gaussian-frequency", "bump-center", "overflowing-amplitude",
     ],
 )
 def test_main_rejects_bad_source(source, message, tmp_path, capsys):
@@ -700,6 +763,38 @@ def test_console_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "c0=5.0000000000000000e-1"
+
+
+def _peak_rss_mb(argv: list[str], env: dict[str, str]) -> float:
+    """Run a child and return its own peak resident set size in MB."""
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    return usage.ru_maxrss / 1024.0  # kB on Linux
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is counted in kB on Linux only")
+def test_run_output_memory_does_not_grow_with_the_records(tmp_path):
+    # 5,001 and 51 records of a 134-value state, each with a snapshot file:
+    # the series itself differs by 5.4 MB, while text held whole would
+    # differ by about 120 MB
+    src = str(Path(evobeam.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    peaks = []
+    for t_end in ("0.5", "0.005"):
+        path = tmp_path / f"{t_end}.ini"
+        path.write_text(
+            "[grid]\nn_cells = 32\n\n[scenario]\nname = full_dynamic\n\n"
+            f"[scheme]\ndt = 0.0001\nt_end = {t_end}\n\n"
+            "[source]\nkind = sinusoid\nblock = V1\nfrequency = 2.0\n\n"
+            "[initial]\nkind = random\namplitude = 0.1\nseed = 1\n\n"
+            f"[output]\ncsv = {tmp_path / t_end}.csv\nsnapshots = {tmp_path / t_end}.txt\n"
+        )
+        peaks.append(_peak_rss_mb([sys.executable, "-m", "evobeam", "run", str(path)], env))
+    assert (tmp_path / "0.5.txt").read_bytes().count(b"\n") == 1 + 5001 * 134
+    assert peaks[0] - peaks[1] < 20.0
 
 
 @pytest.mark.parametrize(

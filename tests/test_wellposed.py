@@ -332,6 +332,23 @@ def test_find_rho0_failure_and_validation():
         find_rho0(np.ones(2), np.zeros((2, 2)), 0.0, W)
 
 
+def test_find_rho0_scan_ends_where_the_law_overflows():
+    W = _ones_weight(2)
+    # c0 = 0 at every finite rho; rho*1e300 overflows at rho = 2^28, before
+    # the scan's end at 2^40, and no larger rho is finite either
+    with pytest.raises(NotCoerciveError, match=r"overflows at rho = 268435456\.0 "):
+        find_rho0(np.array([1e300, 0.0]), np.zeros((2, 2)), 0.1, W)
+    # a law that is not finite at any rho is a numeric fault, not a scan result
+    with pytest.raises(NumericError, match="non-finite entries in coercivity operator"):
+        find_rho0(np.ones(2), np.diag([np.inf, 0.0]), 0.1, W)
+
+
+def test_coercivity_of_a_finite_law_near_the_float_range():
+    # the symmetrization halves before it adds, so a finite law stays finite
+    big = 1.5e308
+    assert coercivity(np.array([1.0]), np.zeros((1, 1)), big, _ones_weight(1)) == big
+
+
 def test_nevanlinna_spec_validation_and_evaluate():
     with pytest.raises(ParameterError):
         NevanlinnaSpec(0.0, 0.0)
