@@ -3,7 +3,9 @@
 Sections: [grid] [scenario] [scheme] [source] [initial] [output].  Every
 key has a default except grid.n_cells and scenario.name, and parsing fills
 defaults in.  Exit statuses are a stable contract: 0 pass, 2 failed check
-or probe, 3 I/O, 4 usage or config error.
+or probe, 3 I/O, 4 usage or config error.  With --stats PATH, a command
+that reaches its report (exit 0 or 2 without an error line) also writes a
+JSON record of its phase times and numbers to PATH.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import operator
 import os
 import sys
+import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
@@ -37,6 +40,7 @@ from .integrate import (
     bound_probe,
     causality_probe,
     factor,
+    factor_stats,
     run,
 )
 from .scenarios import (
@@ -422,6 +426,38 @@ def fmt17(x: float) -> str:
 # ---------------------------------------------------------------------------
 # commands
 
+# The keys of a --stats record, in order.  A value that the command does not
+# compute stays None (JSON null); the phase times (*_s, in seconds) add up
+# over repeated calls, as in converge.
+_STATS_KEYS = (
+    "command", "scenario", "n_cells", "dim", "n_steps",
+    "parse_s", "check_s", "factor_s", "step_s", "write_s",
+    "nnz_lu", "pivot_growth", "c0", "rho0", "skew_defect",
+    "max_energy_residual", "final_energy",
+)
+
+
+def _note(stats: dict | None, phase: str, start: float, **values) -> None:
+    """Add the seconds since start to a phase of a --stats record and store
+    values in it; nothing without a record."""
+    if stats is not None:
+        stats[phase] = (stats[phase] or 0.0) + (time.perf_counter() - start)
+        stats.update(values)
+
+
+def _factor(model: AssembledModel, scheme: SchemeParams, stats: dict | None):
+    """factor, timed into a --stats record with the largest LU size and
+    pivot growth so far."""
+    start = time.perf_counter()
+    sys_ = factor(model, scheme)
+    if stats is not None:
+        _note(stats, "factor_s", start)
+        nnz, growth = factor_stats(sys_)
+        stats["nnz_lu"] = max(nnz, stats["nnz_lu"] or 0)
+        stats["pivot_growth"] = max(growth, stats["pivot_growth"] or 0.0)
+    return sys_
+
+
 def _bound(c0: float) -> float:
     """The solution operator's bound 1/c0 of a coercive law (c0 > 0)."""
     bound = 1.0 / c0
@@ -430,15 +466,18 @@ def _bound(c0: float) -> float:
     return bound
 
 
-def cmd_check(cfg: RunConfig) -> tuple[list[str], int]:
+def cmd_check(cfg: RunConfig, stats: dict | None = None) -> tuple[list[str], int]:
     """Well-posedness report: c0, rho0, bound, skew defect, trace laws."""
     model = cfg.model
+    start = time.perf_counter()
     c0 = coercivity(model.m0, model.M1, cfg.scheme_params.rho, model.W)
     if c0 <= 0:
+        _note(stats, "check_s", start, c0=c0)
         return ["c0<=0"], 2
     bound = _bound(c0)
     lines = [f"c0={fmt17(c0)}"]
     code = 0
+    rho0 = None
     try:
         rho0 = find_rho0(model.m0, model.M1, cfg.c_target, model.W)
         lines.append(f"rho0={fmt17(rho0)}")
@@ -446,11 +485,13 @@ def cmd_check(cfg: RunConfig) -> tuple[list[str], int]:
         lines.append("rho0=unreachable")
         code = 2
     lines.append(f"bound={fmt17(bound)}")
-    lines.append(f"skew_defect={fmt17(skew_defect(model.A, model.W))}")
+    defect = skew_defect(model.A, model.W)
+    lines.append(f"skew_defect={fmt17(defect)}")
     ok = all(nevanlinna_check(b.law) for b in model.traces.values())
     lines.append(f"nevanlinna={'pass' if ok else 'fail'}")
     if not ok:
         code = 2
+    _note(stats, "check_s", start, c0=c0, rho0=rho0, skew_defect=defect)
     return lines, code
 
 
@@ -477,14 +518,18 @@ def _write_rows(
             fh.write("\n".join(lines_of(rows)) + "\n")
 
 
-def cmd_run(cfg: RunConfig) -> int:
+def cmd_run(cfg: RunConfig, stats: dict | None = None) -> int:
     """Simulate and write the CSV (and optional snapshot file)."""
-    model, source = cfg.model, cfg.source_fn
+    model, source, scheme = cfg.model, cfg.source_fn, cfg.scheme_params
     u0 = consistent_initial_state(model, cfg.initial_state, source(0.0))
-    sys_ = factor(model, cfg.scheme_params)
+    sys_ = _factor(model, scheme, stats)
     with_energy, trace_names, stride = cfg.output_sel
     snap_path = cfg.output["snapshots"]
-    ts = run(sys_, u0, source, snapshots=bool(snap_path))
+    start = time.perf_counter()
+    residual = stats is not None and scheme.theta == 0.5
+    ts = run(sys_, u0, source, snapshots=bool(snap_path), energy_residual=residual)
+    _note(stats, "step_s", start, max_energy_residual=ts.max_energy_residual, final_energy=float(ts.energy[-1]))
+    start = time.perf_counter()
     # the CSV goes last, so a run whose snapshot file fails leaves no CSV
     if snap_path:
         lay = model.layout
@@ -501,6 +546,7 @@ def cmd_run(cfg: RunConfig) -> int:
     header = ["t"] + (["energy"] if with_energy else []) + [f"trace:{t}" for t in trace_names]
     cols = [ts.times] + ([ts.energy] if with_energy else []) + [ts.traces[t] for t in trace_names]
     _write_rows(cfg.output["csv"], ",".join(header), cols, lambda rows: [",".join(map(repr, row)) for row in rows])
+    _note(stats, "write_s", start)
     return 0
 
 
@@ -527,7 +573,7 @@ def _restrict(fine_model: AssembledModel, coarse_model: AssembledModel, u: np.nd
     return out
 
 
-def cmd_converge(cfg: RunConfig, levels: list[int]) -> tuple[list[str], int]:
+def cmd_converge(cfg: RunConfig, levels: list[int], stats: dict | None = None) -> tuple[list[str], int]:
     """Grid refinement study: the W-norm error at t_end on each level and
     the fitted slope of log(error) against log(h).  Each level steps with
     the configured t_end and theta at its own dt (h for MMS, 1/n otherwise).
@@ -568,8 +614,11 @@ def cmd_converge(cfg: RunConfig, levels: list[int]) -> tuple[list[str], int]:
             source = build_source(cfg.source, model)
             u0 = consistent_initial_state(model, build_initial(cfg.initial, model), source(0.0))
         scheme = SchemeParams(dt=t_end / steps, t_end=t_end, theta=theta, record_every=steps)
-        sys_ = factor(model, scheme)
-        return model, run(sys_, u0, source)
+        sys_ = _factor(model, scheme, stats)
+        start = time.perf_counter()
+        ts = run(sys_, u0, source)
+        _note(stats, "step_s", start)
+        return model, ts
 
     if spec.self_reference:
         ref_model, ref_ts = solve(n_ref)
@@ -592,7 +641,9 @@ def cmd_converge(cfg: RunConfig, levels: list[int]) -> tuple[list[str], int]:
     return lines, 0 if slope >= 1.9 else 2
 
 
-def cmd_probe(cfg: RunConfig, kind: str, a: float | None = None) -> tuple[list[str], int]:
+def cmd_probe(
+    cfg: RunConfig, kind: str, a: float | None = None, stats: dict | None = None
+) -> tuple[list[str], int]:
     model, scheme, source = cfg.model, cfg.scheme_params, cfg.source_fn
     if kind == "causality":
         if a is None:
@@ -604,18 +655,26 @@ def cmd_probe(cfg: RunConfig, kind: str, a: float | None = None) -> tuple[list[s
         profile = embed_block(model.layout, pulse_block, 1.0)
         pulse = bump_envelope(t0, scheme.t_end)
         pulsed = lambda t: source(t) + profile * pulse(t)
-        dev = causality_probe(factor(model, scheme), source, pulsed, a)
+        sys_ = _factor(model, scheme, stats)
+        start = time.perf_counter()
+        dev = causality_probe(sys_, source, pulsed, a)
+        _note(stats, "step_s", start)
         return [f"max_dev_before_a={fmt17(dev)}"], 0 if dev <= 1e-13 else 2
     if kind == "bound":
+        start = time.perf_counter()
         c0 = coercivity(model.m0, model.M1, scheme.rho, model.W)
+        _note(stats, "check_s", start, c0=c0)
         if c0 <= 0:
             return ["c0<=0"], 2
         if not scheme.rho > 0:
             raise ConfigError(f"[scheme] rho: the bound probe needs rho > 0, got {cfg.scheme['rho']!r}")
+        sys_ = _factor(model, scheme, stats)
+        start = time.perf_counter()
         try:
-            ratio = bound_probe(factor(model, scheme), source)
+            ratio = bound_probe(sys_, source)
         except UndefinedRatioError as exc:
             raise ConfigError(str(exc)) from exc
+        _note(stats, "step_s", start)
         bound = _bound(c0)
         return [f"ratio={fmt17(ratio)}", f"limit={fmt17(bound)}"], 0 if ratio <= 1.05 * bound else 2
     raise ConfigError(f"unknown probe kind {kind!r}")
@@ -635,6 +694,7 @@ def main(argv=None) -> int:
     for name in ("check", "run", "converge", "probe"):
         p = sub.add_parser(name)
         p.add_argument("config", help="path to an INI config")
+        p.add_argument("--stats", metavar="PATH", help="also write a JSON record of phase times and numbers")
         if name == "converge":
             p.add_argument("--levels", required=True, help="comma-separated n_cells")
         if name == "probe":
@@ -650,17 +710,34 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 3
+    stats = None if args.stats is None else dict.fromkeys(_STATS_KEYS)
     try:
+        start = time.perf_counter()
         cfg = parse_config(text)
+        _note(
+            stats, "parse_s", start, command=args.command, scenario=cfg.scenario, n_cells=cfg.n_cells,
+            dim=cfg.model.layout.dim, n_steps=cfg.scheme_params.n_steps,
+        )
+        if stats is not None and args.command == "run":
+            for key in ("csv", "snapshots"):
+                if cfg.output[key] and os.path.realpath(args.stats) == os.path.realpath(cfg.output[key]):
+                    raise ConfigError(f"--stats: {args.stats!r} is the same file as [output] {key}")
         if args.command == "check":
-            lines, code = cmd_check(cfg)
+            lines, code = cmd_check(cfg, stats)
         elif args.command == "run":
-            lines, code = [], cmd_run(cfg)
+            lines, code = [], cmd_run(cfg, stats)
         elif args.command == "converge":
             levels = [_int(v.strip(), "--levels") for v in args.levels.split(",") if v.strip()]
-            lines, code = cmd_converge(cfg, levels)
+            lines, code = cmd_converge(cfg, levels, stats)
         else:
-            lines, code = cmd_probe(cfg, args.kind, args.a)
+            lines, code = cmd_probe(cfg, args.kind, args.a, stats)
+        if stats is not None:
+            import json
+
+            # last, so that the record holds every phase; a path that cannot
+            # be written exits 3 like any other output file
+            with open(args.stats, "w") as fh:
+                fh.write(json.dumps(stats) + "\n")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 4

@@ -237,13 +237,16 @@ def energy(u, m0: np.ndarray, W: WeightMatrix):
 
 @dataclass
 class TimeSeries:
-    """Sampled trajectory: energies, named trace values, optional snapshots."""
+    """Sampled trajectory: energies, named trace values, optional snapshots,
+    and the largest energy-balance residual of the steps when the run was
+    asked for it."""
 
     times: np.ndarray
     energy: np.ndarray
     traces: dict[str, np.ndarray]
     snapshots: np.ndarray | None = None
     layout: StateLayout | None = None
+    max_energy_residual: float | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)

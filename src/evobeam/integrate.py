@@ -33,6 +33,7 @@ __all__ = [
     "SchemeParams",
     "SteppingSystem",
     "factor",
+    "factor_stats",
     "step",
     "run",
     "energy_balance_residual",
@@ -84,6 +85,18 @@ class SteppingSystem:
     _lu: sp.linalg.SuperLU = field(repr=False)
 
 
+def _stepping_matrix(model: AssembledModel, scheme: SchemeParams) -> sp.csr_matrix:
+    """L = diag(m0) + theta*dt*(M1 + A), after checking the shapes."""
+    M1m, Am = sp.csr_matrix(model.M1), sp.csr_matrix(model.A)
+    n = model.layout.dim
+    if np.shape(model.m0) != (n,):
+        raise ParameterError(f"m0 has shape {np.shape(model.m0)}, layout needs ({n},)")
+    for name, m in (("M1", M1m), ("A", Am)):
+        if m.shape != (n, n):
+            raise ParameterError(f"{name} has shape {m.shape}, layout needs ({n}, {n})")
+    return (sp.diags(model.m0) + scheme.theta * scheme.dt * (M1m + Am)).tocsr()
+
+
 def factor(model: AssembledModel, scheme: SchemeParams) -> SteppingSystem:
     """Build and LU-factor L = diag(m0) + theta*dt*(M1 + A).
 
@@ -103,21 +116,21 @@ def factor(model: AssembledModel, scheme: SchemeParams) -> SteppingSystem:
     """
     from scipy.sparse.linalg import splu
 
-    M1m, Am = sp.csr_matrix(model.M1), sp.csr_matrix(model.A)
-    n = model.layout.dim
-    if np.shape(model.m0) != (n,):
-        raise ParameterError(f"m0 has shape {np.shape(model.m0)}, layout needs ({n},)")
-    for name, m in (("M1", M1m), ("A", Am)):
-        if m.shape != (n, n):
-            raise ParameterError(f"{name} has shape {m.shape}, layout needs ({n}, {n})")
-    L = (sp.diags(model.m0) + scheme.theta * scheme.dt * (M1m + Am)).tocsr()
     try:
-        lu = splu(L.tocsc(), diag_pivot_thresh=0.0)
+        lu = splu(_stepping_matrix(model, scheme).tocsc(), diag_pivot_thresh=0.0)
     except RuntimeError as exc:
         # outside the well-posed class, e.g. a trace slot with no inertia,
         # no damping and no coupling
         raise NumericError(f"stepping matrix is singular: {exc}") from exc
     return SteppingSystem(model, scheme, model.m0 / scheme.theta, lu)
+
+
+def factor_stats(sys_: SteppingSystem) -> tuple[int, float]:
+    """nnz(L) + nnz(U) of the LU factors, and the pivot growth max|U| over
+    max|L_in|, the largest entry of U over that of the stepping matrix."""
+    lu = sys_._lu
+    growth = abs(lu.U).max() / abs(_stepping_matrix(sys_.model, sys_.scheme)).max()
+    return lu.L.nnz + lu.U.nnz, float(growth)
 
 
 def step(sys_: SteppingSystem, u_n: np.ndarray, f_mid: np.ndarray) -> np.ndarray:
@@ -151,6 +164,7 @@ def run(
     source: Callable[[float], np.ndarray],
     *,
     snapshots: bool = True,
+    energy_residual: bool = False,
 ) -> TimeSeries:
     """March from t = 0 to t_end, recording every record_every-th state.
 
@@ -158,7 +172,16 @@ def run(
     ``snapshots`` is true (otherwise the series carries ``snapshots=None``).
     Each recorded energy is bitwise ``core.energy`` of the recorded state;
     a state or recorded energy that is not finite raises NumericError, and
-    so do records too large to allocate.
+    so do records too large to allocate.  Each step is bitwise ``step``.
+
+    With ``energy_residual`` (theta = 1/2 only) the series also carries the
+    largest |energy_balance_residual| over every step, recorded or not.
+
+    Finiteness is checked once per buffer of records and on the final
+    state, not on every step: a non-finite entry of a state makes the next
+    state non-finite too (m0*u, the LU solve and the subtraction all carry
+    it), so a state that goes bad at an unrecorded step is caught when the
+    buffer is next flushed or by the check on the final state.
     """
     layout, m0, W = sys_.model.layout, sys_.model.m0, sys_.model.W
     if np.shape(u0) != (layout.dim,):
@@ -167,6 +190,11 @@ def run(
     trace_at = np.array([layout.offset_of(name) for name in trace_names], dtype=int)
     scheme = sys_.scheme
     n_steps, every, dt, theta = scheme.n_steps, scheme.record_every, scheme.dt, scheme.theta
+    S = None
+    if energy_residual:
+        if theta != 0.5:
+            raise ParameterError("energy balance identity requires theta = 1/2")
+        S = sparse_symmetric_part(sys_.model.M1, W)
     n_rec = n_steps // every + 1
     try:
         energies = np.empty(n_rec)
@@ -180,8 +208,9 @@ def run(
     def flush(count: int):
         nonlocal done
         U = buf[:count]
-        with np.errstate(over="ignore", invalid="ignore"):
-            energies[done : done + count] = energy(U, m0, W)
+        if not np.isfinite(U).all():
+            raise NumericError("time step produced non-finite state")
+        energies[done : done + count] = energy(U, m0, W)
         if not np.isfinite(energies[done : done + count]).all():
             raise NumericError("recorded energy is not finite")
         traces[:, done : done + count] = U[:, trace_at].T
@@ -189,27 +218,59 @@ def run(
             snaps[done : done + count] = U
         done += count
 
-    def recorded_states():
-        u = np.asarray(u0, dtype=float)
-        yield u
+    solve, m0_over_theta = sys_._lu.solve, sys_.m0_over_theta
+    c = (1.0 - theta) / theta
+    rhs = np.empty(layout.dim)
+    max_residual = 0.0
+    u = np.asarray(u0, dtype=float)
+    buf[0] = u
+    row = 1
+    # a non-finite state raises at its flush; until then its arithmetic
+    # must not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        if row == len(buf):
+            flush(row)
+            row = 0
         for k in range(n_steps):
-            u = step(sys_, u, source((k + theta) * dt))
+            f = source((k + theta) * dt)
+            # the operations of step, in its order, into one reused buffer
+            np.multiply(m0_over_theta, u, out=rhs)
+            rhs += dt * f
+            u_next = solve(rhs)
+            u_next -= u if c == 1.0 else c * u  # 1.0*u is u exactly
+            if S is not None:
+                # np.maximum, unlike max, keeps a NaN residual
+                max_residual = np.maximum(max_residual, abs(_balance_residual(u, u_next, f, m0, S, W, dt)))
+            u = u_next
             if (k + 1) % every == 0:
-                yield u
-
-    for i, u in enumerate(recorded_states()):
-        buf[i - done] = u
-        if i + 1 - done == len(buf):
-            flush(len(buf))
-    if done < n_rec:
-        flush(n_rec - done)
+                buf[row] = u
+                row += 1
+                if row == len(buf):
+                    flush(row)
+                    row = 0
+        # before the last partial buffer, so that, as with a check on every
+        # step, a later non-finite state wins over an energy overflow there
+        if not np.isfinite(u).all():
+            raise NumericError("time step produced non-finite state")
+        if row:
+            flush(row)
     return TimeSeries(
         times=np.arange(n_rec) * every * dt,
         energy=energies,
         traces=dict(zip(trace_names, traces)),
         snapshots=snaps,
         layout=layout,
+        max_energy_residual=float(max_residual) if energy_residual else None,
     )
+
+
+def _balance_residual(u_n, u_np1, f_mid, m0, S, W, dt) -> float:
+    u_mid = 0.5 * (u_n + u_np1)
+    e0 = energy(u_n, m0, W)
+    e1 = energy(u_np1, m0, W)
+    dissipated = weighted_inner(u_mid, S @ u_mid, W)
+    injected = weighted_inner(u_mid, f_mid, W)
+    return e1 - e0 + dt * (dissipated - injected)
 
 
 def energy_balance_residual(
@@ -222,12 +283,7 @@ def energy_balance_residual(
     if sys_.scheme.theta != 0.5:
         raise ParameterError("energy balance identity requires theta = 1/2")
     m0, M1, W = sys_.model.m0, sys_.model.M1, sys_.model.W
-    u_mid = 0.5 * (u_n + u_np1)
-    e0 = energy(u_n, m0, W)
-    e1 = energy(u_np1, m0, W)
-    dissipated = weighted_inner(u_mid, sparse_symmetric_part(M1, W) @ u_mid, W)
-    injected = weighted_inner(u_mid, f_mid, W)
-    return e1 - e0 + sys_.scheme.dt * (dissipated - injected)
+    return _balance_residual(u_n, u_np1, f_mid, m0, sparse_symmetric_part(M1, W), W, sys_.scheme.dt)
 
 
 def causality_probe(

@@ -58,6 +58,9 @@ def sparse_symmetric_part(M, W: WeightMatrix) -> sp.csr_matrix:
 
     Works on the nonzeros only: entry (i, j) of the transpose is scaled as
     M[j, i] * w[j] / w[i], the same operations as on the dense array.
+    Each term is halved before the sum, so that a finite M gives a finite
+    result; halving is exact above the subnormals, where this is
+    0.5*(M + W^{-1} M^T W) bit for bit.
     """
     Ms = sp.csr_matrix(M, dtype=float, copy=True)
     if Ms.shape[0] != Ms.shape[1] or Ms.shape[0] != W.dim:
@@ -65,7 +68,7 @@ def sparse_symmetric_part(M, W: WeightMatrix) -> sp.csr_matrix:
     Ms.sum_duplicates()
     Mt = Ms.T.tocoo()
     Mt.data = Mt.data * W.diag[Mt.col] / W.diag[Mt.row]
-    return 0.5 * (Ms + Mt.tocsr())
+    return 0.5 * Ms + 0.5 * Mt.tocsr()
 
 
 def _w_min_eig(S, W: WeightMatrix) -> float:

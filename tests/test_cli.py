@@ -5,6 +5,7 @@ test at the end confirms the installed entry point wires up the same code
 path, and another compares the peak memory of two runs in children.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -21,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 import evobeam
 from evobeam import cli, scenarios
 from evobeam.core import bump_envelope, gaussian_envelope, sinusoid_envelope
+from evobeam.integrate import factor_stats
 from evobeam.wellposed import NevanlinnaSpec
 from evobeam.cli import (
     ConfigError,
@@ -1185,3 +1187,172 @@ def test_main_config_errors_exit_four(text, args, message, tmp_path, capsys, mon
     assert code == 4
     assert err == [f"config error: {message}"]
 
+
+# ---------------------------------------------------------------------------
+# the --stats record
+
+STATS_KEYS = [
+    "command", "scenario", "n_cells", "dim", "n_steps",
+    "parse_s", "check_s", "factor_s", "step_s", "write_s",
+    "nnz_lu", "pivot_growth", "c0", "rho0", "skew_defect",
+    "max_energy_residual", "final_energy",
+]
+
+STATS_CONFIG = MINIMAL + "[scheme]\ndt = 0.25\n[source]\nkind = gaussian\nblock = eta\n"
+
+# each command's arguments and the keys its record fills beside the five
+# that describe the config; every other key is null
+STATS_CASES = {
+    "check": (("check",), {"parse_s", "check_s", "c0", "rho0", "skew_defect"}),
+    "run": (
+        ("run",),
+        {"parse_s", "factor_s", "step_s", "write_s", "nnz_lu", "pivot_growth", "max_energy_residual", "final_energy"},
+    ),
+    "converge": (("converge", "--levels", "4,8,16"), {"parse_s", "factor_s", "step_s", "nnz_lu", "pivot_growth"}),
+    "probe-bound": (
+        ("probe", "--kind", "bound"), {"parse_s", "check_s", "factor_s", "step_s", "nnz_lu", "pivot_growth", "c0"}
+    ),
+    "probe-causality": (
+        ("probe", "--kind", "causality", "--a", "0.5"), {"parse_s", "factor_s", "step_s", "nnz_lu", "pivot_growth"}
+    ),
+}
+
+
+def _main_in(directory, text, args, stats=None, snapshots=False):
+    """Run main on text with its output files in a new directory; return the
+    exit code and the parsed record, None when none was written."""
+    directory.mkdir()
+    path = directory / "cfg.ini"
+    output = f"\n[output]\ncsv = {directory / 'out.csv'}\n"
+    if snapshots:
+        output += f"snapshots = {directory / 'snap.txt'}\n"
+    path.write_text(text + output)
+    extra = ["--stats", str(directory / stats)] if stats else []
+    code = main([args[0], str(path), *args[1:], *extra])
+    record = directory / (stats or "no-record")
+    return code, json.loads(record.read_text()) if record.exists() else None
+
+
+@pytest.mark.parametrize("case", sorted(STATS_CASES))
+def test_stats_record_keys(case, tmp_path, capsys):
+    args, filled = STATS_CASES[case]
+    code, record = _main_in(tmp_path / "a", STATS_CONFIG, args, stats="stats.json")
+    assert code == 0
+    assert list(record) == STATS_KEYS
+    assert {k for k, v in record.items() if v is not None} == filled | set(STATS_KEYS[:5])
+    assert record["command"] == args[0] and record["scenario"] == "timoshenko_damped"
+    assert (record["n_cells"], record["dim"], record["n_steps"]) == (8, 32, 4)
+    assert all(record[k] >= 0.0 for k in STATS_KEYS if k.endswith("_s") and k in filled)
+    out = capsys.readouterr().out.splitlines()
+    if case == "check":
+        assert out[0] == f"c0={fmt17(record['c0'])}" and out[1] == f"rho0={fmt17(record['rho0'])}"
+        assert out[3] == f"skew_defect={fmt17(record['skew_defect'])}"
+    if case == "run":
+        last = (tmp_path / "a" / "out.csv").read_text().splitlines()[-1].split(",")
+        assert float(last[1]) == record["final_energy"]
+        assert 0.0 <= record["max_energy_residual"] < 1e-15
+
+
+def test_stats_run_residual_is_null_off_the_midpoint_rule(tmp_path, capsys):
+    text = STATS_CONFIG.replace("dt = 0.25", "dt = 0.25\ntheta = 0.75")
+    code, record = _main_in(tmp_path / "a", text, ("run",), stats="stats.json")
+    assert code == 0
+    assert record["max_energy_residual"] is None and record["final_energy"] is not None
+
+
+def test_stats_factor_numbers_are_those_of_the_lu(tmp_path, capsys):
+    code, record = _main_in(tmp_path / "a", STATS_CONFIG, ("run",), stats="stats.json")
+    cfg = parse_config(STATS_CONFIG)
+    assert code == 0
+    assert (record["nnz_lu"], record["pivot_growth"]) == factor_stats(cli.factor(cfg.model, cfg.scheme_params))
+
+
+_NOT_COERCIVE = "[grid]\nn_cells = 8\n[scenario]\nname = dynamic_inertia\n[scheme]\nrho = 0.0\n"
+
+
+@pytest.mark.parametrize(
+    "text,args",
+    [
+        (STATS_CONFIG, ("check",)),
+        (STATS_CONFIG, ("run",)),
+        (STATS_CONFIG, ("converge", "--levels", "4,8,16")),
+        (STATS_CONFIG, ("probe", "--kind", "bound")),
+        (STATS_CONFIG, ("probe", "--kind", "causality", "--a", "0.5")),
+        (_NOT_COERCIVE, ("check",)),
+        (_NOT_COERCIVE + "[source]\nkind = gaussian\nblock = eta\n", ("probe", "--kind", "bound")),
+        (MINIMAL + "[source]\nkind = sinusoid\nblock = eta\nfrequency = 1e308\n", ("run",)),
+        (MINIMAL + "c = -1\n", ("check",)),
+    ],
+    ids=[
+        "check", "run", "converge", "probe-bound", "probe-causality", "check-not-coercive", "probe-not-coercive",
+        "run-error", "config-error",
+    ],
+)
+def test_stats_leaves_stdout_stderr_files_and_exit_code_alone(text, args, tmp_path, capsys):
+    runs = []
+    for name, stats in (("plain", None), ("stats", "stats.json")):
+        code, _ = _main_in(tmp_path / name, text, args, stats, snapshots=True)
+        files = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir() if p.suffix in (".csv", ".txt")}
+        runs.append((code, capsys.readouterr(), files))
+    (code, out, files), (code_s, out_s, files_s) = runs
+    assert (code, out.out, out.err) == (code_s, out_s.out, out_s.err)
+    assert files == files_s
+    assert ("out.csv" in files) == (args[0] == "run" and code == 0)
+
+
+# exit 0, or 2 with a report and no error line: a record; any error line
+# (exit 2, 3 or 4): none
+@pytest.mark.parametrize(
+    "text,args,code,written",
+    [
+        (STATS_CONFIG, ("check",), 0, True),
+        (STATS_CONFIG, ("run",), 0, True),
+        (_NOT_COERCIVE, ("check",), 2, True),
+        (STATS_CONFIG, ("converge", "--levels", "4,8,16"), 0, True),
+        (MINIMAL + "[scheme]\ntheta = 1.0\n", ("converge", "--levels", "4,8,16"), 2, True),
+        (MINIMAL + "[source]\nkind = sinusoid\nblock = eta\nfrequency = 1e308\n", ("run",), 2, False),
+        (MINIMAL + "c = -1\n", ("check",), 4, False),
+    ],
+    ids=["check-0", "run-0", "check-2", "converge-0", "converge-2", "run-error-2", "config-error-4"],
+)
+def test_stats_record_is_written_by_a_command_that_reaches_its_report(text, args, code, written, tmp_path, capsys):
+    got, record = _main_in(tmp_path / "a", text, args, stats="stats.json")
+    err = capsys.readouterr().err
+    assert got == code
+    assert (record is not None) == written == (err == "")
+
+
+def test_stats_unwritable_path_exits_three(tmp_path, capsys):
+    code, record = _main_in(tmp_path / "a", STATS_CONFIG, ("check",), stats="missing/stats.json")
+    captured = capsys.readouterr()
+    assert code == 3 and record is None
+    assert captured.out == ""
+    assert captured.err.startswith("i/o error: ") and len(captured.err.splitlines()) == 1
+
+
+def test_stats_unreadable_config_exits_three_without_a_record(tmp_path, capsys):
+    stats = tmp_path / "stats.json"
+    assert main(["check", str(tmp_path / "missing.ini"), "--stats", str(stats)]) == 3
+    assert not stats.exists()
+
+
+@pytest.mark.parametrize("key", ["csv", "snapshots"])
+def test_stats_refuses_the_path_of_a_run_output(key, tmp_path, capsys):
+    path = tmp_path / "cfg.ini"
+    path.write_text(STATS_CONFIG + f"[output]\ncsv = {tmp_path / 'out.csv'}\nsnapshots = {tmp_path / 'snap.txt'}\n")
+    code = main(["run", str(path), "--stats", str(tmp_path / ("out.csv" if key == "csv" else "snap.txt"))])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("config error: --stats: ")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_main_check_accepts_a_law_above_half_the_float_range(tmp_path, capsys):
+    # sym(M1) is the finite diagonal d; its halves are summed, not its terms
+    path = tmp_path / "cfg.ini"
+    path.write_text(MINIMAL + "d = 1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out.splitlines()[0] == "c0=5.0000000000000000e-1"

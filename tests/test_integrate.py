@@ -187,6 +187,16 @@ def test_factor_is_fill_free(n):
     assert sys_._lu.L.nnz + sys_._lu.U.nnz <= 10 * model.layout.dim
 
 
+def test_factor_stats_reads_the_lu_and_the_stepping_matrix():
+    scheme = SchemeParams(dt=0.05, t_end=1.0)
+    model, sys_ = _beam_system(8, TimoshenkoParams(c=0.5, I_tilde=0.1, d=0.2), scheme)
+    L_in = sp.csc_matrix(sp.diags(model.m0) + 0.5 * 0.05 * (model.M1 + model.A))
+    lu = spla.splu(L_in, diag_pivot_thresh=0.0)
+    assert integrate.factor_stats(sys_) == (lu.L.nnz + lu.U.nnz, abs(lu.U).max() / abs(L_in).max())
+    # a 1x1 system is its own U, with a unit L
+    assert integrate.factor_stats(_scalar_system(0.5, 0.1, t_end=1.0)[2]) == (2, 1.0)
+
+
 def test_factor_rejects_an_inertia_of_the_wrong_shape():
     # m0 is the diagonal of the inertia, one entry per state slot
     model = make_timoshenko_damped(build_grid(4), TimoshenkoParams(c=0.5, I_tilde=0.2))
@@ -512,18 +522,21 @@ def test_step_roundoff_stays_near_a_refined_trajectory(rng):
         assert np.max(np.abs(u - ref)) <= 5e-14 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("snapshots", [True, False])
+@pytest.mark.parametrize(
+    "snapshots,theta",
+    [pytest.param(s, th, id=str(s) if th == 0.5 else f"{s}-{th}") for th in (0.5, 0.75, 1.0) for s in (True, False)],
+)
 @pytest.mark.parametrize("chunk_rows", [None, 1, 2])
 @pytest.mark.parametrize("record_every", [1, 3])
 @pytest.mark.parametrize("name", sorted(_RUN_MODELS))
-def test_run_matches_stepwise_reference_bitwise(monkeypatch, rng, name, record_every, chunk_rows, snapshots):
+def test_run_matches_stepwise_reference_bitwise(monkeypatch, rng, name, record_every, chunk_rows, snapshots, theta):
     # 25 steps: with record_every = 3 the last record is step 24 and one
     # unrecorded step follows; chunk_rows forces records across buffer ends
     model = _RUN_MODELS[name]()
     lay = model.layout
     if chunk_rows is not None:
         monkeypatch.setattr(integrate, "_CHUNK_FLOATS", chunk_rows * lay.dim + 1)
-    scheme = SchemeParams(dt=0.04, t_end=1.0, record_every=record_every)
+    scheme = SchemeParams(dt=0.04, t_end=1.0, record_every=record_every, theta=theta)
     sys_ = factor(model, scheme)
     u0 = rng.standard_normal(lay.dim)
     profile, env = rng.standard_normal(lay.dim), gaussian_envelope(0.4, 0.2)
@@ -570,6 +583,88 @@ def test_run_raises_when_a_recorded_energy_overflows():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="recorded energy is not finite"):
             run(sys_, np.zeros(lay.dim), lambda t: profile * env(t))
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("name", sorted(_RUN_MODELS))
+def test_run_max_energy_residual_matches_stepwise_reference_bitwise(rng, name, record_every):
+    # the residual covers every step, the unrecorded ones too
+    model = _RUN_MODELS[name]()
+    dim = model.layout.dim
+    scheme = SchemeParams(dt=0.04, t_end=1.0, record_every=record_every)
+    sys_ = factor(model, scheme)
+    u0 = rng.standard_normal(dim)
+    profile, env = rng.standard_normal(dim), gaussian_envelope(0.4, 0.2)
+    f = lambda t: profile * env(t)
+    ts = run(sys_, u0, f, energy_residual=True)
+    u, residuals = u0, []
+    for k in range(scheme.n_steps):
+        f_mid = f((k + 0.5) * scheme.dt)
+        u_next = step(sys_, u, f_mid)
+        residuals.append(abs(energy_balance_residual(sys_, u, u_next, f_mid)))
+        u = u_next
+    assert ts.max_energy_residual == max(residuals) > 0.0
+    plain = run(sys_, u0, f)
+    assert plain.max_energy_residual is None
+    assert np.array_equal(plain.energy, ts.energy) and np.array_equal(plain.snapshots, ts.snapshots)
+
+
+def test_run_energy_residual_needs_the_midpoint_rule():
+    scheme = SchemeParams(dt=0.1, t_end=1.0, theta=0.75)
+    model, sys_ = _beam_system(4, TimoshenkoParams(c=0.5), scheme)
+    dim = model.layout.dim
+    with pytest.raises(ParameterError, match="theta = 1/2"):
+        run(sys_, np.zeros(dim), lambda t: np.zeros(dim), energy_residual=True)
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 1])
+def test_run_catches_a_state_gone_bad_at_an_unrecorded_step(monkeypatch, chunk_rows):
+    # 25 steps recording every 3rd; the source is infinite at step 10 only,
+    # which is not recorded, and finite before and after it.  The state
+    # stays non-finite, so the next flush (step 11 with one-row buffers, the
+    # last record otherwise) must refuse it, without a numpy warning.
+    scheme = SchemeParams(dt=0.04, t_end=1.0, record_every=3)
+    model, sys_ = _beam_system(8, TimoshenkoParams(c=0.5, d=0.2), scheme)
+    dim = model.layout.dim
+    if chunk_rows is not None:
+        monkeypatch.setattr(integrate, "_CHUNK_FLOATS", chunk_rows * dim + 1)
+    t_bad = (10 + scheme.theta) * scheme.dt
+
+    def source(t):
+        return np.full(dim, np.inf) if t == t_bad else np.ones(dim)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="time step produced non-finite state"):
+            run(sys_, np.zeros(dim), source)
+
+
+@pytest.mark.parametrize(
+    "huge_from,inf_from,message",
+    [(0.0, 0.5, "recorded energy is not finite"), (0.97, 0.99, "time step produced non-finite state")],
+    ids=["overflow-in-an-earlier-chunk", "overflow-in-the-last-chunk"],
+)
+def test_run_reports_the_first_fault_as_a_check_on_every_step_would(monkeypatch, huge_from, inf_from, message):
+    # 100 steps recording every 3rd: 34 records in buffers of 4, the last
+    # buffer holding the records of steps 96 and 99, and step 100 is not
+    # recorded.  Past huge_from the source makes the energy of a still
+    # finite state overflow, past inf_from the state itself.  A check on
+    # every step, before any flush, said "recorded energy" only for an
+    # overflow in a buffer filled before the state went bad.
+    scheme = SchemeParams(dt=0.01, t_end=1.0, record_every=3)
+    model, sys_ = _beam_system(8, TimoshenkoParams(c=0.5), scheme)
+    lay = model.layout
+    monkeypatch.setattr(integrate, "_CHUNK_FLOATS", 4 * lay.dim + 1)
+    profile = np.zeros(lay.dim)
+    profile[lay.slice_of("V1")] = 1e308
+
+    def source(t):
+        return np.full(lay.dim, np.inf) if t > inf_from else profile if t > huge_from else np.zeros(lay.dim)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=message):
+            run(sys_, np.zeros(lay.dim), source)
 
 
 def _random_field(rng, tag, n, lo, hi):

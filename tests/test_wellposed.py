@@ -79,6 +79,13 @@ def test_symmetric_part_is_w_selfadjoint(rng):
     assert np.max(np.abs(WS - WS.T)) < 1e-13
 
 
+def test_symmetric_part_of_a_law_above_half_the_float_range_is_finite():
+    # M + M^T overflows here; the halves of M and M^T do not
+    M = sp.csr_matrix(np.array([[1e308, 0.0], [1.5e308, -1e308]]))
+    S = sparse_symmetric_part(M, _ones_weight(2)).toarray()
+    assert np.array_equal(S, [[1e308, 0.75e308], [0.75e308, -1e308]])
+
+
 def _dense_symmetric_part(M, w):
     Md = M.toarray() if hasattr(M, "toarray") else np.asarray(M, dtype=float)
     return 0.5 * (Md + (Md.T * w[None, :]) / w[:, None])
