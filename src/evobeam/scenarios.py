@@ -45,6 +45,7 @@ __all__ = [
     "split_model",
     "consistent_initial_state",
     "manufactured_source",
+    "field_sampler",
     "exact_state",
     "embed_block",
     "reconstruct_displacements",
@@ -376,24 +377,43 @@ def consistent_initial_state(
     return out
 
 
+def field_sampler(model: AssembledModel, fields: dict[str, Callable]) -> Callable[[float], np.ndarray]:
+    """``at(t)``: the closed-form fields sampled on the layout at time t.
+
+    A field maps its sample points x to a function of t, ``field(x)(t)``;
+    it is called here once for each block it has and once, on the
+    one-point array of the endpoint, for each trace bound to it, so
+    whatever depends on x alone is computed once per model.  A block
+    without a field stays zero; a trace holds its weak identity, sign *
+    field at the endpoint, or zero if its field has no closed form.
+    """
+    layout = model.layout
+    blocks = [
+        (layout.slice_of(name), fields[name](layout.points_of(name)))
+        for name in layout.field_names()
+        if fields.get(name) is not None
+    ]
+    traces = [
+        (layout.offset_of(name), b.sign, fields[b.field](np.asarray([b.endpoint])))
+        for name, b in model.traces.items()
+        if fields.get(b.field) is not None
+    ]
+
+    def at(t: float) -> np.ndarray:
+        vals = np.zeros(layout.dim)
+        for where, values in blocks:
+            vals[where] = values(t)
+        for offset, sign, value in traces:
+            vals[offset] = sign * float(value(t)[0])
+        return vals
+
+    return at
+
+
 def exact_state(model: AssembledModel, fields: dict[str, Callable], t: float) -> np.ndarray:
-    """Sample closed-form fields on the layout; traces are filled from
-    their weak identities (sign * field at the endpoint)."""
-    vals = np.zeros(model.layout.dim)
-    for name in model.layout.field_names():
-        fn = fields.get(name)
-        if fn is None:
-            continue
-        x = model.layout.points_of(name)
-        vals[model.layout.slice_of(name)] = fn(x, t)
-    for name, b in model.traces.items():
-        fn = fields.get(b.field)
-        if fn is None:
-            continue
-        vals[model.layout.offset_of(name)] = b.sign * float(
-            fn(np.asarray([b.endpoint]), t)[0]
-        )
-    return vals
+    """The closed-form fields, each ``field(x)(t)``, sampled on the layout
+    at time t: ``field_sampler(model, fields)(t)``."""
+    return field_sampler(model, fields)(t)
 
 
 def manufactured_source(
@@ -401,18 +421,20 @@ def manufactured_source(
     fields: dict[str, Callable],
     dfields_dt: dict[str, Callable],
 ) -> Callable[[float], np.ndarray]:
-    """Source F(t) = m0 u*'(t) + (M1 + A) u*(t) for sampled exact fields.
+    """Source F(t) = m0 u*'(t) + (M1 + A) u*(t) for sampled exact fields,
+    each field and rate of the form ``field(x)(t)``.
 
     Driving the stepper with F and u0 = u*(0) makes the sampled fields the
     exact semi-discrete solution, so the measured error isolates the time
     discretization; trace rows of F carry the inhomogeneous boundary data.
+    Both families are sampled on the model once, here, so a call of F
+    evaluates only their time factors.
     """
     K = (model.M1 + model.A).tocsr()
+    u_at, du_at = field_sampler(model, fields), field_sampler(model, dfields_dt)
 
     def F(t: float) -> np.ndarray:
-        u = exact_state(model, fields, t)
-        du = exact_state(model, dfields_dt, t)
-        return model.m0 * du + K @ u
+        return model.m0 * du_at(t) + K @ u_at(t)
 
     return F
 
@@ -427,27 +449,50 @@ def timoshenko_mms_fields() -> tuple[dict, dict]:
     endpoints, matching the pinned shear-velocity block, and eta(+1/2) = 0
     so the boundary trace of the exact solution is zero while its source
     row is not.
+
+    Returns (fields, rates), each a dict from block name to ``field(x)``.
+    Every field is a sum of spatial factors times time factors; ``field(x)``
+    computes the spatial factors on x once and returns the function of t
+    that scales them.
     """
     w = 2.0  # omega
 
     def p(x):
         return np.pi * (x + 0.5)
 
-    fields = {
-        "V1": lambda x, t: np.pi * np.cos(p(x)) * np.cos(w * t + 0.3),
-        "eta": lambda x, t: -w * np.sin(p(x)) * np.sin(w * t + 0.3),
-        "s": lambda x, t: w * np.sin(p(x)) * np.cos(w * t),
-        "V2": lambda x, t: np.pi * np.cos(p(x)) * np.sin(w * t)
-        + np.sin(p(x)) * np.cos(w * t + 0.3),
-    }
-    dfields = {
-        "V1": lambda x, t: -w * np.pi * np.cos(p(x)) * np.sin(w * t + 0.3),
-        "eta": lambda x, t: -w * w * np.sin(p(x)) * np.cos(w * t + 0.3),
-        "s": lambda x, t: -w * w * np.sin(p(x)) * np.sin(w * t),
-        "V2": lambda x, t: w * np.pi * np.cos(p(x)) * np.cos(w * t)
-        - w * np.sin(p(x)) * np.sin(w * t + 0.3),
-    }
-    return fields, dfields
+    def V1(x):
+        a = np.pi * np.cos(p(x))
+        return lambda t: a * np.cos(w * t + 0.3)
+
+    def eta(x):
+        a = -w * np.sin(p(x))
+        return lambda t: a * np.sin(w * t + 0.3)
+
+    def s(x):
+        a = w * np.sin(p(x))
+        return lambda t: a * np.cos(w * t)
+
+    def V2(x):
+        a, b = np.pi * np.cos(p(x)), np.sin(p(x))
+        return lambda t: a * np.sin(w * t) + b * np.cos(w * t + 0.3)
+
+    def dV1(x):
+        a = -w * np.pi * np.cos(p(x))
+        return lambda t: a * np.sin(w * t + 0.3)
+
+    def deta(x):
+        a = -w * w * np.sin(p(x))
+        return lambda t: a * np.cos(w * t + 0.3)
+
+    def ds(x):
+        a = -w * w * np.sin(p(x))
+        return lambda t: a * np.sin(w * t)
+
+    def dV2(x):
+        a, b = w * np.pi * np.cos(p(x)), w * np.sin(p(x))
+        return lambda t: a * np.cos(w * t) - b * np.sin(w * t + 0.3)
+
+    return {"V1": V1, "eta": eta, "s": s, "V2": V2}, {"V1": dV1, "eta": deta, "s": ds, "V2": dV2}
 
 
 @dataclass(frozen=True)

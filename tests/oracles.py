@@ -61,3 +61,42 @@ def min_coercivity_eig(M0, M1, rho, w):
     sq = np.sqrt(w)
     H = sq[:, None] * C / sq[None, :]
     return jacobi_eigvals(H)[0]
+
+
+def timoshenko_mms_reference(model, t):
+    """The manufactured state u*(t) and source m0 u*'(t) + (M1 + A) u*(t) of
+    the unit-coefficient beam family, written out in (x, t) form.
+
+    Each closed form is evaluated in full at every call, spatial and time
+    factors together, in the order the library's family writes them; each
+    block is sampled at its own points and each trace as sign times its
+    field on the one-point array of its endpoint.  Bitwise equality with
+    the library shows that sampling the spatial factors once changes no
+    value.
+    """
+    w = 2.0
+    p = lambda x: np.pi * (x + 0.5)
+    fields = {
+        "V1": lambda x, t: np.pi * np.cos(p(x)) * np.cos(w * t + 0.3),
+        "eta": lambda x, t: -w * np.sin(p(x)) * np.sin(w * t + 0.3),
+        "s": lambda x, t: w * np.sin(p(x)) * np.cos(w * t),
+        "V2": lambda x, t: np.pi * np.cos(p(x)) * np.sin(w * t) + np.sin(p(x)) * np.cos(w * t + 0.3),
+    }
+    rates = {
+        "V1": lambda x, t: -w * np.pi * np.cos(p(x)) * np.sin(w * t + 0.3),
+        "eta": lambda x, t: -w * w * np.sin(p(x)) * np.cos(w * t + 0.3),
+        "s": lambda x, t: -w * w * np.sin(p(x)) * np.sin(w * t),
+        "V2": lambda x, t: w * np.pi * np.cos(p(x)) * np.cos(w * t) - w * np.sin(p(x)) * np.sin(w * t + 0.3),
+    }
+    layout = model.layout
+
+    def sample(family):
+        vals = np.zeros(layout.dim)
+        for name in layout.field_names():
+            vals[layout.slice_of(name)] = family[name](layout.points_of(name), t)
+        for name, b in model.traces.items():
+            vals[layout.offset_of(name)] = b.sign * float(family[b.field](np.asarray([b.endpoint]), t)[0])
+        return vals
+
+    u, du = sample(fields), sample(rates)
+    return u, model.m0 * du + (model.M1 + model.A).tocsr() @ u

@@ -2,7 +2,8 @@
 in that module, so each name has one import path; the package itself binds
 only its version; the README's Python example runs as written; and every
 module name the README mentions exists, with as many arguments as it takes;
-and no module under src/ imports a name it never uses or keeps a private
+every scenario's manufactured-solution family has the documented form; and
+no module under src/ imports a name it never uses or keeps a private
 module-level name that nothing reads."""
 
 import ast
@@ -15,9 +16,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import evobeam
+from evobeam.core import build_grid
 from evobeam.scenarios import SCENARIOS
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(evobeam.__path__) if m.name != "__main__")
@@ -89,6 +92,22 @@ def test_readme_module_names_resolve():
         if len(args.split(",")) != sum(p.kind in positional for p in params):
             mismatched.append(f"{m}.{n}({args})")
     assert mismatched == []
+
+
+@pytest.mark.parametrize("scenario", sorted(n for n, spec in SCENARIOS.items() if spec.mms is not None))
+def test_every_mms_family_is_sampled_fields_of_its_layout(scenario):
+    # a family is a pair of dicts block -> field(x), with field(x)(t) of x's shape
+    spec = SCENARIOS[scenario]
+    layout = spec.make(build_grid(8), spec.defaults).layout
+    fields, rates = spec.mms()
+    assert fields.keys() == rates.keys()
+    assert set(fields) <= set(layout.field_names())
+    for family in (fields, rates):
+        for name, field in family.items():
+            for x in (layout.points_of(name), np.asarray([0.5])):
+                at = field(x)
+                assert callable(at)
+                assert np.shape(at(0.37)) == x.shape
 
 
 SRC = Path(evobeam.__file__).parent

@@ -361,6 +361,42 @@ def test_main_converge_uses_configured_theta(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    ("scenario", "code", "expected"),
+    [
+        (
+            "timoshenko_damped\nc = 0.5\n",
+            0,
+            [
+                "level=8 error=7.5692463998329074e-2",
+                "level=16 error=1.8505392984111982e-2",
+                "level=32 error=4.5734512072531305e-3",
+                "slope=2.0243972534533445e0",
+            ],
+        ),
+        (
+            "dynamic_inertia\n\n[scheme]\ntheta = 0.75\n",
+            2,
+            [
+                "level=8 error=2.4636408631759435e-1",
+                "level=16 error=1.3092358954493902e-1",
+                "level=32 error=6.7856286450435149e-2",
+                "slope=9.3011878966614314e-1",
+            ],
+        ),
+    ],
+    ids=["timoshenko_damped", "dynamic_inertia-theta-0.75"],
+)
+def test_main_converge_golden_text(tmp_path, capsys, scenario, code, expected):
+    # the manufactured-solution errors, digit for digit
+    path = tmp_path / "mms.ini"
+    path.write_text(f"[grid]\nn_cells = 8\n\n[scenario]\nname = {scenario}")
+    assert main(["converge", str(path), "--levels", "8,16,32"]) == code
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == expected
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
     "output",
     [
         "snapshots = {snaps}\nsnapshot_stride = 0",

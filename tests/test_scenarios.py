@@ -39,6 +39,7 @@ from evobeam.scenarios import (
 )
 from evobeam.scenarios import _assemble
 from evobeam.wellposed import NevanlinnaSpec
+from oracles import timoshenko_mms_reference
 
 
 def _last_v1(layout):
@@ -453,7 +454,7 @@ def test_consistent_initial_state_refuses_a_singular_algebraic_block():
 
 def test_exact_state_fills_traces_from_bindings():
     model = make_sturm_liouville(build_grid(8), SturmLiouvilleParams())
-    f = lambda x, t: x**2 + t
+    f = lambda x: lambda t: x**2 + t
     state = exact_state(model, {"V1": f}, t=0.25)
     assert state[model.layout.offset_of("tau_minus")] == pytest.approx(0.5)
     assert state[model.layout.offset_of("tau_plus")] == pytest.approx(-0.5)
@@ -462,7 +463,7 @@ def test_exact_state_fills_traces_from_bindings():
 def test_exact_state_leaves_a_trace_without_a_closed_form_field_at_zero():
     # both traces bind V1, which has no closed form here
     model = make_sturm_liouville(build_grid(8), SturmLiouvilleParams())
-    state = exact_state(model, {"eta": lambda x, t: x + t}, t=0.25)
+    state = exact_state(model, {"eta": lambda x: lambda t: x + t}, t=0.25)
     lay = model.layout
     assert np.array_equal(state[lay.slice_of("eta")], lay.points_of("eta") + 0.25)
     assert state[lay.offset_of("tau_minus")] == 0.0 and state[lay.offset_of("tau_plus")] == 0.0
@@ -471,7 +472,7 @@ def test_exact_state_leaves_a_trace_without_a_closed_form_field_at_zero():
 
 def test_manufactured_source_vanishes_on_zero_fields():
     model = make_timoshenko_damped(build_grid(4), TimoshenkoParams(c=0.5))
-    zero = {n: (lambda x, t: np.zeros_like(x)) for n in model.layout.field_names()}
+    zero = {n: (lambda x: lambda t: np.zeros_like(x)) for n in model.layout.field_names()}
     F = manufactured_source(model, zero, zero)
     assert np.array_equal(F(0.3), np.zeros(model.layout.dim))
 
@@ -487,6 +488,39 @@ def test_manufactured_source_trace_row_carries_boundary_data():
         assert F(t)[tau] == pytest.approx(np.pi * np.cos(2 * t + 0.3), rel=1e-13)
         exact = exact_state(model, fields, t)
         assert abs(exact[tau]) < 1e-15
+
+
+@pytest.mark.parametrize("scenario", ["timoshenko_damped", "dynamic_inertia"])
+@pytest.mark.parametrize("n", [8, 33, 256])
+def test_manufactured_source_and_exact_state_match_the_written_out_family_bitwise(scenario, n):
+    spec = SCENARIOS[scenario]
+    model = spec.make(build_grid(n), spec.defaults)
+    fields, rates = timoshenko_mms_fields()
+    F = manufactured_source(model, fields, rates)
+    # a converge level's last step time: t_end = 1 in round(1/h) steps
+    steps = max(1, round(1.0 / model.grid.h))
+    scheme = SchemeParams(dt=1.0 / steps, t_end=1.0, record_every=steps)
+    ts = run(factor(model, scheme), exact_state(model, fields, 0.0), F)
+    for t in (0.0, 0.37, 1.1, ts.times[-1]):
+        u, source = timoshenko_mms_reference(model, t)
+        assert np.array_equal(exact_state(model, fields, t), u)
+        assert np.array_equal(F(t), source)
+
+
+def test_a_level_samples_its_fields_once_however_many_steps():
+    model = make_timoshenko_damped(build_grid(8), TimoshenkoParams(c=0.5))
+    calls = []
+
+    def counted(family):
+        return {name: (lambda field: lambda x: calls.append(x) or field(x))(field) for name, field in family.items()}
+
+    fields, rates = map(counted, timoshenko_mms_fields())
+    per_sampler = len(model.layout.field_names()) + len(model.traces)
+    for steps in (1, 50):
+        calls.clear()
+        F = manufactured_source(model, fields, rates)
+        run(factor(model, SchemeParams(dt=0.01, t_end=0.01 * steps)), np.zeros(model.layout.dim), F)
+        assert len(calls) == 2 * per_sampler
 
 
 def test_reconstruct_displacements_trapezoid():
