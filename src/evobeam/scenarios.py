@@ -381,7 +381,7 @@ def field_sampler(model: AssembledModel, fields: dict[str, Callable]) -> Callabl
     """``at(t)``: the closed-form fields sampled on the layout at time t.
 
     A field maps its sample points x to a function of t, ``field(x)(t)``;
-    it is called here once for each block it has and once, on the
+    it is called here once on the points of its block and once, on the
     one-point array of the endpoint, for each trace bound to it, so
     whatever depends on x alone is computed once per model.  A block
     without a field stays zero; a trace holds its weak identity, sign *
