@@ -48,7 +48,7 @@ from .scenarios import (
     AssembledModel,
     consistent_initial_state,
     embed_block,
-    exact_state,
+    field_sampler,
     manufactured_source,
 )
 from .wellposed import (
@@ -79,6 +79,10 @@ _SOURCE_DEFAULTS = {
 }
 
 _INITIAL_DEFAULTS = {"kind": "zero", "amplitude": "1.0", "seed": "0"}
+
+# the [initial] keys of _INITIAL_DEFAULTS that each kind reads; expr also
+# reads the block keys, which build_initial checks
+_INITIAL_READS = {"zero": ("kind",), "random": ("kind", "amplitude", "seed"), "expr": ("kind", "amplitude")}
 
 _OUTPUT_DEFAULTS = {
     "csv": "out.csv", "snapshots": "", "snapshot_stride": "1",
@@ -249,20 +253,31 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"[scenario]: unknown key {k!r} for {name}")
         params[k] = v
 
+    def refuse_unread(nm: str, unread, why: str) -> None:
+        """Refuse the first key of section nm, in config order, in unread."""
+        for k in cp.options(nm) if cp.has_section(nm) else ():
+            if k in unread:
+                raise ConfigError(f"[{nm}] {k}: not read {why}")
+
     scheme = section("scheme", _SCHEME_DEFAULTS)
     source = section("source", _SOURCE_DEFAULTS)
-    # an unknown kind is refused by build_source
-    reads = _SOURCE_READS.get(source["kind"], _SOURCE_DEFAULTS)
-    for k in cp.options("source") if cp.has_section("source") else ():
-        if k not in reads:
-            raise ConfigError(f"[source] {k}: not read by kind = {source['kind']}")
+    # an unknown kind reads every key; build_source and build_initial refuse it
+    kind = source["kind"]
+    refuse_unread("source", _SOURCE_DEFAULTS.keys() - _SOURCE_READS.get(kind, _SOURCE_DEFAULTS), f"by kind = {kind}")
     initial = section("initial", _INITIAL_DEFAULTS)
+    kind = initial["kind"]
+    refuse_unread("initial", _INITIAL_DEFAULTS.keys() - _INITIAL_READS.get(kind, _INITIAL_DEFAULTS), f"by kind = {kind}")
     output = section("output", _OUTPUT_DEFAULTS)
+    if not output["snapshots"]:
+        refuse_unread("output", {"snapshot_stride"}, "without snapshots")
     # full validation: if any of these raise, surface it as a parse error
     try:
         model = build_model(name, params, n_cells)
         scheme_params, c_target = build_scheme(scheme)
         source_fn = build_source(source, model)
+        block = source["block"] or model.layout.names[0]
+        if model.layout.tag_of(block) is SpaceTag.TRACE:
+            refuse_unread("source", {"profile"}, f"for the trace block {block!r}")
         initial_state = build_initial(initial, model)
         output_sel = build_output(output, model)
     except ConfigError:
@@ -605,10 +620,12 @@ def cmd_converge(cfg: RunConfig, levels: list[int], stats: dict | None = None) -
 
     def solve(n: int):
         model = build_model(cfg.scenario, cfg.params, n)
+        exact_at = None
         if spec.mms is not None:
             steps = max(1, round(t_end / model.grid.h))
             source = manufactured_source(model, exact, rates)
-            u0 = exact_state(model, exact, 0.0)
+            exact_at = field_sampler(model, exact)
+            u0 = exact_at(0.0)
         else:
             steps = max(1, round(t_end * n))
             source = build_source(cfg.source, model)
@@ -618,15 +635,15 @@ def cmd_converge(cfg: RunConfig, levels: list[int], stats: dict | None = None) -
         start = time.perf_counter()
         ts = run(sys_, u0, source)
         _note(stats, "step_s", start)
-        return model, ts
+        return model, ts, exact_at
 
     if spec.self_reference:
-        ref_model, ref_ts = solve(n_ref)
+        ref_model, ref_ts, _ = solve(n_ref)
     errs, hs, lines = [], [], []
     for n in sorted(levels):
-        model, ts = solve(n)
-        if spec.mms is not None:
-            diff = ts.snapshots[-1] - exact_state(model, exact, ts.times[-1])
+        model, ts, exact_at = solve(n)
+        if exact_at is not None:
+            diff = ts.snapshots[-1] - exact_at(ts.times[-1])
         else:
             ref = _restrict(ref_model, model, ref_ts.snapshots[-1])
             diff = (ts.snapshots[-1] - ref) * (model.m0 != 0.0)

@@ -7,10 +7,10 @@ vectors behave like elements of a weighted L2-type space with trace summands.
 A state is a plain float array of length ``layout.dim`` on that space, and
 a source is a function of time that returns one; the envelopes at the end
 give the time factor of a separable source ``profile * envelope(t)``.
-Grids and weight matrices are frozen, and a grid's node and center arrays
-are read-only; ``StateLayout`` and ``TimeSeries`` are mutable dataclasses
-that nothing here changes after construction, and every function leaves
-its arguments unchanged.
+Grids are frozen, and a grid's node and center arrays and the weight
+vector are read-only; ``StateLayout`` and ``TimeSeries`` are mutable
+dataclasses that nothing here changes after construction, and every
+function leaves its arguments unchanged.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "Grid",
     "build_grid",
     "StateLayout",
-    "WeightMatrix",
     "build_weights",
     "weighted_inner",
     "energy",
@@ -190,45 +189,32 @@ class StateLayout:
         return tuple(n for n, t in self.blocks if t is not SpaceTag.TRACE)
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
-    """Diagonal weights of the discrete inner product; strictly positive."""
-
-    diag: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "diag", np.asarray(self.diag, dtype=float))
-        if self.diag.ndim != 1 or not np.all(self.diag > 0):
-            raise NumericError("weights must be a 1-D strictly positive vector")
-
-    @property
-    def dim(self) -> int:
-        return self.diag.shape[0]
+def build_weights(layout: StateLayout) -> np.ndarray:
+    """The diagonal W of the discrete inner product: the per-block quadrature
+    weights concatenated over the layout, a read-only float vector.  Every
+    entry is h, h/2 or 1, so W is strictly positive."""
+    W = np.concatenate([layout.grid.weights(tag) for _, tag in layout.blocks])
+    W.flags.writeable = False
+    return W
 
 
-def build_weights(layout: StateLayout) -> WeightMatrix:
-    """Concatenate per-block quadrature weights over the whole layout."""
-    parts = [layout.grid.weights(tag) for _, tag in layout.blocks]
-    return WeightMatrix(np.concatenate(parts))
-
-
-def weighted_inner(u, v, W: WeightMatrix):
+def weighted_inner(u, v, W: np.ndarray):
     """Discrete inner product sum_i W_i u_i v_i (symmetric, positive definite)
     of two states, a float, or of two stacks of states row by row.  Rows are
     summed C-ordered, each in np.sum's pairwise order for that row alone, so
     each row's value is bitwise its one-state value."""
     uv, vv = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    if uv.shape != vv.shape or uv.ndim not in (1, 2) or uv.shape[-1] != W.dim:
+    if uv.shape != vv.shape or uv.ndim not in (1, 2) or uv.shape[-1] != W.size:
         raise ParameterError(
-            f"shapes {uv.shape}, {vv.shape} incompatible with weights ({W.dim},)"
+            f"shapes {uv.shape}, {vv.shape} incompatible with weights ({W.size},)"
         )
-    products = np.multiply(W.diag, vv, order="C")
+    products = np.multiply(W, vv, order="C")
     products *= uv  # in place: a stack holds one temporary, not two
     sums = np.sum(products, axis=-1)
     return float(sums) if uv.ndim == 1 else sums
 
 
-def energy(u, m0: np.ndarray, W: WeightMatrix):
+def energy(u, m0: np.ndarray, W: np.ndarray):
     """Quadratic energy 1/2 <u, m0 u>_W of a state under the diagonal inertia
     m0, or of each row of a stack of states."""
     uv = np.asarray(u, dtype=float)
@@ -266,7 +252,7 @@ class TimeSeries:
         return self.times.shape[0]
 
 
-def exp_weighted_norm(times, states, rho: float, W: WeightMatrix) -> float:
+def exp_weighted_norm(times, states, rho: float, W: np.ndarray) -> float:
     """Exponentially weighted trajectory norm of states (one row per time).
 
     Returns sqrt of the trapezoidal quadrature of ||u(t)||_W^2 exp(-2 rho t)
@@ -276,7 +262,7 @@ def exp_weighted_norm(times, states, rho: float, W: WeightMatrix) -> float:
     if rho <= 0:
         raise ParameterError("rho must be positive")
     # not weighted_inner: that moves the bound probe's printed ratio in its last digits
-    sq = np.einsum("ij,j,ij->i", states, W.diag, states)
+    sq = np.einsum("ij,j,ij->i", states, W, states)
     integrand = sq * np.exp(-2.0 * rho * times)
     dt = np.diff(times)
     integral = float(np.sum(0.5 * dt * (integrand[:-1] + integrand[1:])))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .core import Grid, ParameterError, SpaceTag, StateLayout, WeightMatrix, build_weights
+from .core import Grid, ParameterError, SpaceTag, StateLayout, build_weights
 
 __all__ = [
     "build_derivative",
@@ -65,19 +65,19 @@ def build_B_tilde(grid: Grid) -> sp.csr_matrix:
     return _stack_with_traces(deriv, [0, grid.n_cells])
 
 
-def adjoint_wrt(op: sp.spmatrix, W_dom: WeightMatrix, W_ran: WeightMatrix) -> sp.csr_matrix:
+def adjoint_wrt(op: sp.spmatrix, W_dom: np.ndarray, W_ran: np.ndarray) -> sp.csr_matrix:
     """Exact adjoint in the weighted inner products: W_dom^{-1} opT W_ran.
 
     Satisfies <op u, v>_{W_ran} = <u, adjoint v>_{W_dom} up to roundoff for
     all u, v; this identity, not any stencil, is the contract.
     """
     m, n = op.shape
-    if W_ran.dim != m or W_dom.dim != n:
+    if W_ran.size != m or W_dom.size != n:
         raise ParameterError(
-            f"adjoint weights ({W_dom.dim}, {W_ran.dim}) do not fit operator {op.shape}"
+            f"adjoint weights ({W_dom.size}, {W_ran.size}) do not fit operator {op.shape}"
         )
-    scaled = sp.csr_matrix(op).T.multiply(W_ran.diag[np.newaxis, :])
-    return sp.csr_matrix(scaled.multiply((1.0 / W_dom.diag)[:, np.newaxis]))
+    scaled = sp.csr_matrix(op).T.multiply(W_ran[np.newaxis, :])
+    return sp.csr_matrix(scaled.multiply((1.0 / W_dom)[:, np.newaxis]))
 
 
 def assemble_skew(
@@ -99,7 +99,7 @@ def assemble_skew(
             raise ParameterError("domain and range blocks of a pair must differ")
         dom_idx, ran_idx = layout.indices_of(dom), layout.indices_of(ran)
         op = sp.coo_matrix(op)
-        adj = adjoint_wrt(op, WeightMatrix(W.diag[dom_idx]), WeightMatrix(W.diag[ran_idx])).tocoo()
+        adj = adjoint_wrt(op, W[dom_idx], W[ran_idx]).tocoo()
         rows += [ran_idx[op.row], dom_idx[adj.row]]
         cols += [dom_idx[op.col], ran_idx[adj.col]]
         vals += [-op.data, adj.data]
@@ -109,8 +109,8 @@ def assemble_skew(
     )
 
 
-def skew_defect(A: sp.spmatrix, W: WeightMatrix) -> float:
+def skew_defect(A: sp.spmatrix, W: np.ndarray) -> float:
     """max |(W A + A^T W)_ij|; zero for an exactly skew-adjoint operator."""
-    Wd = sp.diags(W.diag)
+    Wd = sp.diags(W)
     defect = Wd @ A + A.T @ Wd
     return float(np.max(np.abs(defect.data), initial=0.0))

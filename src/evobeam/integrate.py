@@ -335,7 +335,7 @@ def bound_probe(sys_: SteppingSystem, source: Callable[[float], np.ndarray]) -> 
     and the scheme's rho.
     """
     rho, W = sys_.scheme.rho, sys_.model.W
-    ts_u = run(sys_, np.zeros(W.dim), source)
+    ts_u = run(sys_, np.zeros(W.size), source)
     f_snaps = np.vstack([source(t) for t in ts_u.times])
     den = exp_weighted_norm(ts_u.times, f_snaps, rho, W)
     if den == 0.0:

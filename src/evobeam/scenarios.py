@@ -23,7 +23,6 @@ from .core import (
     SpaceTag,
     StateLayout,
     TimeSeries,
-    WeightMatrix,
     build_weights,
 )
 from .discretize import assemble_skew, build_B, build_B_tilde, build_derivative
@@ -46,7 +45,6 @@ __all__ = [
     "consistent_initial_state",
     "manufactured_source",
     "field_sampler",
-    "exact_state",
     "embed_block",
     "reconstruct_displacements",
     "timoshenko_mms_fields",
@@ -123,7 +121,7 @@ class FullDynamicParams:
 @dataclass(frozen=True)
 class AssembledModel:
     layout: StateLayout
-    W: WeightMatrix
+    W: np.ndarray  # the diagonal of the inner product, read-only
     m0: np.ndarray  # the diagonal of the inertia M0
     M1: sp.csr_matrix
     A: sp.csr_matrix
@@ -408,12 +406,6 @@ def field_sampler(model: AssembledModel, fields: dict[str, Callable]) -> Callabl
         return vals
 
     return at
-
-
-def exact_state(model: AssembledModel, fields: dict[str, Callable], t: float) -> np.ndarray:
-    """The closed-form fields, each ``field(x)(t)``, sampled on the layout
-    at time t: ``field_sampler(model, fields)(t)``."""
-    return field_sampler(model, fields)(t)
 
 
 def manufactured_source(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .core import EvobeamError, NumericError, ParameterError, WeightMatrix
+from .core import EvobeamError, NumericError, ParameterError
 
 __all__ = [
     "NotCoerciveError",
@@ -53,25 +53,27 @@ class NevanlinnaSpec:
             raise ParameterError("trace law must not have both coefficients zero")
 
 
-def sparse_symmetric_part(M, W: WeightMatrix) -> sp.csr_matrix:
+def sparse_symmetric_part(M, W: np.ndarray) -> sp.csr_matrix:
     """W-symmetrization (M + W^{-1} M^T W)/2; selfadjoint in the W product.
 
     Works on the nonzeros only: entry (i, j) of the transpose is scaled as
-    M[j, i] * w[j] / w[i], the same operations as on the dense array.
-    Each term is halved before the sum, so that a finite M gives a finite
-    result; halving is exact above the subnormals, where this is
-    0.5*(M + W^{-1} M^T W) bit for bit.
+    M[j, i] * (w[j] / w[i]), the same operations as on the dense array.
+    The ratio comes first, so that it is exactly 1 between slots of equal
+    weight and an antisymmetric coupling there cancels to an exact zero,
+    which the sum does not store.  Each term is halved before the sum, so
+    that a finite M gives a finite result; halving is exact above the
+    subnormals, where this is 0.5*(M + W^{-1} M^T W) bit for bit.
     """
     Ms = sp.csr_matrix(M, dtype=float, copy=True)
-    if Ms.shape[0] != Ms.shape[1] or Ms.shape[0] != W.dim:
-        raise NumericError(f"square operator of size {W.dim} required, got {Ms.shape}")
+    if Ms.shape[0] != Ms.shape[1] or Ms.shape[0] != W.size:
+        raise NumericError(f"square operator of size {W.size} required, got {Ms.shape}")
     Ms.sum_duplicates()
     Mt = Ms.T.tocoo()
-    Mt.data = Mt.data * W.diag[Mt.col] / W.diag[Mt.row]
+    Mt.data = Mt.data * (W[Mt.col] / W[Mt.row])
     return 0.5 * Ms + 0.5 * Mt.tocsr()
 
 
-def _w_min_eig(S, W: WeightMatrix) -> float:
+def _w_min_eig(S, W: np.ndarray) -> float:
     """Smallest eigenvalue of a sparse W-selfadjoint S via the W^{1/2} similarity.
 
     The similarity keeps the sparsity pattern, so the spectrum is the union
@@ -80,7 +82,7 @@ def _w_min_eig(S, W: WeightMatrix) -> float:
     eigenvalue; only the coupled rows are split into blocks, each of which
     gets an eigensolve on its rows only.
     """
-    sq = np.sqrt(W.diag)
+    sq = np.sqrt(W)
     sym = sp.coo_matrix(S, dtype=float)
     sym.data = sym.data * sq[sym.row] / sq[sym.col]
     # halved before the sum, so that a finite S stays finite; halving is
@@ -107,7 +109,7 @@ def _w_min_eig(S, W: WeightMatrix) -> float:
     return c0
 
 
-def coercivity(m0: np.ndarray, M1, rho: float, W: WeightMatrix) -> float:
+def coercivity(m0: np.ndarray, M1, rho: float, W: np.ndarray) -> float:
     """The largest c0 with rho*diag(m0) + sym(M1) >= c0 in the W inner product.
 
     The law is coercive iff c0 > 0, and then 1/c0 bounds the solution
@@ -120,7 +122,7 @@ def coercivity(m0: np.ndarray, M1, rho: float, W: WeightMatrix) -> float:
         return _w_min_eig(rho * sp.diags(m0) + sparse_symmetric_part(M1, W), W)
 
 
-def find_rho0(m0: np.ndarray, M1, c_target: float, W: WeightMatrix) -> float:
+def find_rho0(m0: np.ndarray, M1, c_target: float, W: np.ndarray) -> float:
     """Smallest rho (to 1e-6 relative) with coercivity c0 >= c_target.
 
     Scans rho = 2^k for k in -10..40 and bisects the first bracketing pair;

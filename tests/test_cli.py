@@ -196,10 +196,12 @@ def test_cmd_run_snapshot_file(tmp_path):
 def test_run_cli_writes_snapshots_only_when_asked(tmp_path):
     # the snapshot file is built from recorded states; asking for it must
     # leave the CSV byte for byte as it is without it
-    body = CONSERVATIVE + "\n[output]\nsnapshot_stride = 3\ncsv = {csv}\nsnapshots = {snaps}\n"
+    body = CONSERVATIVE + "\n[output]\ncsv = {csv}\n"
     plain, with_snaps = tmp_path / "plain.ini", tmp_path / "snaps.ini"
-    plain.write_text(body.format(csv=tmp_path / "plain.csv", snaps=""))
-    with_snaps.write_text(body.format(csv=tmp_path / "snaps.csv", snaps=tmp_path / "snaps.txt"))
+    plain.write_text(body.format(csv=tmp_path / "plain.csv"))
+    with_snaps.write_text(
+        body.format(csv=tmp_path / "snaps.csv") + f"snapshots = {tmp_path / 'snaps.txt'}\nsnapshot_stride = 3\n"
+    )
     assert main(["run", str(plain)]) == 0
     assert main(["run", str(with_snaps)]) == 0
     assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "snaps.csv").read_bytes()
@@ -714,6 +716,33 @@ def test_main_rejects_bad_source(source, message, tmp_path, capsys):
     code, err = _main_fails_once("run", MINIMAL + f"\n[source]\n{source}\n", tmp_path, capsys)
     assert code == 4
     assert err == [f"config error: {message}"]
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        (
+            "[source]\nkind = gaussian\nblock = tau_plus\nprofile = nonsense(\n",
+            "[source] profile: not read for the trace block 'tau_plus'",
+        ),
+        ("[initial]\nkind = zero\nseed = 1\n", "[initial] seed: not read by kind = zero"),
+        ("[initial]\nkind = expr\nseed = 1\neta = x\n", "[initial] seed: not read by kind = expr"),
+        ("[initial]\nkind = zero\namplitude = 2.0\n", "[initial] amplitude: not read by kind = zero"),
+        ("[output]\nsnapshot_stride = 0\n", "[output] snapshot_stride: not read without snapshots"),
+    ],
+    ids=["source-profile-of-a-trace", "zero-seed", "expr-seed", "zero-amplitude", "stride-without-snapshots"],
+)
+def test_main_refuses_keys_that_nothing_reads(command, extra, message, tmp_path, capsys, monkeypatch):
+    # refused, not ignored; the working directory is where a default csv would go
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.ini"
+    path.write_text(MINIMAL + "\n" + extra)
+    assert main([command, str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"config error: {message}"]
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_main_run_unwritable_snapshots_leaves_no_csv(tmp_path, capsys):

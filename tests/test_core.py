@@ -13,7 +13,6 @@ from evobeam.core import (
     SpaceTag,
     StateLayout,
     TimeSeries,
-    WeightMatrix,
     build_grid,
     build_weights,
     bump_envelope,
@@ -23,7 +22,7 @@ from evobeam.core import (
     sinusoid_envelope,
     weighted_inner,
 )
-from evobeam.scenarios import TimoshenkoParams, make_timoshenko_damped
+from evobeam.scenarios import SCENARIOS, TimoshenkoParams, make_timoshenko_damped
 
 
 def test_grid_geometry():
@@ -134,9 +133,17 @@ def test_layout_rejects_duplicate_names():
         StateLayout(g, (("a", SpaceTag.CENTER), ("a", SpaceTag.TRACE)))
 
 
-def test_weight_matrix_positivity():
-    with pytest.raises(NumericError):
-        WeightMatrix(np.array([1.0, 0.0, 2.0]))
+@pytest.mark.parametrize("n", [2, 5, 33])
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_weights_are_the_read_only_concatenated_block_weights(scenario, n):
+    spec = SCENARIOS[scenario]
+    model = spec.make(build_grid(n), spec.defaults)
+    W = model.W
+    assert isinstance(W, np.ndarray) and W.dtype == np.float64 and W.ndim == 1
+    assert not W.flags.writeable
+    assert np.all(W > 0)
+    blocks = np.concatenate([model.grid.weights(tag) for _, tag in model.layout.blocks])
+    assert W.tobytes() == blocks.tobytes()
 
 
 def test_weighted_inner_is_symmetric_bilinear(rng):
@@ -177,7 +184,7 @@ def test_energy_of_the_inertia_vector_is_the_sparse_product_bitwise(data, dim, r
     # term w*(m*u)*u is >= +0 either way, so the energies agree bitwise.
     m0 = data.draw(arrays(float, dim, elements=st.just(0.0) | st.floats(0.0, 1e3)))
     U = data.draw(arrays(float, (rows, dim), elements=st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3)))
-    W = WeightMatrix(data.draw(arrays(float, dim, elements=st.floats(0.5, 2.0))))
+    W = data.draw(arrays(float, dim, elements=st.floats(0.5, 2.0)))
     expected = 0.5 * weighted_inner(U, (sp.diags(m0) @ U.T).T, W)
     assert energy(U, m0, W).tobytes() == expected.tobytes()
     assert np.array([energy(u, m0, W) for u in U]).tobytes() == expected.tobytes()
@@ -213,7 +220,7 @@ def test_time_series_refuses_trace_and_snapshot_counts():
 
 @pytest.mark.parametrize("rho", [0.0, -1.0])
 def test_exp_weighted_norm_refuses_a_nonpositive_rho(rho):
-    W = WeightMatrix(np.ones(1))
+    W = np.ones(1)
     with pytest.raises(ParameterError, match="rho must be positive"):
         exp_weighted_norm(np.array([0.0, 1.0]), np.ones((2, 1)), rho, W)
 

@@ -21,7 +21,6 @@ from evobeam.core import (
     ParameterError,
     SpaceTag,
     StateLayout,
-    WeightMatrix,
     bump_envelope,
     build_grid,
     gaussian_envelope,
@@ -54,7 +53,7 @@ def _one_slot_model(m0, M1, A):
     M1 and A may be dense."""
     layout = StateLayout(build_grid(2), (("tau", SpaceTag.TRACE),))
     csr = sp.csr_matrix
-    return AssembledModel(layout, WeightMatrix(np.ones(1)), np.array([m0], dtype=float), csr(M1), csr(A), traces={})
+    return AssembledModel(layout, np.ones(1), np.array([m0], dtype=float), csr(M1), csr(A), traces={})
 
 
 def _scalar_system(gamma, dt, t_end, theta=0.5):

@@ -8,11 +8,11 @@ the package itself uses.
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from evobeam.cli import cmd_check, parse_config
-from evobeam.core import NumericError, ParameterError, WeightMatrix, build_grid
+from evobeam.core import NumericError, ParameterError, build_grid
 from evobeam.scenarios import (
     FullDynamicParams,
     SturmLiouvilleParams,
@@ -30,10 +30,6 @@ from evobeam.wellposed import (
     sparse_symmetric_part,
 )
 from oracles import jacobi_eigvals, min_coercivity_eig
-
-
-def _ones_weight(n):
-    return WeightMatrix(np.ones(n))
 
 
 def test_jacobi_oracle_2x2_exact():
@@ -70,11 +66,25 @@ def test_symmetric_part_cancels_antisymmetric_coupling():
     assert np.max(np.abs(diag[mask])) == 0.0
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 300),
+    sigma0=st.floats(-1e3, 1e3, allow_nan=False).filter(lambda s: s != 0.0),
+)
+@example(n=5, sigma0=0.7)  # (0.7*h)/h is not 0.7 here
+def test_beam_symmetric_part_stores_nothing_off_the_diagonal(n, sigma0):
+    # the weight ratio of two center slots is exactly 1, so +sigma0 and
+    # -sigma0 cancel to an exact zero, which the sparse sum does not store
+    model = make_timoshenko_damped(build_grid(n), TimoshenkoParams(c=0.5, sigma0=sigma0))
+    S = sparse_symmetric_part(model.M1, model.W).tocoo()
+    assert not S.data[S.row != S.col].any()
+
+
 def test_symmetric_part_is_w_selfadjoint(rng):
     n = 7
     w = rng.uniform(0.5, 2.0, size=n)
     M = rng.standard_normal((n, n))
-    S = sparse_symmetric_part(M, WeightMatrix(w)).toarray()
+    S = sparse_symmetric_part(M, w).toarray()
     WS = w[:, None] * S
     assert np.max(np.abs(WS - WS.T)) < 1e-13
 
@@ -82,13 +92,13 @@ def test_symmetric_part_is_w_selfadjoint(rng):
 def test_symmetric_part_of_a_law_above_half_the_float_range_is_finite():
     # M + M^T overflows here; the halves of M and M^T do not
     M = sp.csr_matrix(np.array([[1e308, 0.0], [1.5e308, -1e308]]))
-    S = sparse_symmetric_part(M, _ones_weight(2)).toarray()
+    S = sparse_symmetric_part(M, np.ones(2)).toarray()
     assert np.array_equal(S, [[1e308, 0.75e308], [0.75e308, -1e308]])
 
 
 def _dense_symmetric_part(M, w):
     Md = M.toarray() if hasattr(M, "toarray") else np.asarray(M, dtype=float)
-    return 0.5 * (Md + (Md.T * w[None, :]) / w[:, None])
+    return 0.5 * (Md + Md.T * (w[None, :] / w[:, None]))
 
 
 _DAMPED_MODELS = {
@@ -110,7 +120,7 @@ _DAMPED_MODELS = {
 def test_sparse_symmetric_part_matches_dense_formula_bitwise(name, n):
     model = _DAMPED_MODELS[name](build_grid(n))
     S = sparse_symmetric_part(model.M1, model.W)
-    ref = _dense_symmetric_part(model.M1, model.W.diag)
+    ref = _dense_symmetric_part(model.M1, model.W)
     assert np.array_equal(S.toarray(), ref)
     assert np.array_equal(sparse_symmetric_part(model.M1, model.W).toarray(), ref)
 
@@ -119,21 +129,21 @@ def test_sparse_symmetric_part_random_weights_bitwise(rng):
     n = 9
     w = rng.uniform(0.5, 2.0, size=n)
     M = rng.standard_normal((n, n)) * (rng.uniform(size=(n, n)) < 0.4)
-    S = sparse_symmetric_part(M, WeightMatrix(w))
+    S = sparse_symmetric_part(M, w)
     assert np.array_equal(S.toarray(), _dense_symmetric_part(M, w))
 
 
 def test_symmetric_part_shape_check():
     with pytest.raises(NumericError):
-        sparse_symmetric_part(np.zeros((3, 2)), _ones_weight(3)).toarray()
+        sparse_symmetric_part(np.zeros((3, 2)), np.ones(3)).toarray()
     with pytest.raises(NumericError):
-        sparse_symmetric_part(np.zeros((4, 4)), _ones_weight(3)).toarray()
+        sparse_symmetric_part(np.zeros((4, 4)), np.ones(3)).toarray()
 
 
 def test_coercivity_diagonal_known_values():
     m0 = np.array([2.0, 2.0, 0.5, 2.0, 2.0])
     M1 = np.zeros((5, 5))
-    c0 = coercivity(m0, M1, rho=1.0, W=_ones_weight(5))
+    c0 = coercivity(m0, M1, rho=1.0, W=np.ones(5))
     assert c0 == 0.5
     assert c0 > 0
     assert 1.0 / c0 == 2.0
@@ -143,14 +153,14 @@ def test_coercivity_diagonal_known_values():
 
 def test_coercivity_rho_zero_allowed_negative_rejected():
     M1 = np.eye(3)
-    c0 = coercivity(np.zeros(3), M1, rho=0.0, W=_ones_weight(3))
+    c0 = coercivity(np.zeros(3), M1, rho=0.0, W=np.ones(3))
     assert c0 == 1.0
     with pytest.raises(ParameterError):
-        coercivity(np.ones(3), M1, rho=-1.0, W=_ones_weight(3))
+        coercivity(np.ones(3), M1, rho=-1.0, W=np.ones(3))
 
 
 def test_coercivity_unsatisfied_has_no_bound():
-    c0 = coercivity(np.array([1.0, 0.0]), np.zeros((2, 2)), 1.0, _ones_weight(2))
+    c0 = coercivity(np.array([1.0, 0.0]), np.zeros((2, 2)), 1.0, np.ones(2))
     assert not c0 > 0
     assert c0 <= 0.0
 
@@ -163,7 +173,7 @@ def test_coercivity_matches_jacobi_on_assembled_model():
     rho = 1.0
     c0 = coercivity(model.m0, model.M1, rho, model.W)
     oracle = min_coercivity_eig(
-        np.diag(model.m0), model.M1.toarray(), rho, model.W.diag
+        np.diag(model.m0), model.M1.toarray(), rho, model.W
     )
     assert abs(c0 - oracle) < 1e-11
     assert c0 > 0
@@ -184,7 +194,7 @@ def test_coercivity_sturm_liouville_parabolic_closed_form():
     c0 = coercivity(model.m0, model.M1, rho=0.3, W=model.W)
     assert abs(c0 - 0.3) < 1e-14
     oracle = min_coercivity_eig(
-        np.diag(model.m0), model.M1.toarray(), 0.3, model.W.diag
+        np.diag(model.m0), model.M1.toarray(), 0.3, model.W
     )
     assert abs(c0 - oracle) < 1e-12
 
@@ -202,7 +212,7 @@ def test_coercivity_matches_dense_eigvalsh_bitwise(name, n):
     model = _DAMPED_MODELS[name](build_grid(n))
     for rho in (1.0, 2.0**-10):
         c0 = coercivity(model.m0, model.M1, rho, model.W)
-        assert c0 == _dense_c0(model.m0, model.M1, rho, model.W.diag)
+        assert c0 == _dense_c0(model.m0, model.M1, rho, model.W)
 
 
 def _w_selfadjoint(rng, w):
@@ -229,7 +239,7 @@ def test_coercivity_matches_jacobi_on_interleaved_blocks(sizes, seed, rho):
     for rows in np.split(perm, np.cumsum(sizes)[:-1]):
         block = _w_selfadjoint(rng, w[rows]) + rng.standard_normal((rows.size, rows.size))
         M1[np.ix_(rows, rows)] = block
-    c0 = coercivity(m0, sp.csr_matrix(M1), rho, WeightMatrix(w))
+    c0 = coercivity(m0, sp.csr_matrix(M1), rho, w)
     assert abs(c0 - min_coercivity_eig(np.diag(m0), M1, rho, w)) <= 1e-12
 
 
@@ -237,7 +247,7 @@ def _components_c0(m0, M1, rho, W):
     """c0 through connected_components over the whole pattern: the least of
     the diagonals of the one-entry blocks and of each larger block's
     smallest eigenvalue."""
-    sq = np.sqrt(W.diag)
+    sq = np.sqrt(W)
     S = sp.coo_matrix(rho * sp.diags(m0) + sparse_symmetric_part(M1, W))
     S.data = S.data * sq[S.row] / sq[S.col]
     S = S.tocsr()
@@ -281,7 +291,7 @@ def test_coercivity_matches_whole_pattern_components_bitwise(sizes, seed, rho, n
         m0[i] = M1[i, i] = 0.0
     if low_single and singles[n_zero:]:
         M1[singles[-1], singles[-1]] = -1e3
-    W = WeightMatrix(w)
+    W = w
     c0 = coercivity(m0, sp.csr_matrix(M1), rho, W)
     assert np.float64(c0).tobytes() == np.float64(_components_c0(m0, M1, rho, W)).tobytes()
 
@@ -312,7 +322,7 @@ def test_check_eigensolves_no_matrix_larger_than_a_block(monkeypatch):
 def test_find_rho0_identity_hits_target_exactly():
     m0 = np.ones(4)
     M1 = np.zeros((4, 4))
-    W = _ones_weight(4)
+    W = np.ones(4)
     # c0(rho) = rho, so the scan lands on the power of two equal to the
     # target and bisection never moves the upper end
     assert find_rho0(m0, M1, 1.0, W) == 1.0
@@ -322,7 +332,7 @@ def test_find_rho0_identity_hits_target_exactly():
 def test_find_rho0_bisection_interior_target():
     m0 = np.ones(3)
     M1 = -0.3 * np.eye(3)
-    W = _ones_weight(3)
+    W = np.ones(3)
     rho0 = find_rho0(m0, M1, 0.37, W)
     # c0(rho) = rho - 0.3, so the smallest admissible rho is 0.67
     assert rho0 >= 0.67
@@ -332,7 +342,7 @@ def test_find_rho0_bisection_interior_target():
 
 
 def test_find_rho0_failure_and_validation():
-    W = _ones_weight(2)
+    W = np.ones(2)
     with pytest.raises(NotCoerciveError):
         find_rho0(np.array([1.0, 0.0]), np.zeros((2, 2)), 0.1, W)
     with pytest.raises(ParameterError):
@@ -340,7 +350,7 @@ def test_find_rho0_failure_and_validation():
 
 
 def test_find_rho0_scan_ends_where_the_law_overflows():
-    W = _ones_weight(2)
+    W = np.ones(2)
     # c0 = 0 at every finite rho; rho*1e300 overflows at rho = 2^28, before
     # the scan's end at 2^40, and no larger rho is finite either
     with pytest.raises(NotCoerciveError, match=r"overflows at rho = 268435456\.0 "):
@@ -353,7 +363,7 @@ def test_find_rho0_scan_ends_where_the_law_overflows():
 def test_coercivity_of_a_finite_law_near_the_float_range():
     # the symmetrization halves before it adds, so a finite law stays finite
     big = 1.5e308
-    assert coercivity(np.array([1.0]), np.zeros((1, 1)), big, _ones_weight(1)) == big
+    assert coercivity(np.array([1.0]), np.zeros((1, 1)), big, np.ones(1)) == big
 
 
 def test_nevanlinna_spec_validation_and_evaluate():
