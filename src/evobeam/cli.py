@@ -321,8 +321,6 @@ def build_scheme(s: dict[str, str]) -> tuple[SchemeParams, float]:
     c_target = _float(s["c_target"], "[scheme] c_target")
     if not c_target > 0:
         raise ConfigError(f"[scheme] c_target: must be > 0, got {s['c_target']!r}")
-    if abs(scheme.n_steps * scheme.dt - scheme.t_end) > 1e-9 * scheme.t_end:
-        raise ConfigError(f"[scheme] t_end: {s['t_end']} is not a whole number of steps of dt = {s['dt']}")
     if scheme.n_steps % scheme.record_every:
         raise ConfigError(
             f"[scheme] record_every: {s['record_every']} does not divide the {scheme.n_steps} steps,"
@@ -416,9 +414,11 @@ def build_output(out: dict[str, str], model: AssembledModel) -> tuple[bool, list
         trace_names = []
     else:
         trace_names = [t.strip() for t in traces_sel.split(",") if t.strip()]
-        for t in trace_names:
+        for i, t in enumerate(trace_names):
             if t not in model.layout.trace_names():
                 raise ConfigError(f"[output] traces: unknown trace {t!r}")
+            if t in trace_names[:i]:
+                raise ConfigError(f"[output] traces: trace {t!r} is named twice")
     stride = None
     if out["snapshots"]:
         stride = _int(out["snapshot_stride"], "[output] snapshot_stride")
@@ -678,6 +678,8 @@ def cmd_probe(
         _note(stats, "step_s", start)
         return [f"max_dev_before_a={fmt17(dev)}"], 0 if dev <= 1e-13 else 2
     if kind == "bound":
+        if a is not None:
+            raise ConfigError("bound probe takes no --a")
         start = time.perf_counter()
         c0 = coercivity(model.m0, model.M1, scheme.rho, model.W)
         _note(stats, "check_s", start, c0=c0)
@@ -735,10 +737,12 @@ def main(argv=None) -> int:
             stats, "parse_s", start, command=args.command, scenario=cfg.scenario, n_cells=cfg.n_cells,
             dim=cfg.model.layout.dim, n_steps=cfg.scheme_params.n_steps,
         )
-        if stats is not None and args.command == "run":
-            for key in ("csv", "snapshots"):
-                if cfg.output[key] and os.path.realpath(args.stats) == os.path.realpath(cfg.output[key]):
-                    raise ConfigError(f"--stats: {args.stats!r} is the same file as [output] {key}")
+        # no file the command writes is its config or another of its outputs
+        seen = {os.path.realpath(args.config): "the config"}
+        outputs = [(f"[output] {key}", cfg.output[key]) for key in ("csv", "snapshots") if args.command == "run"]
+        for name, path in [*outputs, ("--stats", args.stats)]:
+            if path and (other := seen.setdefault(os.path.realpath(path), name)) != name:
+                raise ConfigError(f"{name}: {path!r} is the same file as {other}")
         if args.command == "check":
             lines, code = cmd_check(cfg, stats)
         elif args.command == "run":

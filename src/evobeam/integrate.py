@@ -59,6 +59,8 @@ class SchemeParams:
             raise ParameterError("dt and t_end must be positive")
         if not math.isfinite(self.t_end / self.dt):
             raise ParameterError(f"t_end / dt must be finite, got {self.t_end!r} / {self.dt!r}")
+        if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ParameterError(f"t_end = {self.t_end!r} is not a whole number of steps of dt = {self.dt!r}")
         if not 0.5 <= self.theta <= 1.0:
             raise ParameterError("theta must lie in [1/2, 1]")
         if not isinstance(self.record_every, (int, np.integer)) or self.record_every < 1:
@@ -70,11 +72,7 @@ class SchemeParams:
 
     @property
     def n_steps(self) -> int:
-        # round when t_end is a whole number of steps to a relative 1e-9
-        n = round(self.t_end / self.dt)
-        if abs(n * self.dt - self.t_end) <= 1e-9 * self.t_end:
-            return n
-        return math.floor(self.t_end / self.dt)
+        return round(self.t_end / self.dt)
 
 
 @dataclass(frozen=True)
@@ -133,19 +131,22 @@ def factor_stats(sys_: SteppingSystem) -> tuple[int, float]:
     return lu.L.nnz + lu.U.nnz, float(growth)
 
 
-def step(sys_: SteppingSystem, u_n: np.ndarray, f_mid: np.ndarray) -> np.ndarray:
-    """One theta step: solve L u_next = R u_n + dt*f_mid with
-    R = diag(m0) - (1-theta)*dt*(M1 + A), where f_mid is the raw source at
-    t_n + theta*dt.
+def _advance(sys_: SteppingSystem, u: np.ndarray, f: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The theta step L u_next = R u + dt*f with R = diag(m0) - (1-theta)*dt*(M1 + A)
+    and f the source at t_n + theta*dt.  As R = diag(m0)/theta - ((1-theta)/theta)*L,
+    u_next = L^-1(m0 u/theta + dt*f) - ((1-theta)/theta)*u, with the right-hand
+    side formed in the scratch buffer rhs; at theta = 1/2 the coefficients are 2*m0 and 1."""
+    np.multiply(sys_.m0_over_theta, u, out=rhs)
+    rhs += sys_.scheme.dt * f
+    u_next = sys_._lu.solve(rhs)
+    c = (1.0 - sys_.scheme.theta) / sys_.scheme.theta
+    u_next -= u if c == 1.0 else c * u  # 1.0*u is u exactly
+    return u_next
 
-    Since R = diag(m0)/theta - ((1-theta)/theta)*L, the step is
-    u_next = L^-1(m0 u_n/theta + dt*f_mid) - ((1-theta)/theta)*u_n, with
-    m0 u_n/theta an elementwise product.  At theta = 1/2 the coefficients
-    are exactly 2*m0 and 1.
-    """
-    theta = sys_.scheme.theta
-    u_next = sys_._lu.solve(sys_.m0_over_theta * u_n + sys_.scheme.dt * f_mid)
-    u_next -= ((1.0 - theta) / theta) * u_n
+
+def step(sys_: SteppingSystem, u_n: np.ndarray, f_mid: np.ndarray) -> np.ndarray:
+    """One theta step (_advance) from u_n, f_mid the source at t_n + theta*dt; NumericError if not finite."""
+    u_next = _advance(sys_, u_n, f_mid, np.empty_like(sys_.m0_over_theta))
     if not np.isfinite(u_next).all():
         raise NumericError("time step produced non-finite state")
     return u_next
@@ -172,7 +173,7 @@ def run(
     ``snapshots`` is true (otherwise the series carries ``snapshots=None``).
     Each recorded energy is bitwise ``core.energy`` of the recorded state;
     a state or recorded energy that is not finite raises NumericError, and
-    so do records too large to allocate.  Each step is bitwise ``step``.
+    so do records too large to allocate.  Each step is ``step``'s kernel ``_advance``.
 
     With ``energy_residual`` (theta = 1/2 only) the series also carries the
     largest |energy_balance_residual| over every step, recorded or not.
@@ -218,8 +219,6 @@ def run(
             snaps[done : done + count] = U
         done += count
 
-    solve, m0_over_theta = sys_._lu.solve, sys_.m0_over_theta
-    c = (1.0 - theta) / theta
     rhs = np.empty(layout.dim)
     max_residual = 0.0
     u = np.asarray(u0, dtype=float)
@@ -233,11 +232,7 @@ def run(
             row = 0
         for k in range(n_steps):
             f = source((k + theta) * dt)
-            # the operations of step, in its order, into one reused buffer
-            np.multiply(m0_over_theta, u, out=rhs)
-            rhs += dt * f
-            u_next = solve(rhs)
-            u_next -= u if c == 1.0 else c * u  # 1.0*u is u exactly
+            u_next = _advance(sys_, u, f, rhs)
             if S is not None:
                 # np.maximum, unlike max, keeps a NaN residual
                 max_residual = np.maximum(max_residual, abs(_balance_residual(u, u_next, f, m0, S, W, dt)))

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import evobeam
 from evobeam import cli, scenarios
-from evobeam.core import bump_envelope, gaussian_envelope, sinusoid_envelope
+from evobeam.core import ParameterError, bump_envelope, gaussian_envelope, sinusoid_envelope
 from evobeam.integrate import factor_stats
 from evobeam.wellposed import NevanlinnaSpec
 from evobeam.cli import (
@@ -405,6 +405,7 @@ def test_main_converge_golden_text(tmp_path, capsys, scenario, code, expected):
         "snapshots = {snaps}\nsnapshot_stride = two",
         "energy = maybe",
         "traces = tau0_plus, nope",
+        "traces = tau0_plus, tau0_plus",
         "snapshots = a\0b",
     ],
 )
@@ -950,7 +951,7 @@ def test_build_scheme_accepts_a_whole_number_of_steps_to_a_relative_1e_9(n, dt, 
     if whole:
         assert build_scheme(s)[0].n_steps == whole[0]
     else:
-        with pytest.raises(ConfigError, match="is not a whole number of steps"):
+        with pytest.raises(ParameterError, match="is not a whole number of steps"):
             build_scheme(s)
 
 
@@ -1099,8 +1100,12 @@ _LAWS = "".join(f"{law} = 1.0, 0.5\n" for law in ("mu_minus", "mu_plus", "nu_min
         ("[grid]\nn_cells = 8\n[scenario]\nname = full_dynamic\ng_V1 = 0.5\ng_eta = 0.5\ng_s = 0.5\n"
          "g_V2 = 0.5\n" + _LAWS + "[scheme]\nrho = 0.0\n",
          ("--kind", "bound"), 4, [], ["config error: [scheme] rho: the bound probe needs rho > 0, got '0.0'"]),
+        (MINIMAL, ("--kind", "bound", "--a", "0.5"), 4, [], ["config error: bound probe takes no --a"]),
     ],
-    ids=["causality-without-a", "causality-a-at-0", "causality-a-past-t_end", "bound-not-coercive", "bound-rho-0"],
+    ids=[
+        "causality-without-a", "causality-a-at-0", "causality-a-past-t_end", "bound-not-coercive", "bound-rho-0",
+        "bound-with-a",
+    ],
 )
 def test_main_refused_probe_factors_nothing(text, args, code, out, err, tmp_path, capsys, monkeypatch):
     # every refusal comes before the LU factorisation of the stepping matrix
@@ -1409,6 +1414,47 @@ def test_stats_refuses_the_path_of_a_run_output(key, tmp_path, capsys):
     assert code == 4
     assert capsys.readouterr().err.startswith("config error: --stats: ")
     assert not (tmp_path / "out.csv").exists()
+
+
+def _refuses_an_output_naming_the_config(output, args, message, tmp_path, capsys, monkeypatch):
+    """main on a config c.cfg exits 4 with one stderr line, leaving c.cfg
+    unchanged and writing nothing beside it."""
+    monkeypatch.chdir(tmp_path)
+    text = MINIMAL + "\n[output]\n" + output
+    Path("c.cfg").write_text(text)
+    assert main([args[0], "c.cfg", *args[1:]]) == 4
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err.splitlines()) == ("", [f"config error: {message}"])
+    assert Path("c.cfg").read_text() == text
+    assert os.listdir() == ["c.cfg"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("check",), ("run",), ("converge", "--levels", "4,8,16"), ("probe", "--kind", "bound")],
+    ids=["check", "run", "converge", "probe"],
+)
+def test_stats_refuses_the_path_of_the_config(args, tmp_path, capsys, monkeypatch):
+    _refuses_an_output_naming_the_config(
+        "csv = out.csv\n", [*args, "--stats", "./c.cfg"],
+        "--stats: './c.cfg' is the same file as the config", tmp_path, capsys, monkeypatch,
+    )
+
+
+def test_run_refuses_a_csv_naming_the_config(tmp_path, capsys, monkeypatch):
+    _refuses_an_output_naming_the_config(
+        f"csv = {tmp_path / 'c.cfg'}\n", ["run"],
+        f"[output] csv: {str(tmp_path / 'c.cfg')!r} is the same file as the config", tmp_path, capsys, monkeypatch,
+    )
+    # check writes no CSV, so the same config passes it
+    assert main(["check", "c.cfg"]) == 0
+
+
+def test_run_refuses_snapshots_naming_the_config(tmp_path, capsys, monkeypatch):
+    _refuses_an_output_naming_the_config(
+        "csv = out.csv\nsnapshots = ./c.cfg\n", ["run"],
+        "[output] snapshots: './c.cfg' is the same file as the config", tmp_path, capsys, monkeypatch,
+    )
 
 
 def test_main_check_accepts_a_law_above_half_the_float_range(tmp_path, capsys):

@@ -103,8 +103,53 @@ def test_scheme_params_refuse_an_infinite_rho():
 
 def test_n_steps_rounding():
     assert SchemeParams(dt=0.1, t_end=1.0).n_steps == 10
-    assert SchemeParams(dt=0.3, t_end=1.0).n_steps == 3
+    with pytest.raises(ParameterError, match="is not a whole number of steps"):
+        SchemeParams(dt=0.3, t_end=1.0)
     assert SchemeParams(dt=0.25, t_end=1.0).n_steps == 4
+
+
+@pytest.mark.parametrize("dt,t_end", [(0.3, 1.0), (1.0, 0.3)])
+def test_scheme_params_refuse_a_t_end_that_is_not_a_whole_number_of_steps(dt, t_end):
+    # a run ends at t_end, so a t_end that no whole number of steps reaches is refused
+    with pytest.raises(ParameterError) as info:
+        SchemeParams(dt=dt, t_end=t_end)
+    assert str(info.value) == f"t_end = {t_end!r} is not a whole number of steps of dt = {dt!r}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 500),
+    dt=st.floats(1e-6, 1e3),
+    off=st.one_of(st.floats(-3e-9, 3e-9), st.floats(-0.5, 0.5), st.just(0.0)),
+)
+def test_run_ends_at_t_end_for_every_accepted_scheme(n, dt, off):
+    t_end = n * dt * (1.0 + off)
+    try:
+        layout, scheme, sys_ = _scalar_system(0.5, dt, t_end)
+    except ParameterError as exc:
+        assert "is not a whole number of steps" in str(exc)
+        return
+    ts = run(sys_, np.ones(1), lambda t: np.zeros(layout.dim))
+    assert abs(ts.times[-1] - t_end) <= 1e-9 * t_end
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_step_and_run_share_one_kernel(record_every, monkeypatch):
+    layout, scheme, sys_ = _scalar_system(0.5, 0.1, 1.2)
+    sys_ = replace(sys_, scheme=replace(scheme, record_every=record_every))
+    kernel, calls = integrate._advance, []
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(integrate, "_advance", counting)
+    z = lambda t: np.zeros(layout.dim)
+    run(sys_, np.ones(1), z)
+    assert len(calls) == 12
+    calls.clear()
+    step(sys_, np.ones(1), z(0.0))
+    assert len(calls) == 1
 
 
 def test_scalar_midpoint_recurrence():
@@ -353,7 +398,7 @@ def test_causality_probe_stops_at_split():
         (0.1, 1.0, 0.5, 1.0),
         (0.1, 1.0, 1.0, 0.15),
         (0.1, 1.0, 1.0, 0.2),
-        (0.3, 1.0, 0.5, 0.95),
+        (0.3, 1.2, 0.5, 0.95),
         # 3 * 0.1 > 0.3 in floating point: the last step lies past a = t_end
         (0.1, 0.3, 0.5, 0.3),
     ],
