@@ -26,6 +26,7 @@ import numpy as np
 from .core import (
     EvobeamError,
     NumericError,
+    ParameterError,
     SpaceTag,
     bump_envelope,
     build_grid,
@@ -273,7 +274,10 @@ def parse_config(text: str) -> RunConfig:
     # full validation: if any of these raise, surface it as a parse error
     try:
         model = build_model(name, params, n_cells)
-        scheme_params, c_target = build_scheme(scheme)
+        try:
+            scheme_params, c_target = build_scheme(scheme)
+        except ParameterError as exc:
+            raise ConfigError(f"[scheme] {exc}") from exc
         source_fn = build_source(source, model)
         block = source["block"] or model.layout.names[0]
         if model.layout.tag_of(block) is SpaceTag.TRACE:
@@ -424,8 +428,6 @@ def build_output(out: dict[str, str], model: AssembledModel) -> tuple[bool, list
         stride = _int(out["snapshot_stride"], "[output] snapshot_stride")
         if stride < 1:
             raise ConfigError("[output] snapshot_stride: must be >= 1")
-        if os.path.realpath(out["snapshots"]) == os.path.realpath(out["csv"]):
-            raise ConfigError(f"[output] snapshots: {out['snapshots']!r} is the same file as csv")
     return with_energy, trace_names, stride
 
 

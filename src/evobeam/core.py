@@ -71,6 +71,12 @@ class SpaceTag(enum.Enum):
             return slice(1, n_cells)
         raise ParameterError(f"{self} is not a node tag")
 
+    def free_ends(self) -> tuple[float, ...]:
+        """The endpoints whose node a node tag keeps, -1/2 before +1/2: the
+        ends where a block with this tag carries a trace."""
+        kept = range(2)[self.node_slice(1)]  # of the two nodes of one cell
+        return tuple(x for x, node in ((-0.5, 0), (0.5, 1)) if node in kept)
+
     def block_length(self, n_cells: int) -> int:
         if self is SpaceTag.CENTER:
             return n_cells

@@ -16,7 +16,6 @@ from .core import Grid, ParameterError, SpaceTag, StateLayout, build_weights
 __all__ = [
     "build_derivative",
     "build_B",
-    "build_B_tilde",
     "adjoint_wrt",
     "assemble_skew",
     "skew_defect",
@@ -36,33 +35,20 @@ def build_derivative(grid: Grid, tag: SpaceTag) -> sp.csr_matrix:
     return sp.diags([-inv_h, inv_h], [0, 1], shape=(n, n + 1), format="csr")[:, keep]
 
 
-def _stack_with_traces(deriv: sp.csr_matrix, cols: list[int]) -> sp.csr_matrix:
-    """Derivative rows stacked with one trace row per entry of ``cols``.
+def build_B(grid: Grid, tag: SpaceTag) -> sp.csr_matrix:
+    """The derivative on a node-tagged block, augmented by its traces.
 
-    Each trace row is a coordinate selector: a single 1 in the column of the
-    node adjacent to its endpoint.
+    Stacks the N difference rows of build_derivative with one selector row
+    per free end of the tag, in the order of ``tag.free_ends()``: a single 1
+    in the column of the node at that end.  NODE_FREE_LEFT gives the
+    paper's B (the trace at +1/2), NODE_ALL gives B-tilde (both traces) and
+    NODE_INTERIOR the bare derivative.
     """
-    trace_block = sp.csr_matrix(
-        (np.ones(len(cols)), (range(len(cols)), cols)), shape=(len(cols), deriv.shape[1])
-    )
-    return sp.vstack([deriv, trace_block], format="csr")
-
-
-def build_B(grid: Grid) -> sp.csr_matrix:
-    """Derivative with a left zero condition, augmented by the right trace.
-
-    Acts on a NodeFreeLeft block; the output stacks the N difference rows
-    with one selector row reading the value at the node next to +1/2.
-    """
-    deriv = build_derivative(grid, SpaceTag.NODE_FREE_LEFT)
-    # column of node N within the NodeFreeLeft block is N-1
-    return _stack_with_traces(deriv, [grid.n_cells - 1])
-
-
-def build_B_tilde(grid: Grid) -> sp.csr_matrix:
-    """Unrestricted derivative augmented by the left, then the right trace."""
-    deriv = build_derivative(grid, SpaceTag.NODE_ALL)
-    return _stack_with_traces(deriv, [0, grid.n_cells])
+    deriv = build_derivative(grid, tag)
+    width = deriv.shape[1]
+    cols = [0 if x < 0 else width - 1 for x in tag.free_ends()]
+    selectors = sp.csr_matrix((np.ones(len(cols)), (range(len(cols)), cols)), shape=(len(cols), width))
+    return sp.vstack([deriv, selectors], format="csr")
 
 
 def adjoint_wrt(op: sp.spmatrix, W_dom: np.ndarray, W_ran: np.ndarray) -> sp.csr_matrix:

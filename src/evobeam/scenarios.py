@@ -25,7 +25,7 @@ from .core import (
     TimeSeries,
     build_weights,
 )
-from .discretize import assemble_skew, build_B, build_B_tilde, build_derivative
+from .discretize import assemble_skew, build_B
 from .wellposed import NevanlinnaSpec
 
 __all__ = [
@@ -158,20 +158,25 @@ def _assemble(
     layout: StateLayout,
     m0: dict[str, np.ndarray | float],
     m1: dict[str, np.ndarray | float],
-    traces: dict[str, TraceBinding],
-    pairs: list[tuple[sp.spmatrix, tuple[str, ...], tuple[str, ...]]],
+    laws: dict[str, NevanlinnaSpec],
+    pairs: list[tuple[str, tuple[str, ...]]],
     couplings: tuple[tuple[str, str, float], ...] = (),
 ) -> AssembledModel:
     """The model on ``layout``.  The inertia m0 and the diagonal of M1 are in
     layout order: each field block takes its samples from ``m0`` and ``m1``
     (a missing block is 0), each trace slot its law's mu0 and mu1.  Each
-    coupling (a, b, s) adds +s at (a, b) and -s at (b, a) of M1, and
-    A = assemble_skew(layout, pairs).  M1 stores no zero entries (a CSR sum
-    drops them)."""
+    coupling (a, b, s) adds +s at (a, b) and -s at (b, a) of M1.  M1 stores
+    no zero entries (a CSR sum drops them).
+
+    Each pair (node, (center, *slots)) puts build_B(grid, tag of node) from
+    the node block to the center block and the slots, and binds the slots in
+    order to the free ends x of that tag: slot = sign * center(x), with sign
+    +1 at -1/2 and -1 at +1/2, carrying the law ``laws[slot]``.
+    """
 
     def diagonal(blocks: dict[str, np.ndarray | float], coefficient: str) -> np.ndarray:
         entries = [
-            [getattr(traces[name].law, coefficient)]
+            [getattr(laws[name], coefficient)]
             if tag is SpaceTag.TRACE
             else np.broadcast_to(blocks.get(name, 0.0), layout.length_of(name))
             for name, tag in layout.blocks
@@ -179,6 +184,13 @@ def _assemble(
         # + 0.0 makes every zero entry +0.0, also where a coefficient is -0.0
         return np.concatenate(entries, dtype=float) + 0.0
 
+    ops, traces = [], {}
+    for node, ran in pairs:
+        tag = layout.tag_of(node)
+        ops.append((build_B(layout.grid, tag), (node,), ran))
+        center, *slots = ran
+        for slot, x in zip(slots, tag.free_ends()):
+            traces[slot] = TraceBinding(center, x, +1.0 if x < 0 else -1.0, laws[slot])
     M1 = sp.csr_matrix(sp.diags(diagonal(m1, "mu1")))
     for a, b, s in couplings:
         rows, cols = layout.indices_of((a, b)), layout.indices_of((b, a))
@@ -188,7 +200,7 @@ def _assemble(
         W=build_weights(layout),
         m0=diagonal(m0, "mu0"),
         M1=M1,
-        A=assemble_skew(layout, pairs),
+        A=assemble_skew(layout, ops),
         traces=traces,
     )
 
@@ -208,8 +220,7 @@ def make_timoshenko_damped(grid: Grid, params: TimoshenkoParams) -> AssembledMod
     """
     if params.c < 0 or params.I_tilde < 0:
         raise ParameterError("boundary coefficients c and I_tilde must be nonnegative")
-    if params.c == 0 and params.I_tilde == 0:
-        raise ParameterError("boundary trace law degenerate: c and I_tilde not both zero")
+    law = NevanlinnaSpec(params.I_tilde, params.c)
     if params.sigma0 == 0:
         raise ParameterError("sigma0 must be nonzero")
     layout = StateLayout(
@@ -228,13 +239,9 @@ def make_timoshenko_damped(grid: Grid, params: TimoshenkoParams) -> AssembledMod
         "s": _samples(params, "nu2", grid, True),
         "V2": _samples(params, "kappa2", grid, True),
     }
-    traces = {"tau_plus": TraceBinding("eta", +0.5, -1.0, NevanlinnaSpec(params.I_tilde, params.c))}
-    pairs = [
-        (build_B(grid), ("V1",), ("eta", "tau_plus")),
-        (build_derivative(grid, SpaceTag.NODE_INTERIOR), ("s",), ("V2",)),
-    ]
     m1 = {"s": _samples(params, "d", grid, False)}
-    return _assemble(layout, m0, m1, traces, pairs, couplings=(("eta", "V2", params.sigma0),))
+    pairs = [("V1", ("eta", "tau_plus")), ("s", ("V2",))]
+    return _assemble(layout, m0, m1, {"tau_plus": law}, pairs, couplings=(("eta", "V2", params.sigma0),))
 
 
 def sign_flip_vector(layout: StateLayout) -> np.ndarray:
@@ -280,18 +287,14 @@ def make_full_dynamic(grid: Grid, params: FullDynamicParams) -> AssembledModel:
     blocks = ("V1", "eta", "s", "V2")
     m0 = {b: _samples(params, f"m_{b}", grid, True) for b in blocks}
     m1 = {b: _samples(params, f"g_{b}", grid, False) for b in blocks}
-    traces = {
-        "tau0_minus": TraceBinding("eta", -0.5, +1.0, _check_trace_law(params.mu_minus, "mu_minus")),
-        "tau0_plus": TraceBinding("eta", +0.5, -1.0, _check_trace_law(params.mu_plus, "mu_plus")),
-        "tau1_minus": TraceBinding("V2", -0.5, +1.0, _check_trace_law(params.nu_minus, "nu_minus")),
-        "tau1_plus": TraceBinding("V2", +0.5, -1.0, _check_trace_law(params.nu_plus, "nu_plus")),
+    laws = {
+        "tau0_minus": _check_trace_law(params.mu_minus, "mu_minus"),
+        "tau0_plus": _check_trace_law(params.mu_plus, "mu_plus"),
+        "tau1_minus": _check_trace_law(params.nu_minus, "nu_minus"),
+        "tau1_plus": _check_trace_law(params.nu_plus, "nu_plus"),
     }
-    Bt = build_B_tilde(grid)
-    pairs = [
-        (Bt, ("V1",), ("eta", "tau0_minus", "tau0_plus")),
-        (Bt, ("s",), ("V2", "tau1_minus", "tau1_plus")),
-    ]
-    return _assemble(layout, m0, m1, traces, pairs)
+    pairs = [("V1", ("eta", "tau0_minus", "tau0_plus")), ("s", ("V2", "tau1_minus", "tau1_plus"))]
+    return _assemble(layout, m0, m1, laws, pairs)
 
 
 def make_sturm_liouville(grid: Grid, params: SturmLiouvilleParams) -> AssembledModel:
@@ -314,12 +317,12 @@ def make_sturm_liouville(grid: Grid, params: SturmLiouvilleParams) -> AssembledM
     )
     r = _samples(params, "r", grid, True)
     q = _samples(params, "q", grid, False)
-    traces = {
-        "tau_minus": TraceBinding("V1", -0.5, +1.0, _check_trace_law(params.mu_minus, "mu_minus")),
-        "tau_plus": TraceBinding("V1", +0.5, -1.0, _check_trace_law(params.mu_plus, "mu_plus")),
+    laws = {
+        "tau_minus": _check_trace_law(params.mu_minus, "mu_minus"),
+        "tau_plus": _check_trace_law(params.mu_plus, "mu_plus"),
     }
-    pairs = [(build_B_tilde(grid), ("eta",), ("V1", "tau_minus", "tau_plus"))]
-    return _assemble(layout, {"V1": r, "eta": params.s0}, {"V1": q, "eta": params.s1}, traces, pairs)
+    pairs = [("eta", ("V1", "tau_minus", "tau_plus"))]
+    return _assemble(layout, {"V1": r, "eta": params.s0}, {"V1": q, "eta": params.s1}, laws, pairs)
 
 
 def split_model(model: AssembledModel, names: tuple[str, ...]) -> AssembledModel:

@@ -435,6 +435,20 @@ def test_main_run_refuses_snapshots_naming_the_csv(snapshots, tmp_path, capsys, 
     assert not (tmp_path / "same.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [("check",), ("converge", "--levels", "8,16,32"), ("probe", "--kind", "causality", "--a", "0.5")],
+    ids=["check", "converge", "probe-causality"],
+)
+def test_commands_that_write_no_output_accept_snapshots_naming_the_csv(args, tmp_path, capsys, monkeypatch):
+    # only run writes the two files, so only run refuses the shared path
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.ini").write_text(MINIMAL + "\n[output]\ncsv = s.txt\nsnapshots = s.txt\n")
+    assert main([args[0], "cfg.ini", *args[1:]]) == 0
+    assert capsys.readouterr().err == ""
+    assert os.listdir() == ["cfg.ini"]
+
+
 def test_main_run_rejects_overflowing_energy(tmp_path, capsys):
     # a finite state whose energy overflows: exit 2, one stderr line, no CSV
     csv = tmp_path / "out.csv"
@@ -568,7 +582,7 @@ def test_main_rejects_overflowing_initial_amplitude(command, kind, tmp_path, cap
     "name,keys,message",
     [
         ("timoshenko_damped", "c = -1", "boundary coefficients c and I_tilde must be nonnegative"),
-        ("timoshenko_damped", "c = 0", "boundary trace law degenerate: c and I_tilde not both zero"),
+        ("timoshenko_damped", "c = 0", "trace law must not have both coefficients zero"),
         ("full_dynamic", "mu_plus = -1, 0.5", "mu_plus trace law needs nonnegative coefficients"),
         ("full_dynamic", "nu_minus = 0, 0", "trace law must not have both coefficients zero"),
         ("sturm_liouville", "s0 = 0\ns1 = 0", "potential law needs s0, s1 >= 0 with s0 + s1 > 0"),
@@ -1123,7 +1137,22 @@ def test_main_rejects_a_subnormal_dt(command, dt, tmp_path, capsys):
     # t_end / dt overflows to inf, so there is no whole number of steps
     code, err = _main_fails_once(command, MINIMAL + f"[scheme]\ndt = {dt}\nt_end = 1\n", tmp_path, capsys)
     assert code == 4
-    assert err == [f"config error: t_end / dt must be finite, got 1.0 / {dt}"]
+    assert err == [f"config error: [scheme] t_end / dt must be finite, got 1.0 / {dt}"]
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize(
+    "scheme,message",
+    [
+        ("theta = 2", "theta must lie in [1/2, 1]"),
+        ("dt = 0.3\nt_end = 1.0", "t_end = 1.0 is not a whole number of steps of dt = 0.3"),
+    ],
+    ids=["theta", "whole-step"],
+)
+def test_main_names_the_scheme_section_of_a_scheme_refusal(command, scheme, message, tmp_path, capsys):
+    code, err = _main_fails_once(command, MINIMAL + f"[scheme]\n{scheme}\n", tmp_path, capsys)
+    assert code == 4
+    assert err == [f"config error: [scheme] {message}"]
 
 
 @pytest.mark.parametrize("command", ["check", "run"])

@@ -89,6 +89,24 @@ def test_node_slice_rejects_non_node_tags(tag):
         tag.node_slice(4)
 
 
+@pytest.mark.parametrize(
+    "tag,ends",
+    [
+        (SpaceTag.NODE_ALL, (-0.5, 0.5)),
+        (SpaceTag.NODE_FREE_LEFT, (0.5,)),
+        (SpaceTag.NODE_INTERIOR, ()),
+    ],
+)
+def test_free_ends_are_the_kept_boundary_nodes(tag, ends):
+    assert tag.free_ends() == ends
+
+
+@pytest.mark.parametrize("tag", [SpaceTag.CENTER, SpaceTag.TRACE])
+def test_free_ends_rejects_non_node_tags(tag):
+    with pytest.raises(ParameterError, match="is not a node tag"):
+        tag.free_ends()
+
+
 def test_points_exclude_pinned_nodes():
     g = build_grid(4)
     np.testing.assert_allclose(g.points(SpaceTag.NODE_FREE_LEFT), g.nodes[1:])

@@ -23,7 +23,6 @@ from evobeam.discretize import (
     adjoint_wrt,
     assemble_skew,
     build_B,
-    build_B_tilde,
     build_derivative,
     skew_defect,
 )
@@ -81,7 +80,7 @@ def test_pinned_nodes_enter_as_zero():
 
 def test_trace_augmented_b_two_cells():
     # (a, b) -> (2a, 2(b-a), b): two difference rows plus the right trace
-    B = build_B(build_grid(2))
+    B = build_B(build_grid(2), SpaceTag.NODE_FREE_LEFT)
     expected = np.array([[2.0, 0.0], [-2.0, 2.0], [0.0, 1.0]])
     assert np.array_equal(B.toarray(), expected)
     assert np.array_equal(B @ np.array([1.0, 3.0]), np.array([2.0, 4.0, 3.0]))
@@ -89,11 +88,48 @@ def test_trace_augmented_b_two_cells():
 
 def test_trace_augmented_b_tilde_two_cells():
     # (a, b, c) -> (2(b-a), 2(c-b), a, c)
-    Bt = build_B_tilde(build_grid(2))
+    Bt = build_B(build_grid(2), SpaceTag.NODE_ALL)
     expected = np.array(
         [[-2.0, 2.0, 0.0], [0.0, -2.0, 2.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
     )
     assert np.array_equal(Bt.toarray(), expected)
+
+
+def _kept_and_traced(tag, n):
+    """The nodes a node tag keeps, and the nodes whose value a trace row of
+    build_B reads, left before right."""
+    return {
+        SpaceTag.NODE_ALL: (range(0, n + 1), [0, n]),
+        SpaceTag.NODE_FREE_LEFT: (range(1, n + 1), [n]),
+        SpaceTag.NODE_INTERIOR: (range(1, n), []),
+    }[tag]
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 33])
+@pytest.mark.parametrize(
+    "tag", [SpaceTag.NODE_ALL, SpaceTag.NODE_FREE_LEFT, SpaceTag.NODE_INTERIOR], ids=lambda t: t.name
+)
+def test_build_B_matches_dense_reference(tag, n):
+    # difference rows (u_{i+1} - u_i)/h over all nodes, pinned columns
+    # dropped, then one unit row per traced node
+    grid = build_grid(n)
+    kept, traced = _kept_and_traced(tag, n)
+    inv_h = 1.0 / grid.h
+    full = np.zeros((n + len(traced), n + 1))
+    for i in range(n):
+        full[i, i], full[i, i + 1] = -inv_h, inv_h
+    for row, node in enumerate(traced):
+        full[n + row, node] = 1.0
+    ref = full[:, list(kept)]
+    B = build_B(grid, tag)
+    assert B.format == "csr"
+    assert B.toarray().tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("tag", [SpaceTag.CENTER, SpaceTag.TRACE])
+def test_build_B_rejects_non_node_tags(tag):
+    with pytest.raises(ParameterError, match="is not a node tag"):
+        build_B(build_grid(4), tag)
 
 
 def test_adjoint_pairing_identity(rng):
@@ -278,14 +314,14 @@ def test_skew_placement_matches_dense_reference(n):
     # contiguous: eta sits between V1 and the traces
     sl = make_sturm_liouville(grid, SturmLiouvilleParams())
     ref = _dense_skew(
-        sl.layout, [(build_B_tilde(grid), ("eta",), ("V1", "tau_minus", "tau_plus"))]
+        sl.layout, [(build_B(grid, SpaceTag.NODE_ALL), ("eta",), ("V1", "tau_minus", "tau_plus"))]
     )
     assert sl.A.toarray().tobytes() == ref.tobytes()
     beam = _beam(grid)
     ref = _dense_skew(
         beam.layout,
         [
-            (build_B(grid), ("V1",), ("eta", "tau_plus")),
+            (build_B(grid, SpaceTag.NODE_FREE_LEFT), ("V1",), ("eta", "tau_plus")),
             (build_derivative(grid, SpaceTag.NODE_INTERIOR), ("s",), ("V2",)),
         ],
     )

@@ -100,6 +100,30 @@ def test_timoshenko_trace_row():
     assert model.traces["tau_plus"] == TraceBinding("eta", +0.5, -1.0, NevanlinnaSpec(0.25, 0.5))
 
 
+# (field, endpoint, sign) of each trace slot, in layout order
+TRACE_BINDINGS = {
+    "timoshenko_damped": {"tau_plus": ("eta", 0.5, -1.0)},
+    "dynamic_inertia": {"tau_plus": ("eta", 0.5, -1.0)},
+    "full_dynamic": {
+        "tau0_minus": ("eta", -0.5, 1.0),
+        "tau0_plus": ("eta", 0.5, -1.0),
+        "tau1_minus": ("V2", -0.5, 1.0),
+        "tau1_plus": ("V2", 0.5, -1.0),
+    },
+    "sturm_liouville": {"tau_minus": ("V1", -0.5, 1.0), "tau_plus": ("V1", 0.5, -1.0)},
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_trace_bindings_golden(name, n):
+    spec = SCENARIOS[name]
+    model = spec.make(build_grid(n), spec.defaults)
+    bindings = [(k, (b.field, b.endpoint, b.sign)) for k, b in model.traces.items()]
+    assert bindings == list(TRACE_BINDINGS[name].items())
+    assert tuple(model.traces) == model.layout.trace_names()
+
+
 # each scenario's defaults, and two mixed cases: a massless and a
 # dashpot-free trace on full_dynamic, and the parabolic potential law
 TRACE_LAW_CASES = [(name, spec.make, spec.defaults) for name, spec in sorted(SCENARIOS.items())] + [
@@ -609,7 +633,7 @@ def test_assemble_zero_coupling_stores_nothing(n):
     # strength defaults to 0 keeps the uncoupled matrices bitwise
     model = make_full_dynamic(build_grid(n), FullDynamicParams())
     m0 = {b: 1.0 for b in ("V1", "eta", "s", "V2")}
-    args = (model.layout, m0, {"eta": 0.5}, model.traces, [])
+    args = (model.layout, m0, {"eta": 0.5}, {k: b.law for k, b in model.traces.items()}, [])
     plain = _assemble(*args)
     zero = _assemble(*args, couplings=(("eta", "V2", 0.0),))
     assert plain.m0.tobytes() == zero.m0.tobytes()
@@ -624,7 +648,7 @@ def test_assemble_zero_coupling_stores_nothing(n):
 def test_assemble_coupling_is_w_skew():
     model = make_full_dynamic(build_grid(8), FullDynamicParams())
     coupled = _assemble(
-        model.layout, {}, {}, model.traces, [], couplings=(("eta", "V2", 1.5),)
+        model.layout, {}, {}, {k: b.law for k, b in model.traces.items()}, [], couplings=(("eta", "V2", 1.5),)
     )
     M1 = coupled.M1.toarray()
     eta, V2 = model.layout.indices_of(("eta",)), model.layout.indices_of(("V2",))
