@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import argparse
 import ast
+import json
 import math
 import operator
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
@@ -25,6 +27,7 @@ import numpy as np
 
 from .core import (
     EvobeamError,
+    Grid,
     NumericError,
     ParameterError,
     SpaceTag,
@@ -82,13 +85,10 @@ _SOURCE_DEFAULTS = {
 _INITIAL_DEFAULTS = {"kind": "zero", "amplitude": "1.0", "seed": "0"}
 
 # the [initial] keys of _INITIAL_DEFAULTS that each kind reads; expr also
-# reads the block keys, which build_initial checks
+# reads the field blocks of the layout, which build_initial checks
 _INITIAL_READS = {"zero": ("kind",), "random": ("kind", "amplitude", "seed"), "expr": ("kind", "amplitude")}
 
-_OUTPUT_DEFAULTS = {
-    "csv": "out.csv", "snapshots": "", "snapshot_stride": "1",
-    "energy": "true", "traces": "all",
-}
+_OUTPUT_DEFAULTS = {"csv": "out.csv", "snapshots": "", "snapshot_stride": "1", "energy": "true", "traces": "all"}
 
 
 class ConfigError(EvobeamError):
@@ -158,13 +158,12 @@ def _eval_expr(expr: str, x: np.ndarray, where: str) -> np.ndarray:
     try:
         with np.errstate(all="ignore"):
             val = np.asarray(_eval_node(ast.parse(expr, "<config>", mode="eval").body, {**_EXPR_NAMES, "x": x}))
-            if np.iscomplexobj(val):
-                raise ConfigError(f"{where}: {expr!r} is not real")
-            val = val.astype(float) * np.ones_like(x)
-    except ConfigError:
-        raise
+            if not np.iscomplexobj(val):
+                val = val.astype(float) * np.ones_like(x)
     except Exception as exc:
         raise ConfigError(f"{where}: cannot evaluate {expr!r}: {exc}") from exc
+    if np.iscomplexobj(val):
+        raise ConfigError(f"{where}: {expr!r} is not real")
     if not np.isfinite(val).all():
         raise ConfigError(f"{where}: {expr!r} is not finite at every sample point")
     return val
@@ -196,11 +195,14 @@ def _bool(raw: str, where: str) -> bool:
     raise ConfigError(f"{where}: expected a boolean, got {raw!r}")
 
 
-def _pair(raw: str, where: str) -> tuple[float, float]:
+def _law(raw: str, where: str) -> NevanlinnaSpec:
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != 2:
         raise ConfigError(f"{where}: expected 'mu0, mu1', got {raw!r}")
-    return _float(parts[0], where), _float(parts[1], where)
+    try:
+        return NevanlinnaSpec(*(_float(p, where) for p in parts))
+    except ParameterError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _default_text(value) -> str:
@@ -226,12 +228,11 @@ def parse_config(text: str) -> RunConfig:
         if not cp.has_section(sec):
             raise ConfigError(f"missing required section [{sec}]")
 
-    def section(nm: str, defaults: dict[str, str | None]) -> dict[str, str | None]:
+    def section(nm: str, defaults: dict[str, str | None], blocks: tuple[str, ...] = ()) -> dict[str, str | None]:
         out = dict(defaults)
         if cp.has_section(nm):
             for k, v in cp.items(nm):
-                # build_initial checks the block keys against the layout
-                if k not in defaults and nm != "initial":
+                if k not in defaults and k not in blocks:
                     raise ConfigError(f"[{nm}]: unknown key {k!r}")
                 out[k] = v.strip()
         return out
@@ -265,29 +266,21 @@ def parse_config(text: str) -> RunConfig:
     # an unknown kind reads every key; build_source and build_initial refuse it
     kind = source["kind"]
     refuse_unread("source", _SOURCE_DEFAULTS.keys() - _SOURCE_READS.get(kind, _SOURCE_DEFAULTS), f"by kind = {kind}")
-    initial = section("initial", _INITIAL_DEFAULTS)
-    kind = initial["kind"]
-    refuse_unread("initial", _INITIAL_DEFAULTS.keys() - _INITIAL_READS.get(kind, _INITIAL_DEFAULTS), f"by kind = {kind}")
     output = section("output", _OUTPUT_DEFAULTS)
     if not output["snapshots"]:
         refuse_unread("output", {"snapshot_stride"}, "without snapshots")
-    # full validation: if any of these raise, surface it as a parse error
-    try:
-        model = build_model(name, params, n_cells)
-        try:
-            scheme_params, c_target = build_scheme(scheme)
-        except ParameterError as exc:
-            raise ConfigError(f"[scheme] {exc}") from exc
-        source_fn = build_source(source, model)
-        block = source["block"] or model.layout.names[0]
-        if model.layout.tag_of(block) is SpaceTag.TRACE:
-            refuse_unread("source", {"profile"}, f"for the trace block {block!r}")
-        initial_state = build_initial(initial, model)
-        output_sel = build_output(output, model)
-    except ConfigError:
-        raise
-    except EvobeamError as exc:
-        raise ConfigError(str(exc)) from exc
+    # full validation: each builder names its section in its errors
+    model = build_model(name, params, _build_grid(n_cells))
+    scheme_params, c_target = build_scheme(scheme)
+    source_fn = build_source(source, model)
+    block = source["block"] or model.layout.names[0]
+    if model.layout.tag_of(block) is SpaceTag.TRACE:
+        refuse_unread("source", {"profile"}, f"for the trace block {block!r}")
+    initial = section("initial", _INITIAL_DEFAULTS, model.layout.field_names())
+    kind = initial["kind"]
+    refuse_unread("initial", _INITIAL_DEFAULTS.keys() - _INITIAL_READS.get(kind, _INITIAL_DEFAULTS), f"by kind = {kind}")
+    initial_state = build_initial(initial, model)
+    output_sel = build_output(output, model)
     return RunConfig(
         name, n_cells, params, scheme, source, initial, output,
         model, scheme_params, c_target, source_fn, initial_state, output_sel,
@@ -297,37 +290,50 @@ def parse_config(text: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 # builders
 
-def build_model(scenario: str, params: dict[str, str], n_cells: int) -> AssembledModel:
-    """Assemble the scenario's model from its [scenario] values.
+@contextmanager
+def _section(name: str):
+    """Raise each error of a builder of section name as ConfigError("[name] " + message)."""
+    try:
+        yield
+    except EvobeamError as exc:
+        raise ConfigError(f"[{name}] {exc}") from exc
+
+
+_build_grid = _section("grid")(build_grid)
+
+
+@_section("scenario")
+def build_model(scenario: str, params: dict[str, str], grid: Grid) -> AssembledModel:
+    """Assemble the scenario's model on grid from its [scenario] values.
 
     Each params field is read by its kind: a tagged coefficient is an
     expression in x sampled on its tag, a trace law a 'mu0, mu1' pair, and
     anything else a number.
     """
     spec = SCENARIOS[scenario]
-    grid = build_grid(n_cells)
     values = {}
     for f in fields(spec.defaults):
-        raw, where = params[f.name], f"[scenario] {f.name}"
+        raw = params[f.name]
         if "tag" in f.metadata:
-            values[f.name] = _eval_expr(raw, grid.points(f.metadata["tag"]), where)
+            values[f.name] = _eval_expr(raw, grid.points(f.metadata["tag"]), f.name)
         elif isinstance(getattr(spec.defaults, f.name), NevanlinnaSpec):
-            values[f.name] = NevanlinnaSpec(*_pair(raw, where))
+            values[f.name] = _law(raw, f.name)
         else:
-            values[f.name] = _float(raw, where)
+            values[f.name] = _float(raw, f.name)
     return spec.make(grid, replace(spec.defaults, **values))
 
 
+@_section("scheme")
 def build_scheme(s: dict[str, str]) -> tuple[SchemeParams, float]:
     """The scheme and c_target of a [scheme] section."""
     read = {"float": _float, "int": _int}
-    scheme = SchemeParams(**{f.name: read[f.type](s[f.name], f"[scheme] {f.name}") for f in fields(SchemeParams)})
-    c_target = _float(s["c_target"], "[scheme] c_target")
+    scheme = SchemeParams(**{f.name: read[f.type](s[f.name], f.name) for f in fields(SchemeParams)})
+    c_target = _float(s["c_target"], "c_target")
     if not c_target > 0:
-        raise ConfigError(f"[scheme] c_target: must be > 0, got {s['c_target']!r}")
+        raise ConfigError(f"c_target: must be > 0, got {s['c_target']!r}")
     if scheme.n_steps % scheme.record_every:
         raise ConfigError(
-            f"[scheme] record_every: {s['record_every']} does not divide the {scheme.n_steps} steps,"
+            f"record_every: {s['record_every']} does not divide the {scheme.n_steps} steps,"
             " so the last record would fall before t_end"
         )
     return scheme, c_target
@@ -347,6 +353,7 @@ _SOURCE_READS = {"zero": ("kind",)} | {
 }
 
 
+@_section("source")
 def build_source(s: dict[str, str], model: AssembledModel) -> Callable[[float], np.ndarray]:
     kind = s["kind"]
     if kind == "zero":
@@ -354,63 +361,61 @@ def build_source(s: dict[str, str], model: AssembledModel) -> Callable[[float], 
         return lambda t: np.zeros(dim)
     block = s["block"] or model.layout.names[0]
     if block not in model.layout.names:
-        raise ConfigError(f"[source] block: unknown block {block!r}")
-    amplitude = _float(s["amplitude"], "[source] amplitude")
+        raise ConfigError(f"block: unknown block {block!r}")
+    amplitude = _float(s["amplitude"], "amplitude")
     if model.layout.tag_of(block) is SpaceTag.TRACE:
         profile_vals = np.ones(1)
     else:
-        x = model.layout.points_of(block)
-        profile_vals = _eval_expr(s["profile"], x, "[source] profile")
+        profile_vals = _eval_expr(s["profile"], model.layout.points_of(block), "profile")
     profile = embed_block(model.layout, block, profile_vals)
     if kind not in _ENVELOPES:
-        raise ConfigError(f"[source] kind: unknown kind {kind!r}")
+        raise ConfigError(f"kind: unknown kind {kind!r}")
     envelope, *keys = _ENVELOPES[kind]
-    env = envelope(*(_float(s[k], f"[source] {k}") for k in keys), amplitude)
+    env = envelope(*(_float(s[k], k) for k in keys), amplitude)
     # every envelope is amplitude * g(t) with |g| <= 1 and rounding is
     # monotone, so each source value is finite if amplitude * profile is
     with np.errstate(over="ignore"):
         peak = amplitude * profile_vals
     if not np.isfinite(peak).all():
-        raise ConfigError("[source] amplitude: amplitude * profile is not finite at every sample point")
+        raise ConfigError("amplitude: amplitude * profile is not finite at every sample point")
     return lambda t: profile * env(t)
 
 
+@_section("initial")
 def build_initial(ini: dict[str, str], model: AssembledModel) -> np.ndarray:
     kind = ini["kind"]
     blocks = {k: v for k, v in ini.items() if k not in _INITIAL_DEFAULTS}
-    for key in blocks:
-        if key not in model.layout.field_names():
-            raise ConfigError(f"[initial]: unknown key {key!r}")
-        if kind != "expr":
-            raise ConfigError(f"[initial] {key}: a block value is read only with kind = expr")
-    amplitude = _float(ini["amplitude"], "[initial] amplitude")
+    if blocks and kind != "expr":
+        raise ConfigError(f"{next(iter(blocks))}: a block value is read only with kind = expr")
+    amplitude = _float(ini["amplitude"], "amplitude")
     vals = np.zeros(model.layout.dim)
     if kind == "random":
-        seed = _int(ini["seed"], "[initial] seed")
+        seed = _int(ini["seed"], "seed")
         if seed < 0:
-            raise ConfigError(f"[initial] seed: must be >= 0, got {ini['seed']!r}")
+            raise ConfigError(f"seed: must be >= 0, got {ini['seed']!r}")
         rng = np.random.default_rng(seed)
         with np.errstate(over="ignore", invalid="ignore"):
             vals = amplitude * rng.standard_normal(model.layout.dim)
     elif kind == "expr":
         for key, raw in blocks.items():
-            block = _eval_expr(raw, model.layout.points_of(key), f"[initial] {key}")
+            block = _eval_expr(raw, model.layout.points_of(key), key)
             with np.errstate(over="ignore", invalid="ignore"):
                 vals[model.layout.slice_of(key)] = amplitude * block
     elif kind != "zero":
-        raise ConfigError(f"[initial] kind: unknown kind {kind!r}")
+        raise ConfigError(f"kind: unknown kind {kind!r}")
     if not np.isfinite(vals).all():
         raise NumericError("state contains non-finite entries")
     return vals
 
 
+@_section("output")
 def build_output(out: dict[str, str], model: AssembledModel) -> tuple[bool, list[str], int | None]:
     """The energy flag, the trace names and the snapshot stride (None
     without snapshots) that [output] asks for."""
     for key in ("csv", "snapshots"):
         if "\0" in out[key]:
-            raise ConfigError(f"[output] {key}: a path cannot contain a NUL character")
-    with_energy = _bool(out["energy"], "[output] energy")
+            raise ConfigError(f"{key}: a path cannot contain a NUL character")
+    with_energy = _bool(out["energy"], "energy")
     traces_sel = out["traces"]
     if traces_sel == "all":
         trace_names = list(model.layout.trace_names())
@@ -420,28 +425,25 @@ def build_output(out: dict[str, str], model: AssembledModel) -> tuple[bool, list
         trace_names = [t.strip() for t in traces_sel.split(",") if t.strip()]
         for i, t in enumerate(trace_names):
             if t not in model.layout.trace_names():
-                raise ConfigError(f"[output] traces: unknown trace {t!r}")
+                raise ConfigError(f"traces: unknown trace {t!r}")
             if t in trace_names[:i]:
-                raise ConfigError(f"[output] traces: trace {t!r} is named twice")
+                raise ConfigError(f"traces: trace {t!r} is named twice")
     stride = None
     if out["snapshots"]:
-        stride = _int(out["snapshot_stride"], "[output] snapshot_stride")
+        stride = _int(out["snapshot_stride"], "snapshot_stride")
         if stride < 1:
-            raise ConfigError("[output] snapshot_stride: must be >= 1")
+            raise ConfigError("snapshot_stride: must be >= 1")
     return with_energy, trace_names, stride
 
 
 # ---------------------------------------------------------------------------
-# report formatting
+# commands
 
 def fmt17(x: float) -> str:
     """17 significant digits, compact exponent; round-trips float64."""
     mant, exp = f"{float(x):.16e}".split("e")
     return f"{mant}e{int(exp)}"
 
-
-# ---------------------------------------------------------------------------
-# commands
 
 # The keys of a --stats record, in order.  A value that the command does not
 # compute stays None (JSON null); the phase times (*_s, in seconds) add up
@@ -518,12 +520,7 @@ def cmd_check(cfg: RunConfig, stats: dict | None = None) -> tuple[list[str], int
 _WRITE_CHUNK_VALUES = 1 << 12
 
 
-def _write_rows(
-    path: str,
-    header: str,
-    cols: list[np.ndarray],
-    lines_of: Callable[[list[list[float]]], list[str]],
-) -> None:
+def _write_rows(path: str, header: str, cols: list[np.ndarray], lines_of: Callable[[list[list[float]]], list[str]]):
     """Write the header line, then lines_of(rows) for the rows of
     column_stack(cols), one bounded chunk of rows at a time."""
     n_rows, width = len(cols[0]), sum(np.size(c[0]) for c in cols)
@@ -621,23 +618,26 @@ def cmd_converge(cfg: RunConfig, levels: list[int], stats: dict | None = None) -
         exact, rates = spec.mms()
 
     def solve(n: int):
-        model = build_model(cfg.scenario, cfg.params, n)
-        exact_at = None
-        if spec.mms is not None:
-            steps = max(1, round(t_end / model.grid.h))
-            source = manufactured_source(model, exact, rates)
-            exact_at = field_sampler(model, exact)
-            u0 = exact_at(0.0)
-        else:
-            steps = max(1, round(t_end * n))
-            source = build_source(cfg.source, model)
-            u0 = consistent_initial_state(model, build_initial(cfg.initial, model), source(0.0))
-        scheme = SchemeParams(dt=t_end / steps, t_end=t_end, theta=theta, record_every=steps)
-        sys_ = _factor(model, scheme, stats)
-        start = time.perf_counter()
-        ts = run(sys_, u0, source)
-        _note(stats, "step_s", start)
-        return model, ts, exact_at
+        try:
+            model = build_model(cfg.scenario, cfg.params, _build_grid(n))
+            exact_at = None
+            if spec.mms is not None:
+                steps = max(1, round(t_end / model.grid.h))
+                source = manufactured_source(model, exact, rates)
+                exact_at = field_sampler(model, exact)
+                u0 = exact_at(0.0)
+            else:
+                steps = max(1, round(t_end * n))
+                source = build_source(cfg.source, model)
+                u0 = consistent_initial_state(model, build_initial(cfg.initial, model), source(0.0))
+            scheme = SchemeParams(dt=t_end / steps, t_end=t_end, theta=theta, record_every=steps)
+            sys_ = _factor(model, scheme, stats)
+            start = time.perf_counter()
+            ts = run(sys_, u0, source)
+            _note(stats, "step_s", start)
+            return model, ts, exact_at
+        except ConfigError as exc:
+            raise ConfigError(f"level {n}: {exc}") from exc
 
     if spec.self_reference:
         ref_model, ref_ts, _ = solve(n_ref)
@@ -660,9 +660,7 @@ def cmd_converge(cfg: RunConfig, levels: list[int], stats: dict | None = None) -
     return lines, 0 if slope >= 1.9 else 2
 
 
-def cmd_probe(
-    cfg: RunConfig, kind: str, a: float | None = None, stats: dict | None = None
-) -> tuple[list[str], int]:
+def cmd_probe(cfg: RunConfig, kind: str, a: float | None = None, stats: dict | None = None) -> tuple[list[str], int]:
     model, scheme, source = cfg.model, cfg.scheme_params, cfg.source_fn
     if kind == "causality":
         if a is None:
@@ -755,12 +753,16 @@ def main(argv=None) -> int:
         else:
             lines, code = cmd_probe(cfg, args.kind, args.a, stats)
         if stats is not None:
-            import json
-
-            # last, so that the record holds every phase; a path that cannot
-            # be written exits 3 like any other output file
-            with open(args.stats, "w") as fh:
-                fh.write(json.dumps(stats) + "\n")
+            # after the command, so that the record holds every phase
+            Path(args.stats).write_text(json.dumps(stats) + "\n")
+        try:
+            print("".join(f"{line}\n" for line in lines), end="", flush=True)
+        except OSError:
+            # stdout was closed: no record after an error line, and devnull takes the flush at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if stats is not None:
+                os.remove(args.stats)
+            raise
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 4
@@ -770,6 +772,4 @@ def main(argv=None) -> int:
     except EvobeamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for line in lines:
-        print(line)
     return code

@@ -2,7 +2,8 @@
 
 Subcommands are exercised in-process through main(argv); a subprocess
 test at the end confirms the installed entry point wires up the same code
-path, and another compares the peak memory of two runs in children.
+path, another checks the exit codes as a shell sees them, and another
+compares the peak memory of two runs in children.
 """
 
 import json
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import warnings
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 import evobeam
 from evobeam import cli, scenarios
-from evobeam.core import ParameterError, bump_envelope, gaussian_envelope, sinusoid_envelope
+from evobeam.core import bump_envelope, gaussian_envelope, sinusoid_envelope
 from evobeam.integrate import factor_stats
 from evobeam.wellposed import NevanlinnaSpec
 from evobeam.cli import (
@@ -353,6 +355,26 @@ def test_main_converge_zero_error_exits_four(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "kappa1,message",
+    [
+        ("1/(x - 0.0625)**2", "[scenario] kappa1: '1/(x - 0.0625)**2' is not finite at every sample point"),
+        ("(x - 0.0625)**2", "[scenario] kappa1 must be strictly positive everywhere"),
+    ],
+    ids=["not-finite", "not-positive"],
+)
+def test_main_converge_names_the_level_whose_build_fails(kappa1, message, tmp_path, capsys):
+    # x = 0.0625 is a node at 16 cells but not at 8, so check passes
+    path = tmp_path / "cfg.ini"
+    path.write_text(MINIMAL + f"kappa1 = {kappa1}\n")
+    assert main(["check", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["converge", str(path), "--levels", "8,16,32"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"config error: level 16: {message}"]
+
+
 def test_main_converge_uses_configured_theta(tmp_path, capsys):
     # backward Euler is first order in time, so its slope falls short of 1.9
     path = tmp_path / "euler.ini"
@@ -575,18 +597,18 @@ def test_main_rejects_overflowing_initial_amplitude(command, kind, tmp_path, cap
     extra = f"\n[initial]\nkind = {kind}\namplitude = 1e308\n{block}"
     code, err = _main_fails_once(command, MINIMAL + extra, tmp_path, capsys)
     assert code == 4
-    assert err == ["config error: state contains non-finite entries"]
+    assert err == ["config error: [initial] state contains non-finite entries"]
 
 
 @pytest.mark.parametrize(
     "name,keys,message",
     [
-        ("timoshenko_damped", "c = -1", "boundary coefficients c and I_tilde must be nonnegative"),
-        ("timoshenko_damped", "c = 0", "trace law must not have both coefficients zero"),
-        ("full_dynamic", "mu_plus = -1, 0.5", "mu_plus trace law needs nonnegative coefficients"),
-        ("full_dynamic", "nu_minus = 0, 0", "trace law must not have both coefficients zero"),
-        ("sturm_liouville", "s0 = 0\ns1 = 0", "potential law needs s0, s1 >= 0 with s0 + s1 > 0"),
-        ("sturm_liouville", "mu_minus = 0.5, -1", "mu_minus trace law needs nonnegative coefficients"),
+        ("timoshenko_damped", "c = -1", "[scenario] boundary coefficients c and I_tilde must be nonnegative"),
+        ("timoshenko_damped", "c = 0", "[scenario] trace law must not have both coefficients zero"),
+        ("full_dynamic", "mu_plus = -1, 0.5", "[scenario] mu_plus trace law needs nonnegative coefficients"),
+        ("full_dynamic", "nu_minus = 0, 0", "[scenario] nu_minus: trace law must not have both coefficients zero"),
+        ("sturm_liouville", "s0 = 0\ns1 = 0", "[scenario] potential law needs s0, s1 >= 0 with s0 + s1 > 0"),
+        ("sturm_liouville", "mu_minus = 0.5, -1", "[scenario] mu_minus trace law needs nonnegative coefficients"),
         ("full_dynamic", "mu_plus = 1, 2, 3", "[scenario] mu_plus: expected 'mu0, mu1', got '1, 2, 3'"),
     ],
     ids=[
@@ -599,6 +621,39 @@ def test_main_check_rejects_inadmissible_laws(name, keys, message, tmp_path, cap
     code, err = _main_fails_once("check", text, tmp_path, capsys)
     assert code == 4
     assert err == [f"config error: {message}"]
+
+
+# one bad value for each builder and each section; every refusal names its section
+_FULL_DYNAMIC = MINIMAL.replace("timoshenko_damped", "full_dynamic")
+
+
+@pytest.mark.parametrize(
+    "text,section,message",
+    [
+        (MINIMAL.replace("n_cells = 8", "n_cells = 1"), "grid", "n_cells must be an integer >= 2, got 1"),
+        (MINIMAL + "sigma0 = 0\n", "scenario", "sigma0 must be nonzero"),
+        (MINIMAL + "c = 0\n", "scenario", "trace law must not have both coefficients zero"),
+        (MINIMAL + "kappa1 = 0*x\n", "scenario", "kappa1 must be strictly positive everywhere"),
+        (_FULL_DYNAMIC + "mu_plus = -1, 0.5\n", "scenario", "mu_plus trace law needs nonnegative coefficients"),
+        (_FULL_DYNAMIC + "nu_minus = 0, 0\n", "scenario", "nu_minus: trace law must not have both coefficients zero"),
+        (MINIMAL + "[scheme]\ntheta = 0.3\n", "scheme", "theta must lie in [1/2, 1]"),
+        (MINIMAL + "[source]\nkind = gaussian\nblock = V1\nwidth = 0\n", "source", "gaussian width must be positive"),
+        (MINIMAL + "[source]\nkind = bump\nt0 = 0.5\nt1 = 0.5\n", "source", "bump support must have t1 > t0"),
+        (MINIMAL + "[initial]\nkind = random\namplitude = 1e308\n", "initial", "state contains non-finite entries"),
+        (MINIMAL + "[output]\ntraces = nope\n", "output", "traces: unknown trace 'nope'"),
+    ],
+    ids=[
+        "grid", "sigma0", "beam-law", "kappa1", "mu_plus-sign", "nu_minus-zero", "scheme", "gaussian", "bump",
+        "initial", "output",
+    ],
+)
+def test_main_check_config_errors_name_their_section(text, section, message, tmp_path, capsys):
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"config error: [{section}] {message}"]
 
 
 @pytest.mark.parametrize(
@@ -708,8 +763,8 @@ def test_source_kinds_equal_profile_times_envelope(kind, keys, envelope):
     "source,message",
     [
         ("kind = triangle", "[source] kind: unknown kind 'triangle'"),
-        ("kind = gaussian\nwidth = 0", "gaussian width must be positive"),
-        ("kind = bump\nt0 = 0.5\nt1 = 0.5", "bump support must have t1 > t0"),
+        ("kind = gaussian\nwidth = 0", "[source] gaussian width must be positive"),
+        ("kind = bump\nt0 = 0.5\nt1 = 0.5", "[source] bump support must have t1 > t0"),
         ("kind = sinusoid\nfrequency = abc", "[source] frequency: expected a number, got 'abc'"),
         ("kind = gaussian\nblock = nope", "[source] block: unknown block 'nope'"),
         ("kind = zero\namplitude = banana\nfrequency = nope", "[source] amplitude: not read by kind = zero"),
@@ -847,6 +902,63 @@ def test_console_entry_point_subprocess(tmp_path):
     assert proc.stdout.splitlines()[0] == "c0=5.0000000000000000e-1"
 
 
+def _child(argv, cwd, closed_stdout=False, unbuffered=False):
+    """Run python -m evobeam argv in cwd with the package of this process;
+    stdout is discarded, or a pipe whose read end is already closed."""
+    src = str(Path(evobeam.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    stdout = subprocess.DEVNULL
+    if closed_stdout:
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    try:
+        argv = [sys.executable, "-m", "evobeam", *argv]
+        return subprocess.run(argv, cwd=cwd, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        if closed_stdout:
+            os.close(stdout)
+
+
+def test_exit_codes_of_a_child_process(tmp_path):
+    # what a shell sees, shutdown included: in-process calls of main cannot
+    # see a failed flush of stdout at exit (exit code 120)
+    configs = {
+        "pass.cfg": MINIMAL,
+        "not-coercive.cfg": MINIMAL + "[scheme]\nrho = 0.0\n",
+        "bad-law.cfg": MINIMAL + "sigma0 = 0\n",
+        "to-stdout.cfg": MINIMAL + "[scheme]\ndt = 0.25\n[output]\ncsv = /dev/stdout\n",
+    }
+    for name, text in configs.items():
+        (tmp_path / name).write_text(text)
+    codes = {
+        ("check", "pass.cfg"): 0,
+        ("check", "not-coercive.cfg"): 2,
+        ("check", "missing.cfg"): 3,
+        ("check", "bad-law.cfg"): 4,
+    }
+    # each exits 3 on a closed stdout, buffered or not
+    closed = [
+        ("check", "pass.cfg", "--stats", "check.json"),
+        ("run", "to-stdout.cfg", "--stats", "run.json"),
+        ("converge", "pass.cfg", "--levels", "4,8,16", "--stats", "converge.json"),
+        ("probe", "pass.cfg", "--kind", "causality", "--a", "0.5", "--stats", "probe.json"),
+    ]
+    jobs = [(argv, False, False) for argv in codes] + [(argv, True, unbuf) for argv in closed for unbuf in (False, True)]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        procs = list(pool.map(lambda job: _child(job[0], tmp_path, *job[1:]), jobs))
+    for (argv, closed_stdout, unbuffered), proc in zip(jobs, procs):
+        case = (argv, closed_stdout, unbuffered, proc.stderr)
+        assert proc.returncode == (3 if closed_stdout else codes[argv]), case
+        assert len(proc.stderr.splitlines()) <= 1 and "Traceback" not in proc.stderr, case
+        if closed_stdout:
+            # the report was lost, so the command wrote no record
+            assert proc.stderr.startswith("i/o error: "), case
+            assert not (tmp_path / argv[argv.index("--stats") + 1]).exists(), case
+
+
 def _peak_rss_mb(argv: list[str], env: dict[str, str]) -> float:
     """Run a child and return its own peak resident set size in MB."""
     proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
@@ -965,7 +1077,7 @@ def test_build_scheme_accepts_a_whole_number_of_steps_to_a_relative_1e_9(n, dt, 
     if whole:
         assert build_scheme(s)[0].n_steps == whole[0]
     else:
-        with pytest.raises(ParameterError, match="is not a whole number of steps"):
+        with pytest.raises(ConfigError, match="is not a whole number of steps"):
             build_scheme(s)
 
 
@@ -1183,7 +1295,7 @@ def test_main_check_rejects_a_grid_too_large_to_allocate(tmp_path, capsys, monke
     text = MINIMAL.replace("n_cells = 8", "n_cells = 1000000000000")
     code, err = _main_fails_once("check", text, tmp_path, capsys)
     assert code == 4
-    assert len(err) == 1 and err[0].startswith("config error: cannot allocate a grid of 1000000000000 cells: ")
+    assert len(err) == 1 and err[0].startswith("config error: [grid] cannot allocate a grid of 1000000000000 cells: ")
 
 
 def test_main_check_unreachable_rho0_report(tmp_path, capsys):
