@@ -692,7 +692,7 @@ def cmd_probe(cfg: RunConfig, kind: str, a: float | None = None, stats: dict | N
         try:
             ratio = bound_probe(sys_, source)
         except UndefinedRatioError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"[source] {exc}") from exc
         _note(stats, "step_s", start)
         bound = _bound(c0)
         return [f"ratio={fmt17(ratio)}", f"limit={fmt17(bound)}"], 0 if ratio <= 1.05 * bound else 2

@@ -698,6 +698,15 @@ def test_main_probe_overflowing_bound_exits_two(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: bound 1/c0 overflows for c0=")
 
 
+@pytest.mark.parametrize(
+    "source", ["", "\n[source]\nkind = bump\nt0 = 0.0\nt1 = 1e-300\n"], ids=["default-zero", "bump-too-short"]
+)
+def test_main_probe_bound_names_the_source_section(source, tmp_path, capsys):
+    code, err = _main_fails_once("probe", MINIMAL + source, tmp_path, capsys, "--kind", "bound")
+    assert code == 4
+    assert err == ["config error: [source] bound probe needs a nonzero source on the window"]
+
+
 @pytest.mark.parametrize("command", ["check", "probe"])
 @pytest.mark.parametrize(
     "name,initial,message",
@@ -900,6 +909,20 @@ def test_console_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "c0=5.0000000000000000e-1"
+
+
+@pytest.mark.parametrize("module,frozen", [("evobeam.__main__", True), ("evobeam.cli", False)])
+def test_only_the_process_entry_freezes_the_imported_modules(module, frozen):
+    # the entry freezes what its imports leave tracked; a library import
+    # leaves the collector as it found it
+    src = str(Path(evobeam.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = f"import gc, {module}; print(gc.isenabled(), gc.get_freeze_count())"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    enabled, count = proc.stdout.split()
+    assert enabled == "True"
+    assert int(count) > 10_000 if frozen else int(count) == 0
 
 
 def _child(argv, cwd, closed_stdout=False, unbuffered=False):
