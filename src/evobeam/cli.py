@@ -331,11 +331,6 @@ def build_scheme(s: dict[str, str]) -> tuple[SchemeParams, float]:
     c_target = _float(s["c_target"], "c_target")
     if not c_target > 0:
         raise ConfigError(f"c_target: must be > 0, got {s['c_target']!r}")
-    if scheme.n_steps % scheme.record_every:
-        raise ConfigError(
-            f"record_every: {s['record_every']} does not divide the {scheme.n_steps} steps,"
-            " so the last record would fall before t_end"
-        )
     return scheme, c_target
 
 
@@ -415,6 +410,9 @@ def build_output(out: dict[str, str], model: AssembledModel) -> tuple[bool, list
     for key in ("csv", "snapshots"):
         if "\0" in out[key]:
             raise ConfigError(f"{key}: a path cannot contain a NUL character")
+    # an empty snapshots path means no snapshot file
+    if not out["csv"]:
+        raise ConfigError("csv: path is empty")
     with_energy = _bool(out["energy"], "energy")
     traces_sel = out["traces"]
     if traces_sel == "all":
@@ -731,6 +729,8 @@ def main(argv=None) -> int:
         return 3
     stats = None if args.stats is None else dict.fromkeys(_STATS_KEYS)
     try:
+        if args.stats == "":
+            raise ConfigError("--stats: path is empty")
         start = time.perf_counter()
         cfg = parse_config(text)
         _note(

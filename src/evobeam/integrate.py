@@ -167,7 +167,9 @@ def run(
     snapshots: bool = True,
     energy_residual: bool = False,
 ) -> TimeSeries:
-    """March from t = 0 to t_end, recording every record_every-th state.
+    """March from t = 0 to t_end, recording step 0, every record_every-th
+    step and the last step: ceil(n_steps / record_every) + 1 records at the
+    times min(k*record_every, n_steps)*dt, the last at t_end.
 
     Energies and traces are always recorded; full-state snapshots only when
     ``snapshots`` is true (otherwise the series carries ``snapshots=None``).
@@ -178,11 +180,11 @@ def run(
     With ``energy_residual`` (theta = 1/2 only) the series also carries the
     largest |energy_balance_residual| over every step, recorded or not.
 
-    Finiteness is checked once per buffer of records and on the final
-    state, not on every step: a non-finite entry of a state makes the next
-    state non-finite too (m0*u, the LU solve and the subtraction all carry
-    it), so a state that goes bad at an unrecorded step is caught when the
-    buffer is next flushed or by the check on the final state.
+    Finiteness is checked once per buffer of records, not on every step: a
+    non-finite entry of a state makes the next state non-finite too (m0*u,
+    the LU solve and the subtraction all carry it), so a state that goes
+    bad at an unrecorded step is caught by the flush of the buffer that
+    holds the next record; the last buffer holds the final state.
     """
     layout, m0, W = sys_.model.layout, sys_.model.m0, sys_.model.W
     if np.shape(u0) != (layout.dim,):
@@ -196,7 +198,7 @@ def run(
         if theta != 0.5:
             raise ParameterError("energy balance identity requires theta = 1/2")
         S = sparse_symmetric_part(sys_.model.M1, W)
-    n_rec = n_steps // every + 1
+    n_rec = -(-n_steps // every) + 1
     try:
         energies = np.empty(n_rec)
         traces = np.empty((len(trace_at), n_rec))
@@ -222,35 +224,31 @@ def run(
     rhs = np.empty(layout.dim)
     max_residual = 0.0
     u = np.asarray(u0, dtype=float)
-    buf[0] = u
-    row = 1
+    row = 0
     # a non-finite state raises at its flush; until then its arithmetic
     # must not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        if row == len(buf):
-            flush(row)
-            row = 0
-        for k in range(n_steps):
-            f = source((k + theta) * dt)
-            u_next = _advance(sys_, u, f, rhs)
-            if S is not None:
-                # np.maximum, unlike max, keeps a NaN residual
-                max_residual = np.maximum(max_residual, abs(_balance_residual(u, u_next, f, m0, S, W, dt)))
-            u = u_next
-            if (k + 1) % every == 0:
-                buf[row] = u
-                row += 1
+        if S is not None:
+            e0 = energy(u, m0, W)
+        for k in range(n_steps + 1):
+            if k:
+                f = source((k - 1 + theta) * dt)
+                u_next = _advance(sys_, u, f, rhs)
+                if S is not None:
+                    e1 = energy(u_next, m0, W)
+                    # np.maximum, unlike max, keeps a NaN residual
+                    max_residual = np.maximum(max_residual, abs(_balance_residual(u, u_next, f, e0, e1, S, W, dt)))
+                    e0 = e1
+                u = u_next
+            if k % every == 0 or k == n_steps:
                 if row == len(buf):
                     flush(row)
                     row = 0
-        # before the last partial buffer, so that, as with a check on every
-        # step, a later non-finite state wins over an energy overflow there
-        if not np.isfinite(u).all():
-            raise NumericError("time step produced non-finite state")
-        if row:
-            flush(row)
+                buf[row] = u
+                row += 1
+        flush(row)
     return TimeSeries(
-        times=np.arange(n_rec) * every * dt,
+        times=np.minimum(np.arange(n_rec) * every, n_steps) * dt,
         energy=energies,
         traces=dict(zip(trace_names, traces)),
         snapshots=snaps,
@@ -259,10 +257,9 @@ def run(
     )
 
 
-def _balance_residual(u_n, u_np1, f_mid, m0, S, W, dt) -> float:
+def _balance_residual(u_n, u_np1, f_mid, e0, e1, S, W, dt) -> float:
+    """The energy balance defect of one step, e0 and e1 the energies of u_n and u_np1."""
     u_mid = 0.5 * (u_n + u_np1)
-    e0 = energy(u_n, m0, W)
-    e1 = energy(u_np1, m0, W)
     dissipated = weighted_inner(u_mid, S @ u_mid, W)
     injected = weighted_inner(u_mid, f_mid, W)
     return e1 - e0 + dt * (dissipated - injected)
@@ -278,7 +275,8 @@ def energy_balance_residual(
     if sys_.scheme.theta != 0.5:
         raise ParameterError("energy balance identity requires theta = 1/2")
     m0, M1, W = sys_.model.m0, sys_.model.M1, sys_.model.W
-    return _balance_residual(u_n, u_np1, f_mid, m0, sparse_symmetric_part(M1, W), W, sys_.scheme.dt)
+    e0, e1 = energy(u_n, m0, W), energy(u_np1, m0, W)
+    return _balance_residual(u_n, u_np1, f_mid, e0, e1, sparse_symmetric_part(M1, W), W, sys_.scheme.dt)
 
 
 def causality_probe(

@@ -1118,20 +1118,22 @@ def test_main_accepts_t_end_within_the_relative_tolerance(command, tmp_path, mon
         assert len(times) == 1001 and times[-1] == 1000 * 0.0010000000005
 
 
-@pytest.mark.parametrize("command", ["check", "run"])
-def test_main_rejects_record_every_not_dividing_the_steps(command, tmp_path, monkeypatch, capsys):
-    # 10 steps recorded every 3rd would end the records at t = 0.9
+@pytest.mark.parametrize(
+    "argv",
+    [["check"], ["run"], ["converge", "--levels", "8,16,32"], ["probe", "--kind", "bound"],
+     ["probe", "--kind", "causality", "--a", "0.5"]],
+    ids=["check", "run", "converge", "probe-bound", "probe-causality"],
+)
+def test_main_runs_a_record_every_not_dividing_the_steps(argv, tmp_path, monkeypatch, capsys):
+    # 10 steps recorded every 3rd: steps 0, 3, 6, 9 and the last step, 10
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "every.ini"
-    path.write_text(MINIMAL + "[scheme]\ndt = 0.1\nt_end = 1.0\nrecord_every = 3\n")
-    assert main([command, str(path)]) == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        "config error: [scheme] record_every: 3 does not divide the 10 steps,"
-        " so the last record would fall before t_end"
-    ]
-    assert not (tmp_path / "out.csv").exists()
+    path.write_text(MINIMAL + "[scheme]\ndt = 0.1\nt_end = 1.0\nrecord_every = 3\n\n[source]\nkind = gaussian\n")
+    assert main([argv[0], str(path), *argv[1:]]) == 0
+    assert capsys.readouterr().err == ""
+    if argv[0] == "run":
+        times = [row.split(",")[0] for row in (tmp_path / "out.csv").read_text().splitlines()[1:]]
+        assert times == [repr(k * 0.1) for k in (0, 3, 6, 9, 10)]
 
 
 SCENARIO_DEFAULTS = {
@@ -1580,7 +1582,7 @@ def test_stats_refuses_the_path_of_a_run_output(key, tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
-def _refuses_an_output_naming_the_config(output, args, message, tmp_path, capsys, monkeypatch):
+def _refuses_an_output(output, args, message, tmp_path, capsys, monkeypatch):
     """main on a config c.cfg exits 4 with one stderr line, leaving c.cfg
     unchanged and writing nothing beside it."""
     monkeypatch.chdir(tmp_path)
@@ -1599,14 +1601,33 @@ def _refuses_an_output_naming_the_config(output, args, message, tmp_path, capsys
     ids=["check", "run", "converge", "probe"],
 )
 def test_stats_refuses_the_path_of_the_config(args, tmp_path, capsys, monkeypatch):
-    _refuses_an_output_naming_the_config(
+    _refuses_an_output(
         "csv = out.csv\n", [*args, "--stats", "./c.cfg"],
         "--stats: './c.cfg' is the same file as the config", tmp_path, capsys, monkeypatch,
     )
 
 
+@pytest.mark.parametrize(
+    "args",
+    [("check",), ("run",), ("converge", "--levels", "4,8,16"), ("probe", "--kind", "bound")],
+    ids=["check", "run", "converge", "probe"],
+)
+def test_stats_refuses_an_empty_path_before_parsing(args, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "parse_config", lambda text: pytest.fail("parsed before the refusal"))
+    _refuses_an_output(
+        "csv = out.csv\n", [*args, "--stats", ""], "--stats: path is empty", tmp_path, capsys, monkeypatch,
+    )
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_main_refuses_an_empty_csv_path_before_stepping(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "factor", lambda *a: pytest.fail("factored before the refusal"))
+    monkeypatch.setattr(cli, "coercivity", lambda *a: pytest.fail("checked before the refusal"))
+    _refuses_an_output("csv =\n", [command], "[output] csv: path is empty", tmp_path, capsys, monkeypatch)
+
+
 def test_run_refuses_a_csv_naming_the_config(tmp_path, capsys, monkeypatch):
-    _refuses_an_output_naming_the_config(
+    _refuses_an_output(
         f"csv = {tmp_path / 'c.cfg'}\n", ["run"],
         f"[output] csv: {str(tmp_path / 'c.cfg')!r} is the same file as the config", tmp_path, capsys, monkeypatch,
     )
@@ -1615,7 +1636,7 @@ def test_run_refuses_a_csv_naming_the_config(tmp_path, capsys, monkeypatch):
 
 
 def test_run_refuses_snapshots_naming_the_config(tmp_path, capsys, monkeypatch):
-    _refuses_an_output_naming_the_config(
+    _refuses_an_output(
         "csv = out.csv\nsnapshots = ./c.cfg\n", ["run"],
         "[output] snapshots: './c.cfg' is the same file as the config", tmp_path, capsys, monkeypatch,
     )

@@ -492,12 +492,13 @@ def test_step_guards_against_nonfinite_source():
 
 def _stepwise_reference(sys_, u0, source, scheme):
     """Times, energies, traces and snapshots of run, recomputed one step
-    at a time with step, each energy from the sparse inertia matrix."""
+    at a time with step, each energy from the sparse inertia matrix.
+    It records step 0, every record_every-th step and the last step."""
     u, k_rec = u0, [0]
     snaps = [u0.copy()]
     for k in range(scheme.n_steps):
         u = step(sys_, u, source((k + scheme.theta) * scheme.dt))
-        if (k + 1) % scheme.record_every == 0:
+        if (k + 1) % scheme.record_every == 0 or k + 1 == scheme.n_steps:
             k_rec.append(k + 1)
             snaps.append(u.copy())
     snaps = np.array(snaps)
@@ -574,8 +575,8 @@ def test_step_roundoff_stays_near_a_refined_trajectory(rng):
 @pytest.mark.parametrize("record_every", [1, 3])
 @pytest.mark.parametrize("name", sorted(_RUN_MODELS))
 def test_run_matches_stepwise_reference_bitwise(monkeypatch, rng, name, record_every, chunk_rows, snapshots, theta):
-    # 25 steps: with record_every = 3 the last record is step 24 and one
-    # unrecorded step follows; chunk_rows forces records across buffer ends
+    # 25 steps: with record_every = 3 the records are steps 0, 3, ..., 24
+    # and the last step, 25; chunk_rows forces records across buffer ends
     model = _RUN_MODELS[name]()
     lay = model.layout
     if chunk_rows is not None:
@@ -598,10 +599,46 @@ def test_run_matches_stepwise_reference_bitwise(monkeypatch, rng, name, record_e
         assert ts.snapshots is None
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n_steps=st.integers(1, 40),
+    record_every=st.one_of(st.integers(1, 5), st.integers(1, 60)),
+    theta=st.floats(0.5, 1.0),
+    chunk_rows=st.sampled_from([None, 1, 2, 3]),
+)
+def test_run_records_step_0_every_record_every_th_step_and_the_last(n_steps, record_every, theta, chunk_rows):
+    # dividing strides, non-dividing strides and strides past n_steps all
+    # give ceil(n_steps / record_every) + 1 records ending at t_end
+    model = _RUN_MODELS["timoshenko_damped"]()
+    lay = model.layout
+    dt = 0.05
+    scheme = SchemeParams(dt=dt, t_end=n_steps * dt, record_every=record_every, theta=theta)
+    assert scheme.n_steps == n_steps
+    sys_ = factor(model, scheme)
+    rng = np.random.default_rng(n_steps * 100 + record_every)
+    u0, profile = rng.standard_normal(lay.dim), rng.standard_normal(lay.dim)
+    env = gaussian_envelope(0.5 * n_steps * dt, 0.2)
+    f = lambda t: profile * env(t)
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk_rows is not None:
+            mp.setattr(integrate, "_CHUNK_FLOATS", chunk_rows * lay.dim + 1)
+        ts = run(sys_, u0, f)
+    n_rec = math.ceil(n_steps / record_every) + 1
+    assert len(ts) == n_rec
+    assert ts.times.tolist() == [min(k * record_every, n_steps) * dt for k in range(n_rec)]
+    assert ts.times[-1] == n_steps * dt
+    times, energies, traces, snaps = _stepwise_reference(sys_, u0, f, scheme)
+    assert np.array_equal(ts.times, times)
+    assert np.array_equal(ts.energy, energies)
+    for trace, values in traces.items():
+        assert np.array_equal(ts.traces[trace], values)
+    assert np.array_equal(ts.snapshots, snaps)
+
+
 @pytest.mark.parametrize("t_bad", [0.5, 0.97])
 def test_run_raises_when_the_source_turns_nonfinite(t_bad):
-    # 25 steps recording every 3rd: t_bad = 0.97 hits only the last,
-    # unrecorded step, which run must still take
+    # 25 steps recording every 3rd: t_bad = 0.97 hits only the last step,
+    # 25, which is no multiple of 3 and is recorded as the last step
     scheme = SchemeParams(dt=0.04, t_end=1.0, record_every=3)
     model, sys_ = _beam_system(8, TimoshenkoParams(c=0.5, d=0.2), scheme)
     dim = model.layout.dim
@@ -665,8 +702,9 @@ def test_run_energy_residual_needs_the_midpoint_rule():
 def test_run_catches_a_state_gone_bad_at_an_unrecorded_step(monkeypatch, chunk_rows):
     # 25 steps recording every 3rd; the source is infinite at step 10 only,
     # which is not recorded, and finite before and after it.  The state
-    # stays non-finite, so the next flush (step 11 with one-row buffers, the
-    # last record otherwise) must refuse it, without a numpy warning.
+    # stays non-finite, so the flush of the next record (step 12 with
+    # one-row buffers, the last buffer otherwise) must refuse it, without a
+    # numpy warning.
     scheme = SchemeParams(dt=0.04, t_end=1.0, record_every=3)
     model, sys_ = _beam_system(8, TimoshenkoParams(c=0.5, d=0.2), scheme)
     dim = model.layout.dim
@@ -689,9 +727,9 @@ def test_run_catches_a_state_gone_bad_at_an_unrecorded_step(monkeypatch, chunk_r
     ids=["overflow-in-an-earlier-chunk", "overflow-in-the-last-chunk"],
 )
 def test_run_reports_the_first_fault_as_a_check_on_every_step_would(monkeypatch, huge_from, inf_from, message):
-    # 100 steps recording every 3rd: 34 records in buffers of 4, the last
-    # buffer holding the records of steps 96 and 99, and step 100 is not
-    # recorded.  Past huge_from the source makes the energy of a still
+    # 100 steps recording every 3rd: 35 records in buffers of 4, the last
+    # buffer holding the records of steps 96, 99 and the last step, 100.
+    # Past huge_from the source makes the energy of a still
     # finite state overflow, past inf_from the state itself.  A check on
     # every step, before any flush, said "recorded energy" only for an
     # overflow in a buffer filled before the state went bad.
