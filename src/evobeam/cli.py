@@ -564,8 +564,9 @@ def cmd_run(cfg: RunConfig, stats: dict | None = None) -> int:
 
 def _restrict(fine_model: AssembledModel, coarse_model: AssembledModel, u: np.ndarray) -> np.ndarray:
     """Restrict a fine-grid state to a coarse layout of the same shape:
-    node blocks inject, center blocks average the two straddling fine
-    centers, traces copy."""
+    node blocks inject, center blocks average the fine centers m*j +
+    (m-1)//2 and m*j + m//2 (for an even ratio m the two that straddle
+    coarse center j, for an odd one the one at it), traces copy."""
     lf, lc = fine_model.layout, coarse_model.layout
     m = lf.grid.n_cells // lc.grid.n_cells
     out = np.zeros(lc.dim)
@@ -574,8 +575,8 @@ def _restrict(fine_model: AssembledModel, coarse_model: AssembledModel, u: np.nd
         if tag is SpaceTag.TRACE:
             out[lc.offset_of(name)] = fine[0]
         elif tag is SpaceTag.CENTER:
-            idx = m * np.arange(lc.grid.n_cells) + m // 2
-            out[lc.slice_of(name)] = 0.5 * (fine[idx - 1] + fine[idx])
+            first = m * np.arange(lc.grid.n_cells)
+            out[lc.slice_of(name)] = 0.5 * (fine[first + (m - 1) // 2] + fine[first + m // 2])
         else:
             keep = tag.node_slice(lc.grid.n_cells)
             nodes_c = np.arange(lc.grid.n_cells + 1)[keep]
@@ -591,7 +592,7 @@ def cmd_converge(cfg: RunConfig, levels: list[int], stats: dict | None = None) -
     the configured t_end and theta at its own dt (h for MMS, 1/n otherwise).
 
     A scenario with an MMS family is driven by its manufactured source and
-    compared with the exact fields.  A self-reference scenario runs the
+    compared with the exact fields.  Every other scenario runs the
     configured source and initial state and is compared with a run four
     times finer than the largest level, over the differential slots
     (nonzero m0 entries) only: algebraic slots are pointwise functionals
@@ -606,11 +607,9 @@ def cmd_converge(cfg: RunConfig, levels: list[int], stats: dict | None = None) -
     if any(n < 2 for n in levels):
         raise ConfigError("levels must be >= 2")
     spec = SCENARIOS[cfg.scenario]
-    if spec.mms is None and not spec.self_reference:
-        raise ConfigError(f"converge does not support scenario {cfg.scenario!r}")
     n_ref = 4 * max(levels)
-    if spec.self_reference and any(n_ref % n or n_ref // n % 2 for n in levels):
-        raise ConfigError("reference grid must be an even multiple of each level")
+    if spec.mms is None and any(n_ref % n for n in levels):
+        raise ConfigError("reference grid must be a multiple of each level")
     t_end, theta = cfg.scheme_params.t_end, cfg.scheme_params.theta
     if spec.mms is not None:
         exact, rates = spec.mms()
@@ -637,7 +636,7 @@ def cmd_converge(cfg: RunConfig, levels: list[int], stats: dict | None = None) -
         except ConfigError as exc:
             raise ConfigError(f"level {n}: {exc}") from exc
 
-    if spec.self_reference:
+    if spec.mms is None:
         ref_model, ref_ts, _ = solve(n_ref)
     errs, hs, lines = [], [], []
     for n in sorted(levels):

@@ -25,7 +25,7 @@ from .core import (
     exp_weighted_norm,
     weighted_inner,
 )
-from .scenarios import AssembledModel
+from .scenarios import AssembledModel, consistent_initial_state
 from .wellposed import sparse_symmetric_part
 
 __all__ = [
@@ -324,11 +324,11 @@ def bound_probe(sys_: SteppingSystem, source: Callable[[float], np.ndarray]) -> 
 
     Discrete counterpart of the solution-operator bound: for a coercive
     configuration the ratio must not exceed 1/c0 by more than quadrature
-    slack.  Starts from rest; both norms use the same recorded time grid
-    and the scheme's rho.
+    slack.  Starts from the state of rest consistent with source(0); both
+    norms use the same recorded time grid and the scheme's rho.
     """
     rho, W = sys_.scheme.rho, sys_.model.W
-    ts_u = run(sys_, np.zeros(W.size), source)
+    ts_u = run(sys_, consistent_initial_state(sys_.model, np.zeros(W.size), source(0.0)), source)
     f_snaps = np.vstack([source(t) for t in ts_u.times])
     den = exp_weighted_norm(ts_u.times, f_snaps, rho, W)
     if den == 0.0:

@@ -494,14 +494,13 @@ def timoshenko_mms_fields() -> tuple[dict, dict]:
 class ScenarioSpec:
     """One scenario: its default params, an instance whose values are the
     scenario's [scenario] defaults (its class's tagged fields are
-    coefficients), its maker, and how a refinement study measures its error:
-    against a closed-form MMS family, against a run four times finer
-    (self_reference), or not at all."""
+    coefficients), its maker, and its closed-form MMS family, if any.  A
+    refinement study measures its error against the family, or without
+    one against a run four times finer than its largest level."""
 
     defaults: Any
     make: Callable[[Grid, Any], AssembledModel]
     mms: Callable[[], tuple[dict, dict]] | None = None
-    self_reference: bool = False
 
 
 SCENARIOS: dict[str, ScenarioSpec] = {
@@ -509,7 +508,7 @@ SCENARIOS: dict[str, ScenarioSpec] = {
     "timoshenko_damped": ScenarioSpec(TimoshenkoParams(c=0.5), make_timoshenko_damped, mms=timoshenko_mms_fields),
     "dynamic_inertia": ScenarioSpec(TimoshenkoParams(I_tilde=1.0), make_timoshenko_damped, mms=timoshenko_mms_fields),
     "full_dynamic": ScenarioSpec(FullDynamicParams(), make_full_dynamic),
-    "sturm_liouville": ScenarioSpec(SturmLiouvilleParams(), make_sturm_liouville, self_reference=True),
+    "sturm_liouville": ScenarioSpec(SturmLiouvilleParams(), make_sturm_liouville),
 }
 
 

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 import evobeam
 from evobeam import cli, scenarios
-from evobeam.core import bump_envelope, gaussian_envelope, sinusoid_envelope
+from evobeam.core import SpaceTag, build_grid, bump_envelope, gaussian_envelope, sinusoid_envelope
 from evobeam.integrate import factor_stats
 from evobeam.wellposed import NevanlinnaSpec
 from evobeam.cli import (
@@ -304,8 +304,9 @@ def test_cmd_converge_validation():
         cmd_converge(cfg, [8, 8, 16])
     with pytest.raises(ConfigError):
         cmd_converge(cfg, [1, 8, 16])
+    # full_dynamic self-converges; its default data are zero, and so is the error
     fd = parse_config(MINIMAL.replace("timoshenko_damped", "full_dynamic"))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="the error is 0"):
         cmd_converge(fd, [8, 16, 32])
 
 
@@ -385,10 +386,11 @@ def test_main_converge_uses_configured_theta(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    ("scenario", "code", "expected"),
+    ("scenario", "levels", "code", "expected"),
     [
         (
             "timoshenko_damped\nc = 0.5\n",
+            "8,16,32",
             0,
             [
                 "level=8 error=7.5692463998329074e-2",
@@ -399,6 +401,7 @@ def test_main_converge_uses_configured_theta(tmp_path, capsys):
         ),
         (
             "dynamic_inertia\n\n[scheme]\ntheta = 0.75\n",
+            "8,16,32",
             2,
             [
                 "level=8 error=2.4636408631759435e-1",
@@ -407,17 +410,71 @@ def test_main_converge_uses_configured_theta(tmp_path, capsys):
                 "slope=9.3011878966614314e-1",
             ],
         ),
+        (
+            "sturm_liouville\n\n[initial]\nkind = expr\nV1 = cos(pi*x)\n",
+            "8,16,32",
+            0,
+            [
+                "level=8 error=4.9848510738153613e-2",
+                "level=16 error=1.3413645458875781e-2",
+                "level=32 error=3.4964883350626593e-3",
+                "slope=1.9167859032281416e0",
+            ],
+        ),
+        (
+            # the 80-cell reference grid is 5 times level 16, an odd ratio
+            "sturm_liouville\n\n[initial]\nkind = expr\nV1 = cos(pi*x)\n",
+            "8,16,20",
+            0,
+            [
+                "level=8 error=4.9572284634752557e-2",
+                "level=16 error=1.3074960841460837e-2",
+                "level=20 error=8.4394752214591185e-3",
+                "slope=1.9299927066602078e0",
+            ],
+        ),
+        (
+            "full_dynamic\n\n[initial]\nkind = expr\neta = cos(pi*x)\n",
+            "16,32,64",
+            0,
+            [
+                "level=16 error=1.3548893992443533e-2",
+                "level=32 error=3.6476967429635368e-3",
+                "level=64 error=9.6992306072313131e-4",
+                "slope=1.9020804839478607e0",
+            ],
+        ),
     ],
-    ids=["timoshenko_damped", "dynamic_inertia-theta-0.75"],
+    ids=[
+        "timoshenko_damped", "dynamic_inertia-theta-0.75", "sturm_liouville", "sturm_liouville-odd-ratio",
+        "full_dynamic",
+    ],
 )
-def test_main_converge_golden_text(tmp_path, capsys, scenario, code, expected):
-    # the manufactured-solution errors, digit for digit
-    path = tmp_path / "mms.ini"
+def test_main_converge_golden_text(tmp_path, capsys, scenario, levels, code, expected):
+    # the errors, digit for digit, against the manufactured solution or,
+    # for a scenario without one, against the run four times finer than the
+    # largest level, which each level need only divide
+    path = tmp_path / "golden.ini"
     path.write_text(f"[grid]\nn_cells = 8\n\n[scenario]\nname = {scenario}")
-    assert main(["converge", str(path), "--levels", "8,16,32"]) == code
+    assert main(["converge", str(path), "--levels", levels]) == code
     captured = capsys.readouterr()
     assert captured.out.splitlines() == expected
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_restrict_takes_each_block_to_the_coarse_sample_points(m):
+    # on a state linear in x, the mean of the fine centers m*j + (m-1)//2 and
+    # m*j + m//2 is the coarse center: for an even m the two that straddle
+    # it, for an odd m the one at it; nodes inject and traces copy
+    spec = scenarios.SCENARIOS["full_dynamic"]
+    coarse, fine = (spec.make(build_grid(n), spec.defaults) for n in (4, 4 * m))
+
+    def linear(model):
+        lay = model.layout
+        return np.concatenate([[7.0] if tag is SpaceTag.TRACE else lay.points_of(name) for name, tag in lay.blocks])
+
+    assert np.allclose(cli._restrict(fine, coarse, linear(fine)), linear(coarse), rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -705,6 +762,21 @@ def test_main_probe_bound_names_the_source_section(source, tmp_path, capsys):
     code, err = _main_fails_once("probe", MINIMAL + source, tmp_path, capsys, "--kind", "bound")
     assert code == 4
     assert err == ["config error: [source] bound probe needs a nonzero source on the window"]
+
+
+def test_main_probe_bound_starts_from_the_rest_state_consistent_with_the_source(tmp_path, capsys):
+    # the source is 1 at t = 0 on the dashpot trace tau_plus, an algebraic
+    # slot (no inertia); a start from zeros would be inconsistent there and
+    # read 3.10 against the limit 2
+    path = tmp_path / "cfg.ini"
+    path.write_text(
+        MINIMAL.replace("n_cells = 8", "n_cells = 16")
+        + "c = 0.5\n\n[source]\nkind = gaussian\nblock = tau_plus\ncenter = 0.0\nwidth = 0.3\n"
+    )
+    assert main(["probe", str(path), "--kind", "bound"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["ratio=9.2090447753818983e-1", "limit=2.0000000000000000e0"]
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("command", ["check", "probe"])
@@ -1388,15 +1460,10 @@ def test_source_on_a_trace_slot_is_the_envelope_there():
         (MINIMAL.replace("name = timoshenko_damped", "c = 0.5"), (), "[scenario]: name is required"),
         (MINIMAL + "kappa1 = foo(x)\n", (), "[scenario] kappa1: cannot evaluate 'foo(x)': name 'foo' is not defined"),
         (
+            # the 28-cell reference grid is no multiple of 3 or 5
             MINIMAL.replace("timoshenko_damped", "sturm_liouville"),
             ("--levels", "3,5,7"),
-            "reference grid must be an even multiple of each level",
-        ),
-        (
-            # the 80-cell reference grid is 5 times level 16, an odd multiple
-            MINIMAL.replace("timoshenko_damped", "sturm_liouville"),
-            ("--levels", "8,16,20"),
-            "reference grid must be an even multiple of each level",
+            "reference grid must be a multiple of each level",
         ),
         # configparser's own messages span lines; the CLI prints one
         (
@@ -1412,7 +1479,7 @@ def test_source_on_a_trace_slot_is_the_envelope_there():
     ],
     ids=[
         "grid-unknown-key", "grid-two-unknown-keys", "grid-no-n_cells", "scenario-no-name", "undefined-function",
-        "converge-odd-multiple", "converge-odd-quotient", "no-section-header", "unparsable-line",
+        "converge-odd-multiple", "no-section-header", "unparsable-line",
     ],
 )
 def test_main_config_errors_exit_four(text, args, message, tmp_path, capsys, monkeypatch):

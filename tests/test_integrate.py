@@ -4,6 +4,7 @@ The scalar problem on a one-slot layout has a closed-form recurrence, so
 the stepper is checked against it directly before anything model-sized.
 """
 
+import functools
 import math
 import tracemalloc
 import warnings
@@ -42,10 +43,12 @@ from evobeam.scenarios import (
     FullDynamicParams,
     SturmLiouvilleParams,
     TimoshenkoParams,
+    embed_block,
     make_full_dynamic,
     make_sturm_liouville,
     make_timoshenko_damped,
 )
+from evobeam.wellposed import NevanlinnaSpec, coercivity
 
 
 def _one_slot_model(m0, M1, A):
@@ -481,6 +484,43 @@ def test_bound_probe_rejects_zero_source():
     model, sys_ = _beam_system(4, TimoshenkoParams(c=0.5), scheme)
     with pytest.raises(UndefinedRatioError):
         bound_probe(sys_, lambda t: np.zeros(model.layout.dim))
+
+
+# models with algebraic slots (zero m0): the beam's damped rotation trace,
+# the parabolic potential field, and full_dynamic's dashpot trace
+_ALGEBRAIC_MODELS = {
+    "timoshenko_damped": lambda g: make_timoshenko_damped(g, TimoshenkoParams(c=0.5)),
+    "sturm_liouville": lambda g: make_sturm_liouville(g, SturmLiouvilleParams(s0=0.0, s1=0.5)),
+    "full_dynamic": lambda g: make_full_dynamic(g, FullDynamicParams(mu_plus=NevanlinnaSpec(0.0, 0.5))),
+}
+
+
+@functools.cache
+def _algebraic_system(name, rho):
+    """The model's factored system at n = 16, dt = 1/64, t_end = 4, and its c0."""
+    model = _ALGEBRAIC_MODELS[name](build_grid(16))
+    assert (model.m0 == 0.0).any()
+    sys_ = factor(model, SchemeParams(dt=1 / 64, t_end=4.0, rho=rho))
+    return sys_, coercivity(model.m0, model.M1, rho, model.W)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    name=st.sampled_from(sorted(_ALGEBRAIC_MODELS)),
+    rho=st.sampled_from([1.0, 2.0]),
+    center=st.floats(0.0, 1.0),
+    width=st.floats(0.1, 0.5),
+)
+def test_bound_probe_respects_solution_bound_with_sources_on_algebraic_slots(data, name, rho, center, width):
+    # a source on an algebraic slot at t = 0 forces that slot off zero; a
+    # start from zero would leave an undamped +- oscillation there
+    sys_, c0 = _algebraic_system(name, rho)
+    layout = sys_.model.layout
+    profile = embed_block(layout, data.draw(st.sampled_from(layout.names), label="block"), 1.0)
+    env = gaussian_envelope(center, width)
+    ratio = bound_probe(sys_, lambda t: profile * env(t))
+    assert ratio <= 1.05 / c0
 
 
 def test_step_guards_against_nonfinite_source():
