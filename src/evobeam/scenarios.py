@@ -358,12 +358,12 @@ def consistent_initial_state(
     """Adjust the algebraic slots (zero entries of m0) to satisfy the system
     at t = 0, leaving differential slots untouched.  Needed by parabolic
     laws where a field has no inertia."""
-    from scipy.sparse.linalg import splu
-
     alg = np.where(model.m0 == 0.0)[0]
     out = np.array(u, dtype=float)
     if alg.size == 0:
         return out
+    from scipy.sparse.linalg import splu
+
     if f0 is None:
         f0 = np.zeros(model.layout.dim)
     dif = np.setdiff1d(np.arange(model.layout.dim), alg)

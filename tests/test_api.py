@@ -129,7 +129,13 @@ def test_every_import_is_used(name):
         if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
         for alias in node.names
     }
-    exported = set(getattr(importlib.import_module(f"evobeam.{name}"), "__all__", ()))
+    # __all__ read from the source, not by an import: importing __main__
+    # would run the process entry in this process
+    exported = set().union(*(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]
+    ))
     assert sorted(imported - _loaded_names(tree) - exported) == []
 
 
@@ -195,3 +201,26 @@ def test_check_leaves_the_solver_stack_unloaded(scenario, n, extra, tmp_path):
     after_parse, after_check, after_run = proc.stdout.split("\n")[:3]
     assert after_parse == after_check == ""
     assert "scipy.sparse.linalg" in after_run.split(",")
+
+
+@pytest.mark.parametrize("I_tilde,solves", [(0.1, False), (0.0, True)])
+def test_consistent_initial_state_loads_the_solver_stack_only_to_solve(I_tilde, solves):
+    # with I_tilde = 0.1 every slot has inertia and the state is returned as
+    # given; with I_tilde = 0 the trace slot tau_plus is algebraic
+    code = f"""\
+import sys
+import numpy as np
+from evobeam.core import build_grid
+from evobeam.scenarios import TimoshenkoParams, consistent_initial_state, make_timoshenko_damped
+
+model = make_timoshenko_damped(build_grid(8), TimoshenkoParams(c=0.5, I_tilde={I_tilde}))
+print(",".join(m for m in {SOLVER_MODULES!r} if m in sys.modules))
+consistent_initial_state(model, np.ones(model.layout.dim))
+print(",".join(m for m in {SOLVER_MODULES!r} if m in sys.modules))
+"""
+    src = str(SRC.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    before, after = proc.stdout.split("\n")[:2]
+    assert before == ""
+    assert ("scipy.sparse.linalg" in after.split(",")) == solves

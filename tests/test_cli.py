@@ -983,18 +983,62 @@ def test_console_entry_point_subprocess(tmp_path):
     assert proc.stdout.splitlines()[0] == "c0=5.0000000000000000e-1"
 
 
+def _python_child(code):
+    """Run python -c code with the package of this process; its stdout."""
+    src = str(Path(evobeam.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 @pytest.mark.parametrize("module,frozen", [("evobeam.__main__", True), ("evobeam.cli", False)])
 def test_only_the_process_entry_freezes_the_imported_modules(module, frozen):
     # the entry freezes what its imports leave tracked; a library import
     # leaves the collector as it found it
-    src = str(Path(evobeam.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = f"import gc, {module}; print(gc.isenabled(), gc.get_freeze_count())"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    enabled, count = proc.stdout.split()
+    enabled, count = _python_child(code).split()
     assert enabled == "True"
     assert int(count) > 10_000 if frozen else int(count) == 0
+
+
+@pytest.mark.parametrize("module,deferred", [("evobeam.__main__", True), ("evobeam.cli", False)])
+def test_only_the_process_entry_defers_numpy_testing_and_f2py(module, deferred):
+    # scipy's array-API shim reads every public attribute of numpy; the entry
+    # makes the two modules that nothing here reads load on first use, and
+    # a library import installs no such module. A deferred module still
+    # works in full once read.
+    code = f"""\
+import sys, types, {module}
+import numpy
+print(*(n for n in ("numpy.testing", "numpy.f2py") if type(sys.modules.get(n)) not in (type(None), types.ModuleType)))
+print(*(n for n in ("numpy.testing._private.utils", "numpy.f2py.crackfortran") if n in sys.modules))
+numpy.testing.assert_array_equal(numpy.arange(3), [0, 1, 2])
+try:
+    numpy.testing.assert_array_equal(numpy.arange(3), [0, 1, 3])
+except AssertionError:
+    print("raises")
+print(numpy.f2py.__name__)
+"""
+    lazy, loaded, raises, f2py = _python_child(code).splitlines()
+    if deferred:
+        assert (lazy, loaded) == ("numpy.testing numpy.f2py", "")
+    else:
+        assert lazy == ""
+    assert (raises, f2py) == ("raises", "numpy.f2py")
+
+
+def test_the_process_entry_replaces_no_loaded_module_and_skips_a_missing_one():
+    code = """\
+import sys, types
+import numpy.testing as loaded
+import evobeam.__main__ as entry
+import numpy
+print(sys.modules["numpy.testing"] is loaded, numpy.testing is loaded, type(loaded) is types.ModuleType)
+entry._defer(numpy, "no_such_module")
+print("numpy.no_such_module" in sys.modules, hasattr(numpy, "no_such_module"))
+"""
+    assert _python_child(code).splitlines() == ["True True True", "False False"]
 
 
 def _child(argv, cwd, closed_stdout=False, unbuffered=False):
