@@ -15,16 +15,20 @@ def _defer(parent, name):
         setattr(parent, name, module)
 
 
+# scipy's array-API shim reads every public attribute of numpy, which would
+# import these submodules; no command reads them, so they load only if
+# something reads one of their attributes. numpy.ma stays unread only while
+# src/ calls neither sp.diags nor a numpy set routine: both reach np.unique,
+# which reads np.ma.is_masked.
+DEFERRED = ("testing", "f2py", "ma", "polynomial", "char", "ctypeslib", "rec", "strings")
+
 # The imported modules live until exit: load them with the collector off and
 # freeze them, so no collection, at import or at shutdown, walks them again.
-# scipy's array-API shim reads every public attribute of numpy, which would
-# import numpy.testing and numpy.f2py; nothing here reads them, so they load
-# only if something reads one of their attributes.
 gc.disable()
 import numpy
 
-_defer(numpy, "testing")
-_defer(numpy, "f2py")
+for name in DEFERRED:
+    _defer(numpy, name)
 from .cli import main
 
 gc.freeze()

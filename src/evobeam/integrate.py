@@ -25,6 +25,7 @@ from .core import (
     exp_weighted_norm,
     weighted_inner,
 )
+from .discretize import diag_csr
 from .scenarios import AssembledModel, consistent_initial_state
 from .wellposed import sparse_symmetric_part
 
@@ -92,7 +93,7 @@ def _stepping_matrix(model: AssembledModel, scheme: SchemeParams) -> sp.csr_matr
     for name, m in (("M1", M1m), ("A", Am)):
         if m.shape != (n, n):
             raise ParameterError(f"{name} has shape {m.shape}, layout needs ({n}, {n})")
-    return (sp.diags(model.m0) + scheme.theta * scheme.dt * (M1m + Am)).tocsr()
+    return (diag_csr(model.m0) + scheme.theta * scheme.dt * (M1m + Am)).tocsr()
 
 
 def factor(model: AssembledModel, scheme: SchemeParams) -> SteppingSystem:

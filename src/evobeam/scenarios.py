@@ -25,7 +25,7 @@ from .core import (
     TimeSeries,
     build_weights,
 )
-from .discretize import assemble_skew, build_B
+from .discretize import assemble_skew, build_B, diag_csr
 from .wellposed import NevanlinnaSpec
 
 __all__ = [
@@ -191,7 +191,7 @@ def _assemble(
         center, *slots = ran
         for slot, x in zip(slots, tag.free_ends()):
             traces[slot] = TraceBinding(center, x, +1.0 if x < 0 else -1.0, laws[slot])
-    M1 = sp.csr_matrix(sp.diags(diagonal(m1, "mu1")))
+    M1 = diag_csr(diagonal(m1, "mu1"))
     for a, b, s in couplings:
         rows, cols = layout.indices_of((a, b)), layout.indices_of((b, a))
         M1 = M1 + sp.csr_matrix((np.repeat([s, -s], layout.length_of(a)), (rows, cols)), shape=M1.shape)
@@ -258,7 +258,7 @@ def apply_sign_flip(model: AssembledModel) -> AssembledModel:
     if "eta" not in model.layout.names:
         raise ParameterError("sign flip is defined for models carrying an eta block")
     u = sign_flip_vector(model.layout)
-    U = sp.diags(u)
+    U = diag_csr(u)
     flip = lambda M: sp.csr_matrix(U @ M @ U)
     traces = {
         name: replace(b, sign=-b.sign) if b.field == "eta" else b
@@ -332,7 +332,7 @@ def split_model(model: AssembledModel, names: tuple[str, ...]) -> AssembledModel
         if n not in model.layout.names:
             raise ParameterError(f"unknown block {n!r}")
     keep = model.layout.indices_of(names)
-    drop = np.setdiff1d(np.arange(model.layout.dim), keep)
+    drop = np.delete(np.arange(model.layout.dim), keep)
     for M in (model.M1, model.A):
         if drop.size and keep.size:
             if M[np.ix_(keep, drop)].count_nonzero() or M[np.ix_(drop, keep)].count_nonzero():
@@ -366,7 +366,7 @@ def consistent_initial_state(
 
     if f0 is None:
         f0 = np.zeros(model.layout.dim)
-    dif = np.setdiff1d(np.arange(model.layout.dim), alg)
+    dif = np.flatnonzero(model.m0 != 0.0)
     K = (model.M1 + model.A).tocsr()
     rhs = f0[alg] - K[np.ix_(alg, dif)] @ out[dif]
     Kaa = sp.csc_matrix(K[np.ix_(alg, alg)])

@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import EvobeamError, NumericError, ParameterError
+from .discretize import diag_csr
 
 __all__ = [
     "NotCoerciveError",
@@ -119,7 +120,7 @@ def coercivity(m0: np.ndarray, M1, rho: float, W: np.ndarray) -> float:
         raise ParameterError("rho must be nonnegative")
     # a law that overflows is refused by _w_min_eig's finiteness check alone
     with np.errstate(over="ignore", invalid="ignore"):
-        return _w_min_eig(rho * sp.diags(m0) + sparse_symmetric_part(M1, W), W)
+        return _w_min_eig(diag_csr(rho * m0) + sparse_symmetric_part(M1, W), W)
 
 
 def find_rho0(m0: np.ndarray, M1, c_target: float, W: np.ndarray) -> float:
@@ -133,7 +134,7 @@ def find_rho0(m0: np.ndarray, M1, c_target: float, W: np.ndarray) -> float:
     """
     if c_target <= 0:
         raise ParameterError("c_target must be positive")
-    M0, M1sym = sp.diags(m0, format="csr"), sparse_symmetric_part(M1, W)
+    M0, M1sym = diag_csr(m0), sparse_symmetric_part(M1, W)
     if not np.isfinite(M1sym.data).all():
         raise NumericError("non-finite entries in coercivity operator")
 

@@ -6,6 +6,7 @@ path, another checks the exit codes as a shell sees them, and another
 compares the peak memory of two runs in children.
 """
 
+import ast
 import json
 import math
 import os
@@ -1002,30 +1003,70 @@ def test_only_the_process_entry_freezes_the_imported_modules(module, frozen):
     assert int(count) > 10_000 if frozen else int(count) == 0
 
 
+def _entry_deferred():
+    """The entry's tuple of deferred numpy submodules, read from its source:
+    importing the entry here would defer them in this process."""
+    tree = ast.parse(Path(evobeam.__file__).with_name("__main__.py").read_text())
+    (value,) = (
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["DEFERRED"]
+    )
+    return ast.literal_eval(value)
+
+
 @pytest.mark.parametrize("module,deferred", [("evobeam.__main__", True), ("evobeam.cli", False)])
-def test_only_the_process_entry_defers_numpy_testing_and_f2py(module, deferred):
+def test_only_the_process_entry_defers_the_unread_numpy_modules(module, deferred):
     # scipy's array-API shim reads every public attribute of numpy; the entry
-    # makes the two modules that nothing here reads load on first use, and
-    # a library import installs no such module. A deferred module still
-    # works in full once read.
+    # makes the submodules that no command reads load on first use, and a
+    # library import installs no such module. A deferred module still works
+    # in full once read.
+    names = _entry_deferred()
+    assert {"testing", "f2py", "ma"} <= set(names)
     code = f"""\
 import sys, types, {module}
 import numpy
-print(*(n for n in ("numpy.testing", "numpy.f2py") if type(sys.modules.get(n)) not in (type(None), types.ModuleType)))
-print(*(n for n in ("numpy.testing._private.utils", "numpy.f2py.crackfortran") if n in sys.modules))
+print(*(n for n in {names!r} if type(sys.modules.get("numpy." + n)) not in (type(None), types.ModuleType)))
+print(*(n for n in ("numpy.testing._private.utils", "numpy.f2py.crackfortran", "numpy.ma.core") if n in sys.modules))
 numpy.testing.assert_array_equal(numpy.arange(3), [0, 1, 2])
 try:
     numpy.testing.assert_array_equal(numpy.arange(3), [0, 1, 3])
 except AssertionError:
     print("raises")
-print(numpy.f2py.__name__)
+print(numpy.f2py.__name__, numpy.ma.masked_array([1, 2], mask=[0, 1]).sum())
 """
-    lazy, loaded, raises, f2py = _python_child(code).splitlines()
+    lazy, loaded, raises, read = _python_child(code).splitlines()
     if deferred:
-        assert (lazy, loaded) == ("numpy.testing numpy.f2py", "")
+        assert (lazy, loaded) == (" ".join(names), "")
     else:
         assert lazy == ""
-    assert (raises, f2py) == ("raises", "numpy.f2py")
+    assert (raises, read) == ("raises", "numpy.f2py 1")
+
+
+def test_no_command_loads_a_deferred_module(tmp_path):
+    # the default beam has an algebraic slot (I_tilde = 0), so run, converge
+    # and the bound probe also solve for a consistent initial state
+    path = tmp_path / "cfg.ini"
+    path.write_text(
+        MINIMAL
+        + "[scheme]\ndt = 0.05\nt_end = 0.5\n\n"
+        + "[source]\nkind = gaussian\nblock = V1\ncenter = 0.1\nwidth = 0.05\n\n"
+        + f"[output]\ncsv = {tmp_path / 'out.csv'}\n"
+    )
+    commands = [["check"], ["run"], ["converge", "--levels", "8,16,32"], ["probe", "--kind", "bound"]]
+    code = f"""\
+import contextlib, io, sys
+import evobeam.__main__ as entry
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [entry.main([c[0], {str(path)!r}, *c[1:]]) for c in {commands!r}]
+print(*codes)
+print(*(n for n in ("numpy.ma.core", "numpy.polynomial.polynomial") if n in sys.modules))
+import numpy
+print(numpy.ma.masked_array([1, 2], mask=[0, 1]).sum(), "numpy.ma.core" in sys.modules)
+"""
+    codes, loaded, read = _python_child(code).splitlines()
+    assert (codes, loaded) == ("0 0 0 0", "")
+    assert read == "1 True"
 
 
 def test_the_process_entry_replaces_no_loaded_module_and_skips_a_missing_one():

@@ -24,6 +24,7 @@ from evobeam.discretize import (
     assemble_skew,
     build_B,
     build_derivative,
+    diag_csr,
     skew_defect,
 )
 from evobeam.scenarios import (
@@ -124,6 +125,44 @@ def test_build_B_matches_dense_reference(tag, n):
     B = build_B(grid, tag)
     assert B.format == "csr"
     assert B.toarray().tobytes() == ref.tobytes()
+
+
+def _same_csr(X, Y):
+    """Equal shape, index arrays and data bytes: the same matrix bit for bit."""
+    return (
+        X.format == Y.format == "csr"
+        and X.shape == Y.shape
+        and (X.indptr.dtype, X.indices.dtype, X.data.dtype) == (Y.indptr.dtype, Y.indices.dtype, Y.data.dtype)
+        and X.indptr.tobytes() == Y.indptr.tobytes()
+        and X.indices.tobytes() == Y.indices.tobytes()
+        and X.data.tobytes() == Y.data.tobytes()
+    )
+
+
+_DIAGONAL_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0]),
+    st.floats(min_value=-1e300, max_value=1e300).filter(lambda x: x == 0 or 1e-300 <= abs(x)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=st.lists(_DIAGONAL_ENTRY, min_size=1, max_size=40))
+def test_diag_csr_is_sp_diags_in_csr_bit_for_bit(v):
+    # zeros of either sign are left out, as sp.diags' conversion does, so the
+    # pattern, and with it every factorisation, is unchanged
+    v = np.array(v)
+    assert _same_csr(diag_csr(v), sp.diags(v).tocsr())
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 33])
+@pytest.mark.parametrize(
+    "tag", [SpaceTag.NODE_ALL, SpaceTag.NODE_FREE_LEFT, SpaceTag.NODE_INTERIOR], ids=lambda t: t.name
+)
+def test_build_derivative_is_the_sp_diags_bidiagonal_bit_for_bit(tag, n):
+    grid = build_grid(n)
+    inv_h = 1.0 / grid.h
+    ref = sp.diags([-inv_h, inv_h], [0, 1], shape=(n, n + 1), format="csr")[:, tag.node_slice(n)]
+    assert _same_csr(build_derivative(grid, tag), ref)
 
 
 @pytest.mark.parametrize("tag", [SpaceTag.CENTER, SpaceTag.TRACE])
