@@ -216,15 +216,27 @@ def weighted_inner(u, v, W: np.ndarray):
         )
     products = np.multiply(W, vv, order="C")
     products *= uv  # in place: a stack holds one temporary, not two
-    sums = np.sum(products, axis=-1)
-    return float(sums) if uv.ndim == 1 else sums
+    return _row_sums(products)
 
 
 def energy(u, m0: np.ndarray, W: np.ndarray):
     """Quadratic energy 1/2 <u, m0 u>_W of a state under the diagonal inertia
-    m0, or of each row of a stack of states."""
+    m0, or of each row of a stack of states, summed as ``weighted_inner``
+    sums.  A stack holds one temporary of its size: (m0*u)*W is W*(m0*u)
+    bit for bit."""
     uv = np.asarray(u, dtype=float)
-    return 0.5 * weighted_inner(uv, m0 * uv, W)
+    if uv.ndim not in (1, 2) or uv.shape[-1] != W.size or np.shape(m0) != W.shape:
+        raise ParameterError(f"shapes {uv.shape}, m0 {np.shape(m0)} incompatible with weights ({W.size},)")
+    products = np.multiply(m0, uv, order="C")
+    products *= W
+    products *= uv
+    return 0.5 * _row_sums(products)
+
+
+def _row_sums(products: np.ndarray):
+    """The sum of a C-ordered state, a float, or of each row of a stack."""
+    sums = np.sum(products, axis=-1)
+    return float(sums) if products.ndim == 1 else sums
 
 
 @dataclass
@@ -243,7 +255,8 @@ class TimeSeries:
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.energy = np.asarray(self.energy, dtype=float)
-        if self.times.ndim != 1 or np.any(np.diff(self.times) <= 0):
+        # a NaN compares false both ways, so test the order, not its negation
+        if self.times.ndim != 1 or not np.all(self.times[1:] > self.times[:-1]):
             raise NumericError("record times must be strictly increasing")
         n = self.times.shape[0]
         if self.energy.shape != (n,):

@@ -153,11 +153,11 @@ def step(sys_: SteppingSystem, u_n: np.ndarray, f_mid: np.ndarray) -> np.ndarray
     return u_next
 
 
-# Recorded states wait in a buffer of at most this many floats (512 kB),
+# Recorded states wait in a buffer of at most this many floats (256 kB),
 # and each full buffer gets its energies from one core.energy call.  The
 # buffer is kept small so that it does not show in the peak memory of a
 # run on a large grid.
-_CHUNK_FLOATS = 1 << 16
+_CHUNK_FLOATS = 1 << 15
 
 
 def run(
@@ -179,7 +179,9 @@ def run(
     so do records too large to allocate.  Each step is ``step``'s kernel ``_advance``.
 
     With ``energy_residual`` (theta = 1/2 only) the series also carries the
-    largest |energy_balance_residual| over every step, recorded or not.
+    largest |energy_balance_residual| over every step, recorded or not,
+    bitwise the largest of that function's values (a NaN among them gives
+    NaN).  They are computed per buffer of steps, and raise nothing.
 
     Finiteness is checked once per buffer of records, not on every step: a
     non-finite entry of a state makes the next state non-finite too (m0*u,
@@ -194,11 +196,8 @@ def run(
     trace_at = np.array([layout.offset_of(name) for name in trace_names], dtype=int)
     scheme = sys_.scheme
     n_steps, every, dt, theta = scheme.n_steps, scheme.record_every, scheme.dt, scheme.theta
-    S = None
-    if energy_residual:
-        if theta != 0.5:
-            raise ParameterError("energy balance identity requires theta = 1/2")
-        S = sparse_symmetric_part(sys_.model.M1, W)
+    if energy_residual and theta != 0.5:
+        raise ParameterError("energy balance identity requires theta = 1/2")
     n_rec = -(-n_steps // every) + 1
     try:
         energies = np.empty(n_rec)
@@ -209,9 +208,9 @@ def run(
     buf = np.empty((min(max(_CHUNK_FLOATS // layout.dim, 1), n_rec), layout.dim))
     done = 0
 
-    def flush(count: int):
+    def flush(U: np.ndarray):
         nonlocal done
-        U = buf[:count]
+        count = len(U)
         if not np.isfinite(U).all():
             raise NumericError("time step produced non-finite state")
         energies[done : done + count] = energy(U, m0, W)
@@ -222,48 +221,69 @@ def run(
             snaps[done : done + count] = U
         done += count
 
+    if energy_residual:
+        # every stepped state and its source, row 0 the state before the
+        # buffer's first step; at most _CHUNK_FLOATS floats together
+        S = sparse_symmetric_part(sys_.model.M1, W)
+        steps = min(max((_CHUNK_FLOATS // layout.dim - 1) // 2, 1), n_steps)
+        states, sources = np.empty((steps + 1, layout.dim)), np.empty((steps, layout.dim))
+        states[0] = u0
+    max_residual, held = 0.0, 0
     rhs = np.empty(layout.dim)
-    max_residual = 0.0
     u = np.asarray(u0, dtype=float)
     row = 0
     # a non-finite state raises at its flush; until then its arithmetic
     # must not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        if S is not None:
-            e0 = energy(u, m0, W)
         for k in range(n_steps + 1):
             if k:
                 f = source((k - 1 + theta) * dt)
-                u_next = _advance(sys_, u, f, rhs)
-                if S is not None:
-                    e1 = energy(u_next, m0, W)
-                    # np.maximum, unlike max, keeps a NaN residual
-                    max_residual = np.maximum(max_residual, abs(_balance_residual(u, u_next, f, e0, e1, S, W, dt)))
-                    e0 = e1
-                u = u_next
+                u = _advance(sys_, u, f, rhs)
+                if energy_residual:
+                    if held == len(sources):
+                        max_residual = _fold_residuals(max_residual, states, sources, m0, W, S, dt)
+                        states[0], held = states[-1], 0
+                    states[held + 1], sources[held] = u, f
+                    held += 1
             if k % every == 0 or k == n_steps:
                 if row == len(buf):
-                    flush(row)
+                    flush(buf)
                     row = 0
                 buf[row] = u
                 row += 1
-        flush(row)
+        flush(buf[:row])
+        del buf
+        if energy_residual:
+            max_residual = float(_fold_residuals(max_residual, states[: held + 1], sources[:held], m0, W, S, dt))
+            del states, sources
+    # in place, after the buffers are gone: k*every is exact below 2**53,
+    # so this is min(k*every, n_steps)*dt bit for bit
+    times = np.arange(n_rec, dtype=float)
+    times *= every
+    np.minimum(times, n_steps, out=times)
+    times *= dt
     return TimeSeries(
-        times=np.minimum(np.arange(n_rec) * every, n_steps) * dt,
+        times=times,
         energy=energies,
         traces=dict(zip(trace_names, traces)),
         snapshots=snaps,
         layout=layout,
-        max_energy_residual=float(max_residual) if energy_residual else None,
+        max_energy_residual=max_residual if energy_residual else None,
     )
 
 
-def _balance_residual(u_n, u_np1, f_mid, e0, e1, S, W, dt) -> float:
-    """The energy balance defect of one step, e0 and e1 the energies of u_n and u_np1."""
-    u_mid = 0.5 * (u_n + u_np1)
-    dissipated = weighted_inner(u_mid, S @ u_mid, W)
-    injected = weighted_inner(u_mid, f_mid, W)
-    return e1 - e0 + dt * (dissipated - injected)
+def _fold_residuals(largest, U, F, m0, W, S, dt):
+    """Fold the energy balance defects e1 - e0 + dt*(<mid, S mid>_W - <mid, f>_W)
+    of the steps from U[j] to U[j+1] under the source F[j] into the largest
+    absolute defect so far, each defect bitwise energy_balance_residual's value."""
+    e = energy(U, m0, W)
+    mid = 0.5 * (U[:-1] + U[1:])
+    # S @ mid.T accumulates each row of S in the order that S @ mid[j] does
+    dissipated = weighted_inner(mid, (S @ mid.T).T, W)
+    injected = weighted_inner(mid, F, W)
+    residuals = e[1:] - e[:-1] + dt * (dissipated - injected)
+    # np.maximum and np.max, unlike max, keep a NaN residual
+    return np.maximum(largest, np.max(np.abs(residuals)))
 
 
 def energy_balance_residual(
@@ -275,9 +295,12 @@ def energy_balance_residual(
     """Defect of the exact midpoint energy identity for one step."""
     if sys_.scheme.theta != 0.5:
         raise ParameterError("energy balance identity requires theta = 1/2")
-    m0, M1, W = sys_.model.m0, sys_.model.M1, sys_.model.W
+    m0, W = sys_.model.m0, sys_.model.W
     e0, e1 = energy(u_n, m0, W), energy(u_np1, m0, W)
-    return _balance_residual(u_n, u_np1, f_mid, e0, e1, sparse_symmetric_part(M1, W), W, sys_.scheme.dt)
+    u_mid = 0.5 * (u_n + u_np1)
+    dissipated = weighted_inner(u_mid, sparse_symmetric_part(sys_.model.M1, W) @ u_mid, W)
+    injected = weighted_inner(u_mid, f_mid, W)
+    return e1 - e0 + sys_.scheme.dt * (dissipated - injected)
 
 
 def causality_probe(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,9 @@ def test_stack_of_states_gives_each_row_its_one_state_bits(rng):
         weighted_inner(buf[:2], V[:1], m.W)
     with pytest.raises(ParameterError):
         weighted_inner(buf[None], buf[None], m.W)
+    for u, m0 in ((buf[None], m.m0), (buf[:, 1:], m.m0), (buf, m.m0[1:])):
+        with pytest.raises(ParameterError):
+            energy(u, m0, m.W)
 
 
 @settings(max_examples=100, deadline=None)
@@ -224,6 +228,13 @@ def test_energy_constant_coefficient_oracle():
 def test_time_series_validation():
     with pytest.raises(NumericError):
         TimeSeries(times=np.array([0.0, 0.0]), energy=np.zeros(2), traces={})
+    # a NaN difference compares false with 0, so only the order itself,
+    # tested as t[k+1] > t[k], refuses these, and without a numpy warning
+    for times in ([0.0, np.nan], [0.0, np.nan, 1.0], [np.inf, np.inf]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="record times must be strictly increasing"):
+                TimeSeries(times=np.array(times), energy=np.zeros(len(times)), traces={})
     with pytest.raises(ParameterError, match="energy record count does not match times"):
         TimeSeries(times=np.array([0.0, 1.0]), energy=np.zeros(3), traces={})
 

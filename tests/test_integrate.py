@@ -706,12 +706,25 @@ def test_run_raises_when_a_recorded_energy_overflows():
             run(sys_, np.zeros(lay.dim), lambda t: profile * env(t))
 
 
-@pytest.mark.parametrize("record_every", [1, 3])
+def _residual_chunk(steps, dim):
+    """The _CHUNK_FLOATS that holds ``steps`` steps in the residual buffers."""
+    return (2 * steps + 1) * dim
+
+
+@pytest.mark.parametrize(
+    "record_every,chunk_steps",
+    [(1, None), (3, None), (4, 2), (1, 5), (3, 1), (7, 24)],
+    ids=["1", "3", "4-flushes-of-2", "1-flush-ends-at-the-last-step", "3-flushes-of-1", "7-last-flush-of-1"],
+)
 @pytest.mark.parametrize("name", sorted(_RUN_MODELS))
-def test_run_max_energy_residual_matches_stepwise_reference_bitwise(rng, name, record_every):
-    # the residual covers every step, the unrecorded ones too
+def test_run_max_energy_residual_matches_stepwise_reference_bitwise(monkeypatch, rng, name, record_every, chunk_steps):
+    # the residual covers every step, the unrecorded ones too; 25 steps,
+    # which neither 3, 4 nor 7 divides, in residual buffers of chunk_steps
+    # steps (25 = 5*5 fills the last buffer of 5 at the last step)
     model = _RUN_MODELS[name]()
     dim = model.layout.dim
+    if chunk_steps is not None:
+        monkeypatch.setattr(integrate, "_CHUNK_FLOATS", _residual_chunk(chunk_steps, dim))
     scheme = SchemeParams(dt=0.04, t_end=1.0, record_every=record_every)
     sys_ = factor(model, scheme)
     u0 = rng.standard_normal(dim)
@@ -738,13 +751,17 @@ def test_run_energy_residual_needs_the_midpoint_rule():
         run(sys_, np.zeros(dim), lambda t: np.zeros(dim), energy_residual=True)
 
 
-@pytest.mark.parametrize("chunk_rows", [None, 1])
-def test_run_catches_a_state_gone_bad_at_an_unrecorded_step(monkeypatch, chunk_rows):
+@pytest.mark.parametrize(
+    "chunk_rows,energy_residual",
+    [(None, False), (1, False), (None, True), (1, True)],
+    ids=["None", "1", "None-residual", "1-residual"],
+)
+def test_run_catches_a_state_gone_bad_at_an_unrecorded_step(monkeypatch, chunk_rows, energy_residual):
     # 25 steps recording every 3rd; the source is infinite at step 10 only,
     # which is not recorded, and finite before and after it.  The state
     # stays non-finite, so the flush of the next record (step 12 with
     # one-row buffers, the last buffer otherwise) must refuse it, without a
-    # numpy warning.
+    # numpy warning, whether or not the residuals of the steps are kept.
     scheme = SchemeParams(dt=0.04, t_end=1.0, record_every=3)
     model, sys_ = _beam_system(8, TimoshenkoParams(c=0.5, d=0.2), scheme)
     dim = model.layout.dim
@@ -758,15 +775,23 @@ def test_run_catches_a_state_gone_bad_at_an_unrecorded_step(monkeypatch, chunk_r
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="time step produced non-finite state"):
-            run(sys_, np.zeros(dim), source)
+            run(sys_, np.zeros(dim), source, energy_residual=energy_residual)
+
+
+_FAULTS = {
+    "overflow-in-an-earlier-chunk": (0.0, 0.5, "recorded energy is not finite"),
+    "overflow-in-the-last-chunk": (0.97, 0.99, "time step produced non-finite state"),
+}
 
 
 @pytest.mark.parametrize(
-    "huge_from,inf_from,message",
-    [(0.0, 0.5, "recorded energy is not finite"), (0.97, 0.99, "time step produced non-finite state")],
-    ids=["overflow-in-an-earlier-chunk", "overflow-in-the-last-chunk"],
+    "huge_from,inf_from,message,energy_residual",
+    [(*fault, residual) for residual in (False, True) for fault in _FAULTS.values()],
+    ids=[name + ("-residual" if residual else "") for residual in (False, True) for name in _FAULTS],
 )
-def test_run_reports_the_first_fault_as_a_check_on_every_step_would(monkeypatch, huge_from, inf_from, message):
+def test_run_reports_the_first_fault_as_a_check_on_every_step_would(
+    monkeypatch, huge_from, inf_from, message, energy_residual
+):
     # 100 steps recording every 3rd: 35 records in buffers of 4, the last
     # buffer holding the records of steps 96, 99 and the last step, 100.
     # Past huge_from the source makes the energy of a still
@@ -786,7 +811,92 @@ def test_run_reports_the_first_fault_as_a_check_on_every_step_would(monkeypatch,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match=message):
-            run(sys_, np.zeros(lay.dim), source)
+            run(sys_, np.zeros(lay.dim), source, energy_residual=energy_residual)
+
+
+def test_run_computes_the_residuals_per_buffer(monkeypatch):
+    # one energy call per buffer of records, and with the residual one more
+    # per buffer of steps (here of 7), not one per step
+    scheme = SchemeParams(dt=0.005, t_end=1.0)
+    model, sys_ = _beam_system(8, TimoshenkoParams(c=0.5, d=0.2), scheme)
+    dim = model.layout.dim
+    monkeypatch.setattr(integrate, "_CHUNK_FLOATS", _residual_chunk(7, dim))
+    calls, energy = [], integrate.energy
+
+    def counted(u, m0, W):
+        calls.append(np.shape(u))
+        return energy(u, m0, W)
+
+    monkeypatch.setattr(integrate, "energy", counted)
+    z = lambda t: np.zeros(dim)
+    u0 = np.random.default_rng(3).standard_normal(dim)
+    run(sys_, u0, z)
+    per_record_buffer = len(calls)
+    assert per_record_buffer == math.ceil((scheme.n_steps + 1) / (2 * 7 + 1))
+    calls.clear()
+    run(sys_, u0, z, energy_residual=True)
+    assert len(calls) == per_record_buffer + math.ceil(scheme.n_steps / 7)
+
+
+def _nan_at(monkeypatch, call, row):
+    """Make row ``row`` of the ``call``-th stacked weighted_inner value in
+    run NaN (two calls per buffer of steps: dissipated, then injected)."""
+    calls = []
+    inner = integrate.weighted_inner
+
+    def patched(u, v, W):
+        out = inner(u, v, W)
+        if len(calls) == call:
+            out[row] = np.nan
+        calls.append(1)
+        return out
+
+    monkeypatch.setattr(integrate, "weighted_inner", patched)
+
+
+@pytest.mark.parametrize(
+    "call,row",
+    [(0, 0), (1, 4), (4, 2), (9, 0)],
+    ids=["first-step", "last-of-the-first-buffer", "middle-buffer", "last-step"],
+)
+def test_run_keeps_a_nan_residual_of_any_step(monkeypatch, call, row):
+    # 25 steps in five buffers of 5: a NaN residual in any one step makes
+    # max_energy_residual NaN, as np.maximum over the steps made it
+    scheme = SchemeParams(dt=0.04, t_end=1.0)
+    model, sys_ = _beam_system(8, TimoshenkoParams(c=0.5, d=0.2), scheme)
+    dim = model.layout.dim
+    monkeypatch.setattr(integrate, "_CHUNK_FLOATS", _residual_chunk(5, dim))
+    profile = np.random.default_rng(5).standard_normal(dim)
+    f = lambda t: profile * math.sin(t)
+    finite = run(sys_, np.zeros(dim), f, energy_residual=True)
+    assert math.isfinite(finite.max_energy_residual)
+    _nan_at(monkeypatch, call, row)
+    ts = run(sys_, np.zeros(dim), f, energy_residual=True)
+    assert math.isnan(ts.max_energy_residual)
+    assert np.array_equal(ts.energy, finite.energy)
+
+
+@pytest.mark.parametrize("energy_residual", [False, True])
+def test_run_record_memory_is_the_records_and_bounded_buffers(energy_residual):
+    # 20,000 steps at dim 32, every step recorded, no snapshots: beyond the
+    # records it returns, run holds the record buffer and one temporary of
+    # its size, and under energy_residual the residual buffers and their
+    # temporaries, each at most _CHUNK_FLOATS floats
+    scheme = SchemeParams(dt=5e-5, t_end=1.0)
+    model, sys_ = _beam_system(8, TimoshenkoParams(c=0.5, d=0.2), scheme)
+    dim = model.layout.dim
+    profile = np.random.default_rng(7).standard_normal(dim)
+    f = lambda t: profile * math.sin(t)
+    tracemalloc.start()
+    try:
+        ts = run(sys_, np.zeros(dim), f, snapshots=False, energy_residual=energy_residual)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    records = ts.times.nbytes + ts.energy.nbytes + sum(v.nbytes for v in ts.traces.values())
+    buffer = 8 * integrate._CHUNK_FLOATS
+    assert len(ts) == 20_001
+    assert peak <= records + (4 if energy_residual else 2) * buffer + (64 << 10)
 
 
 def _random_field(rng, tag, n, lo, hi):
