@@ -504,7 +504,8 @@ def cmd_check(cfg: RunConfig, stats: dict | None = None) -> tuple[list[str], int
     lines.append(f"bound={fmt17(bound)}")
     defect = skew_defect(model.A, model.W)
     lines.append(f"skew_defect={fmt17(defect)}")
-    ok = all(nevanlinna_check(b.law) for b in model.traces.values())
+    mu1, slots = model.M1.diagonal(), map(model.layout.offset_of, model.layout.trace_names())
+    ok = all(nevanlinna_check(NevanlinnaSpec(model.m0[k], mu1[k])) for k in slots)
     lines.append(f"nevanlinna={'pass' if ok else 'fail'}")
     if not ok:
         code = 2

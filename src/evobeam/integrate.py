@@ -185,9 +185,10 @@ def run(
 
     Finiteness is checked once per buffer of records, not on every step: a
     non-finite entry of a state makes the next state non-finite too (m0*u,
-    the LU solve and the subtraction all carry it), so a state that goes
-    bad at an unrecorded step is caught by the flush of the buffer that
-    holds the next record; the last buffer holds the final state.
+    the LU solve and the subtraction all carry it), so a bad state is caught
+    when the buffer holding the next record is flushed (a later record finds
+    it full, or the run ends); a source that raises by itself before that
+    flush raises first, where a loop of ``step`` calls stops at the bad step.
     """
     layout, m0, W = sys_.model.layout, sys_.model.m0, sys_.model.W
     if np.shape(u0) != (layout.dim,):

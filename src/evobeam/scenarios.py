@@ -3,9 +3,9 @@
 Four variants share one shape: a diagonal inertia, carried as the vector m0
 of its diagonal, a cheap damping/coupling operator M1, and a skew spatial
 operator with trace-augmented state.  Each constructor validates its
-parameter class, builds m0, M1 and A on the documented layout, and records
-where every trace is weakly pinned and which law it carries, so probes and
-checks can interrogate the model without re-deriving its structure.
+parameter class, builds m0, M1 and A on the documented layout (a trace's law
+is its entry of m0 and of diag(M1), kept nowhere else), and records where
+every trace is weakly pinned, so probes and checks can interrogate the model.
 """
 
 from __future__ import annotations
@@ -54,13 +54,11 @@ __all__ = [
 @dataclass(frozen=True)
 class TraceBinding:
     """Weak identity trace = sign * field(endpoint) enforced by the adjoint
-    penalty rows, and the trace's own material law mu0*z + mu1 (mu0 its
-    entry of m0, mu1 its M1 diagonal entry)."""
+    penalty rows; the trace's law mu0*z + mu1 is its m0 and M1 diagonal entries."""
 
     field: str
     endpoint: float
     sign: float
-    law: NevanlinnaSpec
 
 
 def _on(tag: SpaceTag, default: float):
@@ -171,7 +169,7 @@ def _assemble(
     Each pair (node, (center, *slots)) puts build_B(grid, tag of node) from
     the node block to the center block and the slots, and binds the slots in
     order to the free ends x of that tag: slot = sign * center(x), with sign
-    +1 at -1/2 and -1 at +1/2, carrying the law ``laws[slot]``.
+    +1 at -1/2 and -1 at +1/2.
     """
 
     def diagonal(blocks: dict[str, np.ndarray | float], coefficient: str) -> np.ndarray:
@@ -190,7 +188,7 @@ def _assemble(
         ops.append((build_B(layout.grid, tag), (node,), ran))
         center, *slots = ran
         for slot, x in zip(slots, tag.free_ends()):
-            traces[slot] = TraceBinding(center, x, +1.0 if x < 0 else -1.0, laws[slot])
+            traces[slot] = TraceBinding(center, x, +1.0 if x < 0 else -1.0)
     M1 = diag_csr(diagonal(m1, "mu1"))
     for a, b, s in couplings:
         rows, cols = layout.indices_of((a, b)), layout.indices_of((b, a))

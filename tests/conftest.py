@@ -44,3 +44,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         entry = results[num]
         verdict = "PASS" if entry["ok"] else "FAIL"
         terminalreporter.write_line(f"criterion {num:2d}: {verdict}  {entry['title']}")
+
+
+def pytest_sessionfinish(session, exitstatus):
+    # a criterion that did not pass fails a run that would otherwise pass
+    results = getattr(session.config, "_acceptance_results", {})
+    if exitstatus == pytest.ExitCode.OK and not all(e["ok"] for e in results.values()):
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED

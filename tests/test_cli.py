@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 import evobeam
 from evobeam import cli, scenarios
-from evobeam.core import SpaceTag, build_grid, bump_envelope, gaussian_envelope, sinusoid_envelope
+from evobeam.core import SpaceTag, StateLayout, build_grid, bump_envelope, gaussian_envelope, sinusoid_envelope
 from evobeam.integrate import factor_stats
 from evobeam.wellposed import NevanlinnaSpec
 from evobeam.cli import (
@@ -1082,9 +1082,9 @@ print("numpy.no_such_module" in sys.modules, hasattr(numpy, "no_such_module"))
     assert _python_child(code).splitlines() == ["True True True", "False False"]
 
 
-def _child(argv, cwd, closed_stdout=False, unbuffered=False):
-    """Run python -m evobeam argv in cwd with the package of this process;
-    stdout is discarded, or a pipe whose read end is already closed."""
+def _child(argv, cwd, closed_stdout=False, unbuffered=False, flags=()):
+    """Run python *flags -m evobeam argv in cwd with the package of this
+    process; stdout is discarded, or a pipe whose read end is already closed."""
     src = str(Path(evobeam.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("PYTHONUNBUFFERED", None)
@@ -1095,11 +1095,31 @@ def _child(argv, cwd, closed_stdout=False, unbuffered=False):
         read_end, stdout = os.pipe()
         os.close(read_end)
     try:
-        argv = [sys.executable, "-m", "evobeam", *argv]
+        argv = [sys.executable, *flags, "-m", "evobeam", *argv]
         return subprocess.run(argv, cwd=cwd, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
     finally:
         if closed_stdout:
             os.close(stdout)
+
+
+def test_the_process_entry_runs_warning_free(tmp_path):
+    # the suite makes every warning an error in this process only; the
+    # entry, with its deferred modules and frozen collector, runs in a child
+    (tmp_path / "cfg.ini").write_text(
+        MINIMAL + "[scheme]\ndt = 0.25\n[source]\nkind = gaussian\nblock = eta\n"
+        + f"[output]\ncsv = {tmp_path / 'out.csv'}\n"
+    )
+    commands = [
+        ("check",),
+        ("run",),
+        ("converge", "--levels", "4,8,16"),
+        ("probe", "--kind", "bound"),
+        ("probe", "--kind", "causality", "--a", "0.5"),
+    ]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        procs = list(pool.map(lambda c: _child([c[0], "cfg.ini", *c[1:]], tmp_path, flags=("-W", "error")), commands))
+    for command, proc in zip(commands, procs):
+        assert (proc.returncode, proc.stderr) == (0, ""), command
 
 
 def test_exit_codes_of_a_child_process(tmp_path):
@@ -1369,14 +1389,62 @@ def test_main_runs_each_builder_once(args, tmp_path, monkeypatch, capsys):
     assert sorted(calls) == sorted(BUILDERS)
 
 
+def _with_trace_law(model, slot, law):
+    """The model with the law of one trace slot written into m0 and M1."""
+    k = model.layout.offset_of(slot)
+    m0, M1 = model.m0.copy(), model.M1.tolil()
+    m0[k], M1[k, k] = law.mu0, law.mu1
+    return replace(model, m0=m0, M1=M1.tocsr())
+
+
 def test_cmd_check_reports_a_failing_trace_law():
-    # every maker refuses a negative mu0, so the law is swapped in afterwards
+    # every maker refuses a negative mu0, so the law is swapped in afterwards;
+    # at rho = 1 its diagonal entry is the default law's -0.1 + 0.6 = 0 + 0.5,
+    # so only the verdict changes
     cfg = parse_config(MINIMAL)
-    traces = dict(cfg.model.traces)
-    traces["tau_plus"] = replace(traces["tau_plus"], law=NevanlinnaSpec(-1.0, 0.5))
-    lines, code = cmd_check(replace(cfg, model=replace(cfg.model, traces=traces)))
+    model = _with_trace_law(cfg.model, "tau_plus", NevanlinnaSpec(-0.1, 0.6))
+    lines, code = cmd_check(replace(cfg, model=model))
     assert code == 2
     assert lines == cmd_check(cfg)[0][:-1] + ["nevanlinna=fail"]
+
+
+def _beam_with_negative_trace_inertia(grid, params):
+    # the beam's tau_plus law is (I_tilde, c) = (0, 0.5); m0 there says -0.1
+    beam = scenarios.make_timoshenko_damped(grid, params)
+    return _with_trace_law(beam, "tau_plus", NevanlinnaSpec(-0.1, 0.5))
+
+
+def _unbound_trace_slot(grid, params):
+    # a trace slot that no pair binds carries its law on the diagonals only
+    layout = StateLayout(
+        grid,
+        (("V1", SpaceTag.NODE_ALL), ("eta", SpaceTag.CENTER), ("tau_minus", SpaceTag.TRACE),
+         ("tau_plus", SpaceTag.TRACE), ("tau_free", SpaceTag.TRACE)),
+    )
+    laws = {"tau_minus": params.mu_minus, "tau_plus": params.mu_plus, "tau_free": NevanlinnaSpec(-0.1, 1.0)}
+    pairs = [("V1", ("eta", "tau_minus", "tau_plus"))]
+    return scenarios._assemble(layout, {"V1": 1.0, "eta": 1.0}, {}, laws, pairs)
+
+
+@pytest.mark.parametrize(
+    "name,make,c0",
+    [
+        ("timoshenko_damped", _beam_with_negative_trace_inertia, "4.0000000000000002e-1"),
+        ("full_dynamic", _unbound_trace_slot, "9.0000000000000002e-1"),
+    ],
+    ids=["beam-m0", "unbound-slot"],
+)
+def test_main_check_reads_the_law_of_every_trace_slot(name, make, c0, tmp_path, capsys, monkeypatch):
+    # the verdict reads each trace slot's entries of m0 and diag(M1), so a
+    # coercive model with a negative trace inertia fails it
+    monkeypatch.setitem(scenarios.SCENARIOS, name, replace(scenarios.SCENARIOS[name], make=make))
+    path = tmp_path / "cfg.ini"
+    path.write_text(f"[grid]\nn_cells = 8\n[scenario]\nname = {name}\n")
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = captured.out.splitlines()
+    assert out[0] == f"c0={c0}" and out[-1] == "nevanlinna=fail"
 
 
 def test_main_probe_bound_refuses_rho_zero_before_stepping(tmp_path, capsys, monkeypatch):

@@ -778,6 +778,43 @@ def test_run_catches_a_state_gone_bad_at_an_unrecorded_step(monkeypatch, chunk_r
             run(sys_, np.zeros(dim), source, energy_residual=energy_residual)
 
 
+class _SourceError(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "chunk_rows,energy_residual",
+    [(None, False), (1, False), (None, True), (1, True)],
+    ids=["None", "1", "None-residual", "1-residual"],
+)
+def test_run_lets_a_source_that_raises_before_the_next_flush_raise_first(monkeypatch, chunk_rows, energy_residual):
+    # the source is infinite at step 10 and raises by itself at step 11;
+    # step 10 is not recorded, and the buffer that takes the next record
+    # (step 12) is flushed after step 11, whatever its size, so run raises
+    # the source's exception where a loop of step calls stops at step 10
+    scheme = SchemeParams(dt=0.04, t_end=1.0, record_every=3)
+    model, sys_ = _beam_system(8, TimoshenkoParams(c=0.5), scheme)
+    dim = model.layout.dim
+    if chunk_rows is not None:
+        monkeypatch.setattr(integrate, "_CHUNK_FLOATS", chunk_rows * dim + 1)
+
+    def source(t):
+        k = round(t / scheme.dt - scheme.theta) + 1
+        if k == 11:
+            raise _SourceError(f"step {k}")
+        return np.full(dim, np.inf) if k == 10 else np.ones(dim)
+
+    u = np.zeros(dim)
+    with pytest.raises(NumericError, match="time step produced non-finite state"):
+        for k in range(1, scheme.n_steps + 1):
+            u = step(sys_, u, source((k - 1 + scheme.theta) * scheme.dt))
+    assert k == 10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(_SourceError, match="step 11"):
+            run(sys_, np.zeros(dim), source, energy_residual=energy_residual)
+
+
 _FAULTS = {
     "overflow-in-an-earlier-chunk": (0.0, 0.5, "recorded energy is not finite"),
     "overflow-in-the-last-chunk": (0.97, 0.99, "time step produced non-finite state"),

@@ -97,7 +97,7 @@ def test_timoshenko_trace_row():
     expected = np.zeros(model.layout.dim)
     expected[_last_v1(model.layout)] = -1.0
     assert np.array_equal(arow, expected)
-    assert model.traces["tau_plus"] == TraceBinding("eta", +0.5, -1.0, NevanlinnaSpec(0.25, 0.5))
+    assert model.traces["tau_plus"] == TraceBinding("eta", +0.5, -1.0)
 
 
 # (field, endpoint, sign) of each trace slot, in layout order
@@ -136,15 +136,28 @@ TRACE_LAW_CASES = [(name, spec.make, spec.defaults) for name, spec in sorted(SCE
 ]
 
 
+def _param_laws(params) -> dict:
+    """Each trace slot's law, as the scenario's params state it."""
+    if isinstance(params, TimoshenkoParams):
+        return {"tau_plus": NevanlinnaSpec(params.I_tilde, params.c)}
+    if isinstance(params, FullDynamicParams):
+        names = {"tau0_minus": "mu_minus", "tau0_plus": "mu_plus", "tau1_minus": "nu_minus", "tau1_plus": "nu_plus"}
+    else:
+        names = {"tau_minus": "mu_minus", "tau_plus": "mu_plus"}
+    return {slot: getattr(params, name) for slot, name in names.items()}
+
+
 @pytest.mark.parametrize("n", [2, 8, 33])
 @pytest.mark.parametrize("make,params", [c[1:] for c in TRACE_LAW_CASES], ids=[c[0] for c in TRACE_LAW_CASES])
 def test_each_trace_slot_carries_its_law_on_the_diagonals(make, params, n):
     model = make(build_grid(n), params)
     assert model.m0.shape == (model.layout.dim,) and model.m0.dtype == np.float64
     assert list(model.traces) == list(model.layout.trace_names())
-    for slot, binding in model.traces.items():
+    laws = _param_laws(params)
+    assert list(laws) == list(model.traces)
+    for slot, law in laws.items():
         k = model.layout.offset_of(slot)
-        assert (model.m0[k], model.M1[k, k]) == (binding.law.mu0, binding.law.mu1)
+        assert (model.m0[k], model.M1[k, k]) == (law.mu0, law.mu1)
     # a diagonal is its own sign flip; a split keeps the entries of its blocks
     assert apply_sign_flip(model).m0.tobytes() == model.m0.tobytes()
     names = ("s", "V2", "tau1_minus", "tau1_plus") if "tau1_plus" in model.traces else model.layout.names[::-1]
@@ -633,7 +646,7 @@ def test_assemble_zero_coupling_stores_nothing(n):
     # strength defaults to 0 keeps the uncoupled matrices bitwise
     model = make_full_dynamic(build_grid(n), FullDynamicParams())
     m0 = {b: 1.0 for b in ("V1", "eta", "s", "V2")}
-    args = (model.layout, m0, {"eta": 0.5}, {k: b.law for k, b in model.traces.items()}, [])
+    args = (model.layout, m0, {"eta": 0.5}, _param_laws(FullDynamicParams()), [])
     plain = _assemble(*args)
     zero = _assemble(*args, couplings=(("eta", "V2", 0.0),))
     assert plain.m0.tobytes() == zero.m0.tobytes()
@@ -648,7 +661,7 @@ def test_assemble_zero_coupling_stores_nothing(n):
 def test_assemble_coupling_is_w_skew():
     model = make_full_dynamic(build_grid(8), FullDynamicParams())
     coupled = _assemble(
-        model.layout, {}, {}, {k: b.law for k, b in model.traces.items()}, [], couplings=(("eta", "V2", 1.5),)
+        model.layout, {}, {}, _param_laws(FullDynamicParams()), [], couplings=(("eta", "V2", 1.5),)
     )
     M1 = coupled.M1.toarray()
     eta, V2 = model.layout.indices_of(("eta",)), model.layout.indices_of(("V2",))
