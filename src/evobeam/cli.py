@@ -16,9 +16,10 @@ import json
 import math
 import operator
 import os
+import stat
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
@@ -45,6 +46,8 @@ from .integrate import (
     causality_probe,
     factor,
     factor_stats,
+    march,
+    record_count,
     run,
 )
 from .scenarios import (
@@ -454,12 +457,17 @@ _STATS_KEYS = (
 )
 
 
-def _note(stats: dict | None, phase: str, start: float, **values) -> None:
-    """Add the seconds since start to a phase of a --stats record and store
-    values in it; nothing without a record."""
+def _add(stats: dict | None, phase: str, seconds: float, **values) -> None:
+    """Add seconds to a phase of a --stats record and store values in it;
+    nothing without a record."""
     if stats is not None:
-        stats[phase] = (stats[phase] or 0.0) + (time.perf_counter() - start)
+        stats[phase] = (stats[phase] or 0.0) + seconds
         stats.update(values)
+
+
+def _note(stats: dict | None, phase: str, start: float, **values) -> None:
+    """_add the seconds since start."""
+    _add(stats, phase, time.perf_counter() - start, **values)
 
 
 def _factor(model: AssembledModel, scheme: SchemeParams, stats: dict | None):
@@ -514,52 +522,100 @@ def cmd_check(cfg: RunConfig, stats: dict | None = None) -> tuple[list[str], int
 
 
 # The CSV and snapshot files are formatted and written this many values at a
-# time (at least one row), so that the text of a long run is never held
+# time (at least one row), so that the text of a record buffer is never held
 # whole as Python objects.
 _WRITE_CHUNK_VALUES = 1 << 12
 
 
-def _write_rows(path: str, header: str, cols: list[np.ndarray], lines_of: Callable[[list[list[float]]], list[str]]):
-    """Write the header line, then lines_of(rows) for the rows of
-    column_stack(cols), one bounded chunk of rows at a time."""
-    n_rows, width = len(cols[0]), sum(np.size(c[0]) for c in cols)
+def _write_rows(fh, cols: list[np.ndarray], lines_of: Callable[[list[list[float]]], list[str]]):
+    """Write lines_of(rows) to fh for the rows of column_stack(cols), one
+    bounded chunk of rows at a time."""
+    width = sum(c.shape[1] if c.ndim == 2 else 1 for c in cols)
     step = max(_WRITE_CHUNK_VALUES // width, 1)
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for lo in range(0, n_rows, step):
-            rows = np.column_stack([c[lo : lo + step] for c in cols]).tolist()
-            fh.write("\n".join(lines_of(rows)) + "\n")
+    for lo in range(0, len(cols[0]), step):
+        rows = np.column_stack([c[lo : lo + step] for c in cols]).tolist()
+        fh.write("\n".join(lines_of(rows)) + "\n")
+
+
+def _remove_file(path: str) -> None:
+    """Remove path if it names a regular file; a link, a device or a pipe stays."""
+    if stat.S_ISREG(os.lstat(path).st_mode):
+        os.remove(path)
+
+
+@contextmanager
+def _written(outputs: list[tuple[str, str]]):
+    """Open each (path, header) of outputs for writing, in order, write its
+    header line and yield the files; close them all on exit.  If the body
+    raises, or a file fails to close, remove those that are regular files."""
+    files = []
+    try:
+        for path, header in outputs:
+            files.append(open(path, "w"))
+            files[-1].write(header + "\n")
+        yield files
+        for fh in files:
+            fh.close()  # the last flush, which can fail
+    except BaseException:
+        for (path, _), fh in zip(outputs, files):
+            with suppress(OSError):
+                fh.close()
+            with suppress(OSError):
+                _remove_file(path)
+        raise
 
 
 def cmd_run(cfg: RunConfig, stats: dict | None = None) -> int:
-    """Simulate and write the CSV (and optional snapshot file)."""
+    """Simulate and write the CSV (and optional snapshot file), one record
+    buffer at a time as march hands it on; a run that fails leaves neither."""
     model, source, scheme = cfg.model, cfg.source_fn, cfg.scheme_params
-    u0 = consistent_initial_state(model, cfg.initial_state, source(0.0))
-    sys_ = _factor(model, scheme, stats)
+    record_count(scheme)  # its refusal comes before any file is opened
     with_energy, trace_names, stride = cfg.output_sel
+    lay = model.layout
+    trace_at = [lay.offset_of(name) for name in trace_names]
     snap_path = cfg.output["snapshots"]
-    start = time.perf_counter()
-    residual = stats is not None and scheme.theta == 0.5
-    ts = run(sys_, u0, source, snapshots=bool(snap_path), energy_residual=residual)
-    _note(stats, "step_s", start, max_energy_residual=ts.max_energy_residual, final_energy=float(ts.energy[-1]))
-    start = time.perf_counter()
-    # the CSV goes last, so a run whose snapshot file fails leaves no CSV
-    if snap_path:
-        lay = model.layout
-        keys = [f"{name},{j}," for name in lay.names for j in range(lay.length_of(name))]
-
-        def snapshot_lines(rows):
-            lines = []
-            for t, *state in rows:
-                t_key = repr(t) + ","
-                lines += [t_key + key + repr(v) for key, v in zip(keys, state)]
-            return lines
-
-        _write_rows(snap_path, "t,block,index,value", [ts.times[::stride], ts.snapshots[::stride]], snapshot_lines)
+    # one string per state slot, made only for a snapshot file
+    keys = [f"{name},{j}," for name in lay.names for j in range(lay.length_of(name))] if snap_path else []
     header = ["t"] + (["energy"] if with_energy else []) + [f"trace:{t}" for t in trace_names]
-    cols = [ts.times] + ([ts.energy] if with_energy else []) + [ts.traces[t] for t in trace_names]
-    _write_rows(cfg.output["csv"], ",".join(header), cols, lambda rows: [",".join(map(repr, row)) for row in rows])
-    _note(stats, "write_s", start)
+    # the snapshot file is opened first, so that one that cannot be opened leaves no CSV
+    outputs = ([(snap_path, "t,block,index,value")] if snap_path else []) + [(cfg.output["csv"], ",".join(header))]
+
+    def snapshot_lines(rows):
+        lines = []
+        for t, *state in rows:
+            t_key = repr(t) + ","
+            lines += [t_key + key + repr(v) for key, v in zip(keys, state)]
+        return lines
+
+    def csv_lines(rows):
+        return [",".join(map(repr, row)) for row in rows]
+
+    done, final_energy, writing = 0, None, 0.0
+    start = time.perf_counter()
+    with _written(outputs) as files:
+        writing += time.perf_counter() - start
+
+        def write(times, states, energies):
+            nonlocal done, final_energy, writing
+            start = time.perf_counter()
+            if snap_path:
+                first = -done % stride  # the first record of this buffer that the stride keeps
+                _write_rows(files[0], [times[first::stride], states[first::stride]], snapshot_lines)
+            cols = [times] + ([energies] if with_energy else []) + [states[:, k] for k in trace_at]
+            _write_rows(files[-1], cols, csv_lines)
+            done, final_energy = done + len(times), float(energies[-1])
+            writing += time.perf_counter() - start
+
+        u0 = consistent_initial_state(model, cfg.initial_state, source(0.0))
+        sys_ = _factor(model, scheme, stats)
+        residual = stats is not None and scheme.theta == 0.5
+        start, before = time.perf_counter(), writing
+        max_residual = march(sys_, u0, source, write, energy_residual=residual)
+        stepping = time.perf_counter() - start - (writing - before)
+        start = time.perf_counter()
+    writing += time.perf_counter() - start  # closing, with the last flush
+    _add(stats, "step_s", stepping, max_energy_residual=max_residual, final_energy=final_energy)
+    _add(stats, "write_s", writing)
     return 0
 
 
@@ -761,7 +817,7 @@ def main(argv=None) -> int:
             # stdout was closed: no record after an error line, and devnull takes the flush at exit
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             if stats is not None:
-                os.remove(args.stats)
+                _remove_file(args.stats)
             raise
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

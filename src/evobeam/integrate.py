@@ -36,6 +36,8 @@ __all__ = [
     "factor",
     "factor_stats",
     "step",
+    "record_count",
+    "march",
     "run",
     "energy_balance_residual",
     "causality_probe",
@@ -160,67 +162,72 @@ def step(sys_: SteppingSystem, u_n: np.ndarray, f_mid: np.ndarray) -> np.ndarray
 _CHUNK_FLOATS = 1 << 15
 
 
-def run(
+def record_count(scheme: SchemeParams) -> int:
+    """The records of a run of scheme, ceil(n_steps / record_every) + 1;
+    NumericError, in the words of numpy's own refusal, when numpy cannot
+    index that many."""
+    n_rec = -(-scheme.n_steps // scheme.record_every) + 1
+    if n_rec > np.iinfo(np.intp).max:
+        raise NumericError("cannot allocate the records of the run: Maximum allowed dimension exceeded")
+    return n_rec
+
+
+def _record_times(lo: int, hi: int, scheme: SchemeParams) -> np.ndarray:
+    """The times min(k*record_every, n_steps)*dt of the records k = lo to
+    hi - 1, built in place: k*record_every is exact below 2**53, so they
+    are those values bit for bit."""
+    times = np.arange(lo, hi, dtype=float)
+    times *= scheme.record_every
+    np.minimum(times, scheme.n_steps, out=times)
+    times *= scheme.dt
+    return times
+
+
+def march(
     sys_: SteppingSystem,
     u0: np.ndarray,
     source: Callable[[float], np.ndarray],
+    consume: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
     *,
-    snapshots: bool = True,
     energy_residual: bool = False,
-) -> TimeSeries:
-    """March from t = 0 to t_end, recording step 0, every record_every-th
-    step and the last step: ceil(n_steps / record_every) + 1 records at the
-    times min(k*record_every, n_steps)*dt, the last at t_end.
+) -> float | None:
+    """March from t = 0 to t_end and hand the records that ``run`` describes
+    to ``consume(times, states, energies)``, one checked buffer of them at a
+    time, in order.  ``states`` is a view of the buffer, valid only during
+    the call; each energy is bitwise ``core.energy`` of its state, and each
+    time is min(k*record_every, n_steps)*dt of its record k.  A block is
+    handed on only once its states and energies are finite and its times
+    continue the strictly increasing record times; the errors, and when
+    they are raised, are those that ``run`` describes.
 
-    Energies and traces are always recorded; full-state snapshots only when
-    ``snapshots`` is true (otherwise the series carries ``snapshots=None``).
-    Each recorded energy is bitwise ``core.energy`` of the recorded state;
-    a state or recorded energy that is not finite raises NumericError, and
-    so do records too large to allocate.  Each step is ``step``'s kernel ``_advance``.
-
-    With ``energy_residual`` (theta = 1/2 only) the series also carries the
-    largest |energy_balance_residual| over every step, recorded or not,
-    bitwise the largest of that function's values (a NaN among them gives
-    NaN).  They are computed per buffer of steps, and raise nothing.
-
-    Finiteness is checked once per buffer of records, not on every step: a
-    non-finite entry of a state makes the next state non-finite too (m0*u,
-    the LU solve and the subtraction all carry it), so a bad state is caught
-    when the buffer holding the next record is flushed (a later record finds
-    it full, or the run ends); a source that raises by itself before that
-    flush raises first, where a loop of ``step`` calls stops at the bad step.
+    Returns the largest |energy_balance_residual| over every step with
+    ``energy_residual`` (theta = 1/2 only), and None without.
     """
     layout, m0, W = sys_.model.layout, sys_.model.m0, sys_.model.W
     if np.shape(u0) != (layout.dim,):
         raise ParameterError(f"initial state has shape {np.shape(u0)}, layout needs ({layout.dim},)")
-    trace_names = layout.trace_names()
-    trace_at = np.array([layout.offset_of(name) for name in trace_names], dtype=int)
     scheme = sys_.scheme
     n_steps, every, dt, theta = scheme.n_steps, scheme.record_every, scheme.dt, scheme.theta
     if energy_residual and theta != 0.5:
         raise ParameterError("energy balance identity requires theta = 1/2")
-    n_rec = -(-n_steps // every) + 1
-    try:
-        energies = np.empty(n_rec)
-        traces = np.empty((len(trace_at), n_rec))
-        snaps = np.empty((n_rec, layout.dim)) if snapshots else None
-    except (ValueError, MemoryError) as exc:
-        raise NumericError(f"cannot allocate the records of the run: {exc}") from exc
+    n_rec = record_count(scheme)
     buf = np.empty((min(max(_CHUNK_FLOATS // layout.dim, 1), n_rec), layout.dim))
-    done = 0
+    done, last = 0, -math.inf
 
     def flush(U: np.ndarray):
-        nonlocal done
+        nonlocal done, last
         count = len(U)
         if not np.isfinite(U).all():
             raise NumericError("time step produced non-finite state")
-        energies[done : done + count] = energy(U, m0, W)
-        if not np.isfinite(energies[done : done + count]).all():
+        energies = energy(U, m0, W)
+        if not np.isfinite(energies).all():
             raise NumericError("recorded energy is not finite")
-        traces[:, done : done + count] = U[:, trace_at].T
-        if snaps is not None:
-            snaps[done : done + count] = U
-        done += count
+        times = _record_times(done, done + count, scheme)
+        # a NaN compares false both ways, so test the order, not its negation
+        if not (times[0] > last and np.all(times[1:] > times[:-1])):
+            raise NumericError("record times must be strictly increasing")
+        consume(times, U, energies)
+        done, last = done + count, times[-1]
 
     if energy_residual:
         # every stepped state and its source, row 0 the state before the
@@ -255,21 +262,78 @@ def run(
         flush(buf[:row])
         del buf
         if energy_residual:
-            max_residual = float(_fold_residuals(max_residual, states[: held + 1], sources[:held], m0, W, S, dt))
-            del states, sources
-    # in place, after the buffers are gone: k*every is exact below 2**53,
-    # so this is min(k*every, n_steps)*dt bit for bit
-    times = np.arange(n_rec, dtype=float)
-    times *= every
-    np.minimum(times, n_steps, out=times)
-    times *= dt
+            return float(_fold_residuals(max_residual, states[: held + 1], sources[:held], m0, W, S, dt))
+    return None
+
+
+def run(
+    sys_: SteppingSystem,
+    u0: np.ndarray,
+    source: Callable[[float], np.ndarray],
+    *,
+    snapshots: bool = True,
+    energy_residual: bool = False,
+) -> TimeSeries:
+    """March from t = 0 to t_end, recording step 0, every record_every-th
+    step and the last step: ceil(n_steps / record_every) + 1 records at the
+    times min(k*record_every, n_steps)*dt, the last at t_end.
+
+    The series is kept whole: each record buffer that ``march`` checks is
+    copied into records allocated before the first step, and the times are
+    built once the buffer is gone.  ``evobeam run`` takes the same buffers
+    from ``march`` and writes them to its files as the loop runs, keeping
+    none, so only this in-process series holds the records of a run.
+
+    Energies and traces are always recorded; full-state snapshots only
+    when ``snapshots`` is true (otherwise the series carries
+    ``snapshots=None``).  Each recorded energy is bitwise ``core.energy``
+    of the recorded state; a state or recorded energy that is not finite
+    raises NumericError, and so do records too large to allocate, before
+    any step.  Each step is ``step``'s kernel ``_advance``.
+
+    With ``energy_residual`` (theta = 1/2 only) the series also carries the
+    largest |energy_balance_residual| over every step, recorded or not,
+    bitwise the largest of that function's values (a NaN among them gives
+    NaN).  They are computed per buffer of steps, and raise nothing.
+
+    Finiteness is checked once per buffer of records, not on every step: a
+    non-finite entry of a state makes the next state non-finite too (m0*u,
+    the LU solve and the subtraction all carry it), so a bad state is caught
+    when the buffer holding the next record is flushed (a later record finds
+    it full, or the run ends); a source that raises by itself before that
+    flush raises first, where a loop of ``step`` calls stops at the bad step.
+    """
+    layout = sys_.model.layout
+    trace_names = layout.trace_names()
+    trace_at = np.array([layout.offset_of(name) for name in trace_names], dtype=int)
+    n_rec = record_count(sys_.scheme)
+    try:
+        energies = np.empty(n_rec)
+        traces = np.empty((len(trace_at), n_rec))
+        snaps = np.empty((n_rec, layout.dim)) if snapshots else None
+    except (ValueError, MemoryError) as exc:
+        raise NumericError(f"cannot allocate the records of the run: {exc}") from exc
+    done = 0
+
+    def keep(_times: np.ndarray, U: np.ndarray, e: np.ndarray):
+        nonlocal done
+        block = slice(done, done + len(U))
+        energies[block] = e
+        traces[:, block] = U[:, trace_at].T
+        if snaps is not None:
+            snaps[block] = U
+        done = block.stop
+
+    max_residual = march(sys_, u0, source, keep, energy_residual=energy_residual)
+    # whole, once march's buffer is gone, so that the times do not add to
+    # the peak memory of the loop
     return TimeSeries(
-        times=times,
+        times=_record_times(0, n_rec, sys_.scheme),
         energy=energies,
         traces=dict(zip(trace_names, traces)),
         snapshots=snaps,
         layout=layout,
-        max_energy_residual=max_residual if energy_residual else None,
+        max_energy_residual=max_residual,
     )
 
 

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 from concurrent.futures import ThreadPoolExecutor
@@ -23,9 +24,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import evobeam
-from evobeam import cli, scenarios
+from evobeam import cli, integrate, scenarios
 from evobeam.core import SpaceTag, StateLayout, build_grid, bump_envelope, gaussian_envelope, sinusoid_envelope
-from evobeam.integrate import factor_stats
+from evobeam.integrate import factor, factor_stats, run
 from evobeam.wellposed import NevanlinnaSpec
 from evobeam.cli import (
     ConfigError,
@@ -217,17 +218,18 @@ def test_run_cli_writes_snapshots_only_when_asked(tmp_path):
     assert lines[-1].startswith(f"{repr(18 * 0.05)},")
 
 
+def _series_of(config: Path):
+    """The series that integrate.run records, kept whole, for the run that
+    `evobeam run config` steps and writes as it goes."""
+    cfg = parse_config(config.read_text())
+    u0 = scenarios.consistent_initial_state(cfg.model, cfg.initial_state, cfg.source_fn(0.0))
+    return run(factor(cfg.model, cfg.scheme_params), u0, cfg.source_fn)
+
+
 @pytest.mark.parametrize("stride", [1, 3])
-def test_run_files_match_value_by_value_formatting(tmp_path, monkeypatch, stride):
+def test_run_files_match_value_by_value_formatting(tmp_path, stride):
     # the CSV and snapshot files, written row by row and value by value
-    # from the series that run returned
-    series, real_run = [], cli.run
-
-    def spy(*args, **kwargs):
-        series.append(real_run(*args, **kwargs))
-        return series[-1]
-
-    monkeypatch.setattr(cli, "run", spy)
+    # from the series that integrate.run records for the same config
     config = tmp_path / "run.ini"
     csv, snaps = tmp_path / "run.csv", tmp_path / "snaps.txt"
     config.write_text(
@@ -236,7 +238,7 @@ def test_run_files_match_value_by_value_formatting(tmp_path, monkeypatch, stride
         + f"\n[output]\ncsv = {csv}\nsnapshots = {snaps}\nsnapshot_stride = {stride}\n"
     )
     assert main(["run", str(config)]) == 0
-    (ts,) = series
+    ts = _series_of(config)
     model = parse_config(config.read_text()).model
     names = model.layout.trace_names()
     rows = [",".join(["t", "energy"] + [f"trace:{t}" for t in names])]
@@ -255,6 +257,21 @@ def test_run_files_match_value_by_value_formatting(tmp_path, monkeypatch, stride
     assert len(lines) == 1 + len(range(0, 11, stride)) * model.layout.dim
 
 
+def _whole_files(ts, with_energy: bool, names: list[str], stride: int) -> tuple[bytes, bytes]:
+    """The CSV and snapshot bytes of a series, formatted whole."""
+    header = ["t"] + (["energy"] if with_energy else []) + [f"trace:{t}" for t in names]
+    cols = [ts.times] + ([ts.energy] if with_energy else []) + [ts.traces[t] for t in names]
+    rows = [",".join(header)] + [",".join(map(repr, row)) for row in np.column_stack(cols).tolist()]
+    layout = ts.layout
+    keys = [f"{name},{j}," for name in layout.names for j in range(layout.length_of(name))]
+    lines = ["t,block,index,value"] + [
+        f"{t!r},{key}{v!r}"
+        for t, state in zip(ts.times[::stride].tolist(), ts.snapshots[::stride].tolist())
+        for key, v in zip(keys, state)
+    ]
+    return ("\n".join(rows) + "\n").encode(), ("\n".join(lines) + "\n").encode()
+
+
 # 21 records, of which stride 3 keeps 7 for the snapshot file (38 values
 # each, plus t).  A chunk of 1 or 3 values holds one row, except for the
 # one-column CSV, which 3 splits into 7 whole chunks.  8 leaves a partial
@@ -265,13 +282,6 @@ def test_run_files_match_value_by_value_formatting(tmp_path, monkeypatch, stride
     "energy,traces", [("true", "all"), ("false", "none"), ("true", "none")], ids=["full", "t-only", "energy-only"]
 )
 def test_run_writers_are_byte_identical_across_chunk_ends(chunk, energy, traces, tmp_path, monkeypatch):
-    series, real_run = [], cli.run
-
-    def spy(*args, **kwargs):
-        series.append(real_run(*args, **kwargs))
-        return series[-1]
-
-    monkeypatch.setattr(cli, "run", spy)
     monkeypatch.setattr(cli, "_WRITE_CHUNK_VALUES", chunk)
     config = tmp_path / "run.ini"
     csv, snaps = tmp_path / "run.csv", tmp_path / "snaps.txt"
@@ -280,21 +290,36 @@ def test_run_writers_are_byte_identical_across_chunk_ends(chunk, energy, traces,
         + f"\n[output]\ncsv = {csv}\nsnapshots = {snaps}\nsnapshot_stride = 3\nenergy = {energy}\ntraces = {traces}\n"
     )
     assert main(["run", str(config)]) == 0
-    (ts,) = series
-    layout = parse_config(config.read_text()).model.layout
-    names = list(layout.trace_names()) if traces == "all" else []
-    header = ["t"] + (["energy"] if energy == "true" else []) + [f"trace:{t}" for t in names]
-    cols = [ts.times] + ([ts.energy] if energy == "true" else []) + [ts.traces[t] for t in names]
-    rows = [",".join(header)] + [",".join(map(repr, row)) for row in np.column_stack(cols).tolist()]
-    assert csv.read_bytes() == ("\n".join(rows) + "\n").encode()
-    keys = [f"{name},{j}," for name in layout.names for j in range(layout.length_of(name))]
-    lines = ["t,block,index,value"] + [
-        f"{t!r},{key}{v!r}"
-        for t, state in zip(ts.times[::3].tolist(), ts.snapshots[::3].tolist())
-        for key, v in zip(keys, state)
-    ]
-    assert snaps.read_bytes() == ("\n".join(lines) + "\n").encode()
-    assert len(rows) == 1 + 21 and len(lines) == 1 + 7 * layout.dim
+    ts = _series_of(config)
+    names = list(ts.layout.trace_names()) if traces == "all" else []
+    assert (csv.read_bytes(), snaps.read_bytes()) == _whole_files(ts, energy == "true", names, 3)
+    assert csv.read_bytes().count(b"\n") == 1 + 21 and snaps.read_bytes().count(b"\n") == 1 + 7 * ts.layout.dim
+
+
+# 20 steps recording every 3rd: 8 records, of steps 0, 3, ..., 18 and the
+# last step, 20, of which the snapshot stride 3 keeps records 0, 3 and 6.
+# Record buffers of 1, 2, 3 and 5 records end inside stride groups and at
+# their ends, and write chunks of 1 and 5 values cut each buffer's rows.
+@pytest.mark.parametrize("buffer_rows", [1, 2, 3, 5])
+@pytest.mark.parametrize("chunk", [1, 5])
+@pytest.mark.parametrize(
+    "energy,traces", [("true", "all"), ("false", "tau1_plus, tau0_minus")], ids=["full", "no-energy-two-traces"]
+)
+def test_run_streams_the_bytes_of_the_whole_series(buffer_rows, chunk, energy, traces, tmp_path, monkeypatch):
+    config = tmp_path / "run.ini"
+    csv, snaps = tmp_path / "run.csv", tmp_path / "snaps.txt"
+    config.write_text(
+        CONSERVATIVE.replace("t_end = 1.0", "t_end = 1.0\nrecord_every = 3")
+        + "\n[source]\nkind = sinusoid\nblock = V1\n"
+        + f"\n[output]\ncsv = {csv}\nsnapshots = {snaps}\nsnapshot_stride = 3\nenergy = {energy}\ntraces = {traces}\n"
+    )
+    ts = _series_of(config)
+    monkeypatch.setattr(integrate, "_CHUNK_FLOATS", buffer_rows * ts.layout.dim + 1)
+    monkeypatch.setattr(cli, "_WRITE_CHUNK_VALUES", chunk)
+    assert main(["run", str(config)]) == 0
+    names = list(ts.layout.trace_names()) if traces == "all" else ["tau1_plus", "tau0_minus"]
+    assert (csv.read_bytes(), snaps.read_bytes()) == _whole_files(ts, energy == "true", names, 3)
+    assert len(ts) == 8 and snaps.read_bytes().count(b"\n") == 1 + 3 * ts.layout.dim
 
 
 def test_cmd_converge_validation():
@@ -910,6 +935,90 @@ def test_main_run_unwritable_snapshots_leaves_no_csv(tmp_path, capsys):
     assert not csv.exists()
 
 
+@pytest.mark.parametrize("snapshots", [False, True], ids=["csv", "csv-and-snapshots"])
+def test_main_run_unwritable_csv_exits_three_before_the_source_is_called(snapshots, tmp_path, capsys, monkeypatch):
+    # the files are opened before the first step, the snapshot file first;
+    # it is removed again when the CSV cannot be opened
+    monkeypatch.setattr(cli, "build_source", lambda s, model: lambda t: pytest.fail("the source was called"))
+    snaps = tmp_path / "s.txt"
+    path = tmp_path / "cfg.ini"
+    path.write_text(
+        MINIMAL + f"\n[output]\ncsv = {tmp_path / 'missing' / 'out.csv'}\n" + (f"snapshots = {snaps}\n" if snapshots else "")
+    )
+    assert main(["run", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("i/o error: ")
+    assert os.listdir(tmp_path) == ["cfg.ini"]
+
+
+class _SourceError(Exception):
+    pass
+
+
+def _failing_source(error):
+    """A source of the beam's dimension that raises error, or returns inf
+    when error is None, from t = 0.5 on."""
+
+    def source(t):
+        if t < 0.5:
+            return np.full(32, 0.1)
+        if error is None:
+            return np.full(32, np.inf)
+        raise error
+
+    return source
+
+
+@pytest.mark.parametrize(
+    "error,code", [(None, 2), (_SourceError("from t = 0.5"), None)], ids=["state-not-finite", "source-raises"]
+)
+def test_main_run_that_fails_midway_removes_its_regular_files(error, code, tmp_path, capsys, monkeypatch):
+    # 100 steps in record buffers of 4: about 50 records are written before
+    # the fault; the CSV and snapshot file go, a link among the outputs stays
+    monkeypatch.setattr(integrate, "_CHUNK_FLOATS", 4 * 32 + 1)
+    monkeypatch.setattr(cli, "build_source", lambda s, model: _failing_source(error))
+    csv, snaps, link = tmp_path / "out.csv", tmp_path / "s.txt", tmp_path / "link"
+    link.symlink_to(os.devnull)
+    for outputs in (f"csv = {csv}\nsnapshots = {snaps}\n", f"csv = {link}\nsnapshots = {snaps}\n"):
+        path = tmp_path / "cfg.ini"
+        path.write_text(MINIMAL + f"\n[output]\n{outputs}")
+        if code is None:
+            with pytest.raises(_SourceError):
+                main(["run", str(path)])
+        else:
+            assert main(["run", str(path)]) == code
+            assert capsys.readouterr().err.splitlines() == ["error: time step produced non-finite state"]
+        assert sorted(os.listdir(tmp_path)) == ["cfg.ini", "link"] and link.is_symlink()
+
+
+def test_cmd_run_memory_does_not_grow_with_the_run(tmp_path, monkeypatch):
+    # 1,000 and 10,000 steps of the beam, each recorded, with a snapshot
+    # file of every record: records kept whole would add 2.5 MB (9,000
+    # records of 35 floats), while the records of both runs fill whole
+    # buffers of 64 records, so the longer run holds no more than the
+    # shorter one
+    monkeypatch.setattr(integrate, "_CHUNK_FLOATS", 64 * 32)
+
+    def peak(t_end):
+        cfg = _cfg_with_output(
+            MINIMAL + f"[scheme]\ndt = 0.0001\nt_end = {t_end}\n", tmp_path,
+            csv=str(tmp_path / "out.csv"), snapshots=str(tmp_path / "s.txt"),
+        )
+        tracemalloc.start()
+        try:
+            assert cmd_run(cfg) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak("0.001")  # the first run loads and caches what every run uses
+    short, long = peak("0.1"), peak("1.0")
+    assert (tmp_path / "s.txt").read_bytes().count(b"\n") == 1 + 10_001 * 32
+    assert long - short <= 16 << 10
+
+
 @pytest.mark.parametrize("command", ["check", "run"])
 @pytest.mark.parametrize(
     "raw,message",
@@ -1159,6 +1268,16 @@ def test_exit_codes_of_a_child_process(tmp_path):
             assert not (tmp_path / argv[argv.index("--stats") + 1]).exists(), case
 
 
+def test_a_lost_report_keeps_a_stats_path_that_is_no_regular_file(tmp_path):
+    # the record is removed with the lost report only where it is a regular
+    # file; a link to the null device stays
+    (tmp_path / "pass.cfg").write_text(MINIMAL)
+    (tmp_path / "link").symlink_to(os.devnull)
+    proc = _child(["check", "pass.cfg", "--stats", "link"], tmp_path, closed_stdout=True)
+    assert proc.returncode == 3 and proc.stderr.startswith("i/o error: "), proc.stderr
+    assert (tmp_path / "link").is_symlink() and os.path.samefile(tmp_path / "link", os.devnull)
+
+
 def _peak_rss_mb(argv: list[str], env: dict[str, str]) -> float:
     """Run a child and return its own peak resident set size in MB."""
     proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
@@ -1171,8 +1290,8 @@ def _peak_rss_mb(argv: list[str], env: dict[str, str]) -> float:
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is counted in kB on Linux only")
 def test_run_output_memory_does_not_grow_with_the_records(tmp_path):
     # 5,001 and 51 records of a 134-value state, each with a snapshot file:
-    # the series itself differs by 5.4 MB, while text held whole would
-    # differ by about 120 MB
+    # records kept whole would differ by 5.4 MB and text held whole by
+    # about 120 MB; the CLI keeps neither
     src = str(Path(evobeam.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
