@@ -715,6 +715,9 @@ def cmd_converge(cfg: RunConfig, levels: list[int], stats: dict | None = None) -
 
 
 def cmd_probe(cfg: RunConfig, kind: str, a: float | None = None, stats: dict | None = None) -> tuple[list[str], int]:
+    """The causality probe (a pulse switched on after ``a`` must leave the
+    states up to ``a`` unchanged) or the bound probe (the response over the
+    source, against 1/c0); the report lines and 0, or 2 when it fails."""
     model, scheme, source = cfg.model, cfg.scheme_params, cfg.source_fn
     if kind == "causality":
         if a is None:
@@ -762,6 +765,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def main(argv=None) -> int:
+    """Run one command on an INI config; the exit status, 0, 2, 3 or 4."""
     parser = _Parser(prog="evobeam", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("check", "run", "converge", "probe"):

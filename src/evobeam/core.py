@@ -241,16 +241,13 @@ def _row_sums(products: np.ndarray):
 
 @dataclass
 class TimeSeries:
-    """Sampled trajectory: energies, named trace values, optional snapshots,
-    and the largest energy-balance residual of the steps when the run was
-    asked for it."""
+    """Sampled trajectory: energies, named trace values, optional snapshots."""
 
     times: np.ndarray
     energy: np.ndarray
     traces: dict[str, np.ndarray]
     snapshots: np.ndarray | None = None
     layout: StateLayout | None = None
-    max_energy_residual: float | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)

@@ -51,6 +51,9 @@ class UndefinedRatioError(EvobeamError):
 
 @dataclass(frozen=True)
 class SchemeParams:
+    """A theta scheme: step dt up to t_end (a whole number of steps), the
+    record stride, and the rho of the exponential weight in bound_probe."""
+
     dt: float = 0.01
     t_end: float = 1.0
     theta: float = 0.5
@@ -80,6 +83,9 @@ class SchemeParams:
 
 @dataclass(frozen=True)
 class SteppingSystem:
+    """A model and scheme with the LU factors of their stepping matrix, as
+    ``factor`` builds them; m0_over_theta is the diagonal of M0/theta."""
+
     model: AssembledModel
     scheme: SchemeParams
     m0_over_theta: np.ndarray
@@ -191,17 +197,32 @@ def march(
     *,
     energy_residual: bool = False,
 ) -> float | None:
-    """March from t = 0 to t_end and hand the records that ``run`` describes
-    to ``consume(times, states, energies)``, one checked buffer of them at a
-    time, in order.  ``states`` is a view of the buffer, valid only during
-    the call; each energy is bitwise ``core.energy`` of its state, and each
-    time is min(k*record_every, n_steps)*dt of its record k.  A block is
-    handed on only once its states and energies are finite and its times
-    continue the strictly increasing record times; the errors, and when
-    they are raised, are those that ``run`` describes.
+    """March from t = 0 to t_end and hand the records to
+    ``consume(times, states, energies)``, one checked buffer of them at a
+    time, in order.  Each step is ``step``'s kernel ``_advance``.
 
-    Returns the largest |energy_balance_residual| over every step with
-    ``energy_residual`` (theta = 1/2 only), and None without.
+    The records are step 0, every record_every-th step and the last step:
+    ceil(n_steps / record_every) + 1 of them (``record_count``, whose
+    NumericError comes before any step), record k at the time
+    min(k*record_every, n_steps)*dt, the last at t_end.  ``states`` is a
+    view of the buffer, valid only during the call; each energy is bitwise
+    ``core.energy`` of its state.
+
+    Finiteness is checked once per buffer, not on every step: a buffer is
+    handed on only once its states and energies are finite and its times
+    continue the strictly increasing record times, and NumericError is
+    raised otherwise.  A non-finite entry of a state makes the next state
+    non-finite too (m0*u, the LU solve and the subtraction all carry it),
+    so a bad state is caught when the buffer holding the next record is
+    flushed (a later record finds it full, or the run ends); a source that
+    raises by itself before that flush raises first, where a loop of
+    ``step`` calls stops at the bad step.
+
+    With ``energy_residual`` (theta = 1/2 only) it returns the largest
+    |energy_balance_residual| over every step, recorded or not, bitwise the
+    largest of that function's values (a NaN among them gives NaN); they
+    are computed per buffer of steps and raise nothing.  Without it, it
+    returns None.
     """
     layout, m0, W = sys_.model.layout, sys_.model.m0, sys_.model.W
     if np.shape(u0) != (layout.dim,):
@@ -266,75 +287,27 @@ def march(
     return None
 
 
-def run(
-    sys_: SteppingSystem,
-    u0: np.ndarray,
-    source: Callable[[float], np.ndarray],
-    *,
-    snapshots: bool = True,
-    energy_residual: bool = False,
-) -> TimeSeries:
-    """March from t = 0 to t_end, recording step 0, every record_every-th
-    step and the last step: ceil(n_steps / record_every) + 1 records at the
-    times min(k*record_every, n_steps)*dt, the last at t_end.
-
-    The series is kept whole: each record buffer that ``march`` checks is
-    copied into records allocated before the first step, and the times are
-    built once the buffer is gone.  ``evobeam run`` takes the same buffers
-    from ``march`` and writes them to its files as the loop runs, keeping
-    none, so only this in-process series holds the records of a run.
-
-    Energies and traces are always recorded; full-state snapshots only
-    when ``snapshots`` is true (otherwise the series carries
-    ``snapshots=None``).  Each recorded energy is bitwise ``core.energy``
-    of the recorded state; a state or recorded energy that is not finite
-    raises NumericError, and so do records too large to allocate, before
-    any step.  Each step is ``step``'s kernel ``_advance``.
-
-    With ``energy_residual`` (theta = 1/2 only) the series also carries the
-    largest |energy_balance_residual| over every step, recorded or not,
-    bitwise the largest of that function's values (a NaN among them gives
-    NaN).  They are computed per buffer of steps, and raise nothing.
-
-    Finiteness is checked once per buffer of records, not on every step: a
-    non-finite entry of a state makes the next state non-finite too (m0*u,
-    the LU solve and the subtraction all carry it), so a bad state is caught
-    when the buffer holding the next record is flushed (a later record finds
-    it full, or the run ends); a source that raises by itself before that
-    flush raises first, where a loop of ``step`` calls stops at the bad step.
-    """
+def run(sys_: SteppingSystem, u0: np.ndarray, source: Callable[[float], np.ndarray]) -> TimeSeries:
+    """Keep ``march``'s records whole: its times, energies and states, each
+    buffer copied into records allocated before the first step, with each
+    trace the state column of its slot."""
     layout = sys_.model.layout
-    trace_names = layout.trace_names()
-    trace_at = np.array([layout.offset_of(name) for name in trace_names], dtype=int)
     n_rec = record_count(sys_.scheme)
     try:
-        energies = np.empty(n_rec)
-        traces = np.empty((len(trace_at), n_rec))
-        snaps = np.empty((n_rec, layout.dim)) if snapshots else None
+        times, energies, states = np.empty(n_rec), np.empty(n_rec), np.empty((n_rec, layout.dim))
     except (ValueError, MemoryError) as exc:
         raise NumericError(f"cannot allocate the records of the run: {exc}") from exc
     done = 0
 
-    def keep(_times: np.ndarray, U: np.ndarray, e: np.ndarray):
+    def keep(t: np.ndarray, U: np.ndarray, e: np.ndarray):
         nonlocal done
-        block = slice(done, done + len(U))
-        energies[block] = e
-        traces[:, block] = U[:, trace_at].T
-        if snaps is not None:
-            snaps[block] = U
+        block = slice(done, done + len(t))
+        times[block], energies[block], states[block] = t, e, U
         done = block.stop
 
-    max_residual = march(sys_, u0, source, keep, energy_residual=energy_residual)
-    # whole, once march's buffer is gone, so that the times do not add to
-    # the peak memory of the loop
-    return TimeSeries(
-        times=_record_times(0, n_rec, sys_.scheme),
-        energy=energies,
-        traces=dict(zip(trace_names, traces)),
-        snapshots=snaps,
-        layout=layout,
-        max_energy_residual=max_residual,
-    )
+    march(sys_, u0, source, keep)
+    traces = {name: states[:, layout.offset_of(name)] for name in layout.trace_names()}
+    return TimeSeries(times=times, energy=energies, traces=traces, snapshots=states, layout=layout)
 
 
 def _fold_residuals(largest, U, F, m0, W, S, dt):

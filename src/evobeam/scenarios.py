@@ -118,6 +118,10 @@ class FullDynamicParams:
 
 @dataclass(frozen=True)
 class AssembledModel:
+    """A discretised system d/dt(M0 u) + M1 u + A u = f on ``layout``: the
+    weights W of its inner product, the diagonal m0 of M0, the CSR material
+    matrix M1, the W-skew CSR operator A, and the binding of each trace slot."""
+
     layout: StateLayout
     W: np.ndarray  # the diagonal of the inner product, read-only
     m0: np.ndarray  # the diagonal of the inertia M0

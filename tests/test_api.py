@@ -1,12 +1,14 @@
 """The public surface: every name a module exports exists and is defined
 in that module, so each name has one import path; the package itself binds
-only its version; the README's Python example runs as written; and every
+only its version; every exported class and function has a docstring of its
+own; the README's Python example runs as written; and every
 module name the README mentions exists, with as many arguments as it takes;
 every scenario's manufactured-solution family has the documented form; and
 no module under src/ imports a name it never uses or keeps a private
 module-level name that nothing reads."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -37,6 +39,22 @@ def test_exported_names_are_defined_in_their_module(name):
     module = importlib.import_module(f"evobeam.{name}")
     objs = {n: getattr(module, n) for n in module.__all__}
     assert [n for n, obj in objs.items() if getattr(obj, "__module__", module.__name__) != module.__name__] == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_class_and_function_has_a_docstring(name):
+    # a class's own __doc__, not one it inherits; a dataclass without one
+    # gets its signature text, "Name(field: type, ...)", which says nothing
+    module = importlib.import_module(f"evobeam.{name}")
+    undocumented = []
+    for n in module.__all__:
+        obj = getattr(module, n)
+        if not (inspect.isclass(obj) or inspect.isfunction(obj)):
+            continue
+        doc = vars(obj).get("__doc__") if inspect.isclass(obj) else obj.__doc__
+        if not doc or (dataclasses.is_dataclass(obj) and doc.startswith(f"{obj.__name__}(")):
+            undocumented.append(n)
+    assert undocumented == []
 
 
 def test_package_binds_only_its_version():

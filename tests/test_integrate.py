@@ -43,10 +43,13 @@ from evobeam.scenarios import (
     FullDynamicParams,
     SturmLiouvilleParams,
     TimoshenkoParams,
+    apply_sign_flip,
+    consistent_initial_state,
     embed_block,
     make_full_dynamic,
     make_sturm_liouville,
     make_timoshenko_damped,
+    sign_flip_vector,
 )
 from evobeam.wellposed import NevanlinnaSpec, coercivity
 
@@ -274,7 +277,7 @@ def test_run_record_counts_and_times():
     assert ts.snapshots.shape == (5, model.layout.dim)
 
 
-def test_run_without_snapshots_records_the_same_bytes(rng):
+def test_run_traces_are_the_state_columns_bitwise(rng):
     scheme = SchemeParams(dt=0.05, t_end=1.0, record_every=3)
     model, sys_ = _beam_system(8, TimoshenkoParams(c=0.5, I_tilde=0.1, d=0.2), scheme)
     lay = model.layout
@@ -282,16 +285,10 @@ def test_run_without_snapshots_records_the_same_bytes(rng):
     profile = np.zeros(lay.dim)
     profile[lay.slice_of("eta")] = np.sin(np.pi * lay.points_of("eta"))
     env = gaussian_envelope(0.4, 0.1)
-    f = lambda t: profile * env(t)
-    full = run(sys_, u0, f)
-    lean = run(sys_, u0, f, snapshots=False)
-    assert lean.snapshots is None
-    assert lean.times.tobytes() == full.times.tobytes()
-    assert lean.energy.tobytes() == full.energy.tobytes()
-    assert set(lean.traces) == set(full.traces) == {"tau_plus"}
-    for name, values in lean.traces.items():
-        assert values.tobytes() == full.traces[name].tobytes()
-        assert values.tobytes() == full.snapshots[:, lay.offset_of(name)].tobytes()
+    ts = run(sys_, u0, lambda t: profile * env(t))
+    assert set(ts.traces) == {"tau_plus"}
+    for name, values in ts.traces.items():
+        assert values.tobytes() == ts.snapshots[:, lay.offset_of(name)].tobytes()
 
 
 def test_run_rejects_a_wrong_length_or_nonfinite_initial_state():
@@ -316,15 +313,16 @@ def test_run_validates_layout_and_scheme():
         run(sys_, np.zeros(other.dim), lambda t: np.zeros(model.layout.dim))
 
 
-def test_run_takes_snapshots_only_by_keyword():
-    # a scheme in the old fourth position must not pass for a true flag
+def test_run_takes_no_options():
+    # run keeps every record with its state; the residual is march's option
     scheme = SchemeParams(dt=0.1, t_end=1.0)
     model, sys_ = _beam_system(4, TimoshenkoParams(c=0.5), scheme)
     u0, source = np.zeros(model.layout.dim), lambda t: np.zeros(model.layout.dim)
     with pytest.raises(TypeError):
         run(sys_, u0, source, SchemeParams(dt=0.1, t_end=0.5))
-    with pytest.raises(TypeError):
-        run(sys_, u0, source, False)
+    for option in ("snapshots", "energy_residual"):
+        with pytest.raises(TypeError):
+            run(sys_, u0, source, **{option: False})
 
 
 @pytest.mark.parametrize("theta,expected", [(0.5, 0.5), (1.0, 1.0)])
@@ -607,14 +605,11 @@ def test_step_roundoff_stays_near_a_refined_trajectory(rng):
         assert np.max(np.abs(u - ref)) <= 5e-14 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize(
-    "snapshots,theta",
-    [pytest.param(s, th, id=str(s) if th == 0.5 else f"{s}-{th}") for th in (0.5, 0.75, 1.0) for s in (True, False)],
-)
+@pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
 @pytest.mark.parametrize("chunk_rows", [None, 1, 2])
 @pytest.mark.parametrize("record_every", [1, 3])
 @pytest.mark.parametrize("name", sorted(_RUN_MODELS))
-def test_run_matches_stepwise_reference_bitwise(monkeypatch, rng, name, record_every, chunk_rows, snapshots, theta):
+def test_run_matches_stepwise_reference_bitwise(monkeypatch, rng, name, record_every, chunk_rows, theta):
     # 25 steps: with record_every = 3 the records are steps 0, 3, ..., 24
     # and the last step, 25; chunk_rows forces records across buffer ends
     model = _RUN_MODELS[name]()
@@ -626,17 +621,14 @@ def test_run_matches_stepwise_reference_bitwise(monkeypatch, rng, name, record_e
     u0 = rng.standard_normal(lay.dim)
     profile, env = rng.standard_normal(lay.dim), gaussian_envelope(0.4, 0.2)
     f = lambda t: profile * env(t)
-    ts = run(sys_, u0, f, snapshots=snapshots)
+    ts = run(sys_, u0, f)
     times, energies, traces, snaps = _stepwise_reference(sys_, u0, f, scheme)
     assert np.array_equal(ts.times, times)
     assert np.array_equal(ts.energy, energies)
     assert set(ts.traces) == set(traces) and traces
     for trace, values in traces.items():
         assert np.array_equal(ts.traces[trace], values)
-    if snapshots:
-        assert np.array_equal(ts.snapshots, snaps)
-    else:
-        assert ts.snapshots is None
+    assert np.array_equal(ts.snapshots, snaps)
 
 
 @settings(max_examples=60, deadline=None)
@@ -711,13 +703,33 @@ def _residual_chunk(steps, dim):
     return (2 * steps + 1) * dim
 
 
+def _discard(times, states, energies):
+    """A march consumer that keeps nothing."""
+
+
+def _march_records(sys_, u0, source, **options):
+    """march's return value, and copies of its records stacked in order:
+    times, states and energies."""
+    blocks = []
+    out = integrate.march(sys_, u0, source, lambda *block: blocks.append([b.copy() for b in block]), **options)
+    return out, [np.concatenate(column) for column in zip(*blocks)]
+
+
+def _run_or_march_with_residual(sys_, u0, source, energy_residual):
+    """run, or with ``energy_residual`` march with the residual and a
+    consumer that keeps nothing."""
+    if energy_residual:
+        return integrate.march(sys_, u0, source, _discard, energy_residual=True)
+    return run(sys_, u0, source)
+
+
 @pytest.mark.parametrize(
     "record_every,chunk_steps",
     [(1, None), (3, None), (4, 2), (1, 5), (3, 1), (7, 24)],
     ids=["1", "3", "4-flushes-of-2", "1-flush-ends-at-the-last-step", "3-flushes-of-1", "7-last-flush-of-1"],
 )
 @pytest.mark.parametrize("name", sorted(_RUN_MODELS))
-def test_run_max_energy_residual_matches_stepwise_reference_bitwise(monkeypatch, rng, name, record_every, chunk_steps):
+def test_march_max_energy_residual_matches_stepwise_reference_bitwise(monkeypatch, rng, name, record_every, chunk_steps):
     # the residual covers every step, the unrecorded ones too; 25 steps,
     # which neither 3, 4 nor 7 divides, in residual buffers of chunk_steps
     # steps (25 = 5*5 fills the last buffer of 5 at the last step)
@@ -730,25 +742,25 @@ def test_run_max_energy_residual_matches_stepwise_reference_bitwise(monkeypatch,
     u0 = rng.standard_normal(dim)
     profile, env = rng.standard_normal(dim), gaussian_envelope(0.4, 0.2)
     f = lambda t: profile * env(t)
-    ts = run(sys_, u0, f, energy_residual=True)
+    residual, records = _march_records(sys_, u0, f, energy_residual=True)
     u, residuals = u0, []
     for k in range(scheme.n_steps):
         f_mid = f((k + 0.5) * scheme.dt)
         u_next = step(sys_, u, f_mid)
         residuals.append(abs(energy_balance_residual(sys_, u, u_next, f_mid)))
         u = u_next
-    assert ts.max_energy_residual == max(residuals) > 0.0
-    plain = run(sys_, u0, f)
-    assert plain.max_energy_residual is None
-    assert np.array_equal(plain.energy, ts.energy) and np.array_equal(plain.snapshots, ts.snapshots)
+    assert residual == max(residuals) > 0.0
+    plain, plain_records = _march_records(sys_, u0, f)
+    assert plain is None
+    assert all(np.array_equal(a, b) for a, b in zip(plain_records, records, strict=True))
 
 
-def test_run_energy_residual_needs_the_midpoint_rule():
+def test_march_energy_residual_needs_the_midpoint_rule():
     scheme = SchemeParams(dt=0.1, t_end=1.0, theta=0.75)
     model, sys_ = _beam_system(4, TimoshenkoParams(c=0.5), scheme)
     dim = model.layout.dim
     with pytest.raises(ParameterError, match="theta = 1/2"):
-        run(sys_, np.zeros(dim), lambda t: np.zeros(dim), energy_residual=True)
+        integrate.march(sys_, np.zeros(dim), lambda t: np.zeros(dim), _discard, energy_residual=True)
 
 
 @pytest.mark.parametrize(
@@ -761,7 +773,7 @@ def test_run_catches_a_state_gone_bad_at_an_unrecorded_step(monkeypatch, chunk_r
     # which is not recorded, and finite before and after it.  The state
     # stays non-finite, so the flush of the next record (step 12 with
     # one-row buffers, the last buffer otherwise) must refuse it, without a
-    # numpy warning, whether or not the residuals of the steps are kept.
+    # numpy warning, whether or not march folds the residuals of the steps.
     scheme = SchemeParams(dt=0.04, t_end=1.0, record_every=3)
     model, sys_ = _beam_system(8, TimoshenkoParams(c=0.5, d=0.2), scheme)
     dim = model.layout.dim
@@ -775,7 +787,7 @@ def test_run_catches_a_state_gone_bad_at_an_unrecorded_step(monkeypatch, chunk_r
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="time step produced non-finite state"):
-            run(sys_, np.zeros(dim), source, energy_residual=energy_residual)
+            _run_or_march_with_residual(sys_, np.zeros(dim), source, energy_residual)
 
 
 class _SourceError(Exception):
@@ -812,7 +824,7 @@ def test_run_lets_a_source_that_raises_before_the_next_flush_raise_first(monkeyp
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(_SourceError, match="step 11"):
-            run(sys_, np.zeros(dim), source, energy_residual=energy_residual)
+            _run_or_march_with_residual(sys_, np.zeros(dim), source, energy_residual)
 
 
 _FAULTS = {
@@ -848,10 +860,10 @@ def test_run_reports_the_first_fault_as_a_check_on_every_step_would(
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match=message):
-            run(sys_, np.zeros(lay.dim), source, energy_residual=energy_residual)
+            _run_or_march_with_residual(sys_, np.zeros(lay.dim), source, energy_residual)
 
 
-def test_run_computes_the_residuals_per_buffer(monkeypatch):
+def test_march_computes_the_residuals_per_buffer(monkeypatch):
     # one energy call per buffer of records, and with the residual one more
     # per buffer of steps (here of 7), not one per step
     scheme = SchemeParams(dt=0.005, t_end=1.0)
@@ -867,17 +879,17 @@ def test_run_computes_the_residuals_per_buffer(monkeypatch):
     monkeypatch.setattr(integrate, "energy", counted)
     z = lambda t: np.zeros(dim)
     u0 = np.random.default_rng(3).standard_normal(dim)
-    run(sys_, u0, z)
+    integrate.march(sys_, u0, z, _discard)
     per_record_buffer = len(calls)
     assert per_record_buffer == math.ceil((scheme.n_steps + 1) / (2 * 7 + 1))
     calls.clear()
-    run(sys_, u0, z, energy_residual=True)
+    integrate.march(sys_, u0, z, _discard, energy_residual=True)
     assert len(calls) == per_record_buffer + math.ceil(scheme.n_steps / 7)
 
 
 def _nan_at(monkeypatch, call, row):
     """Make row ``row`` of the ``call``-th stacked weighted_inner value in
-    run NaN (two calls per buffer of steps: dissipated, then injected)."""
+    march NaN (two calls per buffer of steps: dissipated, then injected)."""
     calls = []
     inner = integrate.weighted_inner
 
@@ -896,48 +908,83 @@ def _nan_at(monkeypatch, call, row):
     [(0, 0), (1, 4), (4, 2), (9, 0)],
     ids=["first-step", "last-of-the-first-buffer", "middle-buffer", "last-step"],
 )
-def test_run_keeps_a_nan_residual_of_any_step(monkeypatch, call, row):
+def test_march_keeps_a_nan_residual_of_any_step(monkeypatch, call, row):
     # 25 steps in five buffers of 5: a NaN residual in any one step makes
-    # max_energy_residual NaN, as np.maximum over the steps made it
+    # the largest residual NaN, as np.maximum over the steps made it
     scheme = SchemeParams(dt=0.04, t_end=1.0)
     model, sys_ = _beam_system(8, TimoshenkoParams(c=0.5, d=0.2), scheme)
     dim = model.layout.dim
     monkeypatch.setattr(integrate, "_CHUNK_FLOATS", _residual_chunk(5, dim))
     profile = np.random.default_rng(5).standard_normal(dim)
     f = lambda t: profile * math.sin(t)
-    finite = run(sys_, np.zeros(dim), f, energy_residual=True)
-    assert math.isfinite(finite.max_energy_residual)
+    finite, records = _march_records(sys_, np.zeros(dim), f, energy_residual=True)
+    assert math.isfinite(finite)
     _nan_at(monkeypatch, call, row)
-    ts = run(sys_, np.zeros(dim), f, energy_residual=True)
-    assert math.isnan(ts.max_energy_residual)
-    assert np.array_equal(ts.energy, finite.energy)
+    nan, nan_records = _march_records(sys_, np.zeros(dim), f, energy_residual=True)
+    assert math.isnan(nan)
+    assert np.array_equal(nan_records[2], records[2])
 
 
-@pytest.mark.parametrize("energy_residual", [False, True])
-def test_run_record_memory_is_the_records_and_bounded_buffers(energy_residual):
-    # 20,000 steps at dim 32, every step recorded, no snapshots: beyond the
-    # records it returns, run holds the record buffer and one temporary of
-    # its size, and under energy_residual the residual buffers and their
-    # temporaries, each at most _CHUNK_FLOATS floats
+# core.energy's multiply broadcasts m0 over a stack of states through
+# numpy's ufunc buffer of np.getbufsize() elements, beside its product
+_UFUNC_BUFFER = 8 * np.getbufsize()
+
+
+def _memory_system():
+    """20,000 steps at dim 32, every step recorded, and a source."""
     scheme = SchemeParams(dt=5e-5, t_end=1.0)
     model, sys_ = _beam_system(8, TimoshenkoParams(c=0.5, d=0.2), scheme)
-    dim = model.layout.dim
-    profile = np.random.default_rng(7).standard_normal(dim)
-    f = lambda t: profile * math.sin(t)
+    profile = np.random.default_rng(7).standard_normal(model.layout.dim)
+    return sys_, lambda t: profile * math.sin(t)
+
+
+def test_run_record_memory_is_the_records_and_bounded_buffers():
+    # beyond the records it returns, its times, energies and states (the
+    # traces are views of the states), run holds march's record buffer, one
+    # temporary of its size and numpy's ufunc buffer
+    sys_, f = _memory_system()
     tracemalloc.start()
     try:
-        ts = run(sys_, np.zeros(dim), f, snapshots=False, energy_residual=energy_residual)
+        ts = run(sys_, np.zeros(sys_.model.layout.dim), f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    records = ts.times.nbytes + ts.energy.nbytes + sum(v.nbytes for v in ts.traces.values())
+    records = ts.times.nbytes + ts.energy.nbytes + ts.snapshots.nbytes
     buffer = 8 * integrate._CHUNK_FLOATS
     assert len(ts) == 20_001
-    assert peak <= records + (4 if energy_residual else 2) * buffer + (64 << 10)
+    assert peak <= records + 2 * buffer + _UFUNC_BUFFER + (32 << 10)
+
+
+@pytest.mark.parametrize("energy_residual", [False, True])
+def test_march_memory_is_its_bounded_buffers(energy_residual):
+    # with a consumer that keeps nothing, march holds the record buffer, one
+    # temporary of its size and numpy's ufunc buffer, and under
+    # energy_residual the residual buffers and their temporaries, each at
+    # most _CHUNK_FLOATS floats
+    sys_, f = _memory_system()
+    tracemalloc.start()
+    try:
+        integrate.march(sys_, np.zeros(sys_.model.layout.dim), f, _discard, energy_residual=energy_residual)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffer = 8 * integrate._CHUNK_FLOATS
+    assert peak <= (4 * buffer + (64 << 10) if energy_residual else 2 * buffer + _UFUNC_BUFFER + (32 << 10))
 
 
 def _random_field(rng, tag, n, lo, hi):
     return rng.uniform(lo, hi, tag.block_length(n))
+
+
+def _random_beam_fields(rng, n):
+    """Random compliances, inertias and damping of a beam of n cells."""
+    return {
+        "kappa1": _random_field(rng, SpaceTag.NODE_FREE_LEFT, n, 0.2, 3.0),
+        "nu1": _random_field(rng, SpaceTag.CENTER, n, 0.2, 3.0),
+        "nu2": _random_field(rng, SpaceTag.NODE_INTERIOR, n, 0.2, 3.0),
+        "kappa2": _random_field(rng, SpaceTag.CENTER, n, 0.2, 3.0),
+        "d": _random_field(rng, SpaceTag.NODE_INTERIOR, n, 0.0, 2.0),
+    }
 
 
 @settings(max_examples=25, deadline=None)
@@ -949,16 +996,7 @@ def _random_field(rng, tag, n, lo, hi):
 )
 def test_run_keeps_energy_balance_on_random_coefficients(n, seed, c, I_tilde):
     rng = np.random.default_rng(seed)
-    params = TimoshenkoParams(
-        kappa1=_random_field(rng, SpaceTag.NODE_FREE_LEFT, n, 0.2, 3.0),
-        nu1=_random_field(rng, SpaceTag.CENTER, n, 0.2, 3.0),
-        nu2=_random_field(rng, SpaceTag.NODE_INTERIOR, n, 0.2, 3.0),
-        kappa2=_random_field(rng, SpaceTag.CENTER, n, 0.2, 3.0),
-        d=_random_field(rng, SpaceTag.NODE_INTERIOR, n, 0.0, 2.0),
-        c=c,
-        I_tilde=I_tilde,
-        sigma0=rng.uniform(0.5, 2.0),
-    )
+    params = TimoshenkoParams(**_random_beam_fields(rng, n), c=c, I_tilde=I_tilde, sigma0=rng.uniform(0.5, 2.0))
     scheme = SchemeParams(dt=0.05, t_end=1.0)
     model, sys_ = _beam_system(n, params, scheme)
     lay = model.layout
@@ -970,3 +1008,80 @@ def test_run_keeps_energy_balance_on_random_coefficients(n, seed, c, I_tilde):
         u_n, u_np1 = ts.snapshots[k], ts.snapshots[k + 1]
         res = energy_balance_residual(sys_, u_n, u_np1, f((k + 0.5) * scheme.dt))
         assert abs(res) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 24),
+    seed=st.integers(0, 2**32 - 1),
+    c=st.one_of(st.just(0.0), st.floats(0.05, 2.0)),
+    I_tilde=st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
+    sigma0=st.one_of(st.floats(-2.0, -0.5), st.floats(0.5, 2.0)),
+    theta=st.sampled_from([0.5, 0.75, 1.0]),
+)
+def test_sign_flip_maps_runs_bitwise_on_random_coefficients(n, seed, c, I_tilde, sigma0, theta):
+    # random fields, a dashpot or a boundary inertia or both, and a coupling
+    # sigma0 of either sign: the run of the flipped model is the flipped run
+    # bit for bit (acceptance criterion 10)
+    if c == I_tilde == 0.0:
+        c = 0.5
+    rng = np.random.default_rng(seed)
+    params = TimoshenkoParams(**_random_beam_fields(rng, n), c=c, I_tilde=I_tilde, sigma0=sigma0)
+    model = make_timoshenko_damped(build_grid(n), params)
+    scheme = SchemeParams(dt=0.05, t_end=0.5, theta=theta)
+    sys_a, sys_b = factor(model, scheme), factor(apply_sign_flip(model), scheme)
+    s = sign_flip_vector(model.layout)
+    profile, env = rng.standard_normal(model.layout.dim), gaussian_envelope(0.2, 0.1)
+    u0 = rng.standard_normal(model.layout.dim)
+    ts_a = run(sys_a, u0, lambda t: profile * env(t))
+    ts_b = run(sys_b, s * u0, lambda t: s * profile * env(t))
+    assert np.array_equal(ts_b.snapshots, ts_a.snapshots * s[None, :])
+    assert np.array_equal(ts_b.energy, ts_a.energy)
+
+
+# a law coefficient: zero (an algebraic trace slot, or the parabolic s0 = 0)
+# or positive
+_LAW_COEFFICIENT = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
+_LAW = st.tuples(_LAW_COEFFICIENT, _LAW_COEFFICIENT).filter(lambda pair: pair != (0.0, 0.0))
+
+
+def _random_full_dynamic(rng, n, laws):
+    fields = {"V1": SpaceTag.NODE_ALL, "eta": SpaceTag.CENTER, "s": SpaceTag.NODE_ALL, "V2": SpaceTag.CENTER}
+    inertias = {f"m_{b}": _random_field(rng, tag, n, 0.2, 3.0) for b, tag in fields.items()}
+    dampings = {f"g_{b}": _random_field(rng, tag, n, 0.0, 2.0) for b, tag in fields.items()}
+    ends = dict(zip(("mu_minus", "mu_plus", "nu_minus", "nu_plus"), (NevanlinnaSpec(*law) for law in laws)))
+    return make_full_dynamic(build_grid(n), FullDynamicParams(**inertias, **dampings, **ends))
+
+
+def _random_sturm_liouville(rng, n, laws):
+    (s0, s1), mu_minus, mu_plus = laws[0], *(NevanlinnaSpec(*law) for law in laws[1:3])
+    params = SturmLiouvilleParams(
+        r=_random_field(rng, SpaceTag.CENTER, n, 0.2, 3.0),
+        q=_random_field(rng, SpaceTag.CENTER, n, 0.0, 2.0),
+        s0=s0,
+        s1=s1,
+        mu_minus=mu_minus,
+        mu_plus=mu_plus,
+    )
+    return make_sturm_liouville(build_grid(n), params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    make=st.sampled_from([_random_full_dynamic, _random_sturm_liouville]),
+    n=st.integers(2, 24),
+    seed=st.integers(0, 2**32 - 1),
+    laws=st.lists(_LAW, min_size=4, max_size=4),
+)
+def test_march_keeps_energy_balance_on_random_coefficients_off_the_beam(make, n, seed, laws):
+    # full_dynamic's four trace laws, or sturm_liouville's potential law
+    # (s0, s1) and its two trace laws; a zero first coefficient leaves its
+    # slots algebraic, so the start is made consistent with the source
+    rng = np.random.default_rng(seed)
+    model = make(rng, n, laws)
+    sys_ = factor(model, SchemeParams(dt=0.05, t_end=1.0))
+    profile, env = rng.standard_normal(model.layout.dim), gaussian_envelope(0.3, 0.2)
+    f = lambda t: profile * env(t)
+    u0 = consistent_initial_state(model, rng.standard_normal(model.layout.dim), f(0.0))
+    residual, (_, _, energies) = _march_records(sys_, u0, f, energy_residual=True)
+    assert residual <= 1e-12 * max(1.0, float(np.max(energies)))
