@@ -605,13 +605,9 @@ def test_step_roundoff_stays_near_a_refined_trajectory(rng):
         assert np.max(np.abs(u - ref)) <= 5e-14 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
-@pytest.mark.parametrize("chunk_rows", [None, 1, 2])
-@pytest.mark.parametrize("record_every", [1, 3])
-@pytest.mark.parametrize("name", sorted(_RUN_MODELS))
-def test_run_matches_stepwise_reference_bitwise(monkeypatch, rng, name, record_every, chunk_rows, theta):
-    # 25 steps: with record_every = 3 the records are steps 0, 3, ..., 24
-    # and the last step, 25; chunk_rows forces records across buffer ends
+def _stepwise_case(monkeypatch, rng, name, record_every, chunk_rows, theta):
+    """The system, initial state, source and scheme of a 25-step run of
+    one of _RUN_MODELS; chunk_rows sets the record buffer's rows."""
     model = _RUN_MODELS[name]()
     lay = model.layout
     if chunk_rows is not None:
@@ -620,7 +616,29 @@ def test_run_matches_stepwise_reference_bitwise(monkeypatch, rng, name, record_e
     sys_ = factor(model, scheme)
     u0 = rng.standard_normal(lay.dim)
     profile, env = rng.standard_normal(lay.dim), gaussian_envelope(0.4, 0.2)
-    f = lambda t: profile * env(t)
+    return sys_, u0, lambda t: profile * env(t), scheme
+
+
+_STEPWISE_AXES = [
+    pytest.mark.parametrize("theta", [0.5, 0.75, 1.0]),
+    pytest.mark.parametrize("chunk_rows", [None, 1, 2]),
+    pytest.mark.parametrize("record_every", [1, 3]),
+    pytest.mark.parametrize("name", sorted(_RUN_MODELS)),
+]
+
+
+def _stepwise_axes(test):
+    """The marks of _STEPWISE_AXES, applied as if stacked in that order."""
+    for mark in reversed(_STEPWISE_AXES):
+        test = mark(test)
+    return test
+
+
+@_stepwise_axes
+def test_run_matches_stepwise_reference_bitwise(monkeypatch, rng, name, record_every, chunk_rows, theta):
+    # 25 steps: with record_every = 3 the records are steps 0, 3, ..., 24
+    # and the last step, 25; chunk_rows forces records across buffer ends
+    sys_, u0, f, scheme = _stepwise_case(monkeypatch, rng, name, record_every, chunk_rows, theta)
     ts = run(sys_, u0, f)
     times, energies, traces, snaps = _stepwise_reference(sys_, u0, f, scheme)
     assert np.array_equal(ts.times, times)
@@ -629,6 +647,23 @@ def test_run_matches_stepwise_reference_bitwise(monkeypatch, rng, name, record_e
     for trace, values in traces.items():
         assert np.array_equal(ts.traces[trace], values)
     assert np.array_equal(ts.snapshots, snaps)
+
+
+@_stepwise_axes
+def test_march_buffers_match_stepwise_reference_bitwise(monkeypatch, rng, name, record_every, chunk_rows, theta):
+    # the buffers a lean consumer sees: stacked in order, they are the
+    # reference's times, states and energies, and each trace is a column
+    sys_, u0, f, scheme = _stepwise_case(monkeypatch, rng, name, record_every, chunk_rows, theta)
+    residual, (times, states, energies) = _march_records(sys_, u0, f)
+    assert residual is None
+    ref_times, ref_energies, ref_traces, ref_snaps = _stepwise_reference(sys_, u0, f, scheme)
+    assert np.array_equal(times, ref_times)
+    assert np.array_equal(energies, ref_energies)
+    assert np.array_equal(states, ref_snaps)
+    lay = sys_.model.layout
+    assert ref_traces
+    for trace, values in ref_traces.items():
+        assert np.array_equal(states[:, lay.offset_of(trace)], values)
 
 
 @settings(max_examples=60, deadline=None)
