@@ -288,26 +288,30 @@ def march(
 
 
 def run(sys_: SteppingSystem, u0: np.ndarray, source: Callable[[float], np.ndarray]) -> TimeSeries:
-    """Keep ``march``'s records whole: its times, energies and states, each
-    buffer copied into records allocated before the first step, with each
-    trace the state column of its slot."""
+    """Keep ``march``'s records whole: its energies and states, each buffer
+    copied into records allocated before the first step, and its times,
+    built once the buffer is gone so that they do not add to the loop's
+    peak memory.  Each trace is a view of the state column of its slot, so
+    writing to the snapshots writes to the traces too."""
     layout = sys_.model.layout
     n_rec = record_count(sys_.scheme)
     try:
-        times, energies, states = np.empty(n_rec), np.empty(n_rec), np.empty((n_rec, layout.dim))
+        energies, states = np.empty(n_rec), np.empty((n_rec, layout.dim))
     except (ValueError, MemoryError) as exc:
         raise NumericError(f"cannot allocate the records of the run: {exc}") from exc
     done = 0
 
-    def keep(t: np.ndarray, U: np.ndarray, e: np.ndarray):
+    def keep(_times: np.ndarray, U: np.ndarray, e: np.ndarray):
         nonlocal done
-        block = slice(done, done + len(t))
-        times[block], energies[block], states[block] = t, e, U
+        block = slice(done, done + len(U))
+        energies[block], states[block] = e, U
         done = block.stop
 
     march(sys_, u0, source, keep)
     traces = {name: states[:, layout.offset_of(name)] for name in layout.trace_names()}
-    return TimeSeries(times=times, energy=energies, traces=traces, snapshots=states, layout=layout)
+    return TimeSeries(
+        times=_record_times(0, n_rec, sys_.scheme), energy=energies, traces=traces, snapshots=states, layout=layout
+    )
 
 
 def _fold_residuals(largest, U, F, m0, W, S, dt):

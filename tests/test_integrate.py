@@ -277,20 +277,6 @@ def test_run_record_counts_and_times():
     assert ts.snapshots.shape == (5, model.layout.dim)
 
 
-def test_run_traces_are_the_state_columns_bitwise(rng):
-    scheme = SchemeParams(dt=0.05, t_end=1.0, record_every=3)
-    model, sys_ = _beam_system(8, TimoshenkoParams(c=0.5, I_tilde=0.1, d=0.2), scheme)
-    lay = model.layout
-    u0 = rng.standard_normal(lay.dim)
-    profile = np.zeros(lay.dim)
-    profile[lay.slice_of("eta")] = np.sin(np.pi * lay.points_of("eta"))
-    env = gaussian_envelope(0.4, 0.1)
-    ts = run(sys_, u0, lambda t: profile * env(t))
-    assert set(ts.traces) == {"tau_plus"}
-    for name, values in ts.traces.items():
-        assert values.tobytes() == ts.snapshots[:, lay.offset_of(name)].tobytes()
-
-
 def test_run_rejects_a_wrong_length_or_nonfinite_initial_state():
     scheme = SchemeParams(dt=0.1, t_end=1.0)
     model, sys_ = _beam_system(4, TimoshenkoParams(c=0.5), scheme)
@@ -605,9 +591,15 @@ def test_step_roundoff_stays_near_a_refined_trajectory(rng):
         assert np.max(np.abs(u - ref)) <= 5e-14 * np.max(np.abs(ref))
 
 
-def _stepwise_case(monkeypatch, rng, name, record_every, chunk_rows, theta):
-    """The system, initial state, source and scheme of a 25-step run of
-    one of _RUN_MODELS; chunk_rows sets the record buffer's rows."""
+@pytest.mark.parametrize("via", ["run", "march"])
+@pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
+@pytest.mark.parametrize("chunk_rows", [None, 1, 2])
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("name", sorted(_RUN_MODELS))
+def test_run_matches_stepwise_reference_bitwise(monkeypatch, rng, name, record_every, chunk_rows, theta, via):
+    # 25 steps: with record_every = 3 the records are steps 0, 3, ..., 24
+    # and the last step, 25; chunk_rows forces records across buffer ends;
+    # via march, the buffers a consumer sees, stacked in order
     model = _RUN_MODELS[name]()
     lay = model.layout
     if chunk_rows is not None:
@@ -616,54 +608,20 @@ def _stepwise_case(monkeypatch, rng, name, record_every, chunk_rows, theta):
     sys_ = factor(model, scheme)
     u0 = rng.standard_normal(lay.dim)
     profile, env = rng.standard_normal(lay.dim), gaussian_envelope(0.4, 0.2)
-    return sys_, u0, lambda t: profile * env(t), scheme
-
-
-_STEPWISE_AXES = [
-    pytest.mark.parametrize("theta", [0.5, 0.75, 1.0]),
-    pytest.mark.parametrize("chunk_rows", [None, 1, 2]),
-    pytest.mark.parametrize("record_every", [1, 3]),
-    pytest.mark.parametrize("name", sorted(_RUN_MODELS)),
-]
-
-
-def _stepwise_axes(test):
-    """The marks of _STEPWISE_AXES, applied as if stacked in that order."""
-    for mark in reversed(_STEPWISE_AXES):
-        test = mark(test)
-    return test
-
-
-@_stepwise_axes
-def test_run_matches_stepwise_reference_bitwise(monkeypatch, rng, name, record_every, chunk_rows, theta):
-    # 25 steps: with record_every = 3 the records are steps 0, 3, ..., 24
-    # and the last step, 25; chunk_rows forces records across buffer ends
-    sys_, u0, f, scheme = _stepwise_case(monkeypatch, rng, name, record_every, chunk_rows, theta)
-    ts = run(sys_, u0, f)
+    f = lambda t: profile * env(t)
     times, energies, traces, snaps = _stepwise_reference(sys_, u0, f, scheme)
-    assert np.array_equal(ts.times, times)
-    assert np.array_equal(ts.energy, energies)
-    assert set(ts.traces) == set(traces) and traces
-    for trace, values in traces.items():
-        assert np.array_equal(ts.traces[trace], values)
-    assert np.array_equal(ts.snapshots, snaps)
-
-
-@_stepwise_axes
-def test_march_buffers_match_stepwise_reference_bitwise(monkeypatch, rng, name, record_every, chunk_rows, theta):
-    # the buffers a lean consumer sees: stacked in order, they are the
-    # reference's times, states and energies, and each trace is a column
-    sys_, u0, f, scheme = _stepwise_case(monkeypatch, rng, name, record_every, chunk_rows, theta)
-    residual, (times, states, energies) = _march_records(sys_, u0, f)
-    assert residual is None
-    ref_times, ref_energies, ref_traces, ref_snaps = _stepwise_reference(sys_, u0, f, scheme)
-    assert np.array_equal(times, ref_times)
-    assert np.array_equal(energies, ref_energies)
-    assert np.array_equal(states, ref_snaps)
-    lay = sys_.model.layout
-    assert ref_traces
-    for trace, values in ref_traces.items():
-        assert np.array_equal(states[:, lay.offset_of(trace)], values)
+    if via == "run":
+        ts = run(sys_, u0, f)
+        assert set(ts.traces) == set(traces) and traces
+        for trace, values in traces.items():
+            assert np.array_equal(ts.traces[trace], values)
+        records = ts.times, ts.energy, ts.snapshots
+    else:
+        residual, (got_times, got_states, got_energies) = _march_records(sys_, u0, f)
+        assert residual is None
+        records = got_times, got_energies, got_states
+    for got, expected in zip(records, (times, energies, snaps)):
+        assert np.array_equal(got, expected)
 
 
 @settings(max_examples=60, deadline=None)
@@ -976,7 +934,8 @@ def _memory_system():
 def test_run_record_memory_is_the_records_and_bounded_buffers():
     # beyond the records it returns, its times, energies and states (the
     # traces are views of the states), run holds march's record buffer, one
-    # temporary of its size and numpy's ufunc buffer
+    # temporary of its size and numpy's ufunc buffer, which the bytes of the
+    # times cover: run builds them once the loop is done
     sys_, f = _memory_system()
     tracemalloc.start()
     try:
@@ -987,7 +946,7 @@ def test_run_record_memory_is_the_records_and_bounded_buffers():
     records = ts.times.nbytes + ts.energy.nbytes + ts.snapshots.nbytes
     buffer = 8 * integrate._CHUNK_FLOATS
     assert len(ts) == 20_001
-    assert peak <= records + 2 * buffer + _UFUNC_BUFFER + (32 << 10)
+    assert peak <= records + 2 * buffer + (64 << 10)
 
 
 @pytest.mark.parametrize("energy_residual", [False, True])
