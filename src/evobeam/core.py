@@ -31,7 +31,6 @@ __all__ = [
     "build_weights",
     "weighted_inner",
     "energy",
-    "exp_weighted_norm",
     "TimeSeries",
     "gaussian_envelope",
     "sinusoid_envelope",
@@ -241,13 +240,12 @@ def _row_sums(products: np.ndarray):
 
 @dataclass
 class TimeSeries:
-    """Sampled trajectory: energies, named trace values, optional snapshots."""
+    """A run's record times, energies and full states on ``layout``."""
 
     times: np.ndarray
     energy: np.ndarray
-    traces: dict[str, np.ndarray]
-    snapshots: np.ndarray | None = None
-    layout: StateLayout | None = None
+    snapshots: np.ndarray
+    layout: StateLayout
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -258,31 +256,16 @@ class TimeSeries:
         n = self.times.shape[0]
         if self.energy.shape != (n,):
             raise ParameterError("energy record count does not match times")
-        for name, vals in self.traces.items():
-            if np.asarray(vals).shape != (n,):
-                raise ParameterError(f"trace record {name!r} does not match times")
-        if self.snapshots is not None and self.snapshots.shape[0] != n:
-            raise ParameterError("snapshot count does not match times")
+        if np.shape(self.snapshots) != (n, self.layout.dim):
+            raise ParameterError(f"snapshots have shape {np.shape(self.snapshots)}, need ({n}, {self.layout.dim})")
+
+    @property
+    def traces(self) -> dict[str, np.ndarray]:
+        """Each trace slot's values: a view of its state column."""
+        return {name: self.snapshots[:, self.layout.offset_of(name)] for name in self.layout.trace_names()}
 
     def __len__(self) -> int:
         return self.times.shape[0]
-
-
-def exp_weighted_norm(times, states, rho: float, W: np.ndarray) -> float:
-    """Exponentially weighted trajectory norm of states (one row per time).
-
-    Returns sqrt of the trapezoidal quadrature of ||u(t)||_W^2 exp(-2 rho t)
-    over the recorded window.  The infinite-line integral is truncated to the
-    run window; the weight suppresses the tail for causal data.
-    """
-    if rho <= 0:
-        raise ParameterError("rho must be positive")
-    # not weighted_inner: that moves the bound probe's printed ratio in its last digits
-    sq = np.einsum("ij,j,ij->i", states, W, states)
-    integrand = sq * np.exp(-2.0 * rho * times)
-    dt = np.diff(times)
-    integral = float(np.sum(0.5 * dt * (integrand[:-1] + integrand[1:])))
-    return math.sqrt(max(integral, 0.0))
 
 
 # ---------------------------------------------------------------------------

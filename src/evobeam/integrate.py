@@ -16,15 +16,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .core import (
-    EvobeamError,
-    NumericError,
-    ParameterError,
-    TimeSeries,
-    energy,
-    exp_weighted_norm,
-    weighted_inner,
-)
+from .core import EvobeamError, NumericError, ParameterError, TimeSeries, energy, weighted_inner
 from .discretize import diag_csr
 from .scenarios import AssembledModel, consistent_initial_state
 from .wellposed import sparse_symmetric_part
@@ -178,6 +170,14 @@ def record_count(scheme: SchemeParams) -> int:
     return n_rec
 
 
+def _records(shape) -> np.ndarray:
+    """An empty float array for the records of a run; NumericError if numpy cannot allocate it."""
+    try:
+        return np.empty(shape)
+    except (ValueError, MemoryError) as exc:
+        raise NumericError(f"cannot allocate the records of the run: {exc}") from exc
+
+
 def _record_times(lo: int, hi: int, scheme: SchemeParams) -> np.ndarray:
     """The times min(k*record_every, n_steps)*dt of the records k = lo to
     hi - 1, built in place: k*record_every is exact below 2**53, so they
@@ -291,15 +291,9 @@ def run(sys_: SteppingSystem, u0: np.ndarray, source: Callable[[float], np.ndarr
     """Keep ``march``'s records whole: its energies and states, each buffer
     copied into records allocated before the first step, and its times,
     built once the buffer is gone so that they do not add to the loop's
-    peak memory.  Each trace is a view of the state column of its slot, so
-    writing to the snapshots writes to the traces too."""
-    layout = sys_.model.layout
-    n_rec = record_count(sys_.scheme)
-    try:
-        energies, states = np.empty(n_rec), np.empty((n_rec, layout.dim))
-    except (ValueError, MemoryError) as exc:
-        raise NumericError(f"cannot allocate the records of the run: {exc}") from exc
-    done = 0
+    peak memory."""
+    n_rec, done = record_count(sys_.scheme), 0
+    energies, states = _records(n_rec), _records((n_rec, sys_.model.layout.dim))
 
     def keep(_times: np.ndarray, U: np.ndarray, e: np.ndarray):
         nonlocal done
@@ -308,10 +302,7 @@ def run(sys_: SteppingSystem, u0: np.ndarray, source: Callable[[float], np.ndarr
         done = block.stop
 
     march(sys_, u0, source, keep)
-    traces = {name: states[:, layout.offset_of(name)] for name in layout.trace_names()}
-    return TimeSeries(
-        times=_record_times(0, n_rec, sys_.scheme), energy=energies, traces=traces, snapshots=states, layout=layout
-    )
+    return TimeSeries(_record_times(0, n_rec, sys_.scheme), energies, states, sys_.model.layout)
 
 
 def _fold_residuals(largest, U, F, m0, W, S, dt):
@@ -355,8 +346,9 @@ def causality_probe(
 
     The sources must agree at every stepping sample point up to a; the
     states up to a then coincide and the return value measures exactly
-    that.  Both runs record every step, whatever the scheme's
-    record_every, and stop at the last step at or before a.
+    that.  Both runs record every step, whatever the scheme's record_every,
+    up to the last step at or before a; only the states under f are kept,
+    and those under g are compared with them buffer by buffer.
     """
     scheme = sys_.scheme
     if not 0 < a <= scheme.t_end:
@@ -369,20 +361,26 @@ def causality_probe(
             break
         if not np.array_equal(source_f(t_mid), source_g(t_mid)):
             raise ParameterError(f"sources differ at sampled t={t_mid} <= a={a}")
-    # run records step k at time k*dt <= (k + theta)*dt <= (k+1)*dt; the
+    # a run records step k at time k*dt <= (k + theta)*dt <= (k+1)*dt; the
     # midpoint of step steps-1 is at most a and that of `steps` past it, so
     # the last step at or before a is `steps` or `steps - 1`
     steps_to_a = steps if steps * scheme.dt <= a else steps - 1
     if steps_to_a == 0:
         return 0.0  # only the common initial state lies at or before a
-    u0 = np.zeros(sys_.model.layout.dim)
+    u0, W = np.zeros(sys_.model.layout.dim), sys_.model.W
     # same dt and theta, so the truncated system reuses the LU factors
     # (record_every is not part of the stepping matrix)
     sys_to_a = replace(sys_, scheme=replace(scheme, t_end=steps_to_a * scheme.dt, record_every=1))
-    ts_f = run(sys_to_a, u0, source_f)
-    ts_g = run(sys_to_a, u0, source_g)
-    diff = ts_f.snapshots - ts_g.snapshots
-    return math.sqrt(weighted_inner(diff, diff, sys_.model.W).max())
+    states_f, largest, done = run(sys_to_a, u0, source_f).snapshots, 0.0, 0
+
+    def compare(_times: np.ndarray, U: np.ndarray, _energies: np.ndarray):
+        nonlocal largest, done
+        diff = states_f[done : done + len(U)] - U
+        largest = max(largest, weighted_inner(diff, diff, W).max())
+        done += len(U)
+
+    march(sys_to_a, u0, source_g, compare)
+    return math.sqrt(largest)
 
 
 def bound_probe(sys_: SteppingSystem, source: Callable[[float], np.ndarray]) -> float:
@@ -390,13 +388,29 @@ def bound_probe(sys_: SteppingSystem, source: Callable[[float], np.ndarray]) -> 
 
     Discrete counterpart of the solution-operator bound: for a coercive
     configuration the ratio must not exceed 1/c0 by more than quadrature
-    slack.  Starts from the state of rest consistent with source(0); both
-    norms use the same recorded time grid and the scheme's rho.
-    """
+    slack.  Starts from the state of rest consistent with source(0).  Each
+    norm is the sqrt of the trapezoidal sum of ||v(t)||_W^2 exp(-2 rho t)
+    over the record times, at the scheme's rho > 0, of which it keeps only
+    the squared norms."""
     rho, W = sys_.scheme.rho, sys_.model.W
-    ts_u = run(sys_, consistent_initial_state(sys_.model, np.zeros(W.size), source(0.0)), source)
-    f_snaps = np.vstack([source(t) for t in ts_u.times])
-    den = exp_weighted_norm(ts_u.times, f_snaps, rho, W)
+    if rho <= 0:
+        raise ParameterError("rho must be positive")
+    u0 = consistent_initial_state(sys_.model, np.zeros(W.size), source(0.0))
+    n_rec, done = record_count(sys_.scheme), 0
+    sq = _records((2, n_rec))  # of the source and of the state
+
+    def norms(times: np.ndarray, U: np.ndarray, _energies: np.ndarray):
+        nonlocal done
+        F = np.vstack([source(t) for t in times])
+        # not weighted_inner: that moves the printed ratio in its last digits
+        sq[:, done : done + len(U)] = np.einsum("ij,j,ij->i", F, W, F), np.einsum("ij,j,ij->i", U, W, U)
+        done += len(U)
+
+    march(sys_, u0, source, norms)
+    times = _record_times(0, n_rec, sys_.scheme)
+    half_dt = 0.5 * np.diff(times)
+    sq *= np.exp(-2.0 * rho * times, out=times)
+    den, num = (math.sqrt(max(float(np.sum(half_dt * (s[:-1] + s[1:]))), 0.0)) for s in sq)
     if den == 0.0:
         raise UndefinedRatioError("bound probe needs a nonzero source on the window")
-    return exp_weighted_norm(ts_u.times, ts_u.snapshots, rho, W) / den
+    return num / den

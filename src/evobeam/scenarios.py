@@ -525,17 +525,13 @@ def embed_block(layout: StateLayout, name: str, values) -> np.ndarray:
 _DISPLACEMENT_NAMES = {"eta": "phi", "s": "u"}
 
 
-def reconstruct_displacements(
-    ts: TimeSeries, initial: dict[str, np.ndarray] | None = None
-) -> dict[str, np.ndarray]:
+def reconstruct_displacements(ts: TimeSeries, initial: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
     """Trapezoidal time integrals of the velocity blocks eta -> phi and s -> u
     that the layout carries, starting from ``initial`` (zero by default).
 
     Returns the displacements by name, each an array with one row per
     recorded time.
     """
-    if ts.snapshots is None or ts.layout is None:
-        raise ParameterError("displacement reconstruction needs snapshots")
     blocks = [n for n in _DISPLACEMENT_NAMES if n in ts.layout.names]
     if not blocks:
         raise ParameterError("no velocity blocks to integrate")

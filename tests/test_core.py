@@ -18,7 +18,6 @@ from evobeam.core import (
     build_weights,
     bump_envelope,
     energy,
-    exp_weighted_norm,
     gaussian_envelope,
     sinusoid_envelope,
     weighted_inner,
@@ -225,45 +224,45 @@ def test_energy_constant_coefficient_oracle():
     assert math.isclose(expected, 3.625)
 
 
+def _time_series(times, energies, snapshots=None):
+    """A series on a layout of one center block and one trace slot."""
+    layout = StateLayout(build_grid(2), (("V", SpaceTag.CENTER), ("tau", SpaceTag.TRACE)))
+    snapshots = np.zeros((len(times), layout.dim)) if snapshots is None else snapshots
+    return TimeSeries(times=np.array(times), energy=energies, snapshots=snapshots, layout=layout)
+
+
 def test_time_series_validation():
     with pytest.raises(NumericError):
-        TimeSeries(times=np.array([0.0, 0.0]), energy=np.zeros(2), traces={})
+        _time_series([0.0, 0.0], np.zeros(2))
     # a NaN difference compares false with 0, so only the order itself,
     # tested as t[k+1] > t[k], refuses these, and without a numpy warning
     for times in ([0.0, np.nan], [0.0, np.nan, 1.0], [np.inf, np.inf]):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="record times must be strictly increasing"):
-                TimeSeries(times=np.array(times), energy=np.zeros(len(times)), traces={})
+                _time_series(times, np.zeros(len(times)))
     with pytest.raises(ParameterError, match="energy record count does not match times"):
-        TimeSeries(times=np.array([0.0, 1.0]), energy=np.zeros(3), traces={})
+        _time_series([0.0, 1.0], np.zeros(3))
 
 
 def test_time_series_refuses_trace_and_snapshot_counts():
-    times = np.array([0.0, 1.0])
-    with pytest.raises(ParameterError, match="trace record 'tau' does not match times"):
-        TimeSeries(times=times, energy=np.zeros(2), traces={"tau": np.zeros(3)})
-    with pytest.raises(ParameterError, match="snapshot count does not match times"):
-        TimeSeries(times=times, energy=np.zeros(2), traces={}, snapshots=np.zeros((3, 4)))
+    # the traces are the state columns of the trace slots, so a snapshot
+    # array of shape (records, layout.dim) fixes both counts
+    with pytest.raises(ParameterError, match=r"snapshots have shape \(3, 3\), need \(2, 3\)"):
+        _time_series([0.0, 1.0], np.zeros(2), np.zeros((3, 3)))
+    with pytest.raises(ParameterError, match=r"snapshots have shape \(2, 4\), need \(2, 3\)"):
+        _time_series([0.0, 1.0], np.zeros(2), np.zeros((2, 4)))
+    with pytest.raises(ParameterError, match=r"snapshots have shape \(2,\), need \(2, 3\)"):
+        _time_series([0.0, 1.0], np.zeros(2), np.zeros(2))
 
 
-@pytest.mark.parametrize("rho", [0.0, -1.0])
-def test_exp_weighted_norm_refuses_a_nonpositive_rho(rho):
-    W = np.ones(1)
-    with pytest.raises(ParameterError, match="rho must be positive"):
-        exp_weighted_norm(np.array([0.0, 1.0]), np.ones((2, 1)), rho, W)
-
-
-def test_exp_weighted_norm_constant_state():
-    """Constant unit-norm state: integral has the closed form (1-e^{-2rho T})/(2rho)."""
-    g = build_grid(2)
-    lay = StateLayout(g, (("tau", SpaceTag.TRACE),))
-    W = build_weights(lay)
-    times = np.linspace(0.0, 1.0, 4001)
-    states = np.ones((times.size, 1))
-    for rho in (0.5, 1.0, 2.0):
-        exact = math.sqrt((1.0 - math.exp(-2.0 * rho)) / (2.0 * rho))
-        assert math.isclose(exp_weighted_norm(times, states, rho, W), exact, rel_tol=1e-6)
+def test_time_series_traces_are_views_of_the_state_columns():
+    snapshots = np.arange(6.0).reshape(2, 3)
+    ts = _time_series([0.0, 1.0], np.zeros(2), snapshots)
+    assert list(ts.traces) == ["tau"]
+    assert np.array_equal(ts.traces["tau"], [2.0, 5.0])
+    snapshots[1, 2] = -1.0
+    assert ts.traces["tau"][1] == -1.0
 
 
 def test_bump_envelope_has_compact_support():

@@ -39,6 +39,7 @@ from evobeam.integrate import (
     step,
 )
 from evobeam.scenarios import (
+    SCENARIOS,
     AssembledModel,
     FullDynamicParams,
     SturmLiouvilleParams,
@@ -394,32 +395,45 @@ def test_causality_probe_runs_to_the_last_step_at_or_before_a(dt, t_end, theta, 
     layout, scheme, sys_ = _scalar_system(0.5, dt, t_end, theta)
     ran = []
 
-    def spy(sys_to_a, u0, source):
-        ran.append(sys_to_a.scheme.n_steps)
-        return run(sys_to_a, u0, source)
+    def spy(name, call):
+        def counted(sys_to_a, *args):
+            ran.append((name, sys_to_a.scheme.n_steps))
+            return call(sys_to_a, *args)
 
-    monkeypatch.setattr(integrate, "run", spy)
+        return counted
+
+    monkeypatch.setattr(integrate, "run", spy("run", integrate.run))
+    monkeypatch.setattr(integrate, "march", spy("march", integrate.march))
     z = lambda t: np.zeros(layout.dim)
     assert causality_probe(sys_, z, z, a) == 0.0
     expected = int(np.searchsorted(np.arange(scheme.n_steps + 1) * dt, a, side="right")) - 1
-    assert ran == ([expected, expected] if expected else [])
+    # the run under f steps through march; the states under g are marched
+    passes = [("run", expected), ("march", expected), ("march", expected)]
+    assert ran == (passes if expected else [])
 
 
 def test_causality_probe_records_every_step_to_a(monkeypatch):
     # the scheme records every 4th state; the probe compares every state up to a
     scheme = SchemeParams(dt=0.01, t_end=1.0, record_every=4)
     model, sys_ = _beam_system(8, TimoshenkoParams(c=0.5), scheme)
-    series = []
+    march, series = integrate.march, []
 
-    def spy(sys_to_a, u0, source):
-        series.append(run(sys_to_a, u0, source))
-        return series[-1]
+    def spy(sys_to_a, u0, source, consume):
+        times = []
+        series.append(times)
 
-    monkeypatch.setattr(integrate, "run", spy)
+        def seen(t, U, e):
+            times.extend(t.tolist())
+            consume(t, U, e)
+
+        return march(sys_to_a, u0, source, seen)
+
+    monkeypatch.setattr(integrate, "march", spy)
     z = lambda t: np.zeros(model.layout.dim)
     assert causality_probe(sys_, z, z, a=0.5) == 0.0
-    assert [len(ts) for ts in series] == [51, 51]
-    assert [ts.times[-1] for ts in series] == [0.5, 0.5]
+    # the pass under f (through run) and the pass under g
+    assert [len(times) for times in series] == [51, 51]
+    assert [times[-1] for times in series] == [0.5, 0.5]
 
 
 def test_causality_probe_memory_follows_the_steps_to_a():
@@ -461,6 +475,46 @@ def test_bound_probe_respects_solution_bound():
     ratio = bound_probe(sys_, lambda t: profile * env(t))
     # coercivity constant of this law at rho = 2 is c0 = 1/2
     assert 0.0 < ratio <= 2.0 * 1.05
+
+
+def test_bound_probe_refuses_a_zero_rho_before_any_source_call():
+    scheme = SchemeParams(dt=0.1, t_end=1.0, rho=0.0)
+    _, sys_ = _beam_system(4, TimoshenkoParams(c=0.5), scheme)
+    with pytest.raises(ParameterError, match="rho must be positive"):
+        bound_probe(sys_, lambda t: pytest.fail("the source was called"))
+
+
+def _bound_probe_oracle(sys_, source):
+    """The ratio from the whole run: every state that run keeps, the source
+    stacked at every record time, their squared W-norms by einsum and the
+    trapezoid sum of each, weighted by exp(-2 rho t)."""
+    rho, W = sys_.scheme.rho, sys_.model.W
+    ts = run(sys_, consistent_initial_state(sys_.model, np.zeros(W.size), source(0.0)), source)
+    F = np.vstack([source(t) for t in ts.times])
+
+    def norm(states):
+        integrand = np.einsum("ij,j,ij->i", states, W, states) * np.exp(-2.0 * rho * ts.times)
+        dt = np.diff(ts.times)
+        return math.sqrt(max(float(np.sum(0.5 * dt * (integrand[:-1] + integrand[1:]))), 0.0))
+
+    return norm(ts.snapshots) / norm(F)
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 3])
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_bound_probe_is_bitwise_the_whole_run_quadrature(monkeypatch, rng, name, record_every, chunk_rows):
+    # timoshenko_damped's defaults leave its trace slot algebraic (zero m0);
+    # 50 steps with record_every = 3 end on a record past the stride, and
+    # chunk_rows = 3 puts record buffer ends inside the quadrature
+    spec = SCENARIOS[name]
+    model = spec.make(build_grid(8), spec.defaults)
+    if chunk_rows is not None:
+        monkeypatch.setattr(integrate, "_CHUNK_FLOATS", chunk_rows * model.layout.dim + 1)
+    sys_ = factor(model, SchemeParams(dt=0.04, t_end=2.0, record_every=record_every, rho=1.5))
+    profile, env = rng.standard_normal(model.layout.dim), gaussian_envelope(0.6, 0.3)
+    f = lambda t: profile * env(t)
+    assert bound_probe(sys_, f) == _bound_probe_oracle(sys_, f)
 
 
 def test_bound_probe_rejects_zero_source():
@@ -964,6 +1018,40 @@ def test_march_memory_is_its_bounded_buffers(energy_residual):
         tracemalloc.stop()
     buffer = 8 * integrate._CHUNK_FLOATS
     assert peak <= (4 * buffer + (64 << 10) if energy_residual else 2 * buffer + _UFUNC_BUFFER + (32 << 10))
+
+
+def test_bound_probe_memory_is_the_buffers_and_a_few_floats_a_record():
+    # march's record buffer, one temporary of its size and numpy's ufunc
+    # buffer; a buffer of source rows and their stack; two kept floats a
+    # record.  After march the quadrature holds six floats a record: the
+    # two kept, the times turned weights, the half steps, and the pair sums
+    # and their products of one trapezoid sum
+    sys_, f = _memory_system()
+    tracemalloc.start()
+    try:
+        bound_probe(sys_, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_rec, buffer = integrate.record_count(sys_.scheme), 8 * integrate._CHUNK_FLOATS
+    assert n_rec == 20_001
+    assert peak <= 4 * buffer + _UFUNC_BUFFER + 48 * n_rec + (64 << 10)
+
+
+def test_causality_probe_memory_is_one_copy_of_the_states_to_a():
+    # the states under f up to a, with run's energies and times, and march's
+    # bounded buffers; while g is marched, a buffer's difference from them
+    # and its weighted product
+    sys_, f = _memory_system()
+    tracemalloc.start()
+    try:
+        assert causality_probe(sys_, f, f, a=0.5) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    steps_to_a, buffer = 10_000, 8 * integrate._CHUNK_FLOATS
+    copy = 8 * (steps_to_a + 1) * sys_.model.layout.dim
+    assert peak <= copy + 16 * (steps_to_a + 1) + 4 * buffer + _UFUNC_BUFFER + (64 << 10)
 
 
 def _random_field(rng, tag, n, lo, hi):

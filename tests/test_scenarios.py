@@ -567,9 +567,7 @@ def test_reconstruct_displacements_trapezoid():
     times = np.array([0.0, 0.5, 1.0, 1.5])
     snaps = np.zeros((4, lay.dim))
     snaps[:, lay.slice_of("eta")] = 1.0
-    ts = TimeSeries(
-        times=times, energy=np.zeros(4), traces={}, snapshots=snaps, layout=lay
-    )
+    ts = TimeSeries(times=times, energy=np.zeros(4), snapshots=snaps, layout=lay)
     phi0 = np.array([0.5, 0.0, -0.5, 1.0])
     disp = reconstruct_displacements(ts, initial={"eta": phi0})
     assert list(disp) == ["phi", "u"]
@@ -577,23 +575,9 @@ def test_reconstruct_displacements_trapezoid():
     assert np.array_equal(disp["u"], np.zeros((4, lay.length_of("s"))))
 
 
-def test_reconstruct_displacements_requires_snapshots():
-    ts = TimeSeries(
-        times=np.array([0.0, 1.0]),
-        energy=np.zeros(2),
-        traces={},
-        snapshots=None,
-        layout=None,
-    )
-    with pytest.raises(ParameterError, match="displacement reconstruction needs snapshots"):
-        reconstruct_displacements(ts)
-
-
 def test_reconstruct_displacements_requires_a_velocity_block():
     lay = StateLayout(build_grid(4), (("V1", SpaceTag.CENTER), ("tau", SpaceTag.TRACE)))
-    ts = TimeSeries(
-        times=np.array([0.0, 1.0]), energy=np.zeros(2), traces={}, snapshots=np.zeros((2, lay.dim)), layout=lay
-    )
+    ts = TimeSeries(times=np.array([0.0, 1.0]), energy=np.zeros(2), snapshots=np.zeros((2, lay.dim)), layout=lay)
     with pytest.raises(ParameterError, match="no velocity blocks to integrate"):
         reconstruct_displacements(ts)
 
