@@ -423,7 +423,7 @@ def build_output(out: dict[str, str], model: AssembledModel) -> tuple[bool, list
     elif traces_sel == "none":
         trace_names = []
     else:
-        trace_names = [t.strip() for t in traces_sel.split(",") if t.strip()]
+        trace_names = [t.strip() for t in traces_sel.split(",")]
         for i, t in enumerate(trace_names):
             if t not in model.layout.trace_names():
                 raise ConfigError(f"traces: unknown trace {t!r}")
@@ -590,20 +590,20 @@ def cmd_run(cfg: RunConfig, stats: dict | None = None) -> int:
     def csv_lines(rows):
         return [",".join(map(repr, row)) for row in rows]
 
-    done, final_energy, writing = 0, None, 0.0
+    final_energy, writing = None, 0.0
     start = time.perf_counter()
     with _written(outputs) as files:
         writing += time.perf_counter() - start
 
-        def write(times, states, energies):
-            nonlocal done, final_energy, writing
+        def write(rows, times, states, energies):
+            nonlocal final_energy, writing
             start = time.perf_counter()
             if snap_path:
-                first = -done % stride  # the first record of this buffer that the stride keeps
+                first = -rows.start % stride  # the first record of this buffer that the stride keeps
                 _write_rows(files[0], [times[first::stride], states[first::stride]], snapshot_lines)
             cols = [times] + ([energies] if with_energy else []) + [states[:, k] for k in trace_at]
             _write_rows(files[-1], cols, csv_lines)
-            done, final_energy = done + len(times), float(energies[-1])
+            final_energy = float(energies[-1])
             writing += time.perf_counter() - start
 
         u0 = consistent_initial_state(model, cfg.initial_state, source(0.0))
@@ -808,7 +808,7 @@ def main(argv=None) -> int:
         elif args.command == "run":
             lines, code = [], cmd_run(cfg, stats)
         elif args.command == "converge":
-            levels = [_int(v.strip(), "--levels") for v in args.levels.split(",") if v.strip()]
+            levels = [_int(v.strip(), "--levels") for v in args.levels.split(",")]
             lines, code = cmd_converge(cfg, levels, stats)
         else:
             lines, code = cmd_probe(cfg, args.kind, args.a, stats)

@@ -44,7 +44,8 @@ class UndefinedRatioError(EvobeamError):
 @dataclass(frozen=True)
 class SchemeParams:
     """A theta scheme: step dt up to t_end (a whole number of steps), the
-    record stride, and the rho of the exponential weight in bound_probe."""
+    record stride, and rho: that of bound_probe's exponential weight, and
+    the one at which cmd_check (and cmd_probe's bound probe) read c0."""
 
     dt: float = 0.01
     t_end: float = 1.0
@@ -193,19 +194,21 @@ def march(
     sys_: SteppingSystem,
     u0: np.ndarray,
     source: Callable[[float], np.ndarray],
-    consume: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
+    consume: Callable[[slice, np.ndarray, np.ndarray, np.ndarray], None],
     *,
     energy_residual: bool = False,
 ) -> float | None:
     """March from t = 0 to t_end and hand the records to
-    ``consume(times, states, energies)``, one checked buffer of them at a
-    time, in order.  Each step is ``step``'s kernel ``_advance``.
+    ``consume(rows, times, states, energies)``, one checked buffer of them
+    at a time, in order.  Each step is ``step``'s kernel ``_advance``.
 
     The records are step 0, every record_every-th step and the last step:
     ceil(n_steps / record_every) + 1 of them (``record_count``, whose
     NumericError comes before any step), record k at the time
-    min(k*record_every, n_steps)*dt, the last at t_end.  ``states`` is a
-    view of the buffer, valid only during the call; each energy is bitwise
+    min(k*record_every, n_steps)*dt, the last at t_end.  ``rows`` is the
+    slice of record indices the buffer holds: the slices are contiguous and
+    in order, from 0 to record_count(scheme).  ``states`` is a view of the
+    buffer, valid only during the call; each energy is bitwise
     ``core.energy`` of its state.
 
     Finiteness is checked once per buffer, not on every step: a buffer is
@@ -237,18 +240,18 @@ def march(
 
     def flush(U: np.ndarray):
         nonlocal done, last
-        count = len(U)
         if not np.isfinite(U).all():
             raise NumericError("time step produced non-finite state")
         energies = energy(U, m0, W)
         if not np.isfinite(energies).all():
             raise NumericError("recorded energy is not finite")
-        times = _record_times(done, done + count, scheme)
+        rows = slice(done, done + len(U))
+        times = _record_times(rows.start, rows.stop, scheme)
         # a NaN compares false both ways, so test the order, not its negation
         if not (times[0] > last and np.all(times[1:] > times[:-1])):
             raise NumericError("record times must be strictly increasing")
-        consume(times, U, energies)
-        done, last = done + count, times[-1]
+        consume(rows, times, U, energies)
+        done, last = rows.stop, times[-1]
 
     if energy_residual:
         # every stepped state and its source, row 0 the state before the
@@ -292,14 +295,11 @@ def run(sys_: SteppingSystem, u0: np.ndarray, source: Callable[[float], np.ndarr
     copied into records allocated before the first step, and its times,
     built once the buffer is gone so that they do not add to the loop's
     peak memory."""
-    n_rec, done = record_count(sys_.scheme), 0
+    n_rec = record_count(sys_.scheme)
     energies, states = _records(n_rec), _records((n_rec, sys_.model.layout.dim))
 
-    def keep(_times: np.ndarray, U: np.ndarray, e: np.ndarray):
-        nonlocal done
-        block = slice(done, done + len(U))
-        energies[block], states[block] = e, U
-        done = block.stop
+    def keep(rows: slice, _times: np.ndarray, U: np.ndarray, e: np.ndarray):
+        energies[rows], states[rows] = e, U
 
     march(sys_, u0, source, keep)
     return TimeSeries(_record_times(0, n_rec, sys_.scheme), energies, states, sys_.model.layout)
@@ -371,13 +371,12 @@ def causality_probe(
     # same dt and theta, so the truncated system reuses the LU factors
     # (record_every is not part of the stepping matrix)
     sys_to_a = replace(sys_, scheme=replace(scheme, t_end=steps_to_a * scheme.dt, record_every=1))
-    states_f, largest, done = run(sys_to_a, u0, source_f).snapshots, 0.0, 0
+    states_f, largest = run(sys_to_a, u0, source_f).snapshots, 0.0
 
-    def compare(_times: np.ndarray, U: np.ndarray, _energies: np.ndarray):
-        nonlocal largest, done
-        diff = states_f[done : done + len(U)] - U
+    def compare(rows: slice, _times: np.ndarray, U: np.ndarray, _energies: np.ndarray):
+        nonlocal largest
+        diff = states_f[rows] - U
         largest = max(largest, weighted_inner(diff, diff, W).max())
-        done += len(U)
 
     march(sys_to_a, u0, source_g, compare)
     return math.sqrt(largest)
@@ -396,15 +395,13 @@ def bound_probe(sys_: SteppingSystem, source: Callable[[float], np.ndarray]) -> 
     if rho <= 0:
         raise ParameterError("rho must be positive")
     u0 = consistent_initial_state(sys_.model, np.zeros(W.size), source(0.0))
-    n_rec, done = record_count(sys_.scheme), 0
+    n_rec = record_count(sys_.scheme)
     sq = _records((2, n_rec))  # of the source and of the state
 
-    def norms(times: np.ndarray, U: np.ndarray, _energies: np.ndarray):
-        nonlocal done
+    def norms(rows: slice, times: np.ndarray, U: np.ndarray, _energies: np.ndarray):
         F = np.vstack([source(t) for t in times])
         # not weighted_inner: that moves the printed ratio in its last digits
-        sq[:, done : done + len(U)] = np.einsum("ij,j,ij->i", F, W, F), np.einsum("ij,j,ij->i", U, W, U)
-        done += len(U)
+        sq[:, rows] = np.einsum("ij,j,ij->i", F, W, F), np.einsum("ij,j,ij->i", U, W, U)
 
     march(sys_, u0, source, norms)
     times = _record_times(0, n_rec, sys_.scheme)

@@ -511,6 +511,10 @@ def test_restrict_takes_each_block_to_the_coarse_sample_points(m):
         "energy = maybe",
         "traces = tau0_plus, nope",
         "traces = tau0_plus, tau0_plus",
+        # an empty entry is an unknown trace, not dropped
+        "traces = tau0_plus,",
+        "traces = ,",
+        "traces =",
         "snapshots = a\0b",
     ],
 )
@@ -1162,7 +1166,11 @@ def test_no_command_loads_a_deferred_module(tmp_path):
         + "[source]\nkind = gaussian\nblock = V1\ncenter = 0.1\nwidth = 0.05\n\n"
         + f"[output]\ncsv = {tmp_path / 'out.csv'}\n"
     )
-    commands = [["check"], ["run"], ["converge", "--levels", "8,16,32"], ["probe", "--kind", "bound"]]
+    # run --stats also takes the symmetric part, the residual fold and factor_stats
+    commands = [
+        ["check"], ["run"], ["run", "--stats", str(tmp_path / "stats.json")], ["converge", "--levels", "8,16,32"],
+        ["probe", "--kind", "bound"], ["probe", "--kind", "causality", "--a", "0.25"],
+    ]
     code = f"""\
 import contextlib, io, sys
 import evobeam.__main__ as entry
@@ -1174,7 +1182,7 @@ import numpy
 print(numpy.ma.masked_array([1, 2], mask=[0, 1]).sum(), "numpy.ma.core" in sys.modules)
 """
     codes, loaded, read = _python_child(code).splitlines()
-    assert (codes, loaded) == ("0 0 0 0", "")
+    assert (codes, loaded) == ("0 0 0 0 0 0", "")
     assert read == "1 True"
 
 
@@ -1737,6 +1745,7 @@ def test_source_on_a_trace_slot_is_the_envelope_there():
             ("--levels", "3,5,7"),
             "reference grid must be a multiple of each level",
         ),
+        (MINIMAL, ("--levels", "4,,8,16"), "--levels: expected an integer, got ''"),
         # configparser's own messages span lines; the CLI prints one
         (
             MINIMAL.replace("[grid]\n", ""),
@@ -1751,7 +1760,7 @@ def test_source_on_a_trace_slot_is_the_envelope_there():
     ],
     ids=[
         "grid-unknown-key", "grid-two-unknown-keys", "grid-no-n_cells", "scenario-no-name", "undefined-function",
-        "converge-odd-multiple", "no-section-header", "unparsable-line",
+        "converge-odd-multiple", "converge-empty-level", "no-section-header", "unparsable-line",
     ],
 )
 def test_main_config_errors_exit_four(text, args, message, tmp_path, capsys, monkeypatch):

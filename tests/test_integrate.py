@@ -422,9 +422,9 @@ def test_causality_probe_records_every_step_to_a(monkeypatch):
         times = []
         series.append(times)
 
-        def seen(t, U, e):
+        def seen(rows, t, U, e):
             times.extend(t.tolist())
-            consume(t, U, e)
+            consume(rows, t, U, e)
 
         return march(sys_to_a, u0, source, seen)
 
@@ -750,15 +750,23 @@ def _residual_chunk(steps, dim):
     return (2 * steps + 1) * dim
 
 
-def _discard(times, states, energies):
+def _discard(rows, times, states, energies):
     """A march consumer that keeps nothing."""
 
 
 def _march_records(sys_, u0, source, **options):
     """march's return value, and copies of its records stacked in order:
-    times, states and energies."""
-    blocks = []
-    out = integrate.march(sys_, u0, source, lambda *block: blocks.append([b.copy() for b in block]), **options)
+    times, states and energies; each buffer's rows must continue the last
+    buffer's from 0 and cover the buffer."""
+    blocks, stops = [], [0]
+
+    def keep(rows, *block):
+        assert rows == slice(stops[-1], stops[-1] + len(block[0]))
+        stops.append(rows.stop)
+        blocks.append([b.copy() for b in block])
+
+    out = integrate.march(sys_, u0, source, keep, **options)
+    assert stops[-1] == integrate.record_count(sys_.scheme)
     return out, [np.concatenate(column) for column in zip(*blocks)]
 
 
@@ -808,6 +816,41 @@ def test_march_energy_residual_needs_the_midpoint_rule():
     dim = model.layout.dim
     with pytest.raises(ParameterError, match="theta = 1/2"):
         integrate.march(sys_, np.zeros(dim), lambda t: np.zeros(dim), _discard, energy_residual=True)
+
+
+def _restart(times, last):
+    times[0] = last
+
+
+def _repeat(times, last):
+    times[1] = times[0]
+
+
+def _nan(times, last):
+    times[1] = math.nan
+
+
+@pytest.mark.parametrize("spoil", [_restart, _repeat, _nan], ids=["restart", "repeat", "nan"])
+def test_march_refuses_record_times_out_of_order(monkeypatch, spoil):
+    # buffers of two records; the second buffer's times are spoiled: it
+    # starts at the first buffer's last time, repeats a time, or holds a NaN
+    scheme = SchemeParams(dt=0.1, t_end=1.0)
+    model, sys_ = _beam_system(4, TimoshenkoParams(c=0.5), scheme)
+    dim = model.layout.dim
+    monkeypatch.setattr(integrate, "_CHUNK_FLOATS", 2 * dim)
+    record_times = integrate._record_times
+
+    def spoiled(lo, hi, scheme):
+        times = record_times(lo, hi, scheme)
+        if lo == 2:
+            spoil(times, record_times(1, 2, scheme)[0])
+        return times
+
+    monkeypatch.setattr(integrate, "_record_times", spoiled)
+    handed = []
+    with pytest.raises(NumericError, match="^record times must be strictly increasing$"):
+        integrate.march(sys_, np.zeros(dim), lambda t: np.zeros(dim), lambda rows, *_: handed.append(rows))
+    assert handed == [slice(0, 2)]
 
 
 @pytest.mark.parametrize(
