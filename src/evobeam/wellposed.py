@@ -16,7 +16,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import EvobeamError, NumericError, ParameterError
-from .discretize import diag_csr
 
 __all__ = [
     "NotCoerciveError",
@@ -74,53 +73,66 @@ def sparse_symmetric_part(M, W: np.ndarray) -> sp.csr_matrix:
     return 0.5 * Ms + 0.5 * Mt.tocsr()
 
 
-def _w_min_eig(S, W: np.ndarray) -> float:
-    """Smallest eigenvalue of a sparse W-selfadjoint S via the W^{1/2} similarity.
+def _coercivity_probe(M1, W: np.ndarray):
+    """sym(M1)'s diagonal d, and c0 as a function of the diagonal x = rho*m0 + d.
 
-    The similarity keeps the sparsity pattern, so the spectrum is the union
-    of the spectra of its connected blocks.  A row with no stored
-    off-diagonal entry is a block of one, its diagonal entry its own
-    eigenvalue; only the coupled rows are split into blocks, each of which
-    gets an eigensolve on its rows only.
+    The W^{1/2} similarity keeps the sparsity pattern, so the spectrum is the
+    union of the spectra of its connected blocks.  M0 is diagonal, so the
+    off-diagonal part and its blocks are built here once.  A row with no
+    stored off-diagonal entry is a block of one, its diagonal entry its own
+    eigenvalue; each coupled block is densified on its rows only, one at a time.
     """
-    sq = np.sqrt(W)
-    sym = sp.coo_matrix(S, dtype=float)
-    sym.data = sym.data * sq[sym.row] / sq[sym.col]
+    S = sparse_symmetric_part(M1, W)
+    if not np.isfinite(S.data).all():
+        raise NumericError("non-finite entries in coercivity operator")
+    sq, ij = np.sqrt(W), S.tocoo()
+    row, col, v = (a[ij.row != ij.col] for a in (ij.row, ij.col, ij.data))
     # halved before the sum, so that a finite S stays finite; halving is
     # exact above the subnormals, where this is 0.5*(sym + sym.T) bit for bit
-    sym = 0.5 * sym.tocsr()
-    sym = sym + sym.T
-    if not np.all(np.isfinite(sym.data)):
+    off = 0.5 * sp.csr_matrix((v * sq[row] / sq[col], (row, col)), shape=S.shape)
+    off = off + off.T
+    if not np.isfinite(off.data).all():
         raise NumericError("non-finite entries in coercivity operator")
-    sym.eliminate_zeros()
-    # the pattern is symmetric, so counting a row's entries off the diagonal
-    # also counts its column's
-    ij = sym.tocoo()
-    coupled = np.bincount(ij.row[ij.row != ij.col], minlength=sym.shape[0]) > 0
-    single = ~coupled
-    c0 = float(np.min(sym.diagonal()[single])) if single.any() else np.inf
+    # the sum stores no zero, and its pattern is symmetric
+    coupled = np.diff(off.indptr) > 0
+    single, blocks = ~coupled, []
     if coupled.any():
         from scipy.sparse.csgraph import connected_components
 
         idx = np.flatnonzero(coupled)
-        n_blocks, labels = connected_components(sym[idx][:, idx], directed=False)
-        for k in range(n_blocks):
-            block = idx[labels == k]
-            c0 = min(c0, float(np.linalg.eigvalsh(sym[block][:, block].toarray())[0]))
-    return c0
+        n_blocks, labels = connected_components(off[idx][:, idx], directed=False)
+        blocks = [(b, off[b][:, b]) for b in (idx[labels == k] for k in range(n_blocks))]
+
+    def c0_at(x: np.ndarray) -> float:
+        # the similarity's operations in their order; + 0.0 reads a zero sum,
+        # which the sparse sum does not store, as +0.0
+        half = 0.5 * (x * sq / sq)
+        diag = half + half + 0.0
+        if not np.isfinite(diag).all():
+            raise NumericError("non-finite entries in coercivity operator")
+        c0 = float(np.min(diag[single])) if single.any() else np.inf
+        for block, part in blocks:
+            a = part.toarray()
+            np.fill_diagonal(a, diag[block])
+            c0 = min(c0, float(np.linalg.eigvalsh(a)[0]))
+        return c0
+
+    return S.diagonal(), c0_at
 
 
 def coercivity(m0: np.ndarray, M1, rho: float, W: np.ndarray) -> float:
     """The largest c0 with rho*diag(m0) + sym(M1) >= c0 in the W inner product.
 
     The law is coercive iff c0 > 0, and then 1/c0 bounds the solution
-    operator.
+    operator.  Single rows cost O(dim) together; each coupled block of the
+    sparsity pattern gets a dense eigensolve on its rows only.
     """
     if rho < 0:
         raise ParameterError("rho must be nonnegative")
-    # a law that overflows is refused by _w_min_eig's finiteness check alone
+    # a law that overflows is refused by the probe's finiteness check alone
     with np.errstate(over="ignore", invalid="ignore"):
-        return _w_min_eig(diag_csr(rho * m0) + sparse_symmetric_part(M1, W), W)
+        d, c0_at = _coercivity_probe(M1, W)
+        return c0_at(rho * m0 + d)
 
 
 def find_rho0(m0: np.ndarray, M1, c_target: float, W: np.ndarray) -> float:
@@ -128,22 +140,22 @@ def find_rho0(m0: np.ndarray, M1, c_target: float, W: np.ndarray) -> float:
 
     Scans rho = 2^k for k in -10..40 and bisects the first bracketing pair;
     monotonicity of c0 in rho (m0 is nonnegative) makes the bisection
-    valid.  No admissible rho in the range raises NotCoerciveError, and so
-    does a scan that overflows rho*diag(m0) + sym(M1) first: sym(M1) is
-    finite and rho*m0 only grows with rho, so no larger rho is finite either.
+    valid.  Only the diagonal depends on rho, so the blocks are built once
+    per call, and each probe costs O(dim) plus the coupled blocks'
+    eigensolves.  No admissible rho in the range raises NotCoerciveError,
+    and so does a scan that overflows rho*diag(m0) + sym(M1) first: sym(M1)
+    is finite and rho*m0 only grows with rho, so no larger rho is finite either.
     """
     if c_target <= 0:
         raise ParameterError("c_target must be positive")
-    M0, M1sym = diag_csr(m0), sparse_symmetric_part(M1, W)
-    if not np.isfinite(M1sym.data).all():
-        raise NumericError("non-finite entries in coercivity operator")
+    d, c0_at = _coercivity_probe(M1, W)
 
     def ok(rho: float) -> bool:
         with np.errstate(over="ignore"):
-            S = rho * M0 + M1sym
-        if not np.isfinite(S.data).all():
+            x = rho * m0 + d
+        if not np.isfinite(x).all():
             raise NotCoerciveError(f"rho*M0 + sym(M1) overflows at rho = {rho!r} before c0 reaches {c_target}")
-        return _w_min_eig(S, W) >= c_target
+        return c0_at(x) >= c_target
 
     hit = None
     for k in RHO_SCAN_EXPONENTS:

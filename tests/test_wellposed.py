@@ -8,9 +8,11 @@ the package itself uses.
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
+import evobeam.wellposed as wellposed
 from evobeam.cli import cmd_check, parse_config
 from evobeam.core import NumericError, ParameterError, build_grid
 from evobeam.scenarios import (
@@ -294,6 +296,73 @@ def test_coercivity_matches_whole_pattern_components_bitwise(sizes, seed, rho, n
     W = w
     c0 = coercivity(m0, sp.csr_matrix(M1), rho, W)
     assert np.float64(c0).tobytes() == np.float64(_components_c0(m0, M1, rho, W)).tobytes()
+
+
+def _reference_rho0(m0, M1, c_target, W):
+    """find_rho0's scan of 2^-10..2^40 and its bisection to 1e-6 relative,
+    with c0 through _components_c0; None where no rho in the scan reaches
+    c_target."""
+    def ok(rho):
+        return _components_c0(m0, M1, rho, W) >= c_target
+
+    hit = next((k for k in range(-10, 41) if ok(2.0**k)), None)
+    if hit is None:
+        return None
+    lo, hi = 2.0 ** (hit - 1), 2.0**hit
+    while hit > -10 and (hi - lo) / hi > 1e-6:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+    return hi
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+    c_target=st.floats(1e-3, 1e3),
+    n_massless=st.integers(0, 2),
+)
+def test_find_rho0_on_coupled_laws_matches_a_reference_scan_bitwise(sizes, seed, c_target, n_massless):
+    # W-selfadjoint blocks and singletons on randomly permuted rows, as in the
+    # whole-pattern test; n_massless rows have no inertia, so that c0 stays
+    # bounded in rho and some targets are out of reach
+    rng = np.random.default_rng(seed)
+    dim = sum(sizes)
+    perm = rng.permutation(dim)
+    w = rng.uniform(0.5, 2.0, dim)
+    m0, M1 = rng.uniform(0.5, 2.0, dim), np.zeros((dim, dim))
+    for rows in np.split(perm, np.cumsum(sizes)[:-1]):
+        M1[np.ix_(rows, rows)] = _w_selfadjoint(rng, w[rows]) + rng.standard_normal((rows.size, rows.size))
+    m0[perm[:n_massless]] = 0.0
+    ref = _reference_rho0(m0, M1, c_target, w)
+    if ref is None:
+        with pytest.raises(NotCoerciveError):
+            find_rho0(m0, sp.csr_matrix(M1), c_target, w)
+    else:
+        assert np.float64(find_rho0(m0, sp.csr_matrix(M1), c_target, w)).tobytes() == np.float64(ref).tobytes()
+
+
+def test_find_rho0_splits_the_law_into_blocks_once(monkeypatch):
+    # a pair (0, 1) and a 3-cycle (4, 5, 6) among 12 slots; c0(rho) = rho - 0.5,
+    # so the scan and the bisection probe 31 values of rho
+    M1 = np.zeros((12, 12))
+    for i, j in ((0, 1), (4, 5), (5, 6), (6, 4)):
+        M1[i, j] = M1[j, i] = 0.5 if i == 0 else 0.25
+    calls = {"connected_components": 0, "sparse_symmetric_part": 0}
+
+    def spy(module, name):
+        f = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(csgraph, "connected_components")
+    spy(wellposed, "sparse_symmetric_part")
+    assert abs(find_rho0(np.ones(12), sp.csr_matrix(M1), 0.3, np.ones(12)) - 0.8) < 1e-6
+    assert calls == {"connected_components": 1, "sparse_symmetric_part": 1}
 
 
 def test_check_eigensolves_no_matrix_larger_than_a_block(monkeypatch):
