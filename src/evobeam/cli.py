@@ -645,8 +645,9 @@ def _restrict(fine_model: AssembledModel, coarse_model: AssembledModel, u: np.nd
 
 def cmd_converge(cfg: RunConfig, levels: list[int], stats: dict | None = None) -> tuple[list[str], int]:
     """Grid refinement study: the W-norm error at t_end on each level and
-    the fitted slope of log(error) against log(h).  Each level steps with
-    the configured t_end and theta at its own dt (h for MMS, 1/n otherwise).
+    the fitted slope of log(error) against log(h).  Each level and the
+    reference step to the configured t_end with its theta at dt = h, in
+    max(1, round(t_end / h)) steps.
 
     A scenario with an MMS family is driven by its manufactured source and
     compared with the exact fields.  Every other scenario runs the
@@ -664,42 +665,39 @@ def cmd_converge(cfg: RunConfig, levels: list[int], stats: dict | None = None) -
     if any(n < 2 for n in levels):
         raise ConfigError("levels must be >= 2")
     spec = SCENARIOS[cfg.scenario]
-    n_ref = 4 * max(levels)
-    if spec.mms is None and any(n_ref % n for n in levels):
-        raise ConfigError("reference grid must be a multiple of each level")
     t_end, theta = cfg.scheme_params.t_end, cfg.scheme_params.theta
-    if spec.mms is not None:
-        exact, rates = spec.mms()
 
     def solve(n: int):
         try:
             model = build_model(cfg.scenario, cfg.params, _build_grid(n))
-            exact_at = None
             if spec.mms is not None:
-                steps = max(1, round(t_end / model.grid.h))
                 source = manufactured_source(model, exact, rates)
-                exact_at = field_sampler(model, exact)
-                u0 = exact_at(0.0)
+                u0 = field_sampler(model, exact)(0.0)
             else:
-                steps = max(1, round(t_end * n))
                 source = build_source(cfg.source, model)
                 u0 = consistent_initial_state(model, build_initial(cfg.initial, model), source(0.0))
+            steps = max(1, round(t_end / model.grid.h))
             scheme = SchemeParams(dt=t_end / steps, t_end=t_end, theta=theta, record_every=steps)
             sys_ = _factor(model, scheme, stats)
             start = time.perf_counter()
             ts = run(sys_, u0, source)
             _note(stats, "step_s", start)
-            return model, ts, exact_at
+            return model, ts
         except ConfigError as exc:
             raise ConfigError(f"level {n}: {exc}") from exc
 
-    if spec.mms is None:
-        ref_model, ref_ts, _ = solve(n_ref)
+    if spec.mms is not None:
+        exact, rates = spec.mms()
+    else:
+        n_ref = 4 * max(levels)
+        if any(n_ref % n for n in levels):
+            raise ConfigError("reference grid must be a multiple of each level")
+        ref_model, ref_ts = solve(n_ref)
     errs, hs, lines = [], [], []
     for n in sorted(levels):
-        model, ts, exact_at = solve(n)
-        if exact_at is not None:
-            diff = ts.snapshots[-1] - exact_at(ts.times[-1])
+        model, ts = solve(n)
+        if spec.mms is not None:
+            diff = ts.snapshots[-1] - field_sampler(model, exact)(ts.times[-1])
         else:
             ref = _restrict(ref_model, model, ref_ts.snapshots[-1])
             diff = (ts.snapshots[-1] - ref) * (model.m0 != 0.0)

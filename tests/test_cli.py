@@ -488,6 +488,69 @@ def test_main_converge_golden_text(tmp_path, capsys, scenario, levels, code, exp
     assert captured.err == ""
 
 
+SELF_CONVERGING = """\
+[grid]
+n_cells = 8
+
+[scenario]
+name = sturm_liouville
+
+[scheme]
+t_end = {t_end}
+
+[initial]
+kind = expr
+V1 = cos(pi*x)
+"""
+
+
+@pytest.mark.parametrize(
+    ("text", "factored"),
+    [
+        (SELF_CONVERGING, [(784, 196), (49, 12), (98, 25), (196, 49)]),
+        (MINIMAL + "\n[scheme]\nt_end = {t_end}\n", [(49, 12), (98, 25), (196, 49)]),
+    ],
+    ids=["self-reference", "manufactured"],
+)
+def test_converge_steps_every_level_at_dt_h(text, factored, monkeypatch):
+    # one rule, max(1, round(t_end / h)) steps, for every level and the
+    # reference.  Level 98 is a tie: t_end * n is 24.5 exactly, which rounds
+    # to the even 24, and t_end / h reads just above it and rounds to 25
+    seen, real = [], cli._factor
+
+    def spy(model, scheme, stats):
+        assert scheme.n_steps == max(1, round(0.25 / model.grid.h))
+        seen.append((model.grid.n_cells, scheme.n_steps))
+        return real(model, scheme, stats)
+
+    monkeypatch.setattr(cli, "_factor", spy)
+    cmd_converge(parse_config(text.format(t_end=0.25)), [49, 98, 196])
+    assert seen == factored
+
+
+def test_stats_converge_self_reference_counts_the_reference(tmp_path, capsys, monkeypatch):
+    # the reference factors first, and its LU, the largest, sets nnz_lu;
+    # pivot_growth is the largest over all four factorisations.  Levels this
+    # coarse fit a slope short of 1.9, so the study reports and exits 2
+    seen, real = [], cli.factor
+
+    def spy(model, scheme):
+        sys_ = real(model, scheme)
+        seen.append(((model.grid.n_cells, scheme.n_steps), factor_stats(sys_)))
+        return sys_
+
+    monkeypatch.setattr(cli, "factor", spy)
+    args = ("converge", "--levels", "4,8,16")
+    code, record = _main_in(tmp_path / "a", SELF_CONVERGING.format(t_end=1), args, stats="stats.json")
+    assert code == 2 and capsys.readouterr().out.splitlines()[-1] == "slope=1.8757076432364228e0"
+    assert [sizes for sizes, _ in seen] == [(64, 64), (4, 4), (8, 8), (16, 16)]
+    assert record["nnz_lu"] == seen[0][1][0] == 524
+    assert record["pivot_growth"] == max(growth for _, (_, growth) in seen)
+    filled = {"parse_s", "factor_s", "step_s", "nnz_lu", "pivot_growth"}
+    assert {k for k, v in record.items() if v is not None} == filled | set(STATS_KEYS[:5])
+    assert record["command"] == "converge" and record["scenario"] == "sturm_liouville"
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_restrict_takes_each_block_to_the_coarse_sample_points(m):
     # on a state linear in x, the mean of the fine centers m*j + (m-1)//2 and
